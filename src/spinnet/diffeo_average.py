@@ -22,14 +22,12 @@ from .network_model import (
     GraphDecomposition,
     InvalidNetworkError,
     SpinNetwork,
+    _sort_key,
     canonicalize,
     decompose,
+    slot_order,
 )
 from .rep_core import Intertwiner
-
-
-def _sort_key(value) -> str:
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -170,12 +168,7 @@ def _relocate_vertices(n, new_edges, edge_map, point_map, spins) -> dict:
     for p, iv in n.vertices.items():
         q = point_map[p]
         old_keys = [(edge_map[eid], d) for eid, d, _ in n.vertex_slots(p)]
-        want = []
-        for e in new_edges:
-            if e.source == q:
-                want.append((e.id, "out"))
-            if e.target == q:
-                want.append((e.id, "in"))
+        want = [(e.id, d) for e, d in slot_order(new_edges, q)]
         perm = [old_keys.index(k) for k in want]
         comps = np.transpose(iv.components, perm)
         legs = tuple((spins[eid], d) for eid, d in want)

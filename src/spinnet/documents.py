@@ -35,7 +35,8 @@ import json
 import numpy as np
 
 from .rep_core import Spin, GroupElement, Intertwiner, epsilon, intertwiner_basis
-from .network_model import SegmentRegistry, Edge, SpinNetwork, InvalidNetworkError, network
+from .network_model import (SegmentRegistry, Edge, SpinNetwork, InvalidNetworkError, network,
+                            slot_order)
 from .inner_product import HolonomyAssignment
 
 __all__ = [
@@ -112,14 +113,6 @@ def _parse_complex_array(node, dims, loc: str) -> np.ndarray:
     return np.array(rec(node, tuple(dims), loc), dtype=complex).reshape(tuple(dims))
 
 
-def _vertex_slots(edges):
-    slots = {}
-    for e in edges:
-        slots.setdefault(e.source, []).append((e.spin, "out"))
-        slots.setdefault(e.target, []).append((e.spin, "in"))
-    return slots
-
-
 def _bivalent_element(legs, loc: str) -> np.ndarray:
     (s1, d1), (s2, d2) = legs
     if s1 != s2:
@@ -162,13 +155,12 @@ def network_from_document(doc) -> SpinNetwork:
         except (ValueError, InvalidNetworkError) as exc:
             raise DocumentError(loc, str(exc)) from exc
 
-    slots = _vertex_slots(edges)
     vertices = {}
     for v, spec in iw_map.items():
         loc = f"intertwiners[{v!r}]"
-        if v not in slots:
+        legs = tuple((e.spin, d) for e, d in slot_order(edges, v))
+        if not legs:
             raise DocumentError(loc, "vertex is not an endpoint of any edge")
-        legs = tuple(slots[v])
         kind = _expect(spec, "kind", str, loc)
         if kind == "explicit":
             dims = [s.dim for s, _ in legs]

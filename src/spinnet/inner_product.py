@@ -6,8 +6,9 @@ ordered product of segment elements along the edge word) and the vertex
 intertwiners contract matrix rows into "in" slots and columns into "out"
 slots.  Under the uniform measure the segment variables are independent and
 Haar distributed, so inner products reduce to one Haar projector per
-segment; :func:`exact_inner_product` performs that contraction exactly and
-:func:`mc_inner_product` estimates the same integral by sampling.
+segment; :func:`exact_inner_product` performs that contraction exactly, with
+each projector in factored form, and :func:`mc_inner_product` estimates the
+same integral by sampling.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .tensor_engine import (
     LabeledTensor,
     Leg,
     contract,
-    haar_project,
+    haar_factored,
     mc_expectation,
 )
 
@@ -153,8 +154,6 @@ def structural_zero(a: SpinNetwork, b: SpinNetwork) -> bool:
 
 
 def _paired_network(a: SpinNetwork, b: SpinNetwork):
-    if a.graph.registry != b.graph.registry:
-        raise InvalidNetworkError("inner products require a shared segment registry")
     ra, rb = common_refinement(a, b)
     fa, ta, pa = _side_tensors(ra, "A", conjugate=True)
     fb, tb, pb = _side_tensors(rb, "B", conjugate=False)
@@ -164,19 +163,24 @@ def _paired_network(a: SpinNetwork, b: SpinNetwork):
 def exact_inner_product(a: SpinNetwork, b: SpinNetwork) -> complex:
     """<a, b> = integral of conj(state_a) * state_b, antilinear in ``a``.
 
-    Computed by common refinement, one Haar projector per segment, and a
-    greedy contraction of projectors against vertex tensors.
+    Computed by common refinement, one factored invariant basis per segment
+    (the Haar projector P = B B^dagger as two tensors), and a greedy
+    contraction of those bases against vertex tensors.
     """
+    if a.graph.registry != b.graph.registry:
+        raise InvalidNetworkError("inner products require a shared segment registry")
+    # Every segment that passes structural_zero has a nonzero invariant
+    # space, which haar_factored needs for its multiplicity leg.
     if structural_zero(a, b):
-        if a.graph.registry != b.graph.registry:
-            raise InvalidNetworkError("inner products require a shared segment registry")
         return 0j
     factors, tensors, pairings = _paired_network(a, b)
     by_segment: dict = {}
     for f in factors:
         by_segment.setdefault(f.variable, []).append(f)
     for segment in sorted(by_segment, key=str):
-        tensors.append(haar_project(tuple(by_segment[segment])))
+        basis, dual, pairing = haar_factored(by_segment[segment], ("H", segment))
+        tensors += [basis, dual]
+        pairings.append(pairing)
     result = contract(tensors, pairings)
     return complex(result.data)
 

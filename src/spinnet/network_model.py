@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .rep_core import Intertwiner, Spin, epsilon
+from .rep_core import Intertwiner, Spin, _apply_on_axis, epsilon
 
 
 class InvalidNetworkError(ValueError):
@@ -312,13 +312,7 @@ class SpinNetwork:
 
     def vertex_slots(self, vertex) -> tuple:
         """Ordered slots at a vertex as (edge id, direction, spin) triples."""
-        slots = []
-        for e in self.edges:
-            if e.source == vertex:
-                slots.append((e.id, "out", e.spin))
-            if e.target == vertex:
-                slots.append((e.id, "in", e.spin))
-        return tuple(slots)
+        return tuple((e.id, d, e.spin) for e, d in slot_order(self.edges, vertex))
 
     def segment_multiplicity(self) -> Counter:
         counts: Counter = Counter()
@@ -345,15 +339,25 @@ class SpinNetwork:
         return hash((self.graph, self.edges))
 
 
+def slot_order(edges, vertex) -> list:
+    """The slot convention: (edge, direction) pairs at ``vertex``.
+
+    Scanning ``edges`` in order, an edge contributes an "out" slot at its
+    source and then an "in" slot at its target.
+    """
+    slots = []
+    for e in edges:
+        if e.source == vertex:
+            slots.append((e, "out"))
+        if e.target == vertex:
+            slots.append((e, "in"))
+    return slots
+
+
 def network(registry: SegmentRegistry, edges: Sequence[Edge], vertices: Mapping) -> SpinNetwork:
     """Build a SpinNetwork whose graph is exactly the support of ``edges``."""
     segs = {s for e in edges for s, _ in e.word}
     return SpinNetwork(EmbeddedGraph(registry, frozenset(segs)), tuple(edges), dict(vertices))
-
-
-def _apply_on_axis(tensor: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.moveaxis(tensor, axis, 0)
-    return np.moveaxis(np.tensordot(matrix, moved, axes=(1, 0)), 0, axis)
 
 
 class _WorkEdge:
@@ -412,7 +416,7 @@ def _split_working(n: SpinNetwork):
 
     wverts: dict = {}
     points = {w.source for w in wedges.values()} | {w.target for w in wedges.values()}
-    for p in points:
+    for p in sorted(points, key=_sort_key):
         keys: list = []
         comps = np.asarray(1.0 + 0.0j)
         if p in n.vertices:
@@ -435,13 +439,7 @@ def _assemble(graph: EmbeddedGraph, order, wedges, wverts) -> SpinNetwork:
     spins = {wedges[wid].id: wedges[wid].spin for wid in order}
     vertices = {}
     for p, wv in wverts.items():
-        want = []
-        for wid in order:
-            w = wedges[wid]
-            if w.source == p:
-                want.append((w.id, "out"))
-            if w.target == p:
-                want.append((w.id, "in"))
+        want = [(w.id, d) for w, d in slot_order([wedges[wid] for wid in order], p)]
         perm = [wv.keys.index(k) for k in want]
         comps = np.transpose(wv.comps, perm)
         legs = tuple((spins[eid], d) for eid, d in want)

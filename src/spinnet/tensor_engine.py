@@ -4,7 +4,8 @@ Two evaluation paths share one bookkeeping scheme:
 
 * exact: group variables are integrated out analytically by projecting the
   tensor product of their matrix factors onto the invariant subspace
-  (``haar_project``), and the remaining network is contracted;
+  (``haar_project``, or as basis and conjugate basis with
+  ``haar_factored``), and the remaining network is contracted;
 * Monte Carlo: group variables are sampled Haar-uniformly and the same
   network is contracted numerically per sample (``mc_expectation``).
 
@@ -19,11 +20,12 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rep_core import Spin, epsilon, invariant_vectors, wigner_entries
+from .rep_core import Spin, haar_quaternions, intertwiner_basis, wigner_entries
 
 __all__ = [
     "Leg",
@@ -234,41 +236,42 @@ def contract(
 # ---------------------------------------------------------------------------
 # Haar projection
 
-_PROJECTOR_CACHE: dict[tuple, np.ndarray] = {}
+# Distinct factor signatures whose invariant bases are kept.
+_BASIS_CACHE_SIZE = 256
 
 
-def _projector_array(signature: tuple[tuple[int, bool, bool], ...]) -> np.ndarray:
-    """Integral tensor for one variable, axes [row side ..., col side ...].
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _invariant_basis(signature: tuple[tuple[int, bool], ...]) -> np.ndarray:
+    """Stacked orthonormal invariant basis B, shape (r, *dims), of one variable.
 
-    Core object: P = sum_b |b><b| over the invariant basis of the plain ket
-    product.  A conjugated-xor-inverted factor is reduced to plain form by
-    the epsilon sandwich (conj D = C D C^{-1}); inversion additionally
-    swaps which named leg sits on which side, handled by the caller.
+    ``signature`` holds (twice_j, dualized) per factor.  A conjugated-xor-
+    inverted factor transforms in the dual representation, so its axis is an
+    "in" leg of the intertwiner space; the projector is P = sum_b B[b] (x)
+    conj(B[b]).
     """
-    cached = _PROJECTOR_CACHE.get(signature)
-    if cached is not None:
-        return cached
-    tjs = tuple(tj for tj, _, _ in signature)
-    dims = tuple(tj + 1 for tj in tjs)
-    k = len(tjs)
-    basis = invariant_vectors(tjs)
+    legs = [(Spin(tj), "in" if dual else "out") for tj, dual in signature]
+    basis = intertwiner_basis(legs)
     if basis:
-        stack = np.stack([v.reshape(-1) for v in basis])
-        flat = stack.T @ stack.conj()
-        proj = flat.reshape(dims + dims)
+        stack = np.stack([iv.components for iv in basis])
     else:
-        proj = np.zeros(dims + dims, dtype=complex)
-    for idx, (tj, conj, inv) in enumerate(signature):
-        if conj != inv:
-            eps = epsilon(Spin(tj))
-            moved = np.moveaxis(proj, idx, 0)
-            proj = np.moveaxis(np.tensordot(eps, moved, axes=(1, 0)), 0, idx)
-            # right-multiplication on the column-side axis: P -> C P C^{-1}
-            moved = np.moveaxis(proj, k + idx, -1)
-            proj = np.moveaxis(moved @ np.linalg.inv(eps), -1, k + idx)
-    proj.setflags(write=False)
-    _PROJECTOR_CACHE[signature] = proj
-    return proj
+        stack = np.zeros((0,) + tuple(tj + 1 for tj, _ in signature), dtype=complex)
+    stack.setflags(write=False)
+    return stack
+
+
+def _projector_sides(factors: Sequence[GroupFactor]):
+    """Invariant basis of one variable's factors, with its row-side and
+    column-side legs.  Inversion swaps which named leg sits on which side."""
+    signature = tuple((f.spin.twice_j, bool(f.conjugated) != bool(f.inverted)) for f in factors)
+    row_legs, col_legs = [], []
+    for f in factors:
+        rv, cv = f.leg_variances()
+        row, col = Leg(f.row_leg, f.spin, rv), Leg(f.col_leg, f.spin, cv)
+        if f.inverted:
+            row, col = col, row
+        row_legs.append(row)
+        col_legs.append(col)
+    return _invariant_basis(signature), tuple(row_legs), tuple(col_legs)
 
 
 def haar_project(factors: Sequence[GroupFactor]) -> LabeledTensor:
@@ -287,18 +290,25 @@ def haar_project(factors: Sequence[GroupFactor]) -> LabeledTensor:
     variables = {f.variable for f in factors}
     if len(variables) != 1:
         raise ValueError(f"haar_project factors must share one variable, got {sorted(variables)}")
-    signature = tuple((f.spin.twice_j, bool(f.conjugated), bool(f.inverted)) for f in factors)
-    proj = _projector_array(signature)
-    row_legs, col_legs = [], []
-    for f in factors:
-        rv, cv = f.leg_variances()
-        if f.inverted:
-            row_legs.append(Leg(f.col_leg, f.spin, cv))
-            col_legs.append(Leg(f.row_leg, f.spin, rv))
-        else:
-            row_legs.append(Leg(f.row_leg, f.spin, rv))
-            col_legs.append(Leg(f.col_leg, f.spin, cv))
-    return LabeledTensor(tuple(row_legs + col_legs), proj)
+    basis, row_legs, col_legs = _projector_sides(factors)
+    return LabeledTensor(row_legs + col_legs, np.tensordot(basis, basis.conj(), (0, 0)))
+
+
+def haar_factored(factors: Sequence[GroupFactor], key) -> tuple:
+    """``haar_project`` in factored form: (B, conj(B), pairing).
+
+    B carries the row-side legs and conj(B) the column-side legs; the pairing
+    joins their multiplicity legs ``(key, "ket")`` and ``(key, "bra")``, of
+    dimension r = number of invariants, which must be at least 1.
+    """
+    basis, row_legs, col_legs = _projector_sides(factors)
+    mult = Spin(basis.shape[0] - 1)
+    ket, bra = Leg((key, "ket"), mult, "ket"), Leg((key, "bra"), mult, "bra")
+    return (
+        LabeledTensor((ket,) + row_legs, basis),
+        LabeledTensor((bra,) + col_legs, basis.conj()),
+        (ket.id, bra.id),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +371,7 @@ def mc_expectation(
     ]
     while remaining > 0:
         m = min(MC_CHUNK, remaining)
-        quats = rng.standard_normal((m, len(variables), 4))
-        quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
+        quats = haar_quaternions(rng, (m, len(variables)))
         quats_by_var = {v: quats[:, i, :] for i, v in enumerate(variables)}
         arrays = _factor_arrays(network.factors, quats_by_var)
         nodes = [

@@ -25,7 +25,8 @@ from spinnet import (
     emit_geometry,
     write_curves_csv,
 )
-from spinnet.blipweb import junction, bump, blip_amplitude, BumpCurve
+from spinnet.blipweb import (junction, bump, blip_amplitude, BumpCurve, PLUS, MINUS,
+                             _boundary_weights, _column_operator_flat)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +209,25 @@ def test_stabilized_distance_to_reroute():
         - 2 * stabilized_inner_product(psi, phi).real
     )
     npt.assert_allclose(dist2, frac(3, 32), atol=1e-12)
+
+
+def test_stabilized_boundary_spans_joint_fixed_space():
+    """The agreeing-column operators of the reference state alternate between
+    two patterns.  Each fixes a 4-dimensional space; jointly they fix one
+    direction, and the stabilized boundary vector spans it."""
+    patterns = ((PLUS, MINUS, PLUS, MINUS), (PLUS, MINUS, MINUS, PLUS))
+    ops = [_column_operator_flat(s, s) for s in patterns]
+    eye = np.eye(256)
+
+    def fixed_dim(mat):
+        return int(np.sum(np.linalg.svd(mat, compute_uv=False) < 1e-9))
+
+    assert [fixed_dim(op - eye) for op in ops] == [4, 4]
+    assert fixed_dim(np.vstack([op - eye for op in ops])) == 1
+    v = _boundary_weights(True)
+    assert np.linalg.norm(v) > 0.1
+    for op in ops:
+        npt.assert_allclose(op @ v, v, atol=1e-12)
 
 
 def test_window_widening_extrapolates_to_stabilized_value():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -288,6 +289,28 @@ def test_module_entry_point(docs):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"re": 2.0, "im": 0.0}
+
+
+def test_reports_independent_of_hash_seed(docs, tmp_path):
+    """Reports are byte-identical across processes with different hash seeds."""
+    theta444 = dict(THETA_DOC, edges=[dict(e, twice_j=4) for e in THETA_DOC["edges"]])
+    path = tmp_path / "theta444.json"
+    path.write_text(dumps_document(theta444))
+    commands = (
+        ["ip", str(path), str(path)],
+        ["ip", docs["theta"], docs["theta"], "--mc", "3000", "--seed", "5"],
+    )
+    for argv in commands:
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "spinnet.cli", *argv],
+                capture_output=True,
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, argv
 
 
 def test_argparse_usage_error_is_systemexit():

@@ -10,6 +10,7 @@ from spinnet import (
     haar_sample,
     wigner_matrix,
     invariant_vectors,
+    intertwiner_basis,
     Leg,
     LabeledTensor,
     GroupFactor,
@@ -18,7 +19,7 @@ from spinnet import (
     haar_project,
     mc_expectation,
 )
-from spinnet.tensor_engine import MC_CHUNK
+from spinnet.tensor_engine import MC_CHUNK, _invariant_basis, haar_factored
 
 
 def lt(name_prefix, arr, variances):
@@ -205,6 +206,43 @@ def test_haar_project_trace_counts_invariants():
         tr = np.trace(out.data.reshape(size, size))
         assert round(tr.real) == len(invariant_vectors(tjs))
         npt.assert_allclose(tr.imag, 0.0, atol=1e-12)
+
+
+def test_invariant_basis_cache_is_bounded():
+    maxsize = _invariant_basis.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        [(1, True, False), (1, True, False), (2, False, False)],  # conjugated
+        [(2, False, True), (2, False, False), (2, False, True)],  # inverted
+        [(1, True, False), (1, False, True), (2, True, True), (2, False, False)],  # mixed
+    ],
+)
+def test_haar_project_matches_intertwiner_basis_outer_product(specs):
+    """P = sum_b B_b (x) conj(B_b) over the intertwiner basis whose in-legs are
+    the dualized factors, with an inverted factor's named legs swapped."""
+    factors = [
+        factor("g", tj, f"r{k}", f"c{k}", conjugated=c, inverted=i)
+        for k, (tj, c, i) in enumerate(specs)
+    ]
+    legs = [(Spin(tj), "in" if c != i else "out") for tj, c, i in specs]
+    basis = [iv.components for iv in intertwiner_basis(legs)]
+    assert basis
+    want = sum(np.multiply.outer(b, b.conj()) for b in basis)
+    row_ids = [f.col_leg if f.inverted else f.row_leg for f in factors]
+    col_ids = [f.row_leg if f.inverted else f.col_leg for f in factors]
+    out = haar_project(factors)
+    pos = {l.id: k for k, l in enumerate(out.legs)}
+    got = np.transpose(out.data, [pos[l] for l in row_ids + col_ids])
+    npt.assert_allclose(got, want, atol=1e-14)
+    # the factored pair contracts back to the same tensor
+    b, bc, pairing = haar_factored(factors, "m")
+    joined = contract([b, bc], [pairing])
+    assert joined.legs == out.legs
+    npt.assert_allclose(joined.data, out.data, atol=1e-14)
 
 
 def test_haar_project_rejects_mixed_variables():
