@@ -25,9 +25,9 @@ import numpy as np
 
 from .rep_core import Spin
 from .tensor_engine import GroupFactor, haar_project
-from .network_model import InvalidNetworkError, canonicalize, decompose
+from .network_model import InvalidNetworkError
 from .inner_product import exact_inner_product, mc_inner_product, structural_zero, evaluate
-from .diffeo_average import enumerate_correspondences, averaged_inner_product, averaged_gram
+from .diffeo_average import _averaged_pairing, averaged_gram
 from .blipweb import (ToleranceError, observation_one, observation_two,
                       emit_geometry, write_curves_csv)
 from .documents import (DocumentError, read_network, read_holonomies,
@@ -75,12 +75,9 @@ def _cmd_ip(args) -> dict:
 def _cmd_dip(args) -> dict:
     a = read_network(args.network_a)
     b = read_network(args.network_b)
-    opo = args.orientation_preserving_only
-    ca, cb = canonicalize(a), canonicalize(b)
-    classes = enumerate_correspondences(decompose(ca.graph), decompose(cb.graph),
-                                        orientation_preserving_only=opo)
-    report = _scalar(averaged_inner_product(ca, cb, orientation_preserving_only=opo))
-    report["correspondence_count"] = len(classes)
+    value, count = _averaged_pairing(a, b, args.orientation_preserving_only)
+    report = _scalar(value)
+    report["correspondence_count"] = count
     return report
 
 

@@ -184,6 +184,12 @@ def averaged_inner_product(
     One term per correspondence class, in enumeration order; zero when the
     decompositions do not match.
     """
+    return _averaged_pairing(a, b, orientation_preserving_only)[0]
+
+
+def _averaged_pairing(a: SpinNetwork, b: SpinNetwork, orientation_preserving_only: bool):
+    """``averaged_inner_product`` and the number of correspondence classes
+    it summed over."""
     ca, cb = canonicalize(a), canonicalize(b)
     corrs = enumerate_correspondences(
         decompose(ca.graph), decompose(cb.graph), orientation_preserving_only
@@ -191,7 +197,7 @@ def averaged_inner_product(
     total = 0j
     for c in corrs:
         total += exact_inner_product(transport(ca, c), cb)
-    return total
+    return total, len(corrs)
 
 
 def averaged_gram(

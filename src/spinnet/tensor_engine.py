@@ -9,6 +9,14 @@ Two evaluation paths share one bookkeeping scheme:
 * Monte Carlo: group variables are sampled Haar-uniformly and the same
   network is contracted numerically per sample (``mc_expectation``).
 
+Both contract through one engine.  A planner, which sees only leg ids, dims
+and which operands carry a leading per-sample batch axis, fixes a greedy
+pairwise order once and rejects a plan whose largest intermediate is over a
+fixed budget before any array is allocated.  An executor then runs each
+pairwise step as one ``matmul`` on transposed, reshaped operands, and each
+single-operand trace as a ``diagonal`` and a ``sum``, so the number of legs
+in a step is not limited.
+
 Legs carry (id, spin, variance); contraction only joins a ket leg to a bra
 leg of equal spin.  A ``GroupFactor`` names one matrix element
 D^j(g)_{row, col} (possibly conjugated and/or inverted) of the variable it
@@ -18,10 +26,10 @@ the opposite.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from math import prod
+from typing import Sequence
 
 import numpy as np
 
@@ -39,8 +47,9 @@ __all__ = [
 ]
 
 # Fixed Monte Carlo chunk size; accumulation in chunk order makes the mean
-# bit-stable for a given seed.
-MC_CHUNK = 16384
+# bit-stable for a given seed.  It also bounds every batched intermediate,
+# whose size is the chunk length times the size of one sample's tensor.
+MC_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -101,94 +110,148 @@ class FactorNetwork:
 # ---------------------------------------------------------------------------
 # contraction core
 
-# "Z" is reserved as the batch symbol in einsum subscripts.
-_SYMBOLS = string.ascii_lowercase + string.ascii_uppercase[:-1]
+# Largest intermediate a contraction plan may create, in complex elements and
+# counting the batch axis: 2**26 elements of 16 bytes is 1 GiB.
+_MAX_INTERMEDIATE = 2**26
 
 
-class _Node:
-    __slots__ = ("legs", "dims", "arr", "batched")
+@dataclass(frozen=True)
+class _Step:
+    """One pairwise step of a plan.
 
-    def __init__(self, legs, dims, arr, batched):
-        self.legs = list(legs)
-        self.dims = list(dims)
-        self.arr = arr
-        self.batched = batched
+    Slot ``a`` is transposed by ``perm_a`` to [batch?, free..., contracted...]
+    and slot ``b`` by ``perm_b`` to [batch?, contracted..., free...], so the
+    step is one (rows x inner) @ (inner x cols) product.  ``b`` is None for a
+    trace, which orders ``a`` as [batch?, free..., first legs..., partners...].
+    ``dims`` is the unbatched shape of the result.
+    """
 
-
-def _einsum_merge(a: _Node, b: _Node | None, pairs: list[tuple[str, str]]) -> _Node:
-    """Contract the given leg pairs on one node (trace) or between two nodes."""
-    involved = list(a.legs) + (list(b.legs) if b is not None else [])
-    sym = {}
-    for leg in involved:
-        if leg not in sym:
-            sym[leg] = _SYMBOLS[len(sym)]
-    batch = "Z" if len(sym) < len(_SYMBOLS) else None
-    if batch is None:
-        raise ValueError("contraction step exceeds symbol budget")
-    for la, lb in pairs:
-        sym[lb] = sym[la]
-    paired = {l for p in pairs for l in p}
-    out_legs, out_dims = [], []
-    for node in (a, b) if b is not None else (a,):
-        for leg, d in zip(node.legs, node.dims):
-            if leg not in paired:
-                out_legs.append(leg)
-                out_dims.append(d)
-    out_sub = "".join(sym[l] for l in out_legs)
-    batched_out = a.batched or (b is not None and b.batched)
-    if batched_out:
-        out_sub = batch + out_sub
-
-    def sub(node: _Node) -> str:
-        s = "".join(sym[l] for l in node.legs)
-        return (batch + s) if node.batched else s
-
-    if b is None:
-        arr = np.einsum(f"{sub(a)}->{out_sub}", a.arr)
-    else:
-        arr = np.einsum(f"{sub(a)},{sub(b)}->{out_sub}", a.arr, b.arr)
-    return _Node(out_legs, out_dims, arr, batched_out)
+    a: int
+    b: int | None
+    batched_a: bool
+    batched_b: bool
+    perm_a: tuple[int, ...]
+    perm_b: tuple[int, ...]
+    rows: int
+    inner: int
+    cols: int
+    dims: tuple[int, ...]
 
 
-def _contract_nodes(nodes: list[_Node], pairs: list[tuple[str, str]]) -> _Node:
-    """Greedy contraction: repeatedly do the step with the smallest result."""
-    nodes = list(nodes)
-    pairs = list(pairs)
+@dataclass(frozen=True)
+class _Plan:
+    """Pairwise contraction order for fixed legs, dims and batched flags.
+
+    Slots 0..n-1 hold the n operands and step k writes slot n+k; the result
+    is the last slot, with legs ``legs``.
+    """
+
+    steps: tuple[_Step, ...]
+    legs: tuple
+
+
+def _plan(
+    legs: Sequence[Sequence], dims: Sequence[Sequence[int]], batched: Sequence[bool],
+    pairs: Sequence[tuple], batch: int = 1,
+) -> _Plan:
+    """Greedy pairwise plan over operands given only by leg ids, dims and
+    whether they carry a leading batch axis of length ``batch``.
+
+    Each round takes the step with the smallest result, counting a batched
+    result of n elements as ``batch`` * n; disconnected remainders are then
+    joined by outer products, in order.  Raises ValueError, before any array
+    exists, when an intermediate would exceed ``_MAX_INTERMEDIATE`` elements.
+    """
+    live = {i: (list(l), list(d), bool(b)) for i, (l, d, b) in enumerate(zip(legs, dims, batched))}
+    pairs = [tuple(p) for p in pairs]
+    steps = []
+
+    def add_step(ia, ib, plist):
+        la, da, ba = live.pop(ia)
+        if ia == ib:
+            lb, db, bb = [], [], False
+            con_a = [la.index(x) for x, _ in plist] + [la.index(y) for _, y in plist]
+            con_b = []
+        else:
+            lb, db, bb = live.pop(ib)
+            in_a = set(la)
+            con_a = [la.index(x if x in in_a else y) for x, y in plist]
+            con_b = [lb.index(y if x in in_a else x) for x, y in plist]
+        free_a = [k for k in range(len(la)) if k not in con_a]
+        free_b = [k for k in range(len(lb)) if k not in con_b]
+        out_dims = [da[k] for k in free_a] + [db[k] for k in free_b]
+        rows = prod(da[k] for k in free_a)
+        cols = prod(db[k] for k in free_b)
+        size = rows * cols * (batch if ba or bb else 1)
+        if size > _MAX_INTERMEDIATE:
+            raise ValueError(
+                f"contraction needs an intermediate of {size} elements, over the "
+                f"limit of {_MAX_INTERMEDIATE} ({_MAX_INTERMEDIATE * 16 >> 20} MiB)"
+            )
+        steps.append(_Step(
+            ia, None if ia == ib else ib, ba, bb,
+            tuple([0] * ba + [k + ba for k in free_a + con_a]),
+            tuple([0] * bb + [k + bb for k in con_b + free_b]),
+            rows, prod(da[k] for k in con_a[: len(plist)]), cols, tuple(out_dims),
+        ))
+        out_legs = [la[k] for k in free_a] + [lb[k] for k in free_b]
+        live[len(legs) + len(steps) - 1] = (out_legs, out_dims, ba or bb)
+
     while pairs:
-        owner = {}
-        for i, n in enumerate(nodes):
-            for leg in n.legs:
-                owner[leg] = i
-        groups: dict[tuple[int, int], list[tuple[str, str]]] = {}
+        owner = {leg: i for i, (ls, _, _) in live.items() for leg in ls}
+        groups: dict[tuple[int, int], list[tuple]] = {}
         for la, lb in pairs:
             ia, ib = owner[la], owner[lb]
             groups.setdefault((min(ia, ib), max(ia, ib)), []).append((la, lb))
         best = None
         for (ia, ib), plist in sorted(groups.items()):
             paired = {l for p in plist for l in p}
-            size = 1
-            seen = {ia, ib}
-            for i in seen:
-                for leg, d in zip(nodes[i].legs, nodes[i].dims):
+            size = batch if live[ia][2] or live[ib][2] else 1
+            for i in {ia, ib}:
+                for leg, d in zip(live[i][0], live[i][1]):
                     if leg not in paired:
                         size *= d
             if best is None or size < best[0]:
                 best = (size, ia, ib, plist)
         _, ia, ib, plist = best
-        if ia == ib:
-            merged = _einsum_merge(nodes[ia], None, plist)
-            removed = {ia}
+        add_step(ia, ib, plist)
+        done = set(plist)
+        pairs = [p for p in pairs if p not in done]
+    acc, *rest = sorted(live)
+    for ib in rest:
+        add_step(acc, ib, [])
+        acc = len(legs) + len(steps) - 1
+    (out_legs, _, _), = live.values()
+    return _Plan(tuple(steps), tuple(out_legs))
+
+
+def _execute(plan: _Plan, arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Run a plan; batched arrays share a leading batch axis of any length.
+
+    Each two-operand step is one ``matmul``: stacked when both operands are
+    batched, with the batch folded into the rows when only ``a`` is,
+    broadcast when only ``b`` is, and an outer product when nothing is
+    contracted (inner = 1).  A trace is a ``diagonal`` and a ``sum``.
+    """
+    slots = list(arrays)
+    for st in plan.steps:
+        a, slots[st.a] = slots[st.a], None
+        m = a.shape[:1] if st.batched_a else ()
+        x = a.transpose(st.perm_a)
+        if st.b is None:
+            x = x.reshape(m + (st.rows, st.inner, st.inner))
+            out = x.diagonal(axis1=-2, axis2=-1).sum(-1)
         else:
-            merged = _einsum_merge(nodes[ia], nodes[ib], plist)
-            removed = {ia, ib}
-        nodes = [n for i, n in enumerate(nodes) if i not in removed] + [merged]
-        done = set(map(tuple, plist))
-        pairs = [p for p in pairs if tuple(p) not in done]
-    # outer-combine disconnected remainders in order
-    result = nodes[0]
-    for n in nodes[1:]:
-        result = _einsum_merge(result, n, [])
-    return result
+            b, slots[st.b] = slots[st.b], None
+            n = b.shape[:1] if st.batched_b else ()
+            y = b.transpose(st.perm_b).reshape(n + (st.inner, st.cols))
+            if m and not n:
+                out = x.reshape(-1, st.inner) @ y
+            else:
+                out = x.reshape(m + (st.rows, st.inner)) @ y
+            m = m or n
+        slots.append(out.reshape(m + st.dims))
+    return slots[-1]
 
 
 def contract(
@@ -197,8 +260,10 @@ def contract(
     """Contract a tensor list over the given (ket leg, bra leg) pairings.
 
     The result keeps the unpaired legs in input appearance order.  The
-    contraction order is a greedy smallest-intermediate heuristic; any
-    order gives the same values.
+    network is planned once, smallest intermediate first, and every step
+    runs as one matrix product; any order gives the same values up to
+    rounding.  Raises ValueError, before any work, when an intermediate
+    would exceed ``_MAX_INTERMEDIATE`` elements.
     """
     legs_by_id: dict[str, Leg] = {}
     for t in tensors:
@@ -222,14 +287,13 @@ def contract(
             )
         if {la.variance, lb.variance} != {"ket", "bra"}:
             raise ValueError(f"pairing ({a!r}, {b!r}) must join a ket leg to a bra leg")
-    nodes = [
-        _Node([l.id for l in t.legs], [l.spin.dim for l in t.legs], np.asarray(t.data, complex), False)
-        for t in tensors
-    ]
-    result = _contract_nodes(nodes, list(pairings))
+    plan = _plan([[l.id for l in t.legs] for t in tensors],
+                 [[l.spin.dim for l in t.legs] for t in tensors],
+                 [False] * len(tensors), pairings)
+    result = _execute(plan, [np.asarray(t.data, complex) for t in tensors])
     order = [l.id for t in tensors for l in t.legs if l.id not in seen_in_pairing]
-    perm = [result.legs.index(l) for l in order]
-    data = np.transpose(result.arr, perm) if perm else result.arr.reshape(())
+    perm = [plan.legs.index(l) for l in order]
+    data = np.transpose(result, perm) if perm else result.reshape(())
     return LabeledTensor(tuple(legs_by_id[l] for l in order), np.asarray(data, dtype=complex))
 
 
@@ -344,7 +408,9 @@ def mc_expectation(
     Every variable is drawn independently from Haar measure; the network is
     evaluated per sample.  Returns (mean, standard error), bit-stable for a
     fixed seed: samples are generated and reduced in fixed-size chunks from
-    a counter-based stream.
+    a counter-based stream.  The network is planned once, for a full chunk,
+    and the plan runs on every chunk with the sample axis leading; a plan
+    over the size budget raises ValueError before any sample is drawn.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
@@ -365,21 +431,23 @@ def mc_expectation(
     total = 0.0 + 0.0j
     total_sq = 0.0
     remaining = n_samples
-    const_nodes = [
-        _Node([l.id for l in t.legs], [l.spin.dim for l in t.legs], np.asarray(t.data, complex), False)
-        for t in network.tensors
-    ]
+    factor_count = len(network.factors)
+    plan = _plan(
+        [[f.row_leg, f.col_leg] for f in network.factors]
+        + [[l.id for l in t.legs] for t in network.tensors],
+        [[f.spin.dim] * 2 for f in network.factors]
+        + [[l.spin.dim for l in t.legs] for t in network.tensors],
+        [True] * factor_count + [False] * len(network.tensors),
+        network.pairings,
+        batch=min(MC_CHUNK, n_samples),
+    )
+    constants = [np.asarray(t.data, complex) for t in network.tensors]
     while remaining > 0:
         m = min(MC_CHUNK, remaining)
         quats = haar_quaternions(rng, (m, len(variables)))
         quats_by_var = {v: quats[:, i, :] for i, v in enumerate(variables)}
-        arrays = _factor_arrays(network.factors, quats_by_var)
-        nodes = [
-            _Node([f.row_leg, f.col_leg], [f.spin.dim, f.spin.dim], arr, True)
-            for f, arr in zip(network.factors, arrays)
-        ] + const_nodes
-        result = _contract_nodes(nodes, list(network.pairings))
-        values = np.asarray(result.arr if result.batched else np.full(m, complex(result.arr)))
+        result = _execute(plan, _factor_arrays(network.factors, quats_by_var) + constants)
+        values = result if factor_count else np.full(m, complex(result))
         total += values.sum()
         total_sq += float((np.abs(values) ** 2).sum())
         remaining -= m

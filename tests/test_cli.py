@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from spinnet.cli import main
-from spinnet import ToleranceError, dumps_document
+from spinnet import (ToleranceError, averaged_inner_product, canonicalize, decompose,
+                     dumps_document, enumerate_correspondences, read_network)
 
 
 LOOP_DOC = {
@@ -169,6 +170,18 @@ def test_dip_across_circles(docs, capsys):
     assert code == 0
     assert report["correspondence_count"] == 2
     np.testing.assert_allclose(report["re"], 2.0, atol=1e-12)
+
+
+def test_dip_reports_the_library_pairing(docs, capsys):
+    """The report carries averaged_inner_product's value bit for bit, and the
+    number of correspondence classes it summed."""
+    code, report, _ = run(capsys, ["dip", docs["theta"], docs["theta"]])
+    assert code == 0
+    theta = canonicalize(read_network(docs["theta"]))
+    value = averaged_inner_product(theta, theta)
+    assert (report["re"], report["im"]) == (value.real, value.imag)
+    classes = enumerate_correspondences(decompose(theta.graph), decompose(theta.graph))
+    assert report["correspondence_count"] == len(classes) == 12
 
 
 def test_gram_two_loops(docs, capsys):

@@ -19,6 +19,8 @@ from spinnet import (
     haar_project,
     mc_expectation,
 )
+import spinnet.tensor_engine as te
+from spinnet.rep_core import haar_quaternions, wigner_entries
 from spinnet.tensor_engine import MC_CHUNK, _invariant_basis, haar_factored
 
 
@@ -101,6 +103,32 @@ def test_contract_validation_errors():
     tk = lt("k", np.zeros((2, 2)), ("ket", "ket"))
     with pytest.raises(ValueError):
         contract([ta, tk], [("a0", "k0")])  # ket paired with ket
+
+
+def test_contract_wide_steps():
+    """Steps with more legs than one einsum call has labels for."""
+    rng = np.random.default_rng(8)
+    dims = (2, 3) + (1,) * 25
+    a = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    b = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    ta = lt("a", a, ("ket",) * 27)
+    tb = lt("b", b, ("bra",) * 27)
+    out = contract([ta, tb], [(f"a{k}", f"b{k}") for k in range(27)])
+    npt.assert_allclose(complex(out.data), np.sum(a * b), atol=1e-12)
+    # one 54-leg node whose legs k and k + 27 are traced against each other
+    mat = rng.standard_normal((6, 6))
+    tt = lt("t", mat.reshape(dims + dims), ("ket",) * 27 + ("bra",) * 27)
+    out = contract([tt], [(f"t{k}", f"t{k + 27}") for k in range(27)])
+    npt.assert_allclose(complex(out.data), np.trace(mat), atol=1e-12)
+
+
+def test_contract_oversized_plan_fails_before_allocating():
+    """Two unpaired 13^4 tensors would need a 13^8-element outer product."""
+    shape = (13, 13, 13, 13)
+    ta = lt("a", np.ones(shape), ("ket",) * 4)
+    tb = lt("b", np.ones(shape), ("bra",) * 4)
+    with pytest.raises(ValueError, match="intermediate"):
+        contract([ta, tb], [])
 
 
 # ---------------------------------------------------------------------------
@@ -319,3 +347,93 @@ def test_mc_validation():
     open_net = FactorNetwork((factor("g", 1, "a", "b"),), (), ())
     with pytest.raises(ValueError):
         mc_expectation(open_net, 100, seed=0)
+
+
+def test_mc_oversized_chunk_fails_before_sampling(monkeypatch):
+    """Every step of this network yields a 3^k tensor per sample; a full
+    chunk of those is over the budget, two samples are not."""
+    k = 1
+    while MC_CHUNK * 3**k <= te._MAX_INTERMEDIATE:
+        k += 1
+    rng = np.random.default_rng(13)
+    t1 = lt("s", rng.standard_normal((3,) * k), ("bra",) * k)
+    t2 = lt("t", rng.standard_normal((3,) * k), ("ket",) * k)
+    factors = tuple(factor(f"g{i}", 2, f"r{i}", f"c{i}") for i in range(k))
+    pairings = tuple((f"r{i}", f"s{i}") for i in range(k)) + tuple(
+        (f"c{i}", f"t{i}") for i in range(k)
+    )
+    net = FactorNetwork(factors, (t1, t2), pairings)
+    mc_expectation(net, 2, seed=0)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampled before the plan was checked")
+
+    monkeypatch.setattr(te, "haar_quaternions", no_draws)
+    with pytest.raises(ValueError, match="intermediate"):
+        mc_expectation(net, MC_CHUNK, seed=0)
+
+
+def _oracle_network():
+    """Two variables with plain, conjugated, inverted and conjugated-inverted
+    factors around two random tensors, plus a disconnected loop of h."""
+    rng = np.random.default_rng(17)
+    specs = [("g", 1, False, False), ("g", 2, True, False), ("h", 1, False, True),
+             ("h", 2, True, True), ("g", 2, False, True)]
+    factors = [factor(v, tj, f"r{k}", f"c{k}", conjugated=c, inverted=i)
+               for k, (v, tj, c, i) in enumerate(specs)]
+    dims = tuple(tj + 1 for _, tj, _, _ in specs)
+
+    def rand(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    # row legs are kets (bras when conjugated), column legs the opposite
+    row_var = tuple("bra" if c else "ket" for _, _, c, _ in specs)
+    col_var = tuple("ket" if c else "bra" for _, _, c, _ in specs)
+    flip = {"ket": "bra", "bra": "ket"}
+    ta = lt("a", rand(dims), tuple(flip[v] for v in row_var))
+    tb = lt("b", rand(dims), tuple(flip[v] for v in col_var))
+    loop = factor("h", 1, "lr", "lc")
+    tl = lt("l", rand((2, 2)), ("bra", "ket"))
+    pairings = [(f"r{k}", f"a{k}") for k in range(5)] + [(f"c{k}", f"b{k}") for k in range(5)]
+    pairings += [("lr", "l0"), ("lc", "l1")]
+    net = FactorNetwork(tuple(factors) + (loop,), (ta, tb, tl), tuple(pairings))
+    return net, ta.data, tb.data, tl.data
+
+
+def test_mc_matches_per_sample_oracle():
+    """The batched executor agrees with a per-sample einsum on every sample
+    of one chunk, drawn from the same Philox stream."""
+    net, a, b, l = _oracle_network()
+    n, seed = min(MC_CHUNK, 300), 23
+    mean, err = mc_expectation(net, n, seed)
+    rng = np.random.Generator(np.random.Philox(seed))
+    quats = haar_quaternions(rng, (n, 2))  # variables in sorted order: g, h
+    inverse = np.array([1.0, -1.0, -1.0, -1.0])
+    values = []
+    for q in quats:
+        mats = []
+        for f in net.factors:
+            qv = q[0] if f.variable == "g" else q[1]
+            m = wigner_entries(f.spin.twice_j, qv * inverse if f.inverted else qv)
+            mats.append(m.conj() if f.conjugated else m)
+        d0, d1, d2, d3, d4, dl = mats
+        main = np.einsum("ab,cd,ef,gh,ij,acegi,bdfhj->", d0, d1, d2, d3, d4, a, b)
+        values.append(main * np.einsum("ab,ab->", dl, l))
+    values = np.array(values)
+    want = values.mean()
+    assert abs(mean - want) <= 1e-12 * max(1.0, abs(want))
+    npt.assert_allclose(err, np.std(values, ddof=1) / np.sqrt(n), rtol=1e-9)
+
+
+def test_mc_plans_once_per_call(monkeypatch):
+    calls = []
+    real_plan = te._plan
+
+    def counting_plan(*args, **kwargs):
+        calls.append(kwargs.get("batch"))
+        return real_plan(*args, **kwargs)
+
+    monkeypatch.setattr(te, "_plan", counting_plan)
+    net, _, _, _ = _oracle_network()
+    mc_expectation(net, 2 * MC_CHUNK + 5, seed=1)
+    assert calls == [MC_CHUNK]
