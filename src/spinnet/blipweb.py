@@ -35,7 +35,7 @@ import numpy as np
 
 from .rep_core import Spin, Intertwiner, epsilon
 from .network_model import SegmentRegistry, Edge, SpinNetwork, network
-from .tensor_engine import GroupFactor, haar_project
+from .tensor_engine import GroupFactor, _projector_sides
 
 __all__ = [
     "ToleranceError",
@@ -228,54 +228,45 @@ def swap_signs(state: TasselState, i: int) -> TasselState:
 # transfer contraction
 #
 # Strand order is fixed throughout: positions 0..3 are the bra curves
-# (conjugated factors), 4..7 the ket curves.  A column's operator is the
-# product of one group-average projector per arc, acting on the strands
-# routed through that arc; the boundary weight vector pairs the eight
+# (conjugated factors), 4..7 the ket curves.  A column is kept as its
+# stacked invariant basis Q, shape (r, 256): the Kronecker product of one
+# invariant basis per arc, each over the strands routed through that arc.
+# The column's transfer operator, the product of the per-arc group-average
+# projectors, is Q^T conj(Q).  The boundary weight vector pairs the eight
 # strand ends against the two caps, bra side conjugated.
 
-@lru_cache(maxsize=None)
-def _column_operator_flat(bra_signs: tuple, ket_signs: tuple) -> np.ndarray:
-    blocks = []
-    placed = []
+@lru_cache(maxsize=256)  # the whole key domain: 16 bra by 16 ket sign patterns
+def _column_basis(bra_signs: tuple, ket_signs: tuple) -> np.ndarray:
+    signs = bra_signs + ket_signs
+    q, placed = np.ones((1, 1)), []
     for sign in (PLUS, MINUS):
-        strands = [k for k in range(4) if bra_signs[k] == sign]
-        strands += [4 + k for k in range(4) if ket_signs[k] == sign]
-        if not strands:
-            continue
+        strands = [st for st in range(8) if signs[st] == sign]
         factors = [GroupFactor("h", _HALF, conjugated=st < 4, inverted=False,
                                row_leg=f"r{st}", col_leg=f"c{st}")
                    for st in strands]
-        m = len(strands)
-        blocks.append(haar_project(factors).data.reshape(2 ** m, 2 ** m))
+        basis = _projector_sides(factors)[0]
+        # explicit size: a -1 reshape fails when the arc has no invariants
+        q = np.kron(q, basis.reshape(len(basis), 2 ** len(strands)))
         placed.extend(strands)
-    op = blocks[0]
-    for b in blocks[1:]:
-        op = np.kron(op, b)
-    # kron laid the axes out in 'placed' order; restore natural strand order
-    perm = [placed.index(st) for st in range(8)]
-    op = op.reshape((2,) * 16)
-    op = np.transpose(op, perm + [8 + p for p in perm])
-    return np.ascontiguousarray(op.reshape(256, 256))
+    # kron laid the strand axes out in 'placed' order; restore natural order
+    q = q.reshape((len(q),) + (2,) * 8)
+    q = np.transpose(q, [0] + [1 + placed.index(st) for st in range(8)])
+    q = np.ascontiguousarray(q.reshape(len(q), 256))
+    q.setflags(write=False)
+    return q
 
 
-def _column_operator(bra_words, ket_words, i: int) -> np.ndarray:
-    return _column_operator_flat(tuple(w.sign(i) for w in bra_words),
-                                 tuple(w.sign(i) for w in ket_words))
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def _boundary_weights(stabilized: bool) -> np.ndarray:
     cap = _cap_components().reshape(16)
     w = np.multiply.outer(np.conj(cap), cap).reshape(256)
-    if not stabilized:
-        return w
-    # Joint fixed space of the agreeing-column operators: one dimension,
-    # spanned by the product of per-curve bra-ket pairings.
-    d = np.zeros((2,) * 8)
-    for a in np.ndindex((2,) * 4):
-        d[a + a] = 0.25
-    d = d.reshape(256).astype(complex)
-    return d * np.vdot(d, w)
+    if stabilized:
+        # Joint fixed space of the agreeing-column operators: one dimension,
+        # spanned by the product of per-curve bra-ket pairings.
+        d = np.eye(16).reshape(256) / 4
+        w = d * np.vdot(d, w)
+    w.setflags(write=False)
+    return w
 
 
 def _transfer_value(bra: TasselState, ket: TasselState, stabilized: bool) -> complex:
@@ -284,7 +275,9 @@ def _transfer_value(bra: TasselState, ket: TasselState, stabilized: bool) -> com
     boundary = _boundary_weights(stabilized)
     v = boundary
     for i in bra.alphabet.indices:
-        v = _column_operator(bra.curves, ket.curves, i) @ v
+        q = _column_basis(tuple(w.sign(i) for w in bra.curves),
+                          tuple(w.sign(i) for w in ket.curves))
+        v = q.T @ (q.conj() @ v)
     # bra conjugation is already inside the factors and weights
     return complex(np.dot(boundary, v))
 

@@ -35,8 +35,8 @@ import json
 import numpy as np
 
 from .rep_core import Spin, GroupElement, Intertwiner, epsilon, intertwiner_basis
-from .network_model import (SegmentRegistry, Edge, SpinNetwork, InvalidNetworkError, network,
-                            slot_order)
+from .network_model import (SegmentRegistry, Edge, SpinNetwork, InvalidNetworkError, _sort_key,
+                            network, slot_order)
 from .inner_product import HolonomyAssignment
 
 __all__ = [
@@ -214,7 +214,7 @@ def network_to_document(n: SpinNetwork) -> dict:
                       "target": str(e.target), "twice_j": e.spin.twice_j})
     intertwiners = {
         str(v): {"kind": "explicit", "components": _complex_nested(iv.components)}
-        for v, iv in sorted(n.vertices.items(), key=lambda kv: str(kv[0]))
+        for v, iv in sorted(n.vertices.items(), key=lambda kv: _sort_key(kv[0]))
     }
     return {"segments": segments, "edges": edges, "intertwiners": intertwiners}
 
@@ -239,7 +239,7 @@ def holonomies_from_document(doc) -> HolonomyAssignment:
 
 def holonomies_to_document(h: HolonomyAssignment) -> dict:
     return {str(sid): [g.w, g.x, g.y, g.z] for sid, g in sorted(
-        h.elements.items(), key=lambda kv: str(kv[0]))}
+        h.elements.items(), key=lambda kv: _sort_key(kv[0]))}
 
 
 # ---------------------------------------------------------------------------

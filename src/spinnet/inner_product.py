@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .network_model import InvalidNetworkError, SpinNetwork, common_refinement
+from .network_model import InvalidNetworkError, SpinNetwork, _sort_key, common_refinement
 from .rep_core import GroupElement, Spin, inverse, multiply, wigner_matrix
 from .tensor_engine import (
     FactorNetwork,
@@ -75,7 +75,7 @@ def evaluate(n: SpinNetwork, h) -> complex:
     at its source.
     """
     h = _coerce_holonomies(h)
-    missing = sorted((s for s in n.graph.segments if s not in h), key=str)
+    missing = sorted((s for s in n.graph.segments if s not in h), key=_sort_key)
     if missing:
         raise InvalidNetworkError(f"holonomy assignment missing segments {missing!r}")
     tensors = []
@@ -177,7 +177,7 @@ def exact_inner_product(a: SpinNetwork, b: SpinNetwork) -> complex:
     by_segment: dict = {}
     for f in factors:
         by_segment.setdefault(f.variable, []).append(f)
-    for segment in sorted(by_segment, key=str):
+    for segment in sorted(by_segment, key=_sort_key):
         basis, dual, pairing = haar_factored(by_segment[segment], ("H", segment))
         tensors += [basis, dual]
         pairings.append(pairing)

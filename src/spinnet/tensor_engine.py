@@ -254,6 +254,36 @@ def _execute(plan: _Plan, arrays: Sequence[np.ndarray]) -> np.ndarray:
     return slots[-1]
 
 
+def _checked_legs(
+    legs: Sequence[Leg], pairings: Sequence[tuple[str, str]]
+) -> tuple[dict[str, Leg], set[str]]:
+    """Legs by id and the set of paired ids.  Raises ValueError unless leg ids
+    are unique and each pairing joins two known, otherwise unpaired legs: a
+    ket leg to a bra leg of equal spin."""
+    legs_by_id: dict[str, Leg] = {}
+    for leg in legs:
+        if leg.id in legs_by_id:
+            raise ValueError(f"leg id {leg.id!r} appears on more than one tensor")
+        legs_by_id[leg.id] = leg
+    paired: set[str] = set()
+    for a, b in pairings:
+        for l in (a, b):
+            if l not in legs_by_id:
+                raise ValueError(f"pairing references unknown leg {l!r}")
+            if l in paired:
+                raise ValueError(f"leg {l!r} appears in more than one pairing")
+            paired.add(l)
+        la, lb = legs_by_id[a], legs_by_id[b]
+        if la.spin != lb.spin:
+            raise ValueError(
+                f"spin mismatch in pairing ({a!r}, {b!r}): "
+                f"{la.spin.twice_j} vs {lb.spin.twice_j}"
+            )
+        if {la.variance, lb.variance} != {"ket", "bra"}:
+            raise ValueError(f"pairing ({a!r}, {b!r}) must join a ket leg to a bra leg")
+    return legs_by_id, paired
+
+
 def contract(
     tensors: Sequence[LabeledTensor], pairings: Sequence[tuple[str, str]]
 ) -> LabeledTensor:
@@ -265,33 +295,12 @@ def contract(
     rounding.  Raises ValueError, before any work, when an intermediate
     would exceed ``_MAX_INTERMEDIATE`` elements.
     """
-    legs_by_id: dict[str, Leg] = {}
-    for t in tensors:
-        for leg in t.legs:
-            if leg.id in legs_by_id:
-                raise ValueError(f"leg id {leg.id!r} appears on more than one tensor")
-            legs_by_id[leg.id] = leg
-    seen_in_pairing: set[str] = set()
-    for a, b in pairings:
-        for l in (a, b):
-            if l not in legs_by_id:
-                raise ValueError(f"pairing references unknown leg {l!r}")
-            if l in seen_in_pairing:
-                raise ValueError(f"leg {l!r} appears in more than one pairing")
-            seen_in_pairing.add(l)
-        la, lb = legs_by_id[a], legs_by_id[b]
-        if la.spin != lb.spin:
-            raise ValueError(
-                f"spin mismatch in pairing ({a!r}, {b!r}): "
-                f"{la.spin.twice_j} vs {lb.spin.twice_j}"
-            )
-        if {la.variance, lb.variance} != {"ket", "bra"}:
-            raise ValueError(f"pairing ({a!r}, {b!r}) must join a ket leg to a bra leg")
+    legs_by_id, paired = _checked_legs([l for t in tensors for l in t.legs], pairings)
     plan = _plan([[l.id for l in t.legs] for t in tensors],
                  [[l.spin.dim for l in t.legs] for t in tensors],
                  [False] * len(tensors), pairings)
     result = _execute(plan, [np.asarray(t.data, complex) for t in tensors])
-    order = [l.id for t in tensors for l in t.legs if l.id not in seen_in_pairing]
+    order = [l.id for t in tensors for l in t.legs if l.id not in paired]
     perm = [plan.legs.index(l) for l in order]
     data = np.transpose(result, perm) if perm else result.reshape(())
     return LabeledTensor(tuple(legs_by_id[l] for l in order), np.asarray(data, dtype=complex))
@@ -414,15 +423,10 @@ def mc_expectation(
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    legs_by_id: dict[str, Leg] = {}
-    for t in network.tensors:
-        for leg in t.legs:
-            legs_by_id[leg.id] = leg
-    for f in network.factors:
-        rv, cv = f.leg_variances()
-        legs_by_id[f.row_leg] = Leg(f.row_leg, f.spin, rv)
-        legs_by_id[f.col_leg] = Leg(f.col_leg, f.spin, cv)
-    paired = {l for p in network.pairings for l in p}
+    factor_legs = [Leg(leg, f.spin, v) for f in network.factors
+                   for leg, v in zip((f.row_leg, f.col_leg), f.leg_variances())]
+    legs_by_id, paired = _checked_legs(
+        factor_legs + [l for t in network.tensors for l in t.legs], network.pairings)
     if paired != set(legs_by_id):
         raise ValueError("mc_expectation requires a fully paired (scalar) network")
 

@@ -2,6 +2,8 @@
 contraction values, window stabilization, and the embedded geometry."""
 
 import csv
+import itertools
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -25,8 +27,10 @@ from spinnet import (
     emit_geometry,
     write_curves_csv,
 )
+from spinnet import tensor_engine
 from spinnet.blipweb import (junction, bump, blip_amplitude, BumpCurve, PLUS, MINUS,
-                             _boundary_weights, _column_operator_flat)
+                             _HALF, _boundary_weights, _column_basis)
+from spinnet.tensor_engine import GroupFactor, haar_project
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +215,63 @@ def test_stabilized_distance_to_reroute():
     npt.assert_allclose(dist2, frac(3, 32), atol=1e-12)
 
 
+def _dense_column_operator(bra_signs, ket_signs):
+    """Oracle: the column operator as a dense 256 x 256 matrix, the Kronecker
+    product of each arc's dense Haar projector, transposed back into natural
+    strand order (bra strands 0..3, ket strands 4..7)."""
+    blocks, placed = [], []
+    for sign in (PLUS, MINUS):
+        strands = [k for k in range(4) if bra_signs[k] == sign]
+        strands += [4 + k for k in range(4) if ket_signs[k] == sign]
+        if not strands:
+            continue
+        factors = [GroupFactor("h", _HALF, conjugated=st < 4, inverted=False,
+                               row_leg=f"r{st}", col_leg=f"c{st}")
+                   for st in strands]
+        m = len(strands)
+        blocks.append(haar_project(factors).data.reshape(2 ** m, 2 ** m))
+        placed.extend(strands)
+    op = blocks[0]
+    for b in blocks[1:]:
+        op = np.kron(op, b)
+    perm = [placed.index(st) for st in range(8)]
+    op = np.transpose(op.reshape((2,) * 16), perm + [8 + p for p in perm])
+    return op.reshape(256, 256)
+
+
+def _column_operator(bra_signs, ket_signs):
+    q = _column_basis(bra_signs, ket_signs)
+    return q.T @ q.conj()
+
+
+SIGN_PATTERNS = list(itertools.product((PLUS, MINUS), repeat=4))
+
+
+def test_column_basis_matches_dense_operator():
+    zero_columns = 0
+    for bra_signs in SIGN_PATTERNS:
+        for ket_signs in SIGN_PATTERNS:
+            q = _column_basis(bra_signs, ket_signs)
+            assert q.shape[1] == 256
+            op = _column_operator(bra_signs, ket_signs)
+            npt.assert_allclose(op, _dense_column_operator(bra_signs, ket_signs),
+                                rtol=0, atol=1e-14)
+            # an odd number of spin-1/2 strands on an arc has no invariant
+            if (bra_signs + ket_signs).count(PLUS) % 2:
+                zero_columns += 1
+                assert q.shape[0] == 0
+                assert not np.any(op)
+            else:
+                assert q.shape[0] > 0
+    assert zero_columns == 128
+
+
 def test_stabilized_boundary_spans_joint_fixed_space():
     """The agreeing-column operators of the reference state alternate between
     two patterns.  Each fixes a 4-dimensional space; jointly they fix one
     direction, and the stabilized boundary vector spans it."""
     patterns = ((PLUS, MINUS, PLUS, MINUS), (PLUS, MINUS, MINUS, PLUS))
-    ops = [_column_operator_flat(s, s) for s in patterns]
+    ops = [_column_operator(s, s) for s in patterns]
     eye = np.eye(256)
 
     def fixed_dim(mat):
@@ -228,6 +283,25 @@ def test_stabilized_boundary_spans_joint_fixed_space():
     assert np.linalg.norm(v) > 0.1
     for op in ops:
         npt.assert_allclose(op @ v, v, atol=1e-12)
+
+
+def test_observations_use_no_dense_projector(monkeypatch):
+    """The transfer columns come from the shared invariant basis alone: the
+    observations hold with every dense ``haar_project`` disabled."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Haar projector built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spinnet") and hasattr(module, "haar_project"):
+            monkeypatch.setattr(module, "haar_project", refuse)
+    with pytest.raises(AssertionError):
+        tensor_engine.haar_project([])
+    _column_basis.cache_clear()
+    npt.assert_allclose(observation_one(2, -1), frac(1, 64), atol=1e-12)
+    npt.assert_allclose(observation_two(2, 0), frac(1, 128), atol=1e-12)
+    info = _column_basis.cache_info()
+    assert info.maxsize is not None
+    assert 0 < info.currsize <= info.maxsize
 
 
 def test_window_widening_extrapolates_to_stabilized_value():

@@ -349,6 +349,34 @@ def test_mc_validation():
         mc_expectation(open_net, 100, seed=0)
 
 
+@pytest.mark.parametrize("case, message", [
+    ("spin", "spin mismatch"),
+    ("ket_ket", "ket leg to a bra leg"),
+    ("duplicate", "more than one tensor"),
+])
+def test_mc_rejects_pairings_contract_rejects(case, message):
+    """A fully paired network with a bad pairing fails before sampling, on the
+    same leg checks as ``contract``; without factors, ``contract`` itself
+    rejects it the same way."""
+    if case == "spin":  # a 2x3 against a 3x2 array: spin 1/2 paired with spin 1
+        net = FactorNetwork((), (lt("a", np.arange(6).reshape(2, 3), ("ket", "bra")),
+                                 lt("b", np.arange(6).reshape(3, 2), ("bra", "ket"))),
+                            (("a0", "b0"), ("b1", "a1")))
+    elif case == "ket_ket":
+        net = FactorNetwork((factor("g", 1, "r", "c"),),
+                            (lt("k", np.ones((2, 2)), ("ket", "ket")),),
+                            (("r", "k0"), ("k1", "c")))
+    else:  # a factor reusing the leg ids of a constant tensor
+        net = FactorNetwork((factor("g", 1, "a0", "a1"),),
+                            (lt("a", np.eye(2), ("ket", "bra")),),
+                            (("a0", "a1"),))
+    with pytest.raises(ValueError, match=message):
+        mc_expectation(net, 100, seed=0)
+    if not net.factors:
+        with pytest.raises(ValueError, match=message):
+            contract(list(net.tensors), net.pairings)
+
+
 def test_mc_oversized_chunk_fails_before_sampling(monkeypatch):
     """Every step of this network yields a 3^k tensor per sample; a full
     chunk of those is over the budget, two samples are not."""
