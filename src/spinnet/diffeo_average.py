@@ -60,8 +60,11 @@ def enumerate_correspondences(
 
     Empty when the piece counts differ.  Every decomposition point is an
     interval endpoint, so the point bijection is forced by the interval
-    assignment; an assignment survives only if that forcing is consistent
-    and bijective.
+    assignment.  Intervals are assigned one at a time, a loop only onto a
+    loop, and a partial assignment is dropped at the first endpoint that
+    maps inconsistently or onto an already used point.  The classes are
+    listed by interval permutation, then orientation pattern, each in
+    lexicographic order, and then likewise for circles.
     """
     if (len(d1.points), len(d1.intervals), len(d1.circles)) != (
         len(d2.points),
@@ -71,39 +74,62 @@ def enumerate_correspondences(
         return []
     flags = (False,) if orientation_preserving_only else (False, True)
     n_int, n_circ = len(d1.intervals), len(d1.circles)
-    found = []
-    for perm in itertools.permutations(range(n_int)):
-        for orient in itertools.product(flags, repeat=n_int):
-            pmap: dict = {}
-            ok = True
-            for i, (j, flip) in enumerate(zip(perm, orient)):
-                src, tgt = d1.intervals[i], d2.intervals[j]
+    assignments = []
+    pmap: dict = {}
+    used_points: set = set()
+    used_targets = [False] * n_int
+    chosen = []
+
+    def extend(i):
+        if i == n_int:
+            if set(pmap) == set(d1.points):
+                assignments.append((tuple(chosen), dict(pmap)))
+            return
+        src = d1.intervals[i]
+        src_loop = src.start == src.end
+        for j, tgt in enumerate(d2.intervals):
+            if used_targets[j] or (tgt.start == tgt.end) != src_loop:
+                continue
+            for flip in flags:
                 pairs = (
                     ((src.start, tgt.end), (src.end, tgt.start))
                     if flip
                     else ((src.start, tgt.start), (src.end, tgt.end))
                 )
+                added = []
                 for p, q in pairs:
-                    if pmap.setdefault(p, q) != q:
-                        ok = False
+                    if p in pmap:
+                        if pmap[p] != q:
+                            break
+                    elif q in used_points:
                         break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            if set(pmap) != set(d1.points):
-                continue
-            if len(set(pmap.values())) != len(pmap):
-                continue
-            point_map = tuple(sorted(pmap.items(), key=lambda kv: _sort_key(kv[0])))
-            interval_map = tuple(zip(perm, orient))
-            for cperm in itertools.permutations(range(n_circ)):
-                for corient in itertools.product(flags, repeat=n_circ):
-                    found.append(
-                        Correspondence(
-                            d1, d2, point_map, interval_map, tuple(zip(cperm, corient))
-                        )
-                    )
+                    else:
+                        pmap[p] = q
+                        used_points.add(q)
+                        added.append(p)
+                else:
+                    used_targets[j] = True
+                    chosen.append((j, flip))
+                    extend(i + 1)
+                    chosen.pop()
+                    used_targets[j] = False
+                for p in added:
+                    used_points.discard(pmap.pop(p))
+
+    extend(0)
+    assignments.sort(key=lambda a: (tuple(j for j, _ in a[0]), tuple(f for _, f in a[0])))
+    circle_maps = [
+        tuple(zip(cperm, corient))
+        for cperm in itertools.permutations(range(n_circ))
+        for corient in itertools.product(flags, repeat=n_circ)
+    ]
+    found = []
+    for interval_map, pm in assignments:
+        point_map = tuple(sorted(pm.items(), key=lambda kv: _sort_key(kv[0])))
+        found.extend(
+            Correspondence(d1, d2, point_map, interval_map, circle_map)
+            for circle_map in circle_maps
+        )
     return found
 
 
@@ -118,23 +144,43 @@ def transport(n: SpinNetwork, c: Correspondence) -> SpinNetwork:
     h' the pullback assignment; orientation-flipped pieces pick up the usual
     dual-representation rewriting during canonicalization.
     """
-    n = canonicalize(n)
-    dec = decompose(n.graph)
-    if dec != c.source:
+    prepared = _prepare(n)
+    if prepared.pieces != c.source:
         raise InvalidNetworkError("correspondence does not start at this network's graph")
+    return _transport(prepared, c)
 
-    piece_edges = {}
-    for e in n.edges:
-        segs = frozenset(s for s, _ in e.word)
-        piece_edges[segs] = e
 
+@dataclass(frozen=True)
+class _Prepared:
+    """A canonical network with its decomposition and the edge carried by
+    each piece: the intervals in order, then the circles."""
+
+    network: SpinNetwork
+    pieces: GraphDecomposition
+    piece_edges: tuple
+
+
+def _prepare(n: SpinNetwork) -> _Prepared:
+    cn = canonicalize(n)
+    dec = decompose(cn.graph)
+    by_support = {frozenset(s for s, _ in e.word): e for e in cn.edges}
+    piece_edges = tuple(
+        by_support[frozenset(s for s, _ in piece.steps)]
+        for piece in dec.intervals + dec.circles
+    )
+    return _Prepared(cn, dec, piece_edges)
+
+
+def _transport(prepared: _Prepared, c: Correspondence) -> SpinNetwork:
+    """``transport`` of a prepared network whose decomposition is ``c.source``."""
+    n, dec = prepared.network, prepared.pieces
+    n_int = len(dec.intervals)
     edge_map: dict = {}
     new_edges = []
     marker_points = {}
-    for i, iv in enumerate(dec.intervals):
-        j, flip = c.interval_map[i]
+    for i, (j, flip) in enumerate(c.interval_map):
         tgt = c.target.intervals[j]
-        old = piece_edges[frozenset(s for s, _ in iv.steps)]
+        old = prepared.piece_edges[i]
         nid = f"#t{len(new_edges)}"
         if flip:
             word, src, dst = _reversed_steps(tgt.steps), tgt.end, tgt.start
@@ -142,15 +188,14 @@ def transport(n: SpinNetwork, c: Correspondence) -> SpinNetwork:
             word, src, dst = tgt.steps, tgt.start, tgt.end
         new_edges.append(Edge(nid, word, src, dst, old.spin))
         edge_map[old.id] = nid
-    for i, circ in enumerate(dec.circles):
-        j, flip = c.circle_map[i]
+    for i, (j, flip) in enumerate(c.circle_map):
         tgt = c.target.circles[j]
-        old = piece_edges[frozenset(s for s, _ in circ.steps)]
+        old = prepared.piece_edges[n_int + i]
         nid = f"#t{len(new_edges)}"
         word = _reversed_steps(tgt.steps) if flip else tgt.steps
         new_edges.append(Edge(nid, word, tgt.basepoint, tgt.basepoint, old.spin))
         edge_map[old.id] = nid
-        marker_points[circ.basepoint] = tgt.basepoint
+        marker_points[dec.circles[i].basepoint] = tgt.basepoint
 
     point_map = dict(c.point_map)
     point_map.update(marker_points)
@@ -190,13 +235,28 @@ def averaged_inner_product(
 def _averaged_pairing(a: SpinNetwork, b: SpinNetwork, orientation_preserving_only: bool):
     """``averaged_inner_product`` and the number of correspondence classes
     it summed over."""
-    ca, cb = canonicalize(a), canonicalize(b)
-    corrs = enumerate_correspondences(
-        decompose(ca.graph), decompose(cb.graph), orientation_preserving_only
-    )
+    return _prepared_pairing(_prepare(a), _prepare(b), orientation_preserving_only)
+
+
+def _prepared_pairing(pa: _Prepared, pb: _Prepared, orientation_preserving_only: bool):
+    """``_averaged_pairing`` of two prepared networks.
+
+    A class that carries a piece of ``a`` onto a piece of ``b`` with another
+    spin contributes nothing (``structural_zero`` holds for its term), so it
+    is counted but never transported.
+    """
+    corrs = enumerate_correspondences(pa.pieces, pb.pieces, orientation_preserving_only)
+    if corrs and pa.network.graph.registry != pb.network.graph.registry:
+        raise InvalidNetworkError("inner products require a shared segment registry")
+    spins_a = [e.spin for e in pa.piece_edges]
+    spins_b = [e.spin for e in pb.piece_edges]
+    n_int = len(pa.pieces.intervals)
     total = 0j
     for c in corrs:
-        total += exact_inner_product(transport(ca, c), cb)
+        targets = [j for j, _ in c.interval_map] + [n_int + j for j, _ in c.circle_map]
+        if any(s != spins_b[t] for s, t in zip(spins_a, targets)):
+            continue
+        total += exact_inner_product(_transport(pa, c), pb.network)
     return total, len(corrs)
 
 
@@ -207,18 +267,21 @@ def averaged_gram(
 
     Each entry of ``combinations`` is a sequence of (weight, SpinNetwork)
     pairs; the pairing extends sesquilinearly, antilinear in the first slot.
-    Entries are computed independently (no symmetry shortcut).
+    Each network is prepared once; the entries on and above the diagonal
+    are computed and the rest filled by conjugate symmetry of the pairing.
     """
-    combos = [tuple(c) for c in combinations]
+    combos = [[(w, _prepare(n)) for w, n in c] for c in combinations]
     size = len(combos)
     gram = np.zeros((size, size), dtype=complex)
     for i in range(size):
-        for j in range(size):
+        for j in range(i, size):
             total = 0j
             for wa, na in combos[i]:
                 for wb, nb in combos[j]:
-                    total += np.conj(wa) * wb * averaged_inner_product(
+                    total += np.conj(wa) * wb * _prepared_pairing(
                         na, nb, orientation_preserving_only
-                    )
+                    )[0]
             gram[i, j] = total
+            if j != i:
+                gram[j, i] = np.conj(total)
     return gram

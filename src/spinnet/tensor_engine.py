@@ -284,6 +284,17 @@ def _checked_legs(
     return legs_by_id, paired
 
 
+# Distinct contraction shapes whose plans ``contract`` keeps.
+_PLAN_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _contract_plan(legs: tuple, dims: tuple, pairs: tuple) -> _Plan:
+    """The unbatched plan of one contraction shape; networks that differ
+    only in their data, such as the terms of one averaged pairing, share it."""
+    return _plan(legs, dims, [False] * len(legs), pairs)
+
+
 def contract(
     tensors: Sequence[LabeledTensor], pairings: Sequence[tuple[str, str]]
 ) -> LabeledTensor:
@@ -292,13 +303,15 @@ def contract(
     The result keeps the unpaired legs in input appearance order.  The
     network is planned once, smallest intermediate first, and every step
     runs as one matrix product; any order gives the same values up to
-    rounding.  Raises ValueError, before any work, when an intermediate
-    would exceed ``_MAX_INTERMEDIATE`` elements.
+    rounding.  Plans are kept per shape (leg ids, dims and pairings) in a
+    bounded cache; the legs are checked on every call.  Raises ValueError,
+    before any work, when an intermediate would exceed
+    ``_MAX_INTERMEDIATE`` elements.
     """
     legs_by_id, paired = _checked_legs([l for t in tensors for l in t.legs], pairings)
-    plan = _plan([[l.id for l in t.legs] for t in tensors],
-                 [[l.spin.dim for l in t.legs] for t in tensors],
-                 [False] * len(tensors), pairings)
+    plan = _contract_plan(tuple(tuple(l.id for l in t.legs) for t in tensors),
+                          tuple(tuple(l.spin.dim for l in t.legs) for t in tensors),
+                          tuple((a, b) for a, b in pairings))
     result = _execute(plan, [np.asarray(t.data, complex) for t in tensors])
     order = [l.id for t in tensors for l in t.legs if l.id not in paired]
     perm = [plan.legs.index(l) for l in order]

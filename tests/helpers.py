@@ -2,7 +2,7 @@
 
 Oracles here deliberately avoid the library's own contraction paths:
 evaluation by explicit index sums, Monte Carlo by direct quaternion
-sampling, correspondence counting by filtering the full assignment
+sampling, correspondence lists by filtering the full assignment
 product space.
 """
 
@@ -160,7 +160,17 @@ def random_network(rng, motif=None, max_twice_j=2, registry=None):
     """
     name = motif if motif is not None else MOTIF_NAMES[rng.integers(len(MOTIF_NAMES))]
     reg = registry if registry is not None else SegmentRegistry()
-    skeleton = _motif_skeleton(name, reg)
+    return _spin_matched(rng, reg, _motif_skeleton(name, reg), max_twice_j, name)
+
+
+def respun_network(rng, net, max_twice_j=2):
+    """A random invariant-vertex network on the same edges as ``net``, with
+    freshly drawn spins."""
+    skeleton = [(e.id, e.word, e.source, e.target) for e in net.edges]
+    return _spin_matched(rng, net.graph.registry, skeleton, max_twice_j, "respin")
+
+
+def _spin_matched(rng, reg, skeleton, max_twice_j, name):
     for _ in range(200):
         edges = [Edge(eid, word, src, tgt, Spin(int(rng.integers(1, max_twice_j + 1))))
                  for eid, word, src, tgt in skeleton]
@@ -173,6 +183,21 @@ def random_network(rng, motif=None, max_twice_j=2, registry=None):
         else:
             return network(reg, edges, verts)
     raise RuntimeError(f"could not spin-match motif {name}")
+
+
+def cycle_network(rng, k, loop_twice_js=None):
+    """A k-cycle of spin-1/2 edges with a loop at every point (2k intervals,
+    k points), random invariant intertwiners, loop spins as given (default
+    all 1/2)."""
+    reg = SegmentRegistry()
+    edges = []
+    for i, tj in enumerate(loop_twice_js or (1,) * k):
+        reg.add_segment(f"c{i}", f"X{i}", f"X{(i + 1) % k}")
+        reg.add_segment(f"l{i}", f"X{i}", f"X{i}")
+        edges.append(Edge(f"c{i}", ((f"c{i}", False),), f"X{i}", f"X{(i + 1) % k}", Spin(1)))
+        edges.append(Edge(f"l{i}", ((f"l{i}", False),), f"X{i}", f"X{i}", Spin(tj)))
+    verts = {v: random_intertwiner(rng, tuple(legs)) for v, legs in _slot_legs(edges).items()}
+    return network(reg, edges, verts)
 
 
 def reintertwine(rng, net):
@@ -266,39 +291,51 @@ def mc_character_product(twice_js, n_samples, seed):
 
 
 # ---------------------------------------------------------------------------
-# correspondence-count oracle: filter the full assignment product space
+# correspondence oracle: filter the full assignment product space
 
-def brute_correspondence_count(d1, d2, orientation_preserving_only=False):
+def brute_correspondences(d1, d2, orientation_preserving_only=False):
+    """Every (point_map, interval_map, circle_map) from d1 onto d2.
+
+    Intervals: each bijection of intervals with each orientation pattern is
+    kept when the endpoints it forces give a bijection of the points;
+    circles: every bijection and orientation pattern.  Listed in product
+    order: interval permutations lexicographically, then orientation
+    patterns, then likewise for circles.  Point maps are sorted by
+    ``str`` of the source point.
+    """
     if len(d1.intervals) != len(d2.intervals) or len(d1.circles) != len(d2.circles):
-        return 0
+        return []
     flips = (False,) if orientation_preserving_only else (False, True)
     n_int, n_circ = len(d1.intervals), len(d2.circles)
-    count = 0
-    for iassign in itertools.product(
-            itertools.product(range(n_int), flips), repeat=n_int):
-        if len({t for t, _ in iassign}) != n_int:
-            continue
-        pmap = {}
-        ok = True
-        for src, (tgt_idx, flip) in zip(d1.intervals, iassign):
-            tgt = d2.intervals[tgt_idx]
-            pairs = ((src.start, tgt.end), (src.end, tgt.start)) if flip \
-                else ((src.start, tgt.start), (src.end, tgt.end))
-            for p, q in pairs:
-                if pmap.setdefault(p, q) != q:
-                    ok = False
-        if not ok:
-            continue
-        if set(pmap) != set(d1.points):
-            continue
-        values = list(pmap.values())
-        if len(set(values)) != len(values) or set(values) != set(d2.points):
-            continue
-        for cassign in itertools.product(
-                itertools.product(range(n_circ), flips), repeat=n_circ):
-            if len({t for t, _ in cassign}) == n_circ:
-                count += 1
-    return count
+    found = []
+    for perm in itertools.permutations(range(n_int)):
+        for orient in itertools.product(flips, repeat=n_int):
+            pmap = {}
+            ok = True
+            for src, tgt_idx, flip in zip(d1.intervals, perm, orient):
+                tgt = d2.intervals[tgt_idx]
+                pairs = ((src.start, tgt.end), (src.end, tgt.start)) if flip \
+                    else ((src.start, tgt.start), (src.end, tgt.end))
+                for p, q in pairs:
+                    if pmap.setdefault(p, q) != q:
+                        ok = False
+            if not ok:
+                continue
+            if set(pmap) != set(d1.points):
+                continue
+            values = list(pmap.values())
+            if len(set(values)) != len(values) or set(values) != set(d2.points):
+                continue
+            point_map = tuple(sorted(pmap.items(), key=lambda kv: str(kv[0])))
+            for cperm in itertools.permutations(range(n_circ)):
+                for corient in itertools.product(flips, repeat=n_circ):
+                    found.append((point_map, tuple(zip(perm, orient)),
+                                  tuple(zip(cperm, corient))))
+    return found
+
+
+def brute_correspondence_count(d1, d2, orientation_preserving_only=False):
+    return len(brute_correspondences(d1, d2, orientation_preserving_only))
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,13 @@ THETA_DOC = {
     },
 }
 
+ZZ_SPIN1_DOC = {
+    "segments": [{"id": "zz", "source": "W", "target": "W"}],
+    "edges": [{"id": "loop", "word": ["zz"], "source": "W", "target": "W",
+               "twice_j": 2}],
+    "intertwiners": {"W": {"kind": "epsilon"}},
+}
+
 IDENTITY_H = {"s1": [1.0, 0.0, 0.0, 0.0], "s2": [1.0, 0.0, 0.0, 0.0]}
 
 
@@ -64,6 +71,7 @@ def docs(tmp_path):
         ("loop2", LOOP2_DOC),
         ("loop_spin1", LOOP_SPIN1_DOC),
         ("theta", THETA_DOC),
+        ("zz_spin1", ZZ_SPIN1_DOC),
         ("ident", IDENTITY_H),
     ):
         p = tmp_path / f"{name}.json"
@@ -182,6 +190,15 @@ def test_dip_reports_the_library_pairing(docs, capsys):
     assert (report["re"], report["im"]) == (value.real, value.imag)
     classes = enumerate_correspondences(decompose(theta.graph), decompose(theta.graph))
     assert report["correspondence_count"] == len(classes) == 12
+
+
+def test_dip_refuses_different_registries(docs, capsys):
+    """Loops of different spins on different registries: every term would
+    vanish, and the pairing is still refused with exit 2."""
+    code, _, cap = run(capsys, ["dip", docs["loop"], docs["zz_spin1"]])
+    assert code == 2
+    assert "registry" in cap.err
+    assert cap.out == ""
 
 
 def test_gram_two_loops(docs, capsys):

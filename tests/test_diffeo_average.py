@@ -8,6 +8,7 @@ import pytest
 from spinnet import (
     Spin,
     InvalidNetworkError,
+    structural_zero,
     SegmentRegistry,
     decompose,
     canonicalize,
@@ -24,10 +25,14 @@ from helpers import (
     theta_network,
     figure8_network,
     dumbbell_registry,
+    brute_correspondences,
     brute_correspondence_count,
+    cycle_network,
     random_holonomies,
     random_network,
     reintertwine,
+    respun_network,
+    MOTIF_NAMES,
 )
 
 
@@ -123,6 +128,35 @@ def test_enumeration_matches_brute_oracle_on_zoo():
                 got = len(enumerate_correspondences(d1, d2, op_only))
                 want = brute_correspondence_count(d1, d2, op_only)
                 assert got == want, (name1, name2, op_only, got, want)
+
+
+def _listed(cs):
+    return [(c.point_map, c.interval_map, c.circle_map) for c in cs]
+
+
+def _cycle_decomposition(k):
+    return decompose(cycle_network(np.random.default_rng(k), k).graph)
+
+
+def test_enumeration_order_matches_product_space_oracle():
+    """The full ordered lists, not only their lengths, equal the product-space
+    filter on every zoo pair and on k-cycles with a loop at every point."""
+    zoo = _zoo()
+    cases = [(n1, d1, n2, d2, op_only) for n1, d1 in zoo for n2, d2 in zoo
+             for op_only in (False, True)]
+    c3, c4 = _cycle_decomposition(3), _cycle_decomposition(4)
+    cases += [("3-cycle", c3, "3-cycle", c3, False), ("3-cycle", c3, "3-cycle", c3, True),
+              ("4-cycle", c4, "4-cycle", c4, True)]
+    for name1, d1, name2, d2, op_only in cases:
+        got = _listed(enumerate_correspondences(d1, d2, op_only))
+        assert got == brute_correspondences(d1, d2, op_only), (name1, name2, op_only)
+
+
+def test_cycle_counts_beyond_the_product_space():
+    """Dihedral maps of the cycle times a flip per loop: 8 * 2^4 on the
+    4-cycle and 10 * 2^5 on the 5-cycle."""
+    assert len(enumerate_correspondences(*[_cycle_decomposition(4)] * 2)) == 128
+    assert len(enumerate_correspondences(*[_cycle_decomposition(5)] * 2)) == 320
 
 
 def test_known_zoo_counts():
@@ -273,6 +307,52 @@ def test_group_sum_identity_on_theta():
     npt.assert_allclose(total, len(cs) * averaged_inner_product(th, th), atol=1e-9)
 
 
+def _plain_sum(a, b, orientation_preserving_only=False):
+    """The group average term by term through the public functions only,
+    against the canonical form of ``b``."""
+    b = canonicalize(b)
+    total = 0j
+    zeros = 0
+    for c in enumerate_correspondences(decompose(canonicalize(a).graph),
+                                       decompose(b.graph), orientation_preserving_only):
+        moved = transport(a, c)
+        zeros += structural_zero(moved, b)
+        total += exact_inner_product(moved, b)
+    return total, zeros
+
+
+def test_averaged_equals_plain_sum_bit_for_bit():
+    """Skipping spin-mismatched classes and preparing each network once
+    change no bit of the sum over all transported terms."""
+    rng = np.random.default_rng(4242)
+    pairs = []
+    for k in range(10):
+        a = random_network(rng, motif=MOTIF_NAMES[k % 5], registry=SegmentRegistry())
+        pairs.append((a, respun_network(rng, a)))
+    cycle = cycle_network(rng, 3, loop_twice_js=(1, 1, 2))
+    pairs.append((cycle, reintertwine(rng, cycle)))
+    skipped = 0
+    for a, b in pairs:
+        for op_only in (False, True):
+            want, zeros = _plain_sum(a, b, op_only)
+            assert averaged_inner_product(a, b, op_only) == want
+            skipped += zeros
+    assert skipped > 0
+
+
+def test_averaged_requires_shared_registry_even_when_every_term_vanishes():
+    """Spin-1/2 and spin-1 loops on two registries: every class would be
+    skipped, and the pairing still refuses the registries."""
+    a = loop_network(1)
+    regb = SegmentRegistry()
+    regb.add_segment("zz", "W", "W")
+    b = loop_network(2, segment="zz", point="W", registry=regb)
+    with pytest.raises(InvalidNetworkError):
+        averaged_inner_product(a, b)
+    with pytest.raises(InvalidNetworkError):
+        averaged_gram([[(1.0, a)], [(1.0, b)]])
+
+
 def test_averaged_requires_shared_registry():
     a = loop_network(1)
     regb = SegmentRegistry()
@@ -292,6 +372,7 @@ def test_gram_matches_pairwise_entries():
     gm = averaged_gram([[(1.0, a)], [(1.0, b)]])
     npt.assert_allclose(gm[0, 0], averaged_inner_product(a, a), atol=1e-12)
     npt.assert_allclose(gm[0, 1], averaged_inner_product(a, b), atol=1e-12)
+    npt.assert_allclose(gm[1, 0], averaged_inner_product(b, a), atol=1e-12)
     npt.assert_allclose(gm, gm.conj().T, atol=1e-12)
     assert np.linalg.eigvalsh(gm).min() >= -1e-12
 

@@ -18,10 +18,12 @@ from spinnet import (
     contract,
     haar_project,
     mc_expectation,
+    averaged_inner_product,
 )
 import spinnet.tensor_engine as te
 from spinnet.rep_core import haar_quaternions, wigner_entries
 from spinnet.tensor_engine import MC_CHUNK, _invariant_basis, haar_factored
+from helpers import cycle_network
 
 
 def lt(name_prefix, arr, variances):
@@ -129,6 +131,28 @@ def test_contract_oversized_plan_fails_before_allocating():
     tb = lt("b", np.ones(shape), ("bra",) * 4)
     with pytest.raises(ValueError, match="intermediate"):
         contract([ta, tb], [])
+
+
+def test_contract_plan_cache_is_bounded_and_keeps_checks():
+    """One plan per contraction shape: the 48 terms of a 3-cycle
+    self-pairing share one, and a cached shape is still checked and still
+    refused when oversized."""
+    maxsize = te._contract_plan.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+    cycle = cycle_network(np.random.default_rng(3), 3)
+    te._contract_plan.cache_clear()
+    averaged_inner_product(cycle, cycle)
+    assert te._contract_plan.cache_info().misses == 1
+
+    ta = lt("a", np.eye(2)[0], ("ket",))
+    contract([ta, lt("b", np.eye(2)[1], ("bra",))], [("a0", "b0")])
+    with pytest.raises(ValueError, match="ket leg to a bra leg"):
+        contract([ta, lt("b", np.eye(2)[1], ("ket",))], [("a0", "b0")])
+    shape = (13, 13, 13, 13)
+    big = [lt("a", np.ones(shape), ("ket",) * 4), lt("b", np.ones(shape), ("bra",) * 4)]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="intermediate"):
+            contract(big, [])
 
 
 # ---------------------------------------------------------------------------
