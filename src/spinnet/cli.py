@@ -18,6 +18,7 @@ seed; an explicit --seed wins.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -132,6 +133,7 @@ def _cmd_haar_projector(args) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinnet",

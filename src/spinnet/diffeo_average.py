@@ -6,22 +6,31 @@ transformations (modulo the ones fixing every piece with orientation) are
 enumerated combinatorially as :class:`Correspondence` objects.  Averaging a
 state's inner products over these classes yields the invariant sesquilinear
 form computed by :func:`averaged_inner_product` and :func:`averaged_gram`.
+
+Each class's term is the plain inner product of the transported network
+with the other one.  Both are canonical networks on one graph, whose edges
+carry independent Haar-distributed holonomies, so the term is
+prod_e 1/d_e * prod_v <iota^a_v, iota^b_v> (the orthonormality of
+spin-network states on a fixed graph).  The pairing evaluates that product
+of vertex overlaps directly; :func:`transport` builds the moved network
+itself.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .inner_product import exact_inner_product
 from .network_model import (
     Edge,
     GraphDecomposition,
     InvalidNetworkError,
     SpinNetwork,
+    _reversed_slot,
     _sort_key,
     canonicalize,
     decompose,
@@ -147,33 +156,7 @@ def transport(n: SpinNetwork, c: Correspondence) -> SpinNetwork:
     prepared = _prepare(n)
     if prepared.pieces != c.source:
         raise InvalidNetworkError("correspondence does not start at this network's graph")
-    return _transport(prepared, c)
-
-
-@dataclass(frozen=True)
-class _Prepared:
-    """A canonical network with its decomposition and the edge carried by
-    each piece: the intervals in order, then the circles."""
-
-    network: SpinNetwork
-    pieces: GraphDecomposition
-    piece_edges: tuple
-
-
-def _prepare(n: SpinNetwork) -> _Prepared:
-    cn = canonicalize(n)
-    dec = decompose(cn.graph)
-    by_support = {frozenset(s for s, _ in e.word): e for e in cn.edges}
-    piece_edges = tuple(
-        by_support[frozenset(s for s, _ in piece.steps)]
-        for piece in dec.intervals + dec.circles
-    )
-    return _Prepared(cn, dec, piece_edges)
-
-
-def _transport(prepared: _Prepared, c: Correspondence) -> SpinNetwork:
-    """``transport`` of a prepared network whose decomposition is ``c.source``."""
-    n, dec = prepared.network, prepared.pieces
+    cn, dec = prepared.network, prepared.pieces
     n_int = len(dec.intervals)
     edge_map: dict = {}
     new_edges = []
@@ -201,11 +184,38 @@ def _transport(prepared: _Prepared, c: Correspondence) -> SpinNetwork:
     point_map.update(marker_points)
     spins = {e.id: e.spin for e in new_edges}
     moved = SpinNetwork(
-        n.graph.registry.graph({s for e in new_edges for s, _ in e.word}),
+        cn.graph.registry.graph({s for e in new_edges for s, _ in e.word}),
         tuple(new_edges),
-        _relocate_vertices(n, new_edges, edge_map, point_map, spins),
+        _relocate_vertices(cn, new_edges, edge_map, point_map, spins),
     )
     return canonicalize(moved)
+
+
+@dataclass(frozen=True)
+class _Prepared:
+    """A canonical network with its decomposition, the edge carried by each
+    piece (the intervals in order, then the circles) and, per vertex, its
+    slots as (piece index, direction) pairs in slot order."""
+
+    network: SpinNetwork
+    pieces: GraphDecomposition
+    piece_edges: tuple
+    slots: dict
+
+
+def _prepare(n: SpinNetwork) -> _Prepared:
+    cn = canonicalize(n)
+    dec = decompose(cn.graph)
+    by_support = {frozenset(s for s, _ in e.word): e for e in cn.edges}
+    piece_edges = tuple(
+        by_support[frozenset(s for s, _ in piece.steps)]
+        for piece in dec.intervals + dec.circles
+    )
+    piece_of = {e.id: k for k, e in enumerate(piece_edges)}
+    slots = {
+        p: tuple((piece_of[eid], d) for eid, d, _ in cn.vertex_slots(p)) for p in cn.vertices
+    }
+    return _Prepared(cn, dec, piece_edges, slots)
 
 
 def _relocate_vertices(n, new_edges, edge_map, point_map, spins) -> dict:
@@ -227,7 +237,9 @@ def averaged_inner_product(
     """Invariant pairing: sum of <transport(a, c), b> over all correspondences.
 
     One term per correspondence class, in enumeration order; zero when the
-    decompositions do not match.
+    decompositions do not match.  Each term is evaluated as a product of
+    vertex overlaps over the edge dimensions, without building the
+    transported network.
     """
     return _averaged_pairing(a, b, orientation_preserving_only)[0]
 
@@ -243,21 +255,51 @@ def _prepared_pairing(pa: _Prepared, pb: _Prepared, orientation_preserving_only:
 
     A class that carries a piece of ``a`` onto a piece of ``b`` with another
     spin contributes nothing (``structural_zero`` holds for its term), so it
-    is counted but never transported.
+    is counted and skipped.  Any other class contributes
+    prod_e 1/d_e * prod_p <iota^a_p moved to q, iota^b_q>: the slots of
+    vertex p follow their pieces, a flipped piece swaps its slot directions
+    with the epsilon rewrite of ``_reversed_slot``, and the overlaps, which
+    classes largely share, are computed once per call.
     """
     corrs = enumerate_correspondences(pa.pieces, pb.pieces, orientation_preserving_only)
     if corrs and pa.network.graph.registry != pb.network.graph.registry:
         raise InvalidNetworkError("inner products require a shared segment registry")
-    spins_a = [e.spin for e in pa.piece_edges]
-    spins_b = [e.spin for e in pb.piece_edges]
+    spins_a = [e.spin.twice_j for e in pa.piece_edges]
+    spins_b = [e.spin.twice_j for e in pb.piece_edges]
     n_int = len(pa.pieces.intervals)
+    markers_a = [c.basepoint for c in pa.pieces.circles]
+    markers_b = [c.basepoint for c in pb.pieces.circles]
+    overlaps: dict = {}
     total = 0j
     for c in corrs:
-        targets = [j for j, _ in c.interval_map] + [n_int + j for j, _ in c.circle_map]
-        if any(s != spins_b[t] for s, t in zip(spins_a, targets)):
+        moves = list(c.interval_map) + [(n_int + j, f) for j, f in c.circle_map]
+        if any(s != spins_b[j] for s, (j, _) in zip(spins_a, moves)):
             continue
-        total += exact_inner_product(_transport(pa, c), pb.network)
-    return total, len(corrs)
+        points = dict(c.point_map)
+        points.update((markers_a[i], markers_b[j]) for i, (j, _) in enumerate(c.circle_map))
+        term = 1.0 + 0.0j
+        for p, slots in pa.slots.items():
+            key = (p, points[p], tuple(moves[i] for i, _ in slots))
+            overlap = overlaps.get(key)
+            if overlap is None:
+                overlap = overlaps[key] = _vertex_overlap(pa, pb, *key)
+            term *= overlap
+        total += term
+    return total / math.prod(tj + 1 for tj in spins_a), len(corrs)
+
+
+def _vertex_overlap(pa: _Prepared, pb: _Prepared, p, q, moves) -> complex:
+    """<iota^a_p, iota^b_q> once each slot of p has moved along ``moves``,
+    one (target piece, flipped) pair per slot."""
+    comps = pa.network.vertices[p].components
+    keys = []
+    for axis, ((i, d), (j, flip)) in enumerate(zip(pa.slots[p], moves)):
+        if flip:
+            comps = _reversed_slot(comps, axis, pa.piece_edges[i].spin, d)
+            d = "in" if d == "out" else "out"
+        keys.append((j, d))
+    perm = [keys.index(k) for k in pb.slots[q]]
+    return complex(np.vdot(np.transpose(comps, perm), pb.network.vertices[q].components))
 
 
 def averaged_gram(

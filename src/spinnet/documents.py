@@ -100,6 +100,23 @@ def _parse_word(refs, registry: SegmentRegistry, loc: str):
 
 
 def _parse_complex_array(node, dims, loc: str) -> np.ndarray:
+    """Nested lists of [re, im] pairs as a complex array of shape ``dims``.
+
+    A well-formed array is checked level by level and converted in one
+    numpy call; anything else is walked pair by pair, which locates the
+    first offending entry.
+    """
+    dims = tuple(dims)
+    flat = [node]
+    for d in dims + (2,):
+        if not all(isinstance(n, list) and len(n) == d for n in flat):
+            break
+        flat = [v for n in flat for v in n]
+    else:
+        # exact types: a float conversion would silently accept bool
+        if {type(v) for v in flat} <= {int, float}:
+            return np.array(flat, dtype=float).view(complex).reshape(dims)
+
     def rec(n, d, where):
         if not d:
             ok = (isinstance(n, list) and len(n) == 2
@@ -110,7 +127,7 @@ def _parse_complex_array(node, dims, loc: str) -> np.ndarray:
         if not isinstance(n, list) or len(n) != d[0]:
             raise DocumentError(where, f"expected a list of length {d[0]}")
         return [rec(v, d[1:], f"{where}[{k}]") for k, v in enumerate(n)]
-    return np.array(rec(node, tuple(dims), loc), dtype=complex).reshape(tuple(dims))
+    return np.array(rec(node, dims, loc), dtype=complex).reshape(dims)
 
 
 def _bivalent_element(legs, loc: str) -> np.ndarray:

@@ -464,18 +464,26 @@ def common_refinement(a: SpinNetwork, b: SpinNetwork) -> tuple:
     return _refine(a), _refine(b)
 
 
+def _reversed_slot(comps: np.ndarray, axis: int, spin: Spin, direction: str) -> np.ndarray:
+    """Vertex components after the edge at slot ``axis`` is reversed.
+
+    Value-preserving: D(h^-1)[r, c] = (eps D(h) eps^-1)[c, r], so an old
+    "out" slot absorbs eps and an old "in" slot absorbs (eps^-1)^T; the slot
+    then has the other direction.
+    """
+    eps = epsilon(spin)
+    return _apply_on_axis(comps, eps if direction == "out" else np.linalg.inv(eps).T, axis)
+
+
 def _reverse_work_edge(wid, wedges, wverts) -> None:
-    # Value-preserving reversal: D(h^-1)[r, c] = (eps D(h) eps^-1)[c, r], so the
-    # old out slot absorbs eps and the old in slot absorbs (eps^-1)^T.
     w = wedges[wid]
-    eps = epsilon(w.spin)
     sv = wverts[w.source]
     tv = wverts[w.target]
     ax_out = sv.keys.index((wid, "out"))
     ax_in = tv.keys.index((wid, "in"))
-    sv.comps = _apply_on_axis(sv.comps, eps, ax_out)
+    sv.comps = _reversed_slot(sv.comps, ax_out, w.spin, "out")
     sv.keys[ax_out] = (wid, "in")
-    tv.comps = _apply_on_axis(tv.comps, np.linalg.inv(eps).T, ax_in)
+    tv.comps = _reversed_slot(tv.comps, ax_in, w.spin, "in")
     tv.keys[ax_in] = (wid, "out")
     (s, r), = w.steps
     w.steps = [(s, not r)]

@@ -17,6 +17,7 @@ from spinnet import (
     SegmentRegistry,
     Edge,
     network,
+    decompose,
     intertwiner_basis,
     wigner_matrix,
     wigner_entries,
@@ -185,6 +186,15 @@ def _spin_matched(rng, reg, skeleton, max_twice_j, name):
     raise RuntimeError(f"could not spin-match motif {name}")
 
 
+def piece_network(rng, graph, max_twice_j=2):
+    """A random invariant-vertex network with one edge along each interval
+    and circle of ``graph``, oriented as ``decompose`` lists it."""
+    dec = decompose(graph)
+    skeleton = [(f"i{k}", iv.steps, iv.start, iv.end) for k, iv in enumerate(dec.intervals)]
+    skeleton += [(f"o{k}", c.steps, c.basepoint, c.basepoint) for k, c in enumerate(dec.circles)]
+    return _spin_matched(rng, graph.registry, skeleton, max_twice_j, "pieces")
+
+
 def cycle_network(rng, k, loop_twice_js=None):
     """A k-cycle of spin-1/2 edges with a loop at every point (2k intervals,
     k points), random invariant intertwiners, loop spins as given (default
@@ -196,6 +206,29 @@ def cycle_network(rng, k, loop_twice_js=None):
         reg.add_segment(f"l{i}", f"X{i}", f"X{i}")
         edges.append(Edge(f"c{i}", ((f"c{i}", False),), f"X{i}", f"X{(i + 1) % k}", Spin(1)))
         edges.append(Edge(f"l{i}", ((f"l{i}", False),), f"X{i}", f"X{i}", Spin(tj)))
+    verts = {v: random_intertwiner(rng, tuple(legs)) for v, legs in _slot_legs(edges).items()}
+    return network(reg, edges, verts)
+
+
+def wordy_network(rng, twice_js=(1, 3, 2), circle_twice_j=3, registry=None):
+    """A theta whose edges are 2-, 3- and 1-segment words (some segments
+    traversed backwards) beside a 3-segment circle cut into two edges that
+    leave one point in the same direction, with random invariant
+    intertwiners.  Its canonical form has multi-segment edges and a circle
+    marker that is a random, not unit, multiple of the identity."""
+    reg = registry if registry is not None else SegmentRegistry()
+    if "t1a" not in reg:
+        for sid, src, tgt in (("t1a", "X", "M1"), ("t1b", "M1", "Y"), ("t2a", "Y", "M2"),
+                              ("t2b", "M3", "M2"), ("t2c", "M3", "X"), ("t3", "Y", "X"),
+                              ("k1", "C0", "C1"), ("k2", "C1", "C2"), ("k3", "C2", "C0")):
+            reg.add_segment(sid, src, tgt)
+    t1, t2, t3 = (Spin(tj) for tj in twice_js)
+    kj = Spin(circle_twice_j)
+    edges = [Edge("e1", (("t1a", False), ("t1b", False)), "X", "Y", t1),
+             Edge("e2", (("t2c", True), ("t2b", False), ("t2a", True)), "X", "Y", t2),
+             Edge("e3", (("t3", True),), "X", "Y", t3),
+             Edge("kb", (("k1", False),), "C0", "C1", kj),
+             Edge("ka", (("k3", True), ("k2", True)), "C0", "C1", kj)]
     verts = {v: random_intertwiner(rng, tuple(legs)) for v, legs in _slot_legs(edges).items()}
     return network(reg, edges, verts)
 

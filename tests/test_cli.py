@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from spinnet.cli import main
+from spinnet.cli import _build_parser, main
 from spinnet import (ToleranceError, averaged_inner_product, canonicalize, decompose,
                      dumps_document, enumerate_correspondences, read_network)
 
@@ -346,3 +346,31 @@ def test_reports_independent_of_hash_seed(docs, tmp_path):
 def test_argparse_usage_error_is_systemexit():
     with pytest.raises(SystemExit):
         main(["section4", "--which", "obs3", "--truncation", "1"])
+
+
+def test_parser_is_built_once_and_keeps_no_state(docs, capsys):
+    """One process reuses one parser: a flag given to one call does not
+    leak into the next, and each report matches a fresh process byte for
+    byte."""
+    commands = (
+        ["dip", docs["loop"], docs["loop"], "--orientation-preserving-only"],
+        ["dip", docs["loop"], docs["loop"]],
+    )
+    outputs = []
+    for argv in commands:
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert [json.loads(out)["correspondence_count"] for out in outputs] == [1, 2]
+    for argv, out in zip(commands, outputs):
+        proc = subprocess.run([sys.executable, "-m", "spinnet.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out, argv
+    assert _build_parser() is _build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(["dip", docs["loop"]])
+        assert info.value.code == 2
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0

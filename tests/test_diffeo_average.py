@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import spinnet.diffeo_average as diffeo_average
 from spinnet import (
     Spin,
     InvalidNetworkError,
@@ -28,10 +29,12 @@ from helpers import (
     brute_correspondences,
     brute_correspondence_count,
     cycle_network,
+    piece_network,
     random_holonomies,
     random_network,
     reintertwine,
     respun_network,
+    wordy_network,
     MOTIF_NAMES,
 )
 
@@ -83,12 +86,12 @@ def test_non_diffeomorphic_graphs_have_no_correspondences():
     assert enumerate_correspondences(d_theta, d_loop) == []
 
 
-ZOO = []
+ZOO_GRAPHS = []
 
 
-def _zoo():
-    if ZOO:
-        return ZOO
+def _zoo_graphs():
+    if ZOO_GRAPHS:
+        return ZOO_GRAPHS
     reg2 = two_circle_registry()
     reg3 = SegmentRegistry()
     for sid in ("a1", "a2", "a3"):
@@ -103,19 +106,23 @@ def _zoo():
     regchain.add_segment("c2", "B", "C")
     regchain.add_segment("hk", "A", "A")
     regchain.add_segment("hk2", "C", "C")
-    ZOO.extend(
+    ZOO_GRAPHS.extend(
         [
-            ("loop", decompose(reg2.graph(["s1"]))),
-            ("two circles", decompose(reg2.graph(["s1", "s2"]))),
-            ("three circles", decompose(reg3.graph(["a1", "a2", "a3"]))),
-            ("theta", decompose(regmix.graph(["u1", "u2", "u3"]))),
-            ("theta + circle", decompose(regmix.graph(["u1", "u2", "u3", "far"]))),
-            ("figure eight", decompose(figure8_network().graph)),
-            ("dumbbell", decompose(regd.graph(["dl", "dm", "dr"]))),
-            ("barbell chain", decompose(regchain.graph(["c1", "c2", "hk", "hk2"]))),
+            ("loop", reg2.graph(["s1"])),
+            ("two circles", reg2.graph(["s1", "s2"])),
+            ("three circles", reg3.graph(["a1", "a2", "a3"])),
+            ("theta", regmix.graph(["u1", "u2", "u3"])),
+            ("theta + circle", regmix.graph(["u1", "u2", "u3", "far"])),
+            ("figure eight", figure8_network().graph),
+            ("dumbbell", regd.graph(["dl", "dm", "dr"])),
+            ("barbell chain", regchain.graph(["c1", "c2", "hk", "hk2"])),
         ]
     )
-    return ZOO
+    return ZOO_GRAPHS
+
+
+def _zoo():
+    return [(name, decompose(g)) for name, g in _zoo_graphs()]
 
 
 def test_enumeration_matches_brute_oracle_on_zoo():
@@ -321,9 +328,14 @@ def _plain_sum(a, b, orientation_preserving_only=False):
     return total, zeros
 
 
-def test_averaged_equals_plain_sum_bit_for_bit():
-    """Skipping spin-mismatched classes and preparing each network once
-    change no bit of the sum over all transported terms."""
+def _close(got, want, rel):
+    return abs(got - want) <= rel * max(1.0, abs(want))
+
+
+def test_averaged_equals_plain_sum():
+    """Skipping spin-mismatched classes, preparing each network once and
+    summing vertex overlaps give the sum over all transported terms up to
+    rounding."""
     rng = np.random.default_rng(4242)
     pairs = []
     for k in range(10):
@@ -335,9 +347,56 @@ def test_averaged_equals_plain_sum_bit_for_bit():
     for a, b in pairs:
         for op_only in (False, True):
             want, zeros = _plain_sum(a, b, op_only)
-            assert averaged_inner_product(a, b, op_only) == want
+            assert _close(averaged_inner_product(a, b, op_only), want, 1e-13)
             skipped += zeros
     assert skipped > 0
+
+
+def _oracle_pairs(rng):
+    pairs = []
+    for _, graph in _zoo_graphs():
+        a = piece_network(rng, graph, max_twice_j=3)
+        pairs += [(a, reintertwine(rng, a)), (a, respun_network(rng, a, max_twice_j=3))]
+    for twice_js in ((1, 3, 2), (3, 3, 2), (1, 1, 2)):
+        a = wordy_network(rng, twice_js)
+        pairs.append((a, reintertwine(rng, a)))
+    return pairs
+
+
+def test_each_class_term_equals_transported_inner_product(monkeypatch):
+    """Restricted to one class, the pairing's product of vertex overlaps is
+    the plain inner product of the transported network, on every zoo graph
+    and on networks with multi-segment words, reversed segments, a circle
+    marker that is not the identity and half-integer spins."""
+    rng = np.random.default_rng(515)
+    terms = nonzero = 0
+    for a, b in _oracle_pairs(rng):
+        classes = enumerate_correspondences(decompose(a.graph), decompose(b.graph))
+        for c in classes:
+            monkeypatch.setattr(diffeo_average, "enumerate_correspondences",
+                                lambda *args, c=c: [c])
+            want = exact_inner_product(transport(a, c), b)
+            assert _close(averaged_inner_product(a, b), want, 1e-14)
+            terms += 1
+            nonzero += abs(want) > 1e-9
+    assert terms > 300 and nonzero > 50
+
+
+def test_cycles_beyond_the_transport_path():
+    """The 6-cycle's 768 classes agree with the transported sum, and the
+    8-cycle's 4096 classes give a real, non-negative self-pairing."""
+    rng = np.random.default_rng(66)
+    six = cycle_network(rng, 6)
+    other = reintertwine(rng, six)
+    assert len(enumerate_correspondences(*[decompose(six.graph)] * 2)) == 768
+    want, _ = _plain_sum(six, other)
+    assert _close(averaged_inner_product(six, other), want, 1e-13)
+
+    eight = cycle_network(rng, 8)
+    d = decompose(eight.graph)
+    assert len(enumerate_correspondences(d, d)) == 4096
+    value = averaged_inner_product(eight, eight)
+    assert value.real >= 0.0 and abs(value.imag) <= 1e-12
 
 
 def test_averaged_requires_shared_registry_even_when_every_term_vanishes():
@@ -401,6 +460,19 @@ def test_gram_of_transported_difference_vanishes(rng):
     moved = transport(n, c)
     gm = averaged_gram([[(1.0, n), (-1.0, moved)]])
     npt.assert_allclose(gm[0, 0], 0.0, atol=1e-9)
+
+
+def test_gram_diagonal_is_the_averaged_pairing_bit_for_bit():
+    rng = np.random.default_rng(909)
+    families = {}
+    for _, graph in _zoo_graphs():
+        families.setdefault(id(graph.registry), []).append(piece_network(rng, graph, 3))
+    wordy = wordy_network(rng)
+    families["wordy"] = [wordy, reintertwine(rng, wordy),
+                         wordy_network(rng, (3, 3, 2), registry=wordy.graph.registry)]
+    for nets in families.values():
+        gm = averaged_gram([[(1.0, n)] for n in nets])
+        assert list(np.diag(gm)) == [averaged_inner_product(n, n) for n in nets]
 
 
 def test_gram_psd_on_random_family(rng):

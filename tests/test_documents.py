@@ -130,6 +130,29 @@ def test_explicit_kind_complex_components():
     )
 
 
+def _pairwise_walk(node):
+    """The explicit components built one complex(re, im) at a time."""
+    if isinstance(node[0], list):
+        return [_pairwise_walk(v) for v in node]
+    return complex(node[0], node[1])
+
+
+def test_explicit_components_bit_identical_to_pairwise_walk():
+    """Ints, signed zeros, extremes and a spin-5 vertex parse to the same
+    bits as building each entry with complex(re, im)."""
+    rng = np.random.default_rng(17)
+    specials = [0, 3, -7, 0.0, -0.0, 1e308, -1e308, 5e-324, -2.5]
+    comps = [[[specials[(r + c) % len(specials)], specials[(r * c) % len(specials)]]
+              if (r + c) % 3 else [float(rng.standard_normal()), -0.0]
+              for c in range(11)] for r in range(11)]
+    n = network_from_document(loop_doc(10, kind={"kind": "explicit", "components": comps}))
+    want = np.array(_pairwise_walk(comps), dtype=complex)
+    got = n.vertices["P"].components
+    assert got.shape == (11, 11)
+    assert got.tobytes() == want.tobytes()
+    assert math.copysign(1.0, got[0, 0].imag) == -1.0  # the -0.0 survives
+
+
 # ---------------------------------------------------------------------------
 # located parse errors
 
@@ -204,6 +227,42 @@ def test_error_explicit_bad_leaf():
     })
     e = err(doc)
     assert "components" in e.location
+
+
+ZERO_PAIR = [0.0, 0.0]
+
+EXPLICIT_ERRORS = [
+    ([[1.0, 0.0]], "intertwiners['P'].components: expected a list of length 2"),
+    ([[[1.0, 0.0], [0.0, "x"]], [ZERO_PAIR, ZERO_PAIR]],
+     "intertwiners['P'].components[0][1]: expected a [re, im] pair, got [0.0, 'x']"),
+    ([[[1.0, 0.0], [0.0, True]], [ZERO_PAIR, ZERO_PAIR]],
+     "intertwiners['P'].components[0][1]: expected a [re, im] pair, got [0.0, True]"),
+    ([[ZERO_PAIR, ZERO_PAIR], [ZERO_PAIR, [False, 0.0]]],
+     "intertwiners['P'].components[1][1]: expected a [re, im] pair, got [False, 0.0]"),
+    ([[[1.0, 0.0], ZERO_PAIR], [ZERO_PAIR]],
+     "intertwiners['P'].components[1]: expected a list of length 2"),
+    ([[[1.0, 0.0, 0.0], ZERO_PAIR], [ZERO_PAIR, ZERO_PAIR]],
+     "intertwiners['P'].components[0][0]: expected a [re, im] pair, got [1.0, 0.0, 0.0]"),
+    ([[ZERO_PAIR, ZERO_PAIR], [ZERO_PAIR, [1.0]]],
+     "intertwiners['P'].components[1][1]: expected a [re, im] pair, got [1.0]"),
+    ([[ZERO_PAIR, ZERO_PAIR], [ZERO_PAIR, 1.0]],
+     "intertwiners['P'].components[1][1]: expected a [re, im] pair, got 1.0"),
+    ([[ZERO_PAIR, ZERO_PAIR], [ZERO_PAIR, None]],
+     "intertwiners['P'].components[1][1]: expected a [re, im] pair, got None"),
+    ([[ZERO_PAIR, ZERO_PAIR], (ZERO_PAIR, ZERO_PAIR)],
+     "intertwiners['P'].components[1]: expected a list of length 2"),
+    ([[ZERO_PAIR, ZERO_PAIR]] * 3, "intertwiners['P'].components: expected a list of length 2"),
+    ("abc", "intertwiners['P'].components: expected a list of length 2"),
+    (None, "intertwiners['P'].components: expected a list of length 2"),
+]
+
+
+@pytest.mark.parametrize("components, message", EXPLICIT_ERRORS)
+def test_explicit_component_errors_are_located(components, message):
+    """Malformed components (a bool or str leaf, a ragged list, a pair of
+    length 3, a tuple) are refused with the first offending location."""
+    e = err(loop_doc(1, kind={"kind": "explicit", "components": components}))
+    assert str(e) == message
 
 
 def test_error_epsilon_on_trivalent_vertex():

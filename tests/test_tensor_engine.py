@@ -18,7 +18,10 @@ from spinnet import (
     contract,
     haar_project,
     mc_expectation,
-    averaged_inner_product,
+    decompose,
+    enumerate_correspondences,
+    exact_inner_product,
+    transport,
 )
 import spinnet.tensor_engine as te
 from spinnet.rep_core import haar_quaternions, wigner_entries
@@ -134,14 +137,18 @@ def test_contract_oversized_plan_fails_before_allocating():
 
 
 def test_contract_plan_cache_is_bounded_and_keeps_checks():
-    """One plan per contraction shape: the 48 terms of a 3-cycle
-    self-pairing share one, and a cached shape is still checked and still
-    refused when oversized."""
+    """One plan per contraction shape: the 48 transported terms of a
+    3-cycle self-pairing share one, and a cached shape is still checked and
+    still refused when oversized."""
     maxsize = te._contract_plan.cache_info().maxsize
     assert maxsize is not None and maxsize > 0
     cycle = cycle_network(np.random.default_rng(3), 3)
+    d = decompose(cycle.graph)
+    classes = enumerate_correspondences(d, d)
+    assert len(classes) == 48
     te._contract_plan.cache_clear()
-    averaged_inner_product(cycle, cycle)
+    for c in classes:
+        exact_inner_product(transport(cycle, c), cycle)
     assert te._contract_plan.cache_info().misses == 1
 
     ta = lt("a", np.eye(2)[0], ("ket",))
