@@ -26,17 +26,17 @@ from typing import Sequence
 import numpy as np
 
 from .network_model import (
-    Edge,
     GraphDecomposition,
     InvalidNetworkError,
     SpinNetwork,
+    _assemble,
     _reversed_slot,
     _sort_key,
+    _WorkEdge,
+    _WorkVertex,
     canonicalize,
     decompose,
-    slot_order,
 )
-from .rep_core import Intertwiner
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,6 @@ class Correspondence:
     point_map: tuple
     interval_map: tuple
     circle_map: tuple
-
-    def mapped_point(self, p):
-        for a, b in self.point_map:
-            if a == p:
-                return b
-        raise KeyError(p)
 
 
 def enumerate_correspondences(
@@ -142,10 +136,6 @@ def enumerate_correspondences(
     return found
 
 
-def _reversed_steps(steps) -> tuple:
-    return tuple((s, not r) for s, r in reversed(steps))
-
-
 def transport(n: SpinNetwork, c: Correspondence) -> SpinNetwork:
     """Carry a canonical network across a correspondence and re-canonicalize.
 
@@ -157,38 +147,32 @@ def transport(n: SpinNetwork, c: Correspondence) -> SpinNetwork:
     if prepared.pieces != c.source:
         raise InvalidNetworkError("correspondence does not start at this network's graph")
     cn, dec = prepared.network, prepared.pieces
+    targets = [(t.steps, t.start, t.end) for t in c.target.intervals]
+    targets += [(t.steps, t.basepoint, t.basepoint) for t in c.target.circles]
     n_int = len(dec.intervals)
+    moves = list(c.interval_map) + [(n_int + j, flip) for j, flip in c.circle_map]
+    wedges: dict = {}
     edge_map: dict = {}
-    new_edges = []
-    marker_points = {}
-    for i, (j, flip) in enumerate(c.interval_map):
-        tgt = c.target.intervals[j]
-        old = prepared.piece_edges[i]
-        nid = f"#t{len(new_edges)}"
+    for k, (old, (j, flip)) in enumerate(zip(prepared.piece_edges, moves)):
+        steps, src, dst = targets[j]
         if flip:
-            word, src, dst = _reversed_steps(tgt.steps), tgt.end, tgt.start
-        else:
-            word, src, dst = tgt.steps, tgt.start, tgt.end
-        new_edges.append(Edge(nid, word, src, dst, old.spin))
+            steps, src, dst = [(s, not r) for s, r in reversed(steps)], dst, src
+        nid = f"#t{k}"
+        wedges[nid] = _WorkEdge(nid, steps, src, dst, old.spin)
         edge_map[old.id] = nid
-    for i, (j, flip) in enumerate(c.circle_map):
-        tgt = c.target.circles[j]
-        old = prepared.piece_edges[n_int + i]
-        nid = f"#t{len(new_edges)}"
-        word = _reversed_steps(tgt.steps) if flip else tgt.steps
-        new_edges.append(Edge(nid, word, tgt.basepoint, tgt.basepoint, old.spin))
-        edge_map[old.id] = nid
-        marker_points[dec.circles[i].basepoint] = tgt.basepoint
 
-    point_map = dict(c.point_map)
-    point_map.update(marker_points)
-    spins = {e.id: e.spin for e in new_edges}
-    moved = SpinNetwork(
-        cn.graph.registry.graph({s for e in new_edges for s, _ in e.word}),
-        tuple(new_edges),
-        _relocate_vertices(cn, new_edges, edge_map, point_map, spins),
+    points = dict(c.point_map)
+    points.update(
+        (dec.circles[i].basepoint, c.target.circles[j].basepoint)
+        for i, (j, _) in enumerate(c.circle_map)
     )
-    return canonicalize(moved)
+    wverts = {
+        points[p]: _WorkVertex([(edge_map[eid], d) for eid, d, _ in cn.vertex_slots(p)],
+                               iv.components)
+        for p, iv in cn.vertices.items()
+    }
+    graph = cn.graph.registry.graph({s for w in wedges.values() for s, _ in w.steps})
+    return canonicalize(_assemble(graph, wedges, wverts))
 
 
 @dataclass(frozen=True)
@@ -216,19 +200,6 @@ def _prepare(n: SpinNetwork) -> _Prepared:
         p: tuple((piece_of[eid], d) for eid, d, _ in cn.vertex_slots(p)) for p in cn.vertices
     }
     return _Prepared(cn, dec, piece_edges, slots)
-
-
-def _relocate_vertices(n, new_edges, edge_map, point_map, spins) -> dict:
-    vertices = {}
-    for p, iv in n.vertices.items():
-        q = point_map[p]
-        old_keys = [(edge_map[eid], d) for eid, d, _ in n.vertex_slots(p)]
-        want = [(e.id, d) for e, d in slot_order(new_edges, q)]
-        perm = [old_keys.index(k) for k in want]
-        comps = np.transpose(iv.components, perm)
-        legs = tuple((spins[eid], d) for eid, d in want)
-        vertices[q] = Intertwiner(legs, comps)
-    return vertices
 
 
 def averaged_inner_product(

@@ -78,55 +78,37 @@ def evaluate(n: SpinNetwork, h) -> complex:
     missing = sorted((s for s in n.graph.segments if s not in h), key=_sort_key)
     if missing:
         raise InvalidNetworkError(f"holonomy assignment missing segments {missing!r}")
-    tensors = []
-    pairings = []
-    for e in n.edges:
-        mat = wigner_matrix(e.spin, edge_holonomy(h, e.word)).entries
-        row = ("E", e.id, "r")
-        col = ("E", e.id, "c")
-        tensors.append(
-            LabeledTensor((Leg(row, e.spin, "ket"), Leg(col, e.spin, "bra")), mat)
-        )
-        pairings.append((row, ("V", e.target, e.id, "in")))
-        pairings.append((col, ("V", e.source, e.id, "out")))
-    for v, iv in n.vertices.items():
-        legs = []
-        for (eid, d, spin) in n.vertex_slots(v):
-            legs.append(Leg(("V", v, eid, d), spin, "ket" if d == "out" else "bra"))
-        tensors.append(LabeledTensor(tuple(legs), iv.components))
-    result = contract(tensors, pairings)
-    return complex(result.data)
+    edges, tensors, pairings = _side_tensors(n, "N", conjugate=False)
+    mats = [LabeledTensor((Leg(row, e.spin, "ket"), Leg(col, e.spin, "bra")),
+                          wigner_matrix(e.spin, edge_holonomy(h, e.word)).entries)
+            for e, row, col in edges]
+    return complex(contract(mats + tensors, pairings).data)
 
 
 def _side_tensors(n: SpinNetwork, side: str, conjugate: bool):
-    """Factors, vertex tensors, and pairings for one (refined) network.
+    """Edge legs, vertex tensors, and pairings for one network.
 
-    ``conjugate`` marks the bra side: tensor data is conjugated and leg
-    variances flip, matching the conjugated group factors.
+    Returns one (edge, row leg id, column leg id) triple per edge, for the
+    caller to turn into a Wigner matrix or a group factor, then the vertex
+    tensors and the pairings of edge rows with "in" slots and edge columns
+    with "out" slots.  ``conjugate`` marks the bra side: tensor data is
+    conjugated and leg variances flip, matching conjugated group factors.
     """
-    factors = []
+    edges = []
     tensors = []
     pairings = []
     for e in n.edges:
-        (segment, rev), = e.word
         row = (side, "E", e.id, "r")
         col = (side, "E", e.id, "c")
-        factors.append(
-            GroupFactor(segment, e.spin, conjugated=conjugate, inverted=rev, row_leg=row, col_leg=col)
-        )
+        edges.append((e, row, col))
         pairings.append((row, (side, "V", e.target, e.id, "in")))
         pairings.append((col, (side, "V", e.source, e.id, "out")))
     for v, iv in n.vertices.items():
-        legs = []
-        for (eid, d, spin) in n.vertex_slots(v):
-            if conjugate:
-                variance = "bra" if d == "out" else "ket"
-            else:
-                variance = "ket" if d == "out" else "bra"
-            legs.append(Leg((side, "V", v, eid, d), spin, variance))
-        data = iv.components.conj() if conjugate else iv.components
-        tensors.append(LabeledTensor(tuple(legs), data))
-    return factors, tensors, pairings
+        legs = tuple(Leg((side, "V", v, eid, d), spin,
+                         "ket" if (d == "out") != conjugate else "bra")
+                     for eid, d, spin in n.vertex_slots(v))
+        tensors.append(LabeledTensor(legs, iv.components.conj() if conjugate else iv.components))
+    return edges, tensors, pairings
 
 
 def _segment_spins(a: SpinNetwork, b: SpinNetwork) -> dict:
@@ -154,10 +136,16 @@ def structural_zero(a: SpinNetwork, b: SpinNetwork) -> bool:
 
 
 def _paired_network(a: SpinNetwork, b: SpinNetwork):
-    ra, rb = common_refinement(a, b)
-    fa, ta, pa = _side_tensors(ra, "A", conjugate=True)
-    fb, tb, pb = _side_tensors(rb, "B", conjugate=False)
-    return fa + fb, ta + tb, pa + pb
+    factors, tensors, pairings = [], [], []
+    for n, side, conjugate in zip(common_refinement(a, b), "AB", (True, False)):
+        edges, t, p = _side_tensors(n, side, conjugate)
+        for e, row, col in edges:
+            (segment, rev), = e.word
+            factors.append(GroupFactor(segment, e.spin, conjugated=conjugate, inverted=rev,
+                                       row_leg=row, col_leg=col))
+        tensors += t
+        pairings += p
+    return factors, tensors, pairings
 
 
 def exact_inner_product(a: SpinNetwork, b: SpinNetwork) -> complex:

@@ -24,15 +24,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .rep_core import Intertwiner, Spin, _apply_on_axis, epsilon
+from .rep_core import Intertwiner, Spin, _apply_on_axis, _sort_key, epsilon
 
 
 class InvalidNetworkError(ValueError):
     """A registry, graph, or network violates a structural requirement."""
-
-
-def _sort_key(value) -> str:
-    return str(value)
 
 
 class SegmentRegistry:
@@ -176,56 +172,45 @@ def decompose(graph: EmbeddedGraph) -> GraphDecomposition:
     dec_points = sorted((p for p, d in degree.items() if d != 2), key=_sort_key)
 
     visited: set = set()
+
+    def walk(seg, end):
+        """Steps from segment end (seg, end) through points of degree 2, up to
+        a decomposition point or back to the first end, and the last point."""
+        first = (seg, end)
+        steps = []
+        while True:
+            visited.add(seg)
+            rev = end == 1
+            steps.append((seg, rev))
+            _, arrived = _step_endpoints(reg, (seg, rev))
+            if degree[arrived] != 2:
+                return steps, arrived
+            a, b = ends[arrived]
+            seg, end = b if a == (seg, 0 if rev else 1) else a
+            if (seg, end) == first:
+                return steps, arrived
+
     intervals = []
     for p in dec_points:
         for seg, end in sorted(ends[p], key=lambda t: (_sort_key(t[0]), t[1])):
             if seg in visited:
                 continue
-            steps = []
-            cur_seg, cur_end = seg, end
-            while True:
-                visited.add(cur_seg)
-                rev = cur_end == 1
-                steps.append((cur_seg, rev))
-                _, arrived = _step_endpoints(reg, (cur_seg, rev))
-                if degree[arrived] != 2:
-                    break
-                arrival = (cur_seg, 0 if rev else 1)
-                first, second = ends[arrived]
-                cur_seg, cur_end = second if first == arrival else first
+            steps, arrived = walk(seg, end)
             least = min((s for s, _ in steps), key=_sort_key)
             if dict(steps)[least]:
-                start = arrived
-                final = p
                 steps = [(s, not r) for s, r in reversed(steps)]
+                intervals.append(Interval(tuple(steps), arrived, p))
             else:
-                start = p
-                final = arrived
-            intervals.append(Interval(tuple(steps), start, final))
-
-    circles = []
-    remaining = sorted(set(graph.segments) - visited, key=_sort_key)
-    while remaining:
-        seg = remaining[0]
-        base = reg.endpoints(seg)[0]
-        steps = []
-        cur_seg, cur_end = seg, 0
-        while True:
-            visited.add(cur_seg)
-            rev = cur_end == 1
-            steps.append((cur_seg, rev))
-            _, arrived = _step_endpoints(reg, (cur_seg, rev))
-            arrival = (cur_seg, 0 if rev else 1)
-            first, second = ends[arrived]
-            nxt = second if first == arrival else first
-            if nxt == (seg, 0):
-                break
-            cur_seg, cur_end = nxt
-        circles.append(Circle(tuple(steps), base))
-        remaining = sorted(set(graph.segments) - visited, key=_sort_key)
-
+                intervals.append(Interval(tuple(steps), p, arrived))
     intervals.sort(key=lambda iv: _sort_key(min((s for s, _ in iv.steps), key=_sort_key)))
-    circles.sort(key=lambda c: _sort_key(c.steps[0][0]))
+
+    # The least unvisited segment is the least of its circle, so circles
+    # come out in order, each starting at the source of its least segment.
+    circles = []
+    for seg in sorted(graph.segments, key=_sort_key):
+        if seg not in visited:
+            steps, base = walk(seg, 0)
+            circles.append(Circle(tuple(steps), base))
     return GraphDecomposition(tuple(dec_points), tuple(intervals), tuple(circles))
 
 
@@ -382,14 +367,13 @@ class _WorkVertex:
 def _split_working(n: SpinNetwork):
     """Split every edge into one-segment pieces, inserting identity bivalents.
 
-    Returns (edge order, work edges by id, work vertices by point).  Work
+    Returns (work edges by id, in edge order; work vertices by point).  Work
     vertex axes are tagged with (edge id, direction) keys so later passes can
     permute or rewrite them without positional bookkeeping.
     """
     reg = n.graph.registry
     taken = {e.id for e in n.edges}
     wedges: dict = {}
-    order = []
     end_slot: dict = {}
     passing: dict = {}
     for e in n.edges:
@@ -406,7 +390,6 @@ def _split_working(n: SpinNetwork):
         for k, step in enumerate(e.word):
             a, b = _step_endpoints(reg, step)
             wedges[piece_ids[k]] = _WorkEdge(piece_ids[k], [step], a, b, e.spin)
-            order.append(piece_ids[k])
             if k > 0:
                 passing.setdefault(a, []).append(
                     ((piece_ids[k - 1], "in"), (piece_ids[k], "out"), e.spin.dim)
@@ -427,29 +410,27 @@ def _split_working(n: SpinNetwork):
             comps = np.multiply.outer(comps, np.eye(dim, dtype=complex))
             keys.extend([key_in, key_out])
         wverts[p] = _WorkVertex(keys, comps)
-    return order, wedges, wverts
+    return wedges, wverts
 
 
-def _assemble(graph: EmbeddedGraph, order, wedges, wverts) -> SpinNetwork:
-    """Turn working structures back into a SpinNetwork in slot-convention order."""
-    edges = tuple(
-        Edge(wedges[wid].id, tuple(wedges[wid].steps), wedges[wid].source, wedges[wid].target, wedges[wid].spin)
-        for wid in order
-    )
-    spins = {wedges[wid].id: wedges[wid].spin for wid in order}
+def _assemble(graph: EmbeddedGraph, wedges, wverts) -> SpinNetwork:
+    """Turn working structures back into a SpinNetwork.
+
+    The edges follow the order of ``wedges``; each work vertex's axes are
+    permuted from their (edge id, direction) keys into slot-convention order.
+    """
+    edges = tuple(Edge(w.id, tuple(w.steps), w.source, w.target, w.spin) for w in wedges.values())
     vertices = {}
     for p, wv in wverts.items():
-        want = [(w.id, d) for w, d in slot_order([wedges[wid] for wid in order], p)]
-        perm = [wv.keys.index(k) for k in want]
-        comps = np.transpose(wv.comps, perm)
-        legs = tuple((spins[eid], d) for eid, d in want)
-        vertices[p] = Intertwiner(legs, comps)
+        slots = slot_order(edges, p)
+        perm = [wv.keys.index((e.id, d)) for e, d in slots]
+        legs = tuple((e.spin, d) for e, d in slots)
+        vertices[p] = Intertwiner(legs, np.transpose(wv.comps, perm))
     return SpinNetwork(graph, edges, vertices)
 
 
 def _refine(n: SpinNetwork) -> SpinNetwork:
-    order, wedges, wverts = _split_working(n)
-    return _assemble(n.graph, order, wedges, wverts)
+    return _assemble(n.graph, *_split_working(n))
 
 
 def common_refinement(a: SpinNetwork, b: SpinNetwork) -> tuple:
@@ -520,19 +501,22 @@ def canonicalize(n: SpinNetwork) -> SpinNetwork:
     Each decomposition interval becomes a single edge oriented along its
     least segment id, interior bivalent vertices are absorbed (their scalars
     multiply into the interval's target vertex), and each circle keeps one
-    marker bivalent vertex at the source of its least segment.  Webs (words
-    that reuse segments) are rejected: they have no canonical network form.
+    marker bivalent vertex at the source of its least segment.  Each edge is
+    named by the first segment of its piece, as ``decompose`` lists it, and
+    the edges are listed by that id.  Webs (words that reuse segments) are
+    rejected: they have no canonical network form.
     """
     if not n.is_embedded:
         raise InvalidNetworkError(
             "edge words reuse segments; only embedded networks have a canonical form"
         )
-    order, wedges, wverts = _split_working(n)
+    wedges, wverts = _split_working(n)
     seg_to_wid = {w.steps[0][0]: wid for wid, w in wedges.items()}
     dec = decompose(n.graph)
 
+    # Slot keys of merged edges carry a tag until every piece is merged: a
+    # canonical id may equal the id of a work edge not yet merged.
     merged: dict = {}
-    merged_order = []
 
     def align(piece_steps):
         wids = [seg_to_wid[s] for s, _ in piece_steps]
@@ -552,15 +536,12 @@ def canonicalize(n: SpinNetwork) -> SpinNetwork:
     for iv in dec.intervals:
         wids = align(iv.steps)
         lam = absorb_interior(wids)
-        spin = wedges[wids[0]].spin
-        least = iv.steps[0][0]
-        eid = ("#canon", least)
-        merged[eid] = _WorkEdge(eid, iv.steps, iv.start, iv.end, spin)
-        merged_order.append(eid)
+        eid = iv.steps[0][0]
+        merged[eid] = _WorkEdge(eid, iv.steps, iv.start, iv.end, wedges[wids[0]].spin)
         sv = wverts[iv.start]
-        sv.keys[sv.keys.index((wids[0], "out"))] = (eid, "out")
+        sv.keys[sv.keys.index((wids[0], "out"))] = (("#canon", eid), "out")
         tv = wverts[iv.end]
-        tv.keys[tv.keys.index((wids[-1], "in"))] = (eid, "in")
+        tv.keys[tv.keys.index((wids[-1], "in"))] = (("#canon", eid), "in")
         tv.comps = tv.comps * lam
 
     for c in dec.circles:
@@ -569,19 +550,12 @@ def canonicalize(n: SpinNetwork) -> SpinNetwork:
         spin = wedges[wids[0]].spin
         marker = wverts[c.basepoint]
         lam *= _bivalent_scalar(marker, (wids[-1], "in"), (wids[0], "out"))
-        eid = ("#canon", c.steps[0][0])
+        eid = c.steps[0][0]
         merged[eid] = _WorkEdge(eid, c.steps, c.basepoint, c.basepoint, spin)
-        merged_order.append(eid)
-        marker.keys = [(eid, "out"), (eid, "in")]
+        marker.keys = [(("#canon", eid), "out"), (("#canon", eid), "in")]
         marker.comps = lam * np.eye(spin.dim, dtype=complex)
 
-    for eid in merged_order:
-        merged[eid].id = eid[1]
-    final_ids = {}
-    for eid in merged_order:
-        final_ids[eid] = merged[eid].id
     for wv in wverts.values():
-        wv.keys = [(final_ids.get(eid, eid), d) for eid, d in wv.keys]
-    final = {w.id: w for w in merged.values()}
-    final_order = sorted(final, key=_sort_key)
-    return _assemble(n.graph, final_order, final, wverts)
+        wv.keys = [(tag[1], d) for tag, d in wv.keys]
+    ordered = {eid: merged[eid] for eid in sorted(merged, key=_sort_key)}
+    return _assemble(n.graph, ordered, wverts)

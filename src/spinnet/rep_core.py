@@ -47,6 +47,12 @@ __all__ = [
 MAX_TWICE_J = 12
 
 
+def _sort_key(value) -> str:
+    """The one order on user-chosen ids (segments, points, edges) in every
+    layer: by string form, so ``int`` and ``str`` ids sort together."""
+    return str(value)
+
+
 def _check_spin_cap(twice_j: int) -> None:
     if not isinstance(twice_j, (int, np.integer)) or twice_j < 0:
         raise ValueError(f"twice_j must be a nonnegative integer, got {twice_j!r}")

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rep_core import Spin, haar_quaternions, intertwiner_basis, wigner_entries
+from .rep_core import Spin, _sort_key, haar_quaternions, intertwiner_basis, wigner_entries
 
 __all__ = [
     "Leg",
@@ -427,7 +427,8 @@ def mc_expectation(
 ) -> tuple[complex, float]:
     """Monte Carlo estimate of a fully contracted factor network.
 
-    Every variable is drawn independently from Haar measure; the network is
+    Every variable is drawn independently from Haar measure, the variables
+    taking the stream's columns in ``_sort_key`` order; the network is
     evaluated per sample.  Returns (mean, standard error), bit-stable for a
     fixed seed: samples are generated and reduced in fixed-size chunks from
     a counter-based stream.  The network is planned once, for a full chunk,
@@ -443,7 +444,7 @@ def mc_expectation(
     if paired != set(legs_by_id):
         raise ValueError("mc_expectation requires a fully paired (scalar) network")
 
-    variables = sorted({f.variable for f in network.factors})
+    variables = sorted({f.variable for f in network.factors}, key=_sort_key)
     rng = np.random.Generator(np.random.Philox(seed))
     total = 0.0 + 0.0j
     total_sq = 0.0

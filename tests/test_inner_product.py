@@ -296,3 +296,20 @@ def test_mc_inner_product_bit_stable():
     assert first == again
     other = mc_inner_product(a, a, 5000, seed=124)
     assert other != first
+
+
+def test_mc_inner_product_with_mixed_segment_id_types():
+    """Segment ids 1, "u2" and 3 are ordered by their string form, as in
+    every other layer, instead of being compared with each other."""
+    theta = theta_network((1, 1, 2))
+    reg = SegmentRegistry()
+    for sid in (1, "u2", 3):
+        reg.add_segment(sid, "X", "Y")
+    edges = [Edge(e.id, ((sid, False),), "X", "Y", e.spin)
+             for e, sid in zip(theta.edges, (1, "u2", 3))]
+    a = network(reg, edges, theta.vertices)
+    exact = exact_inner_product(a, a)
+    npt.assert_allclose(exact, 1 / 12, atol=1e-12)
+    mean, err = mc_inner_product(a, a, 20000, seed=99)
+    assert err > 0
+    assert abs(mean - exact) < 4 * err

@@ -277,6 +277,62 @@ def test_decompose_disjoint_union():
     assert len(d.circles) == 1
 
 
+def _random_registry(rng):
+    """Random loops, chains through fresh bivalent points and free circles on
+    up to five shared points; segment and point ids mix ``int`` and ``str``."""
+    def name(k, prefix):
+        return k if rng.random() < 0.4 else f"{prefix}{k}"
+
+    reg = SegmentRegistry()
+    hubs = [name(k, "P") for k in range(int(rng.integers(1, 6)))]
+    count = 0
+    for piece in range(int(rng.integers(1, 7))):
+        kind = rng.random()
+        if kind < 0.4:
+            path = [hubs[rng.integers(len(hubs))], hubs[rng.integers(len(hubs))]]
+        elif kind < 0.8:
+            mids = [f"m{piece}.{i}" for i in range(int(rng.integers(1, 4)))]
+            path = [hubs[rng.integers(len(hubs))], *mids, hubs[rng.integers(len(hubs))]]
+        else:
+            ring = [f"c{piece}.{i}" for i in range(int(rng.integers(1, 4)))]
+            path = ring + ring[:1]
+        for a, b in zip(path, path[1:]):
+            if rng.random() < 0.5:
+                a, b = b, a
+            reg.add_segment(name(count, "s"), a, b)
+            count += 1
+    return reg
+
+
+def test_decompose_presentation_on_random_registries():
+    key = str  # the documented order of ids: 10 before 2 before "s1"
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        reg = _random_registry(rng)
+        g = reg.graph(reg.segment_ids)
+        d = decompose(g)
+        assert list(d.points) == sorted((p for p in g.points() if g.degree(p) != 2), key=key)
+        pieces = d.intervals + d.circles
+        seen = [s for piece in pieces for s, _ in piece.steps]
+        assert sorted(seen, key=key) == sorted(g.segments, key=key)
+        for piece in pieces:
+            ends = [reg.endpoints(s)[::-1] if r else reg.endpoints(s) for s, r in piece.steps]
+            for (_, b), (a, _) in zip(ends, ends[1:]):
+                assert a == b and g.degree(a) == 2
+            least = min((s for s, _ in piece.steps), key=key)
+            assert dict(piece.steps)[least] is False
+            if piece in d.intervals:
+                assert (ends[0][0], ends[-1][1]) == (piece.start, piece.end)
+                assert g.degree(piece.start) != 2 and g.degree(piece.end) != 2
+            else:
+                assert piece.steps[0][0] == least
+                assert ends[0][0] == ends[-1][1] == piece.basepoint
+                assert piece.basepoint == reg.endpoints(least)[0]
+        for group in (d.intervals, d.circles):
+            leasts = [key(min((s for s, _ in p.steps), key=key)) for p in group]
+            assert leasts == sorted(leasts)
+
+
 # ---------------------------------------------------------------------------
 # refinement
 
@@ -388,6 +444,40 @@ def test_canonicalize_orients_interval_edges():
     for _ in range(5):
         h = random_holonomies(rng, n)
         npt.assert_allclose(evaluate(c, h), evaluate(n, h), atol=1e-11)
+
+
+def test_canonicalize_with_edge_ids_colliding_with_segment_ids():
+    """Canonical ids are segment ids, here also the ids of other edges: edge
+    u2 runs on the chain u1.u1b, edge u1 on segment u3 and edge u3 on u2
+    against its registry direction.  The chain's slots come first, so its
+    canonical id u1 lands ahead of edge u1's own slots at X and Y."""
+    reg = SegmentRegistry()
+    reg.add_segment("u1", "X", "M")
+    reg.add_segment("u1b", "M", "Y")
+    reg.add_segment("u2", "X", "Y")
+    reg.add_segment("u3", "X", "Y")
+    edges = [
+        Edge("u2", (("u1", False), ("u1b", False)), "X", "Y", ONE),
+        Edge("u1", (("u3", False),), "X", "Y", HALF),
+        Edge("u3", (("u2", True),), "Y", "X", HALF),
+    ]
+    vertices = {
+        "X": intertwiner_basis(((ONE, "out"), (HALF, "out"), (HALF, "in")))[0],
+        "Y": intertwiner_basis(((ONE, "in"), (HALF, "in"), (HALF, "out")))[0],
+    }
+    n = network(reg, edges, vertices)
+    c = canonicalize(n)
+    assert [(e.id, e.word, e.source, e.target, e.spin) for e in c.edges] == [
+        ("u1", (("u1", False), ("u1b", False)), "X", "Y", ONE),
+        ("u2", (("u2", False),), "X", "Y", HALF),
+        ("u3", (("u3", False),), "X", "Y", HALF),
+    ]
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        h = random_holonomies(rng, n)
+        npt.assert_allclose(evaluate(c, h), evaluate(n, h), atol=1e-12)
+        npt.assert_allclose(evaluate(c, h), naive_evaluate(n, h), atol=1e-12)
+    assert canonicalize(c) == c
 
 
 def test_canonicalize_random_networks_preserve_value():
