@@ -46,6 +46,10 @@ __all__ = [
 # module-level knob; everything downstream stays desk-scale under it.
 MAX_TWICE_J = 12
 
+# Largest array, in complex elements, the package builds from one input:
+# 2**26 elements of 16 bytes is 1 GiB.
+_MAX_ELEMENTS = 2**26
+
 
 def _sort_key(value) -> str:
     """The one order on user-chosen ids (segments, points, edges) in every
@@ -187,7 +191,9 @@ def wigner_entries(twice_j: int, quats: np.ndarray) -> np.ndarray:
 
     Returns
     -------
-    array with shape (..., twice_j + 1, twice_j + 1), complex
+    array with shape (..., twice_j + 1, twice_j + 1), complex.  It is a view
+    of storage with the matrix axes first, so that each entry is written
+    contiguously; moving the axes back to (row, col, ...) needs no copy.
     """
     _check_spin_cap(twice_j)
     quats = np.asarray(quats, dtype=float)
@@ -203,14 +209,14 @@ def wigner_entries(twice_j: int, quats: np.ndarray) -> np.ndarray:
         for _ in range(n):
             p.append(p[-1] * base)
         pows[name] = p
-    out = np.zeros(quats.shape[:-1] + (n + 1, n + 1), dtype=complex)
+    out = np.zeros((n + 1, n + 1) + quats.shape[:-1], dtype=complex)
     pa, pb, pc, pd = pows["a"], pows["b"], pows["c"], pows["d"]
     for kp, k, tl in _wigner_terms(n):
         acc = 0.0
         for coeff, ea, eb, ec, ed in tl:
             acc = acc + coeff * (pa[ea] * pb[eb] * pc[ec] * pd[ed])
-        out[..., kp, k] = acc
-    return out
+        out[kp, k] = acc
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def wigner_matrix(spin: Spin, g: GroupElement) -> WignerMatrix:
@@ -319,12 +325,44 @@ def invariant_vectors(twice_js: Sequence[int]) -> list[np.ndarray]:
     Built by left-comb binary coupling: legs are coupled in order through
     all admissible intermediate spins, keeping the branches that end at
     total spin zero.  Returns a list of arrays with one axis per leg.
+
+    Raises
+    ------
+    ValueError
+        If the basis would hold more than ``_MAX_ELEMENTS`` elements; the
+        vectors are counted before any is built.
     """
     tjs = tuple(int(t) for t in twice_js)
     for t in tjs:
         _check_spin_cap(t)
     if len(tjs) == 0:
         return [np.ones((), dtype=complex)]
+    if sum(tjs) % 2:
+        return []
+    # Spins couple to zero only when the largest is at most the sum of the
+    # others.  An intermediate spin that breaks this with the legs still to
+    # come (rest[k]: their total after leg k, big[k]: their largest) can
+    # never close, so its branch is skipped: every kept branch ends in a
+    # vector, and no partial array is larger than one vector.
+    rest = [sum(tjs[k + 1:]) for k in range(len(tjs))]
+    big = [max(tjs[k + 1:], default=0) for k in range(len(tjs))]
+
+    def branches(k: int, tja: int) -> range:
+        tjb, r, b = tjs[k + 1], rest[k + 1], big[k + 1]
+        return range(max(abs(tja - tjb), 2 * b - r), min(tja + tjb, r) + 1, 2)
+
+    @lru_cache(maxsize=None)
+    def count(k: int, tja: int) -> int:
+        if k == len(tjs) - 1:
+            return int(tja == 0)
+        return sum(count(k + 1, tjc) for tjc in branches(k, tja))
+
+    size = count(0, tjs[0]) * math.prod(t + 1 for t in tjs)
+    if size > _MAX_ELEMENTS:
+        raise ValueError(
+            f"the invariant basis of twice_js {list(tjs)} has {count(0, tjs[0])} vectors, "
+            f"{size} elements in all, over the limit of {_MAX_ELEMENTS}"
+        )
     vecs: list[np.ndarray] = []
     start = np.eye(tjs[0] + 1, dtype=complex)
 
@@ -333,9 +371,8 @@ def invariant_vectors(twice_js: Sequence[int]) -> list[np.ndarray]:
             if tja == 0:
                 vecs.append(np.ascontiguousarray(partial[..., 0]))
             return
-        tjb = tjs[k + 1]
-        for tjc in range(abs(tja - tjb), tja + tjb + 1, 2):
-            cg = _cg_tensor(tja, tjb, tjc)
+        for tjc in branches(k, tja):
+            cg = _cg_tensor(tja, tjs[k + 1], tjc)
             couple(k + 1, tjc, np.einsum("...a,abc->...bc", partial, cg))
 
     couple(0, tjs[0], start)

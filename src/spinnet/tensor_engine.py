@@ -10,12 +10,17 @@ Two evaluation paths share one bookkeeping scheme:
   network is contracted numerically per sample (``mc_expectation``).
 
 Both contract through one engine.  A planner, which sees only leg ids, dims
-and which operands carry a leading per-sample batch axis, fixes a greedy
-pairwise order once and rejects a plan whose largest intermediate is over a
-fixed budget before any array is allocated.  An executor then runs each
-pairwise step as one ``matmul`` on transposed, reshaped operands, and each
-single-operand trace as a ``diagonal`` and a ``sum``, so the number of legs
-in a step is not limited.
+and which operands carry a per-sample batch axis, fixes a greedy pairwise
+order once, picks a kernel for each step and rejects a plan whose largest
+intermediate is over a fixed budget before any array is allocated.  An
+executor then runs each step on transposed, reshaped operands, so the number
+of legs in a step is not limited.  Unbatched steps, which are all the steps
+of an exact contraction, are one ``matmul`` each.  Batched operands keep the
+sample axis last: a small batched step is a multiply-add over its inner axis
+across all samples at once, and a larger one a ``matmul``, stacked or with
+the samples folded in, because a stacked ``matmul`` pays a dispatch per
+sample that dominates tiny matrices.  A single-operand trace is a
+``diagonal`` and a ``sum``.
 
 Legs carry (id, spin, variance); contraction only joins a ket leg to a bra
 leg of equal spin.  A ``GroupFactor`` names one matrix element
@@ -33,7 +38,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .rep_core import Spin, _sort_key, haar_quaternions, intertwiner_basis, wigner_entries
+from .rep_core import (
+    _MAX_ELEMENTS, Spin, _sort_key, haar_quaternions, intertwiner_basis, wigner_entries,
+)
 
 __all__ = [
     "Leg",
@@ -111,19 +118,28 @@ class FactorNetwork:
 # contraction core
 
 # Largest intermediate a contraction plan may create, in complex elements and
-# counting the batch axis: 2**26 elements of 16 bytes is 1 GiB.
-_MAX_INTERMEDIATE = 2**26
+# counting the batch axis: the package-wide array budget.
+_MAX_INTERMEDIATE = _MAX_ELEMENTS
+
+# Largest rows * inner * cols of a batched step that runs as a multiply-add
+# over the inner axis instead of a stacked matmul, which pays a dispatch per
+# sample; chosen from per-step timings of the Monte Carlo plans.
+_MADD_MAX = 64
 
 
 @dataclass(frozen=True)
 class _Step:
     """One pairwise step of a plan.
 
-    Slot ``a`` is transposed by ``perm_a`` to [batch?, free..., contracted...]
-    and slot ``b`` by ``perm_b`` to [batch?, contracted..., free...], so the
-    step is one (rows x inner) @ (inner x cols) product.  ``b`` is None for a
-    trace, which orders ``a`` as [batch?, free..., first legs..., partners...].
-    ``dims`` is the unbatched shape of the result.
+    A batched operand is stored with its per-sample axis last.  ``perm_a``
+    transposes slot ``a`` to [free..., contracted...] and ``perm_b`` slot
+    ``b`` to [contracted..., free...], so the step is one (rows x inner) @
+    (inner x cols) product per sample; each perm also places the sample axis
+    where ``kernel`` wants it.  ``kernel`` is "madd" (a multiply-add over the
+    inner axis, sample axis last, on small batched steps), "matmul" (sample
+    axis leading when ``a`` is batched, else folded into the columns) or
+    "trace" (``b`` is None, ``a`` ordered [free..., first legs...,
+    partners..., sample?]).  ``dims`` is the unbatched shape of the result.
     """
 
     a: int
@@ -136,6 +152,7 @@ class _Step:
     inner: int
     cols: int
     dims: tuple[int, ...]
+    kernel: str
 
 
 @dataclass(frozen=True)
@@ -143,11 +160,14 @@ class _Plan:
     """Pairwise contraction order for fixed legs, dims and batched flags.
 
     Slots 0..n-1 hold the n operands and step k writes slot n+k; the result
-    is the last slot, with legs ``legs``.
+    is the last slot, with legs ``legs``.  ``sample_first`` holds the batched
+    slots that a step reads with the sample axis leading; an operand stored
+    that way needs no copy to be read.
     """
 
     steps: tuple[_Step, ...]
     legs: tuple
+    sample_first: frozenset[int]
 
 
 def _plan(
@@ -155,7 +175,7 @@ def _plan(
     pairs: Sequence[tuple], batch: int = 1,
 ) -> _Plan:
     """Greedy pairwise plan over operands given only by leg ids, dims and
-    whether they carry a leading batch axis of length ``batch``.
+    whether they carry a per-sample batch axis of length ``batch``.
 
     Each round takes the step with the smallest result, counting a batched
     result of n elements as ``batch`` * n; disconnected remainders are then
@@ -165,6 +185,7 @@ def _plan(
     live = {i: (list(l), list(d), bool(b)) for i, (l, d, b) in enumerate(zip(legs, dims, batched))}
     pairs = [tuple(p) for p in pairs]
     steps = []
+    sample_first = set()
 
     def add_step(ia, ib, plist):
         la, da, ba = live.pop(ia)
@@ -181,6 +202,7 @@ def _plan(
         free_b = [k for k in range(len(lb)) if k not in con_b]
         out_dims = [da[k] for k in free_a] + [db[k] for k in free_b]
         rows = prod(da[k] for k in free_a)
+        inner = prod(da[k] for k in con_a[: len(plist)])
         cols = prod(db[k] for k in free_b)
         size = rows * cols * (batch if ba or bb else 1)
         if size > _MAX_INTERMEDIATE:
@@ -188,11 +210,21 @@ def _plan(
                 f"contraction needs an intermediate of {size} elements, over the "
                 f"limit of {_MAX_INTERMEDIATE} ({_MAX_INTERMEDIATE * 16 >> 20} MiB)"
             )
+        if ia == ib:
+            kernel = "trace"
+        elif (ba or bb) and rows * inner * cols <= _MADD_MAX:
+            kernel = "madd"
+        else:
+            kernel = "matmul"
+        # the sample axis, stored last, leads only for a matmul on a batched a
+        lead = kernel == "matmul" and ba
+        if lead:
+            sample_first.update([ia, ib] if bb else [ia])
         steps.append(_Step(
             ia, None if ia == ib else ib, ba, bb,
-            tuple([0] * ba + [k + ba for k in free_a + con_a]),
-            tuple([0] * bb + [k + bb for k in con_b + free_b]),
-            rows, prod(da[k] for k in con_a[: len(plist)]), cols, tuple(out_dims),
+            tuple([len(la)] * lead + free_a + con_a + [len(la)] * (ba and not lead)),
+            tuple([len(lb)] * (bb and lead) + con_b + free_b + [len(lb)] * (bb and not lead)),
+            rows, inner, cols, tuple(out_dims), kernel,
         ))
         out_legs = [la[k] for k in free_a] + [lb[k] for k in free_b]
         live[len(legs) + len(steps) - 1] = (out_legs, out_dims, ba or bb)
@@ -222,35 +254,48 @@ def _plan(
         add_step(acc, ib, [])
         acc = len(legs) + len(steps) - 1
     (out_legs, _, _), = live.values()
-    return _Plan(tuple(steps), tuple(out_legs))
+    return _Plan(tuple(steps), tuple(out_legs), frozenset(sample_first))
 
 
 def _execute(plan: _Plan, arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Run a plan; batched arrays share a leading batch axis of any length.
+    """Run a plan; batched arrays share a trailing sample axis of any length.
 
-    Each two-operand step is one ``matmul``: stacked when both operands are
-    batched, with the batch folded into the rows when only ``a`` is,
-    broadcast when only ``b`` is, and an outer product when nothing is
+    A step runs the kernel the plan chose for it.  "madd" accumulates
+    ``x[:, q, None] * y[None, q]`` over the inner index q on sample-last
+    operands, a constant operand broadcasting along a length-1 sample axis.
+    "matmul" is one matrix product: stacked when both operands are batched,
+    with the samples folded into the rows when only ``a`` is and into the
+    columns when only ``b`` is, and an outer product when nothing is
     contracted (inner = 1).  A trace is a ``diagonal`` and a ``sum``.
+    Unbatched steps are always plain matmuls and traces.
     """
     slots = list(arrays)
     for st in plan.steps:
         a, slots[st.a] = slots[st.a], None
-        m = a.shape[:1] if st.batched_a else ()
+        m = a.shape[-1:] if st.batched_a else ()
         x = a.transpose(st.perm_a)
         if st.b is None:
-            x = x.reshape(m + (st.rows, st.inner, st.inner))
-            out = x.diagonal(axis1=-2, axis2=-1).sum(-1)
+            x = x.reshape((st.rows, st.inner, st.inner) + m)
+            out = x.diagonal(axis1=1, axis2=2).sum(-1)
         else:
             b, slots[st.b] = slots[st.b], None
-            n = b.shape[:1] if st.batched_b else ()
-            y = b.transpose(st.perm_b).reshape(n + (st.inner, st.cols))
-            if m and not n:
-                out = x.reshape(-1, st.inner) @ y
+            m = m or (b.shape[-1:] if st.batched_b else ())
+            y = b.transpose(st.perm_b)
+            if st.kernel == "madd":
+                x = x.reshape(st.rows, st.inner, -1)
+                y = y.reshape(st.inner, st.cols, -1)
+                out = x[:, 0, None] * y[None, 0]
+                for q in range(1, st.inner):
+                    out += x[:, q, None] * y[None, q]
+            elif st.batched_a:
+                if st.batched_b:
+                    out = x.reshape(m + (st.rows, st.inner)) @ y.reshape(m + (st.inner, st.cols))
+                else:
+                    out = x.reshape(-1, st.inner) @ y.reshape(st.inner, st.cols)
+                out = np.moveaxis(out.reshape(m + st.dims), 0, -1)
             else:
-                out = x.reshape(m + (st.rows, st.inner)) @ y
-            m = m or n
-        slots.append(out.reshape(m + st.dims))
+                out = x.reshape(st.rows, st.inner) @ y.reshape(st.inner, -1)
+        slots.append(out.reshape(st.dims + m))
     return slots[-1]
 
 
@@ -401,19 +446,27 @@ def haar_factored(factors: Sequence[GroupFactor], key) -> tuple:
 # Monte Carlo
 
 def _factor_arrays(
-    factors: Sequence[GroupFactor], quats_by_var: dict[str, np.ndarray]
+    factors: Sequence[GroupFactor], quats_by_var: dict[str, np.ndarray],
+    leading: Sequence[bool],
 ) -> list[np.ndarray]:
-    """Per-sample matrices for each factor, reusing one Wigner build per
-    (variable, spin)."""
-    base: dict[tuple[str, int], np.ndarray] = {}
+    """Per-sample matrices for each factor, shape (row, col, sample), reusing
+    one Wigner build per (variable, spin, layout).  A factor flagged in
+    ``leading`` is stored sample-first (see ``_Plan.sample_first``), the
+    others sample-last."""
+    base: dict[tuple[str, int, bool], np.ndarray] = {}
     out = []
-    for f in factors:
-        key = (f.variable, f.spin.twice_j)
+    for f, lead in zip(factors, leading):
+        key = (f.variable, f.spin.twice_j, lead)
         if key not in base:
-            base[key] = wigner_entries(f.spin.twice_j, quats_by_var[f.variable])
+            # wigner_entries returns a sample-first view of (row, col,
+            # sample) storage; moving the axes back gives the storage
+            entries = wigner_entries(f.spin.twice_j, quats_by_var[f.variable])
+            if lead:
+                entries = np.ascontiguousarray(entries)
+            base[key] = np.moveaxis(entries, (-2, -1), (0, 1))
         arr = base[key]
         if f.inverted:
-            arr = np.swapaxes(arr, -1, -2)
+            arr = np.swapaxes(arr, 0, 1)
             if not f.conjugated:
                 arr = np.conj(arr)
         elif f.conjugated:
@@ -432,8 +485,8 @@ def mc_expectation(
     evaluated per sample.  Returns (mean, standard error), bit-stable for a
     fixed seed: samples are generated and reduced in fixed-size chunks from
     a counter-based stream.  The network is planned once, for a full chunk,
-    and the plan runs on every chunk with the sample axis leading; a plan
-    over the size budget raises ValueError before any sample is drawn.
+    and the plan runs on every chunk with the sample axis last; a plan over
+    the size budget raises ValueError before any sample is drawn.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
@@ -460,11 +513,13 @@ def mc_expectation(
         batch=min(MC_CHUNK, n_samples),
     )
     constants = [np.asarray(t.data, complex) for t in network.tensors]
+    leading = [k in plan.sample_first for k in range(factor_count)]
     while remaining > 0:
         m = min(MC_CHUNK, remaining)
         quats = haar_quaternions(rng, (m, len(variables)))
         quats_by_var = {v: quats[:, i, :] for i, v in enumerate(variables)}
-        result = _execute(plan, _factor_arrays(network.factors, quats_by_var) + constants)
+        result = _execute(
+            plan, _factor_arrays(network.factors, quats_by_var, leading) + constants)
         values = result if factor_count else np.full(m, complex(result))
         total += values.sum()
         total_sq += float((np.abs(values) ** 2).sum())

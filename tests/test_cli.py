@@ -104,6 +104,23 @@ def test_eval_missing_file_is_exit_2(docs, capsys, tmp_path):
     assert cap.out == ""
 
 
+def test_oversized_basis_vertex_is_exit_2(tmp_path, capsys):
+    """Five spin-3/2 loops at one point give a ten-leg vertex whose invariant
+    basis is far over the size budget; reading the document fails fast."""
+    doc = {
+        "segments": [{"id": f"s{k}", "source": "P", "target": "P"} for k in range(5)],
+        "edges": [{"id": f"e{k}", "word": [f"s{k}"], "source": "P", "target": "P",
+                   "twice_j": 3} for k in range(5)],
+        "intertwiners": {"P": {"kind": "basis", "index": 0}},
+    }
+    path = tmp_path / "bouquet.json"
+    path.write_text(dumps_document(doc))
+    code, _, cap = run(capsys, ["ip", str(path), str(path)])
+    assert code == 2
+    assert "limit" in cap.err
+    assert cap.out == ""
+
+
 def test_ip_exact_theta(docs, capsys):
     code, report, _ = run(capsys, ["ip", docs["theta"], docs["theta"]])
     assert code == 0

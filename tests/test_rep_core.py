@@ -1,6 +1,9 @@
 """Representation-theory layer: group arithmetic, Wigner matrices,
 coupling coefficients, dual conjugators, invariant subspaces."""
 
+import itertools
+import time
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -20,6 +23,7 @@ from spinnet import (
     transform_intertwiner,
     Intertwiner,
 )
+from spinnet.rep_core import _MAX_ELEMENTS, _cg_tensor, haar_quaternions
 from helpers import character, haar_element
 
 
@@ -115,6 +119,21 @@ def test_wigner_entries_batch_matches_scalar(rng):
         npt.assert_allclose(batch[k], wig(3, GroupElement.from_array(q[k])), atol=1e-12)
 
 
+def test_wigner_entries_batch_layout_keeps_bits():
+    """A batch of any shape gives, bit for bit, the matrices of each
+    quaternion taken as a batch of one.  (A bare (4,) quaternion runs through
+    numpy's scalar arithmetic and may differ in the last bit.)"""
+    q = haar_quaternions(np.random.default_rng(31), (5, 7))
+    for tj in range(13):
+        batch = wigner_entries(tj, q)
+        assert batch.shape == (5, 7, tj + 1, tj + 1)
+        for i, j in itertools.product(range(5), range(7)):
+            one = wigner_entries(tj, q[i, j][None])
+            assert one.shape == (1, tj + 1, tj + 1)
+            assert np.array_equal(batch[i, j], one[0])
+        npt.assert_allclose(batch[2, 3], wigner_entries(tj, q[2, 3]), atol=1e-14)
+
+
 def test_spin_half_determinant(rng):
     g = haar_sample(rng)
     npt.assert_allclose(np.linalg.det(wig(1, g)), 1.0, atol=1e-12)
@@ -201,6 +220,58 @@ def test_invariant_vectors_orthonormal_and_fixed(rng):
     for v in vecs:
         rotated = np.einsum("ae,bf,cg,dh,efgh->abcd", d, d, d, d, v)
         npt.assert_allclose(rotated, v, atol=1e-10)
+
+
+def _unpruned_invariant_vectors(tjs):
+    """Left-comb coupling through every admissible intermediate spin, with no
+    branch skipped: the reference for the pruned builder."""
+    vecs = []
+
+    def couple(k, tja, partial):
+        if k == len(tjs) - 1:
+            if tja == 0:
+                vecs.append(np.ascontiguousarray(partial[..., 0]))
+            return
+        tjb = tjs[k + 1]
+        for tjc in range(abs(tja - tjb), tja + tjb + 1, 2):
+            couple(k + 1, tjc, np.einsum("...a,abc->...bc", partial, _cg_tensor(tja, tjb, tjc)))
+
+    couple(0, tjs[0], np.eye(tjs[0] + 1, dtype=complex))
+    return vecs
+
+
+def test_invariant_vectors_pruning_keeps_order_and_bits():
+    """Skipping intermediate spins that cannot close at zero drops only dead
+    branches: every spin list of up to five legs (dimension <= 96) gives the
+    same vectors, in the same order, bit for bit."""
+    checked = 0
+    for n in range(1, 6):
+        for tjs in itertools.product(range(5), repeat=n):
+            if np.prod([t + 1 for t in tjs]) > 96:
+                continue
+            got, want = invariant_vectors(tjs), _unpruned_invariant_vectors(tjs)
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            checked += 1
+    assert checked > 1000
+
+
+def test_invariant_vectors_odd_total_spin_is_empty():
+    assert invariant_vectors((3,) * 7) == []
+    assert invariant_vectors((1, 2, 2)) == []
+
+
+def test_invariant_vectors_size_guard_fails_fast():
+    """Ten spin-3/2 legs have 4269 invariants of 4**10 elements each, far
+    over the budget: the count is taken before anything is built."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="4269 vectors"):
+        invariant_vectors((3,) * 10)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="limit"):
+        intertwiner_basis([(Spin(3), "out")] * 5 + [(Spin(3), "in")] * 5)
+    # just under the budget still builds
+    assert len(invariant_vectors((3,) * 6)) * 4**6 <= _MAX_ELEMENTS
 
 
 def test_intertwiner_basis_gauge_fixed_points(rng):

@@ -496,3 +496,147 @@ def test_mc_plans_once_per_call(monkeypatch):
     net, _, _, _ = _oracle_network()
     mc_expectation(net, 2 * MC_CHUNK + 5, seed=1)
     assert calls == [MC_CHUNK]
+
+
+def _two_kernel_network():
+    """Five factors of two variables around three constants, shaped so that
+    the chunk plan mixes both kernels in every way the next test checks.
+    Factor 4 is traced on its own."""
+    rng = np.random.default_rng(19)
+    specs = [("g", 1, False, False), ("h", 2, False, True), ("g", 1, True, False),
+             ("h", 3, False, False), ("g", 2, True, True)]
+    factors = [factor(v, tj, f"r{k}", f"c{k}", conjugated=c, inverted=i)
+               for k, (v, tj, c, i) in enumerate(specs)]
+    dim, variance = {}, {}
+    for f in factors:
+        for leg, v in zip((f.row_leg, f.col_leg), f.leg_variances()):
+            dim[leg], variance[leg] = f.spin.dim, v
+    flip = {"ket": "bra", "bra": "ket"}
+    # each constant is given by the factor legs it is paired with
+    attach = [("r2", "r1", "r3"), ("r0",), ("c1", "c3", "c2", "c0")]
+    tensors = []
+    for n, legs in enumerate(attach):
+        shape = tuple(dim[l] for l in legs)
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        tensors.append(lt(f"t{n}_", data, tuple(flip[variance[l]] for l in legs)))
+    pairings = [("r4", "c4")] + [(l, f"t{n}_{k}") for n, legs in enumerate(attach)
+                                 for k, l in enumerate(legs)]
+    return FactorNetwork(tuple(factors), tuple(tensors), tuple(pairings))
+
+
+def _mc_plan(net, batch):
+    return te._plan(
+        [[f.row_leg, f.col_leg] for f in net.factors] + [[l.id for l in t.legs] for t in net.tensors],
+        [[f.spin.dim] * 2 for f in net.factors] + [[l.spin.dim for l in t.legs] for t in net.tensors],
+        [True] * len(net.factors) + [False] * len(net.tensors), net.pairings, batch=batch)
+
+
+def test_mc_two_kernel_plan_matches_per_sample_oracle():
+    """The chunk plan mixes multiply-adds and matmuls; every sample of it
+    agrees with a per-sample einsum over the same Philox draws."""
+    net = _two_kernel_network()
+    plan = _mc_plan(net, MC_CHUNK)
+    n_in = len(net.factors) + len(net.tensors)
+    made_by = {}
+    seen = set()
+    for k, st in enumerate(plan.steps):
+        if st.kernel == "trace" and st.batched_a:
+            seen.add("batched trace")
+        if st.kernel == "madd":
+            seen.add("madd")
+            if st.batched_a != st.batched_b:
+                seen.add("constant b" if st.batched_a else "constant a")
+        if st.kernel == "matmul" and (st.batched_a or st.batched_b):
+            seen.add("batched matmul")
+        for src in (st.a, st.b):
+            if made_by.get(src) == "madd" and st.kernel == "matmul":
+                seen.add("madd -> matmul")
+            if made_by.get(src) == "matmul" and st.kernel == "madd":
+                seen.add("matmul -> madd")
+        made_by[n_in + k] = st.kernel
+    assert seen == {"batched trace", "madd", "constant a", "constant b", "batched matmul",
+                    "madd -> matmul", "matmul -> madd"}
+
+    n, seed = 300, 29
+    mean, err = mc_expectation(net, n, seed)
+    rng = np.random.Generator(np.random.Philox(seed))
+    quats = haar_quaternions(rng, (n, 2))  # variables in sorted order: g, h
+    label = {}
+    for a, b in net.pairings:
+        label[a] = label[b] = len(label) // 2
+    inverse = np.array([1.0, -1.0, -1.0, -1.0])
+    values = []
+    for q in quats:
+        operands = []
+        for f in net.factors:
+            qv = q[0] if f.variable == "g" else q[1]
+            mat = wigner_entries(f.spin.twice_j, (qv * inverse if f.inverted else qv)[None])[0]
+            operands += [mat.conj() if f.conjugated else mat, [label[f.row_leg], label[f.col_leg]]]
+        for t in net.tensors:
+            operands += [t.data, [label[l.id] for l in t.legs]]
+        values.append(np.einsum(*operands, []))
+    values = np.array(values)
+    want = values.mean()
+    assert abs(mean - want) <= 1e-12 * max(1.0, abs(want))
+    npt.assert_allclose(err, np.std(values, ddof=1) / np.sqrt(n), rtol=1e-9)
+    # and sample by sample, through the executor
+    batch_plan = _mc_plan(net, n)
+    quats_by_var = {"g": quats[:, 0], "h": quats[:, 1]}
+    leading = [k in batch_plan.sample_first for k in range(5)]
+    assert any(leading) and not all(leading)
+    arrays = te._factor_arrays(net.factors, quats_by_var, leading)
+    got = te._execute(batch_plan, arrays + [t.data for t in net.tensors])
+    npt.assert_allclose(got, values, rtol=0, atol=1e-12 * max(1.0, np.abs(values).max()))
+
+
+def test_contract_plans_never_multiply_add(monkeypatch):
+    """Exact contractions have no batched operand, so every step of their
+    plans is a matmul or a trace, however small."""
+    kernels = set()
+    real = te._contract_plan
+
+    def recording(*args):
+        plan = real(*args)
+        kernels.update(st.kernel for st in plan.steps)
+        return plan
+
+    monkeypatch.setattr(te, "_contract_plan", recording)
+    rng = np.random.default_rng(37)
+    mats = [lt(f"m{k}", rng.standard_normal((2, 2)), ("ket", "bra")) for k in range(3)]
+    contract(mats, [("m01", "m10"), ("m11", "m20"), ("m21", "m00")])
+    contract(mats[:1], [("m00", "m01")])
+    contract(mats[:2], [])
+    cycle = cycle_network(np.random.default_rng(3), 3)
+    exact_inner_product(cycle, cycle)
+    assert "matmul" in kernels and "trace" in kernels
+    assert kernels <= {"matmul", "trace"}
+
+
+@pytest.mark.parametrize("shape_a, shape_b, batched_a, batched_b, kernel", [
+    ((2, 3), (3, 4), True, True, "madd"),
+    ((2, 3), (3, 4), False, True, "madd"),
+    ((2, 3), (3, 4), True, False, "madd"),
+    ((8, 3), (3, 8), True, True, "matmul"),
+    ((8, 3), (3, 8), False, True, "matmul"),
+    ((8, 3), (3, 8), True, False, "matmul"),
+])
+def test_execute_one_step_per_kernel_and_batch_placement(shape_a, shape_b, batched_a,
+                                                         batched_b, kernel):
+    """One pairwise step, sample axis last on each batched operand, against a
+    per-sample einsum: each kernel with either or both operands batched."""
+    rng = np.random.default_rng(41)
+    m = 5
+
+    def rand(shape, batched):
+        shape = shape + (m,) * batched
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a, b = rand(shape_a, batched_a), rand(shape_b, batched_b)
+    plan = te._plan([["i", "k"], ["k2", "j"]], [shape_a, shape_b], [batched_a, batched_b],
+                    [("k", "k2")], batch=m)
+    (st,) = plan.steps
+    assert st.kernel == kernel
+    got = te._execute(plan, [a, b])
+    want = np.einsum("ik" + "s" * batched_a + ",kj" + "s" * batched_b + "->ijs", a, b)
+    assert plan.legs == ("i", "j")
+    npt.assert_allclose(got, want, rtol=0, atol=1e-12)
