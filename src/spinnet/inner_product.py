@@ -5,29 +5,40 @@ segment: each edge contributes the Wigner matrix of its holonomy (the
 ordered product of segment elements along the edge word) and the vertex
 intertwiners contract matrix rows into "in" slots and columns into "out"
 slots.  Under the uniform measure the segment variables are independent and
-Haar distributed, so inner products reduce to one Haar projector per
-segment; :func:`exact_inner_product` performs that contraction exactly, with
-each projector in factored form, and :func:`mc_inner_product` estimates the
-same integral by sampling.
+Haar distributed, so the inner product <a, b> is the Haar integral of
+conj(state_a) * state_b.
+
+:func:`exact_inner_product` integrates it exactly: both states are
+re-expressed on single-segment edges (their common refinement) and each
+segment's Haar projector is contracted in factored form.
+:func:`mc_inner_product` estimates it by sampling: each state is evaluated
+on its own edges, batched over a chunk of samples, and the sample mean of
+conj(state_a) * state_b is taken.  :func:`evaluate` is the one-sample case
+of that evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
 from .network_model import InvalidNetworkError, SpinNetwork, _sort_key, common_refinement
-from .rep_core import GroupElement, Spin, inverse, multiply, wigner_matrix
+from .rep_core import GroupElement, _quat_product, inverse, multiply
 from .tensor_engine import (
-    FactorNetwork,
+    MC_CHUNK,
     GroupFactor,
     LabeledTensor,
     Leg,
+    _factor_arrays,
+    _execute,
+    _mc_mean,
+    _plan,
+    _Plan,
     contract,
     haar_factored,
-    mc_expectation,
 )
 
 
@@ -72,17 +83,87 @@ def evaluate(n: SpinNetwork, h) -> complex:
 
     Each edge contributes D^j(holonomy); its row index is contracted with the
     "in" slot at the edge's target and its column index with the "out" slot
-    at its source.
+    at its source.  This is the one-sample case of the batched evaluator
+    that :func:`mc_inner_product` runs on every chunk.
     """
     h = _coerce_holonomies(h)
     missing = sorted((s for s in n.graph.segments if s not in h), key=_sort_key)
     if missing:
         raise InvalidNetworkError(f"holonomy assignment missing segments {missing!r}")
+    quats = {s: h[s].as_array()[None] for s in n.graph.segments}
+    value, = _state_values([_prepared_state(n, 1)], quats)
+    return complex(value[0])
+
+
+# Distinct state shapes whose evaluation plans are kept.
+_STATE_PLAN_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_STATE_PLAN_CACHE_SIZE)
+def _state_plan(legs: tuple, dims: tuple, pairs: tuple, n_edges: int, batch: int) -> _Plan:
+    """The plan evaluating one state shape on ``batch`` samples at once; the
+    first ``n_edges`` operands are per-sample edge matrices, the rest vertex
+    tensors."""
+    return _plan(legs, dims, [True] * n_edges + [False] * (len(legs) - n_edges), pairs, batch)
+
+
+def _oriented(word) -> tuple[tuple, bool]:
+    """The word or its inverse, whichever sorts first, and whether it is the
+    inverse.  D(g^-1) = D(g)^dagger, so both share one holonomy and one
+    Wigner build."""
+    inv = tuple((s, not r) for s, r in reversed(word))
+    flipped = [(_sort_key(s), r) for s, r in inv] < [(_sort_key(s), r) for s, r in word]
+    return (inv if flipped else word), flipped
+
+
+def _prepared_state(n: SpinNetwork, batch: int) -> tuple:
+    """(plan, edge factors, vertex arrays) evaluating ``n`` on ``batch``
+    samples at once.  Each edge is a factor whose variable is its oriented
+    word; the plan is checked against the size budget here, before any
+    sample exists."""
     edges, tensors, pairings = _side_tensors(n, "N", conjugate=False)
-    mats = [LabeledTensor((Leg(row, e.spin, "ket"), Leg(col, e.spin, "bra")),
-                          wigner_matrix(e.spin, edge_holonomy(h, e.word)).entries)
-            for e, row, col in edges]
-    return complex(contract(mats + tensors, pairings).data)
+    factors = []
+    for e, row, col in edges:
+        word, inverted = _oriented(e.word)
+        factors.append(GroupFactor(word, e.spin, conjugated=False, inverted=inverted,
+                                   row_leg=row, col_leg=col))
+    plan = _state_plan(
+        tuple((row, col) for _, row, col in edges) + tuple(tuple(l.id for l in t.legs) for t in tensors),
+        tuple((e.spin.dim,) * 2 for e, _, _ in edges) + tuple(t.data.shape for t in tensors),
+        tuple(pairings), len(edges), batch)
+    return plan, factors, [np.asarray(t.data, complex) for t in tensors]
+
+
+def _word_holonomy(quats: Mapping, word) -> np.ndarray:
+    """Batched ``edge_holonomy``: the (m, 4) quaternions of a word's holonomy
+    from (m, 4) quaternions per segment, the product of the steps rightmost
+    first with a reversed step conjugated."""
+    if len(word) == 1 and not word[0][1]:
+        return quats[word[0][0]]
+    total = None
+    for segment, rev in word:
+        w, x, y, z = quats[segment].T
+        g = (w, -x, -y, -z) if rev else (w, x, y, z)
+        total = g if total is None else _quat_product(g, total)
+    return np.stack(total, axis=-1)
+
+
+def _state_values(states, quats: Mapping) -> list[np.ndarray]:
+    """Values of prepared states on one batch of (m, 4) quaternions per
+    segment, one (m,) array per state.  Each distinct word's holonomy and
+    each distinct (word, spin) Wigner matrix is built once, for all states."""
+    factors = [f for _, fs, _ in states for f in fs]
+    leading = [k in plan.sample_first for plan, fs, _ in states for k in range(len(fs))]
+    holonomies: dict = {}
+    for f in factors:
+        if f.variable not in holonomies:
+            holonomies[f.variable] = _word_holonomy(quats, f.variable)
+    arrays = _factor_arrays(factors, holonomies, leading)
+    values = []
+    for plan, fs, constants in states:
+        values.append(_execute(plan, arrays[:len(fs)] + constants))
+        arrays = arrays[len(fs):]
+    return values
 
 
 def _side_tensors(n: SpinNetwork, side: str, conjugate: bool):
@@ -174,7 +255,25 @@ def exact_inner_product(a: SpinNetwork, b: SpinNetwork) -> complex:
 
 
 def mc_inner_product(a: SpinNetwork, b: SpinNetwork, n_samples: int, seed: int):
-    """Monte Carlo estimate of <a, b>; returns (mean, standard error)."""
-    factors, tensors, pairings = _paired_network(a, b)
-    net = FactorNetwork(tuple(factors), tuple(tensors), tuple(pairings))
-    return mc_expectation(net, n_samples, seed)
+    """Monte Carlo estimate of <a, b>; returns (mean, standard error).
+
+    One Haar-uniform element is drawn per segment of the union of the two
+    supports, the segments taking the stream's columns in ``_sort_key``
+    order, in chunks of ``MC_CHUNK`` samples; the value is bit-stable for a
+    given seed and ``MC_CHUNK``.  Each chunk evaluates each state on its own
+    edges, with one Wigner build per distinct (word, spin) shared by bra and
+    ket, and averages conj(state_a) * state_b; a ket equal to the bra is
+    evaluated once.  Each state is planned once per call, and a plan over
+    the size budget raises ValueError before any sample is drawn.
+    """
+    if a.graph.registry != b.graph.registry:
+        raise InvalidNetworkError("inner products require a shared segment registry")
+    segments = sorted(set(a.graph.segments) | set(b.graph.segments), key=_sort_key)
+    batch = min(MC_CHUNK, n_samples)
+    states = [_prepared_state(n, batch) for n in ((a,) if a == b else (a, b))]
+
+    def chunk_values(quats):
+        values = _state_values(states, {s: quats[:, i, :] for i, s in enumerate(segments)})
+        return np.conj(values[0]) * values[-1]
+
+    return _mc_mean(n_samples, seed, len(segments), chunk_values)

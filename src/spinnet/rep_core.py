@@ -120,15 +120,26 @@ class GroupElement:
         return np.array([self.w, self.x, self.y, self.z], dtype=float)
 
 
-def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Group product, with the convention matrix(a*b) = matrix(a) @ matrix(b)."""
-    w = a.w * b.w - (a.x * b.x + a.y * b.y + a.z * b.z)
+def _quat_product(a, b) -> tuple:
+    """Components (w, x, y, z) of the group product a*b, with the convention
+    matrix(a*b) = matrix(a) @ matrix(b).  ``a`` and ``b`` are component
+    sequences of floats, or of equally shaped arrays for a batch."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
     # Note the sign of the cross term: it is fixed by requiring that the
     # 2x2 matrix map above is a homomorphism, not by quaternion tradition.
-    x = a.w * b.x + b.w * a.x - (a.y * b.z - a.z * b.y)
-    y = a.w * b.y + b.w * a.y - (a.z * b.x - a.x * b.z)
-    z = a.w * b.z + b.w * a.z - (a.x * b.y - a.y * b.x)
-    return GroupElement.from_array((w, x, y, z), normalize=True)
+    return (
+        aw * bw - (ax * bx + ay * by + az * bz),
+        aw * bx + bw * ax - (ay * bz - az * by),
+        aw * by + bw * ay - (az * bx - ax * bz),
+        aw * bz + bw * az - (ax * by - ay * bx),
+    )
+
+
+def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
+    """Group product, with the convention matrix(a*b) = matrix(a) @ matrix(b)."""
+    product = _quat_product((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z))
+    return GroupElement.from_array(product, normalize=True)
 
 
 def inverse(a: GroupElement) -> GroupElement:
@@ -197,7 +208,7 @@ def wigner_entries(twice_j: int, quats: np.ndarray) -> np.ndarray:
     """
     _check_spin_cap(twice_j)
     quats = np.asarray(quats, dtype=float)
-    w, x, y, z = np.moveaxis(quats, -1, 0)
+    w, x, y, z = (quats[..., k] for k in range(4))
     a = w + 1j * z
     b = y + 1j * x
     c = -y + 1j * x
@@ -216,7 +227,7 @@ def wigner_entries(twice_j: int, quats: np.ndarray) -> np.ndarray:
         for coeff, ea, eb, ec, ed in tl:
             acc = acc + coeff * (pa[ea] * pb[eb] * pc[ec] * pd[ed])
         out[kp, k] = acc
-    return np.moveaxis(out, (0, 1), (-2, -1))
+    return out.transpose(*range(2, out.ndim), 0, 1)
 
 
 def wigner_matrix(spin: Spin, g: GroupElement) -> WignerMatrix:

@@ -7,7 +7,9 @@ Two evaluation paths share one bookkeeping scheme:
   (``haar_project``, or as basis and conjugate basis with
   ``haar_factored``), and the remaining network is contracted;
 * Monte Carlo: group variables are sampled Haar-uniformly and the same
-  network is contracted numerically per sample (``mc_expectation``).
+  network is contracted numerically per sample (``mc_expectation``); the
+  Monte Carlo inner product runs the same planner, executor and reduction
+  on each state's own network.
 
 Both contract through one engine.  A planner, which sees only leg ids, dims
 and which operands carry a per-sample batch axis, fixes a greedy pairwise
@@ -413,7 +415,8 @@ def haar_project(factors: Sequence[GroupFactor]) -> LabeledTensor:
     applied.  The result, viewed as a matrix from the column-side legs to
     the row-side legs, is an orthogonal projector; it is the zero tensor
     when the invariant subspace is trivial, and the scalar 1 for an empty
-    factor list.
+    factor list.  Raises ValueError, before the invariant basis is built,
+    when the projector would have more than ``_MAX_ELEMENTS`` elements.
     """
     factors = list(factors)
     if not factors:
@@ -421,6 +424,12 @@ def haar_project(factors: Sequence[GroupFactor]) -> LabeledTensor:
     variables = {f.variable for f in factors}
     if len(variables) != 1:
         raise ValueError(f"haar_project factors must share one variable, got {sorted(variables)}")
+    size = prod(f.spin.dim for f in factors) ** 2
+    if size > _MAX_ELEMENTS:
+        raise ValueError(
+            f"the projector on spins {[f.spin.twice_j for f in factors]} has {size} "
+            f"elements, over the limit of {_MAX_ELEMENTS}"
+        )
     basis, row_legs, col_legs = _projector_sides(factors)
     return LabeledTensor(row_legs + col_legs, np.tensordot(basis, basis.conj(), (0, 0)))
 
@@ -446,24 +455,27 @@ def haar_factored(factors: Sequence[GroupFactor], key) -> tuple:
 # Monte Carlo
 
 def _factor_arrays(
-    factors: Sequence[GroupFactor], quats_by_var: dict[str, np.ndarray],
+    factors: Sequence[GroupFactor], quats_by_var: dict,
     leading: Sequence[bool],
 ) -> list[np.ndarray]:
     """Per-sample matrices for each factor, shape (row, col, sample), reusing
-    one Wigner build per (variable, spin, layout).  A factor flagged in
-    ``leading`` is stored sample-first (see ``_Plan.sample_first``), the
-    others sample-last."""
-    base: dict[tuple[str, int, bool], np.ndarray] = {}
+    one Wigner build per (variable, spin).  A factor flagged in ``leading``
+    is stored sample-first (see ``_Plan.sample_first``), the others
+    sample-last; each layout is made once."""
+    built: dict[tuple, np.ndarray] = {}
+    base: dict[tuple, np.ndarray] = {}
     out = []
     for f, lead in zip(factors, leading):
         key = (f.variable, f.spin.twice_j, lead)
         if key not in base:
-            # wigner_entries returns a sample-first view of (row, col,
-            # sample) storage; moving the axes back gives the storage
-            entries = wigner_entries(f.spin.twice_j, quats_by_var[f.variable])
+            # wigner_entries returns a (sample, row, col) view of (row,
+            # col, sample) storage; moving the axes back gives the storage
+            if key[:2] not in built:
+                built[key[:2]] = wigner_entries(f.spin.twice_j, quats_by_var[f.variable])
+            entries = built[key[:2]]
             if lead:
                 entries = np.ascontiguousarray(entries)
-            base[key] = np.moveaxis(entries, (-2, -1), (0, 1))
+            base[key] = entries.transpose(1, 2, 0)
         arr = base[key]
         if f.inverted:
             arr = np.swapaxes(arr, 0, 1)
@@ -473,6 +485,31 @@ def _factor_arrays(
             arr = np.conj(arr)
         out.append(arr)
     return out
+
+
+def _mc_mean(n_samples: int, seed: int, n_variables: int, chunk_values) -> tuple[complex, float]:
+    """The Monte Carlo reduction: (mean, standard error) of a per-sample value.
+
+    Chunks of at most ``MC_CHUNK`` samples are drawn in order from a Philox
+    stream seeded by ``seed``, each as an (m, n_variables, 4) array of
+    Haar-uniform quaternions; ``chunk_values`` maps it to the m sample
+    values, which are summed, with their squared moduli, in chunk order.
+    """
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
+    rng = np.random.Generator(np.random.Philox(seed))
+    total = 0.0 + 0.0j
+    total_sq = 0.0
+    remaining = n_samples
+    while remaining > 0:
+        m = min(MC_CHUNK, remaining)
+        values = chunk_values(haar_quaternions(rng, (m, n_variables)))
+        total += values.sum()
+        total_sq += float((np.abs(values) ** 2).sum())
+        remaining -= m
+    mean = total / n_samples
+    var = max(total_sq - n_samples * abs(mean) ** 2, 0.0) / (n_samples - 1)
+    return complex(mean), float(np.sqrt(var / n_samples))
 
 
 def mc_expectation(
@@ -488,8 +525,6 @@ def mc_expectation(
     and the plan runs on every chunk with the sample axis last; a plan over
     the size budget raises ValueError before any sample is drawn.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
     factor_legs = [Leg(leg, f.spin, v) for f in network.factors
                    for leg, v in zip((f.row_leg, f.col_leg), f.leg_variances())]
     legs_by_id, paired = _checked_legs(
@@ -498,10 +533,6 @@ def mc_expectation(
         raise ValueError("mc_expectation requires a fully paired (scalar) network")
 
     variables = sorted({f.variable for f in network.factors}, key=_sort_key)
-    rng = np.random.Generator(np.random.Philox(seed))
-    total = 0.0 + 0.0j
-    total_sq = 0.0
-    remaining = n_samples
     factor_count = len(network.factors)
     plan = _plan(
         [[f.row_leg, f.col_leg] for f in network.factors]
@@ -514,16 +545,11 @@ def mc_expectation(
     )
     constants = [np.asarray(t.data, complex) for t in network.tensors]
     leading = [k in plan.sample_first for k in range(factor_count)]
-    while remaining > 0:
-        m = min(MC_CHUNK, remaining)
-        quats = haar_quaternions(rng, (m, len(variables)))
+
+    def chunk_values(quats):
         quats_by_var = {v: quats[:, i, :] for i, v in enumerate(variables)}
         result = _execute(
             plan, _factor_arrays(network.factors, quats_by_var, leading) + constants)
-        values = result if factor_count else np.full(m, complex(result))
-        total += values.sum()
-        total_sq += float((np.abs(values) ** 2).sum())
-        remaining -= m
-    mean = total / n_samples
-    var = max(total_sq - n_samples * abs(mean) ** 2, 0.0) / (n_samples - 1)
-    return complex(mean), float(np.sqrt(var / n_samples))
+        return result if factor_count else np.full(len(quats), complex(result))
+
+    return _mc_mean(n_samples, seed, len(variables), chunk_values)

@@ -325,6 +325,12 @@ def test_haar_projector_spin_cap(capsys):
     assert "twice_j" in cap.err
 
 
+def test_haar_projector_oversized_exits_2(capsys):
+    code, _, cap = run(capsys, ["haar-projector", "--spins"] + ["1"] * 14)
+    assert code == 2
+    assert "over the limit" in cap.err
+
+
 # ---------------------------------------------------------------------------
 # process-level entry points
 

@@ -21,8 +21,15 @@ from spinnet import (
     structural_zero,
     exact_inner_product,
     mc_inner_product,
+    build_tassel,
+    build_phi,
+    swap_signs,
 )
-from spinnet.inner_product import edge_holonomy
+import spinnet.inner_product as ip
+import spinnet.tensor_engine as te
+from spinnet.inner_product import _oriented, _paired_network, _word_holonomy, edge_holonomy
+from spinnet.rep_core import _quat_product
+from spinnet.tensor_engine import MC_CHUNK, FactorNetwork, mc_expectation
 from helpers import (
     character,
     haar_element,
@@ -34,6 +41,8 @@ from helpers import (
     random_network,
     reintertwine,
     brute_mc_inner_product,
+    wordy_network,
+    MOTIF_NAMES,
 )
 
 
@@ -127,6 +136,18 @@ def test_evaluate_gauge_invariance(rng):
             src, tgt = reg.endpoints(sid)
             moved[sid] = multiply(gauge[tgt], multiply(h[sid], inverse(gauge[src])))
         npt.assert_allclose(evaluate(n, moved), evaluate(n, h), atol=1e-10)
+
+
+def test_evaluate_plans_once_per_shape(rng):
+    """States that differ only in their intertwiners share one plan, from a
+    bounded cache."""
+    assert ip._state_plan.cache_info().maxsize is not None
+    a = theta_network((1, 1, 2))
+    h = random_holonomies(rng, a)
+    ip._state_plan.cache_clear()
+    for _ in range(3):
+        evaluate(reintertwine(rng, a), h)
+    assert ip._state_plan.cache_info().misses == 1
 
 
 def test_evaluate_missing_or_bad_holonomy():
@@ -313,3 +334,133 @@ def test_mc_inner_product_with_mixed_segment_id_types():
     mean, err = mc_inner_product(a, a, 20000, seed=99)
     assert err > 0
     assert abs(mean - exact) < 4 * err
+
+
+def _joint_estimate(a, b, n_samples, seed):
+    """The same estimate from one joint network over the common refinement,
+    bra factors conjugated: the same stream, one factor per segment piece."""
+    return mc_expectation(FactorNetwork(*_paired_network(a, b)), n_samples, seed)
+
+
+def _oracle_pairs():
+    rng = np.random.default_rng(808)
+    pairs = []
+    for motif in MOTIF_NAMES:
+        a = random_network(rng, motif)
+        pairs += [(a, a, True), (a, reintertwine(rng, a), False)]
+    wordy = wordy_network(rng)
+    pairs += [(wordy, wordy, False), (wordy, reintertwine(rng, wordy), False)]
+    for n in (2, 3):
+        pairs.append((build_tassel(n).network, build_phi(n, -1).network, False))
+    pairs.append((build_tassel(2).network, swap_signs(build_tassel(2), 0).network, False))
+    return pairs
+
+
+def test_mc_inner_product_matches_joint_network_estimate():
+    """Evaluating each state on its own edges gives the joint network's
+    estimate, sample for sample: within 1e-13 in mean and standard error,
+    and bit for bit on self-pairings of single-segment edges, whose
+    per-state plans are the joint plan's two halves."""
+    for a, b, exact_bits in _oracle_pairs():
+        for n_samples, seed in ((MC_CHUNK + 37, 61), (300, 62)):
+            got = mc_inner_product(a, b, n_samples, seed)
+            want = _joint_estimate(a, b, n_samples, seed)
+            if exact_bits:
+                assert got == want
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), (got, want)
+
+
+def test_word_holonomy_batches_edge_holonomy(rng):
+    """The batched holonomy of every word of the wordy network, and of its
+    inverse, matches the per-element product."""
+    n = wordy_network(rng)
+    holonomies = [random_holonomies(rng, n) for _ in range(4)]
+    quats = {s: np.stack([h[s].as_array() for h in holonomies]) for s in n.graph.segments}
+    for e in n.edges:
+        inverse_word = tuple((s, not r) for s, r in reversed(e.word))
+        for word in (e.word, inverse_word):
+            batch = _word_holonomy(quats, word)
+            for k, h in enumerate(holonomies):
+                npt.assert_allclose(batch[k], edge_holonomy(h, word).as_array(), atol=1e-15)
+        word, inverted = _oriented(e.word)
+        assert (word == inverse_word) == inverted
+
+
+def test_quaternion_product_is_one_formula(rng):
+    """``multiply`` and the batched holonomy share one product: on floats
+    and on arrays it gives the same bits, and ``multiply`` only normalizes."""
+    qa, qb = rng.standard_normal((2, 5, 4))
+    batch = _quat_product(qa.T, qb.T)
+    for k in range(5):
+        assert _quat_product(tuple(qa[k]), tuple(qb[k])) == tuple(c[k] for c in batch)
+    g, h = haar_element(rng), haar_element(rng)
+    product = _quat_product(g.as_array(), h.as_array())
+    npt.assert_allclose(multiply(g, h).as_array(), product, atol=1e-15)
+
+
+def test_mc_self_pairing_evaluates_once_per_chunk(monkeypatch):
+    calls = []
+    real = ip._execute
+
+    def counting(plan, arrays):
+        calls.append(plan)
+        return real(plan, arrays)
+
+    monkeypatch.setattr(ip, "_execute", counting)
+    a = theta_network((1, 1, 2))
+    mc_inner_product(a, a, 2 * MC_CHUNK + 5, seed=3)
+    assert len(calls) == 3
+    calls.clear()
+    b = theta_network((1, 1, 2), coeffs={"X": [2.0], "Y": [1.0j]}, registry=a.graph.registry)
+    mc_inner_product(a, b, 2 * MC_CHUNK + 5, seed=3)
+    assert len(calls) == 6
+
+
+def test_mc_web_builds_one_wigner_matrix_per_word_and_spin(monkeypatch):
+    """psi and phi share two of their four curves; each chunk builds one
+    Wigner matrix per distinct (word, spin), for bra and ket together."""
+    psi, phi = build_tassel(2).network, build_phi(2, -1).network
+    distinct = {(_oriented(e.word)[0], e.spin.twice_j) for e in psi.edges + phi.edges}
+    assert len(distinct) < len(psi.edges) + len(phi.edges)
+    built = []
+    real = te.wigner_entries
+
+    def counting(twice_j, quats):
+        built.append(twice_j)
+        return real(twice_j, quats)
+
+    monkeypatch.setattr(te, "wigner_entries", counting)
+    mc_inner_product(psi, phi, MC_CHUNK + 5, seed=4)
+    assert len(built) == 2 * len(distinct)
+
+
+def test_mc_oversized_state_fails_before_sampling(monkeypatch):
+    """Two vertices joined by k spin-1 edges: each step leaves a 3^j tensor
+    per sample, and a full chunk of the largest is over the budget."""
+    k = 1
+    while MC_CHUNK * 3 ** (k - 1) <= te._MAX_INTERMEDIATE:
+        k += 1
+    reg = SegmentRegistry()
+    for i in range(k):
+        reg.add_segment(f"u{i}", "X", "Y")
+    one = Spin(2)
+    edges = [Edge(f"e{i}", ((f"u{i}", False),), "X", "Y", one) for i in range(k)]
+    comps = np.random.default_rng(5).standard_normal((3,) * k)
+    verts = {"X": Intertwiner(((one, "out"),) * k, comps),
+             "Y": Intertwiner(((one, "in"),) * k, comps)}
+    big = network(reg, edges, verts)
+    mc_inner_product(big, big, 2, seed=0)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampled before the plan was checked")
+
+    monkeypatch.setattr(te, "haar_quaternions", no_draws)
+    with pytest.raises(ValueError, match="intermediate"):
+        mc_inner_product(big, big, MC_CHUNK, seed=0)
+
+
+def test_mc_inner_product_needs_two_samples():
+    a = theta_network((1, 1, 2))
+    with pytest.raises(ValueError, match="at least 2"):
+        mc_inner_product(a, a, 1, seed=0)

@@ -1,5 +1,7 @@
 """Labeled tensor contraction, exact Haar projection, Monte Carlo engine."""
 
+import time
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -169,6 +171,20 @@ def test_haar_project_empty_is_unit_scalar():
     out = haar_project([])
     assert out.legs == ()
     assert complex(out.data) == 1.0 + 0.0j
+
+
+def test_haar_project_oversized_refused_before_building(monkeypatch):
+    """Fourteen spin-1/2 legs give a 2^14 x 2^14 projector, 2^28 elements:
+    refused from the dims alone, before the basis is built."""
+    def no_basis(*args, **kwargs):
+        raise AssertionError("built the basis before the size check")
+
+    monkeypatch.setattr(te, "intertwiner_basis", no_basis)
+    factors = [factor("g", 1, f"r{k}", f"c{k}") for k in range(14)]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="over the limit"):
+        haar_project(factors)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_haar_project_single_factor_vanishes():
