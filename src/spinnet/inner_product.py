@@ -6,15 +6,18 @@ ordered product of segment elements along the edge word) and the vertex
 intertwiners contract matrix rows into "in" slots and columns into "out"
 slots.  Under the uniform measure the segment variables are independent and
 Haar distributed, so the inner product <a, b> is the Haar integral of
-conj(state_a) * state_b.
+conj(state_a) * state_b.  Because the intertwiners are invariant, a state
+is unchanged by the gauge transformation g_e -> h_t(e) g_e h_s(e)^-1.
 
 :func:`exact_inner_product` integrates it exactly: both states are
 re-expressed on single-segment edges (their common refinement) and each
 segment's Haar projector is contracted in factored form.
 :func:`mc_inner_product` estimates it by sampling: each state is evaluated
 on its own edges, batched over a chunk of samples, and the sample mean of
-conj(state_a) * state_b is taken.  :func:`evaluate` is the one-sample case
-of that evaluator.
+conj(state_a) * state_b is taken.  The evaluator first fixes the gauge on a
+maximal tree of the state's graph: tree edges become the identity, and only
+the other edges, whose words become loops at a root, need a Wigner matrix
+per sample.  :func:`evaluate` is the one-sample case of that evaluator.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .network_model import InvalidNetworkError, SpinNetwork, _sort_key, common_refinement
-from .rep_core import GroupElement, _quat_product, inverse, multiply
+from .rep_core import GroupElement, _quat_product, inverse, multiply, transform_intertwiner
 from .tensor_engine import (
     MC_CHUNK,
     GroupFactor,
@@ -84,7 +87,10 @@ def evaluate(n: SpinNetwork, h) -> complex:
     Each edge contributes D^j(holonomy); its row index is contracted with the
     "in" slot at the edge's target and its column index with the "out" slot
     at its source.  This is the one-sample case of the batched evaluator
-    that :func:`mc_inner_product` runs on every chunk.
+    that :func:`mc_inner_product` runs on every chunk, so it evaluates the
+    gauge-fixed state (see ``_gauge_fixed_words``), which has the same value
+    up to rounding; a vertex whose tensor is not invariant is never
+    gauge-transformed.  Each network is prepared once, from a bounded cache.
     """
     h = _coerce_holonomies(h)
     missing = sorted((s for s in n.graph.segments if s not in h), key=_sort_key)
@@ -95,7 +101,8 @@ def evaluate(n: SpinNetwork, h) -> complex:
     return complex(value[0])
 
 
-# Distinct state shapes whose evaluation plans are kept.
+# Distinct state shapes whose evaluation plans are kept, and distinct
+# (network, batch) pairs whose prepared states are kept.
 _STATE_PLAN_CACHE_SIZE = 256
 
 
@@ -107,61 +114,163 @@ def _state_plan(legs: tuple, dims: tuple, pairs: tuple, n_edges: int, batch: int
     return _plan(legs, dims, [True] * n_edges + [False] * (len(legs) - n_edges), pairs, batch)
 
 
+def _inverse_word(word) -> tuple:
+    return tuple((s, not r) for s, r in reversed(word))
+
+
 def _oriented(word) -> tuple[tuple, bool]:
     """The word or its inverse, whichever sorts first, and whether it is the
     inverse.  D(g^-1) = D(g)^dagger, so both share one holonomy and one
     Wigner build."""
-    inv = tuple((s, not r) for s, r in reversed(word))
+    inv = _inverse_word(word)
     flipped = [(_sort_key(s), r) for s, r in inv] < [(_sort_key(s), r) for s, r in word]
     return (inv if flipped else word), flipped
 
 
+def _reduced(word) -> tuple:
+    """The freely reduced word: each step followed by its own reverse is
+    cancelled, until none is."""
+    out: list = []
+    for s, r in word:
+        if out and out[-1] == (s, not r):
+            out.pop()
+        else:
+            out.append((s, r))
+    return tuple(out)
+
+
+# Two fixed elements generating a dense subgroup of SU(2): a tensor fixed by
+# both is fixed by the whole group, to within the guard's tolerance.
+_GUARD_ELEMENTS = (
+    GroupElement.from_array((0.6, 0.3, -0.5, 0.55), normalize=True),
+    GroupElement.from_array((-0.2, 0.7, 0.4, -0.55), normalize=True),
+)
+
+
+def _is_invariant(iv) -> bool:
+    """Whether a vertex tensor is an intertwiner, so that the state may be
+    gauge-transformed at its vertex.  Documents may carry explicit tensors
+    that are not."""
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(iv.components)))
+    return all(np.linalg.norm(transform_intertwiner(iv, g) - iv.components) <= tol
+               for g in _GUARD_ELEMENTS)
+
+
+def _gauge_fixed_words(n: SpinNetwork) -> dict:
+    """The word of each edge after gauge-fixing on a maximal forest; an
+    empty word is the identity.
+
+    The state is unchanged by g_e -> h_t g_e h_s^-1 for any element h_v at
+    each invariant vertex.  The forest is a maximum spanning forest with
+    edges weighted by dimension (ties by ``_sort_key`` of the edge id), no
+    loop edge and at most one non-invariant vertex per tree, which roots its
+    tree; another tree is rooted at its vertex with the fewest out slots
+    (ties by ``_sort_key``).  h_v is the holonomy of the tree path from v to
+    the root, so each tree edge becomes the identity and every other edge
+    the freely reduced loop inv(h_s) + w_e + h_t.
+    """
+    invariant = {v: _is_invariant(iv) for v, iv in n.vertices.items()}
+    component = {v: v for v in n.vertices}
+    holds_fixed = {v: not invariant[v] for v in n.vertices}
+    tree: dict = {v: [] for v in n.vertices}
+    tree_edges = set()
+    for e in sorted(n.edges, key=lambda e: (-e.spin.dim, _sort_key(e.id))):
+        a, b = component[e.source], component[e.target]
+        if a != b and not (holds_fixed[a] and holds_fixed[b]):
+            component = {v: a if c == b else c for v, c in component.items()}
+            holds_fixed[a] = holds_fixed[a] or holds_fixed[b]
+            tree[e.source].append(e)
+            tree[e.target].append(e)
+            tree_edges.add(e.id)
+    out_slots = {v: 0 for v in n.vertices}
+    for e in n.edges:
+        out_slots[e.source] += 1
+    gauge: dict = {}
+    # the first vertex of each tree in this order is its root
+    for root in sorted(n.vertices, key=lambda v: (invariant[v], out_slots[v], _sort_key(v))):
+        if root in gauge:
+            continue
+        gauge[root] = ()
+        stack = [root]
+        while stack:
+            p = stack.pop()
+            for e in tree[p]:
+                c = e.target if e.source == p else e.source
+                if c not in gauge:
+                    gauge[c] = (_inverse_word(e.word) if e.source == p else e.word) + gauge[p]
+                    stack.append(c)
+    return {e.id: () if e.id in tree_edges
+            else _reduced(_inverse_word(gauge[e.source]) + e.word + gauge[e.target])
+            for e in n.edges}
+
+
+@lru_cache(maxsize=_STATE_PLAN_CACHE_SIZE)
 def _prepared_state(n: SpinNetwork, batch: int) -> tuple:
     """(plan, edge factors, vertex arrays) evaluating ``n`` on ``batch``
-    samples at once.  Each edge is a factor whose variable is its oriented
-    word; the plan is checked against the size budget here, before any
-    sample exists."""
+    samples at once, kept in a bounded cache.  The state is gauge-fixed
+    (``_gauge_fixed_words``): an edge whose word is the identity pairs its
+    out slot with its in slot directly, and every other edge is a factor
+    whose variable is its oriented word.  The plan is checked against the
+    size budget here, before any sample exists."""
+    words = _gauge_fixed_words(n)
     edges, tensors, pairings = _side_tensors(n, "N", conjugate=False)
-    factors = []
-    for e, row, col in edges:
-        word, inverted = _oriented(e.word)
-        factors.append(GroupFactor(word, e.spin, conjugated=False, inverted=inverted,
-                                   row_leg=row, col_leg=col))
+    factors, pairs = [], []
+    for (e, row, col), to_in, to_out in zip(edges, pairings[0::2], pairings[1::2]):
+        if words[e.id]:
+            word, inverted = _oriented(words[e.id])
+            factors.append(GroupFactor(word, e.spin, conjugated=False, inverted=inverted,
+                                       row_leg=row, col_leg=col))
+            pairs += [to_in, to_out]
+        else:
+            pairs.append((to_in[1], to_out[1]))
     plan = _state_plan(
-        tuple((row, col) for _, row, col in edges) + tuple(tuple(l.id for l in t.legs) for t in tensors),
-        tuple((e.spin.dim,) * 2 for e, _, _ in edges) + tuple(t.data.shape for t in tensors),
-        tuple(pairings), len(edges), batch)
-    return plan, factors, [np.asarray(t.data, complex) for t in tensors]
+        tuple((f.row_leg, f.col_leg) for f in factors) + tuple(tuple(l.id for l in t.legs) for t in tensors),
+        tuple((f.spin.dim,) * 2 for f in factors) + tuple(t.data.shape for t in tensors),
+        tuple(pairs), len(factors), batch)
+    return plan, tuple(factors), tuple(np.asarray(t.data, complex) for t in tensors)
 
 
-def _word_holonomy(quats: Mapping, word) -> np.ndarray:
+def _word_holonomy(quats: Mapping, word, memo: dict | None = None) -> np.ndarray:
     """Batched ``edge_holonomy``: the (m, 4) quaternions of a word's holonomy
     from (m, 4) quaternions per segment, the product of the steps rightmost
-    first with a reversed step conjugated."""
+    first with a reversed step conjugated.  ``memo`` maps word prefixes to
+    their products, so that words sharing a prefix multiply it once, with
+    the same bits."""
     if len(word) == 1 and not word[0][1]:
         return quats[word[0][0]]
-    total = None
-    for segment, rev in word:
+    memo = {} if memo is None else memo
+    k = len(word)
+    while k and word[:k] not in memo:
+        k -= 1
+    total = memo[word[:k]] if k else None
+    for i in range(k, len(word)):
+        segment, rev = word[i]
         w, x, y, z = quats[segment].T
         g = (w, -x, -y, -z) if rev else (w, x, y, z)
         total = g if total is None else _quat_product(g, total)
+        memo[word[:i + 1]] = total
     return np.stack(total, axis=-1)
 
 
 def _state_values(states, quats: Mapping) -> list[np.ndarray]:
     """Values of prepared states on one batch of (m, 4) quaternions per
     segment, one (m,) array per state.  Each distinct word's holonomy and
-    each distinct (word, spin) Wigner matrix is built once, for all states."""
+    each distinct (word, spin) Wigner matrix is built once, for all states,
+    and each word prefix is multiplied once; a state with no factor is a
+    constant."""
     factors = [f for _, fs, _ in states for f in fs]
     leading = [k in plan.sample_first for plan, fs, _ in states for k in range(len(fs))]
     holonomies: dict = {}
+    prefixes: dict = {}
     for f in factors:
         if f.variable not in holonomies:
-            holonomies[f.variable] = _word_holonomy(quats, f.variable)
+            holonomies[f.variable] = _word_holonomy(quats, f.variable, prefixes)
     arrays = _factor_arrays(factors, holonomies, leading)
+    m = len(next(iter(quats.values())))
     values = []
     for plan, fs, constants in states:
-        values.append(_execute(plan, arrays[:len(fs)] + constants))
+        value = _execute(plan, arrays[:len(fs)] + list(constants))
+        values.append(value if fs else np.full(m, complex(value)))
         arrays = arrays[len(fs):]
     return values
 
@@ -171,8 +280,9 @@ def _side_tensors(n: SpinNetwork, side: str, conjugate: bool):
 
     Returns one (edge, row leg id, column leg id) triple per edge, for the
     caller to turn into a Wigner matrix or a group factor, then the vertex
-    tensors and the pairings of edge rows with "in" slots and edge columns
-    with "out" slots.  ``conjugate`` marks the bra side: tensor data is
+    tensors and the pairings, two per edge in edge order: its row with the
+    "in" slot at its target, then its column with the "out" slot at its
+    source.  ``conjugate`` marks the bra side: tensor data is
     conjugated and leg variances flip, matching conjugated group factors.
     """
     edges = []
@@ -260,11 +370,15 @@ def mc_inner_product(a: SpinNetwork, b: SpinNetwork, n_samples: int, seed: int):
     One Haar-uniform element is drawn per segment of the union of the two
     supports, the segments taking the stream's columns in ``_sort_key``
     order, in chunks of ``MC_CHUNK`` samples; the value is bit-stable for a
-    given seed and ``MC_CHUNK``.  Each chunk evaluates each state on its own
-    edges, with one Wigner build per distinct (word, spin) shared by bra and
-    ket, and averages conj(state_a) * state_b; a ket equal to the bra is
-    evaluated once.  Each state is planned once per call, and a plan over
-    the size budget raises ValueError before any sample is drawn.
+    given seed and ``MC_CHUNK``.  Each state is gauge-fixed on a maximal
+    tree (``_gauge_fixed_words``), so its tree edges need no Wigner matrix
+    and a state left without any is a constant.  Each chunk evaluates each
+    state on its own edges, with one holonomy per word prefix and one Wigner
+    build per distinct (gauge-fixed word, spin) shared by bra and ket, and
+    averages conj(state_a) * state_b; a ket equal to the bra is evaluated
+    once.  Each state is prepared and planned once, from a bounded cache,
+    and a plan over the size budget raises ValueError before any sample is
+    drawn.
     """
     if a.graph.registry != b.graph.registry:
         raise InvalidNetworkError("inner products require a shared segment registry")

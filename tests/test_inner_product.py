@@ -93,25 +93,87 @@ def test_evaluate_accepts_assignment_or_mapping(rng):
     assert plain == wrapped
 
 
+def _gauged_networks(rng):
+    """Networks whose gauge-fixed edges are the identity or longer words: a
+    theta, a two-gon, a dumbbell (a loop moved to the root) and the wordy
+    network (multi-segment and reversed words, a circle with a non-unit
+    marker), its spins kept small for the index sums."""
+    return [theta_network((1, 1, 2)), figure8_network()] + [
+        random_network(rng, motif) for motif in ("theta", "twogon", "dumbbell")
+    ] + [wordy_network(rng, (1, 1, 2), 1)]
+
+
 def test_evaluate_matches_index_sum_oracle(rng):
-    for build in (lambda: theta_network((1, 1, 2)), figure8_network):
-        n = build()
+    for n in _gauged_networks(rng):
         for _ in range(5):
             h = random_holonomies(rng, n)
             npt.assert_allclose(evaluate(n, h), naive_evaluate(n, h), atol=1e-12)
 
 
-def test_evaluate_multistep_reversed_word(rng):
+def _explicit(rng, net, vertices):
+    """``net`` with random tensors, not intertwiners, at ``vertices``."""
+    verts = dict(net.vertices)
+    for v in vertices:
+        shape = verts[v].components.shape
+        comps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        verts[v] = Intertwiner(verts[v].leg_spins, comps)
+    return network(net.graph.registry, list(net.edges), verts)
+
+
+def test_evaluate_keeps_non_invariant_vertices_ungauged(rng):
+    """A vertex carrying an explicit tensor roots its tree, and a tree holds
+    at most one such vertex: with one or two of them the value still
+    matches the index sums."""
+    for n in _gauged_networks(rng):
+        vertices = sorted(n.vertices, key=str)
+        for chosen in [[v] for v in vertices] + [vertices[:2], vertices[-2:]]:
+            m = _explicit(rng, n, chosen)
+            assert not any(ip._is_invariant(m.vertices[v]) for v in chosen)
+            for _ in range(3):
+                h = random_holonomies(rng, m)
+                npt.assert_allclose(evaluate(m, h), naive_evaluate(m, h), atol=1e-12)
+
+
+def test_guard_accepts_intertwiners_only(rng):
+    n = wordy_network(rng)
+    for iv in n.vertices.values():
+        assert ip._is_invariant(iv)
+        assert ip._is_invariant(Intertwiner(iv.leg_spins, 1e6 * iv.components))
+        assert not ip._is_invariant(Intertwiner(iv.leg_spins, iv.components + 1e-9))
+
+
+def test_gauge_fixing_drops_tree_edges_and_reduces_words(rng):
+    """Tree edges are the identity; the other edges become loops at the
+    root, and a word that reduces to nothing is the identity too."""
+    theta = theta_network((1, 1, 2))
+    assert ip._gauge_fixed_words(theta) == {
+        "e0": (("u3", True), ("u1", False)), "e1": (("u3", True), ("u2", False)), "e2": ()}
+    dumbbell = random_network(rng, "dumbbell")
+    words = ip._gauge_fixed_words(dumbbell)
+    assert words["m"] == () and words["r"] == (("dr", False),)
+    assert words["l"] == (("dm", True), ("dl", False), ("dm", False))
+    assert ip._reduced((("p1", False), ("p2", True), ("p2", False), ("p1", True))) == ()
+    assert ip._reduced((("a", False), ("b", True), ("c", False))) == (
+        ("a", False), ("b", True), ("c", False))
+
+
+def _backtracking_loop():
+    """A spin-1 loop whose word p1 p2^-1 p2 p1^-1 reduces to nothing."""
     reg = SegmentRegistry()
     reg.add_segment("p1", "A", "B")
     reg.add_segment("p2", "C", "B")  # traversed backwards inside the word
     one = Spin(2)
     marker = Intertwiner(((one, "out"), (one, "in")), np.eye(3, dtype=complex))
-    n = network(
+    return network(
         reg,
         [Edge("e", (("p1", False), ("p2", True), ("p2", False), ("p1", True)), "A", "A", one)],
         {"A": marker},
     )
+
+
+def test_evaluate_multistep_reversed_word(rng):
+    n = _backtracking_loop()
+    one = n.edges[0].spin
     for _ in range(5):
         h = random_holonomies(rng, n)
         npt.assert_allclose(evaluate(n, h), naive_evaluate(n, h), atol=1e-12)
@@ -148,6 +210,54 @@ def test_evaluate_plans_once_per_shape(rng):
     for _ in range(3):
         evaluate(reintertwine(rng, a), h)
     assert ip._state_plan.cache_info().misses == 1
+
+
+def test_evaluate_prepares_each_network_once(rng, monkeypatch):
+    """A second evaluation of one network reuses its prepared state, from a
+    cache with the plan cache's bound."""
+    assert ip._prepared_state.cache_info().maxsize == ip._STATE_PLAN_CACHE_SIZE
+    calls = []
+    real = ip._gauge_fixed_words
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(ip, "_gauge_fixed_words", counting)
+    ip._prepared_state.cache_clear()
+    n = wordy_network(rng)
+    for _ in range(2):
+        evaluate(n, random_holonomies(rng, n))
+    evaluate(network(n.graph.registry, list(n.edges), n.vertices), random_holonomies(rng, n))
+    assert len(calls) == 1
+
+
+def _zero_chain():
+    """Spin-1/2 edges X -> M -> Y: the ends admit only the zero intertwiner,
+    and both edges are tree edges."""
+    reg = SegmentRegistry()
+    reg.add_segment("z1", "X", "M")
+    reg.add_segment("z2", "M", "Y")
+    half = Spin(1)
+    edges = [Edge("a", (("z1", False),), "X", "M", half),
+             Edge("b", (("z2", False),), "M", "Y", half)]
+    verts = {"X": Intertwiner(((half, "out"),), np.zeros(2)),
+             "M": Intertwiner(((half, "in"), (half, "out")), np.eye(2)),
+             "Y": Intertwiner(((half, "in"),), np.zeros(2))}
+    return network(reg, edges, verts)
+
+
+def test_state_without_factors_is_a_constant(rng, monkeypatch):
+    """Tree edges and words that reduce to nothing need no Wigner matrix:
+    the zero chain is 0 and the backtracking loop is the trace 3 of its
+    marker, at every sample."""
+    zero, loop = _zero_chain(), _backtracking_loop()
+    assert ip._gauge_fixed_words(zero) == {"a": (), "b": ()}
+    assert ip._gauge_fixed_words(loop) == {"e": ()}
+    monkeypatch.setattr(te, "wigner_entries", None)
+    for n, value in ((zero, 0), (loop, 3)):
+        assert evaluate(n, random_holonomies(rng, n)) == value
+        assert mc_inner_product(n, n, MC_CHUNK + 5, seed=1) == (value ** 2, 0)
 
 
 def test_evaluate_missing_or_bad_holonomy():
@@ -347,7 +457,7 @@ def _oracle_pairs():
     pairs = []
     for motif in MOTIF_NAMES:
         a = random_network(rng, motif)
-        pairs += [(a, a, True), (a, reintertwine(rng, a), False)]
+        pairs += [(a, a, motif in ("figure8", "bouquet3")), (a, reintertwine(rng, a), False)]
     wordy = wordy_network(rng)
     pairs += [(wordy, wordy, False), (wordy, reintertwine(rng, wordy), False)]
     for n in (2, 3):
@@ -357,10 +467,11 @@ def _oracle_pairs():
 
 
 def test_mc_inner_product_matches_joint_network_estimate():
-    """Evaluating each state on its own edges gives the joint network's
-    estimate, sample for sample: within 1e-13 in mean and standard error,
-    and bit for bit on self-pairings of single-segment edges, whose
-    per-state plans are the joint plan's two halves."""
+    """Evaluating each gauge-fixed state on its own edges gives the joint
+    network's estimate, sample for sample: within 1e-13 in mean and
+    standard error, and bit for bit on self-pairings of single-vertex
+    motifs, which have no gauged edge and whose per-state plans are the
+    joint plan's two halves."""
     for a, b, exact_bits in _oracle_pairs():
         for n_samples, seed in ((MC_CHUNK + 37, 61), (300, 62)):
             got = mc_inner_product(a, b, n_samples, seed)
@@ -369,6 +480,35 @@ def test_mc_inner_product_matches_joint_network_estimate():
                 assert got == want
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), (got, want)
+
+
+def test_mc_ungauged_states_match_joint_estimate_bit_for_bit():
+    """With an explicit tensor at every vertex nothing is gauge-fixed, and
+    self-pairings of single-segment edges keep the joint network's bits."""
+    rng = np.random.default_rng(809)
+    for motif in ("theta", "twogon", "dumbbell"):
+        a = random_network(rng, motif)
+        a = _explicit(rng, a, a.vertices)
+        words = ip._gauge_fixed_words(a)
+        assert all(words[e.id] == e.word for e in a.edges)
+        for n_samples, seed in ((MC_CHUNK + 37, 61), (300, 62)):
+            assert mc_inner_product(a, a, n_samples, seed) == _joint_estimate(a, a, n_samples, seed)
+
+
+def test_mc_theta_builds_only_the_small_spins(monkeypatch):
+    """theta(6,6,12): the spin-6 edge is the tree edge, so each chunk builds
+    two spin-3 matrices and no spin-6 one."""
+    built = []
+    real = te.wigner_entries
+
+    def counting(twice_j, quats):
+        built.append(twice_j)
+        return real(twice_j, quats)
+
+    monkeypatch.setattr(te, "wigner_entries", counting)
+    a = theta_network((6, 6, 12))
+    mc_inner_product(a, a, 2 * MC_CHUNK, seed=5)
+    assert built == [6, 6, 6, 6]
 
 
 def test_word_holonomy_batches_edge_holonomy(rng):
@@ -385,6 +525,37 @@ def test_word_holonomy_batches_edge_holonomy(rng):
                 npt.assert_allclose(batch[k], edge_holonomy(h, word).as_array(), atol=1e-15)
         word, inverted = _oriented(e.word)
         assert (word == inverse_word) == inverted
+
+
+def test_word_prefix_memo_keeps_bits(rng, monkeypatch):
+    """Sharing word prefixes gives the unshared products bit for bit, on the
+    wordy network's and the web states' edge and gauge-fixed words, and
+    takes fewer quaternion products on web psi.phi."""
+    psi, phi = build_tassel(2).network, build_phi(2, -1).network
+    for nets in ((wordy_network(rng),), (psi, phi)):
+        segments = sorted({s for n in nets for s in n.graph.segments}, key=str)
+        quats = dict(zip(segments, te.haar_quaternions(rng, (len(segments), 7))))
+        words = {w for n in nets for e in n.edges for w in (e.word, _oriented(e.word)[0])}
+        words |= {f.variable for n in nets for f in ip._prepared_state(n, 7)[1]}
+        memo: dict = {}
+        for word in sorted(words, key=str):
+            assert np.array_equal(_word_holonomy(quats, word, memo), _word_holonomy(quats, word))
+
+    calls = []
+    real = ip._quat_product
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(ip, "_quat_product", counting)
+    gauged = {f.variable for n in (psi, phi) for f in ip._prepared_state(n, 7)[1]}
+    for word in gauged:
+        _word_holonomy(quats, word)
+    unshared = len(calls)
+    calls.clear()
+    ip._state_values([ip._prepared_state(n, 7) for n in (psi, phi)], quats)
+    assert len(calls) < unshared
 
 
 def test_quaternion_product_is_one_formula(rng):
@@ -419,9 +590,11 @@ def test_mc_self_pairing_evaluates_once_per_chunk(monkeypatch):
 
 def test_mc_web_builds_one_wigner_matrix_per_word_and_spin(monkeypatch):
     """psi and phi share two of their four curves; each chunk builds one
-    Wigner matrix per distinct (word, spin), for bra and ket together."""
+    Wigner matrix per distinct (gauge-fixed word, spin), for bra and ket
+    together."""
     psi, phi = build_tassel(2).network, build_phi(2, -1).network
-    distinct = {(_oriented(e.word)[0], e.spin.twice_j) for e in psi.edges + phi.edges}
+    distinct = {(f.variable, f.spin.twice_j)
+                for n in (psi, phi) for f in ip._prepared_state(n, MC_CHUNK)[1]}
     assert len(distinct) < len(psi.edges) + len(phi.edges)
     built = []
     real = te.wigner_entries
