@@ -198,20 +198,24 @@ def build_tassel(truncation: int) -> TasselState:
     return _assemble_state(alphabet, _psi_words(alphabet))
 
 
+def _phi_words(alphabet: BlipAlphabet, i0: int):
+    truncation = alphabet.truncation
+    if i0 % 2 == 0:
+        raise ValueError(f"reroute column must be odd, got {i0}")
+    if not -truncation <= i0 < truncation:
+        raise ValueError(f"reroute column {i0} outside [-{truncation}, {truncation})")
+    c1, c2, c3, c4 = _psi_words(alphabet)
+    return (c1, c2.with_sign(i0, PLUS), c3.with_sign(i0, PLUS), c4)
+
+
 def build_phi(truncation: int, i0: int) -> TasselState:
     """The reroute of the reference state at one odd column.
 
     Curves 2 and 3 take the plus rather than the minus arc at column i0,
     so the minus arc there drops out of the state's support entirely.
     """
-    if i0 % 2 == 0:
-        raise ValueError(f"reroute column must be odd, got {i0}")
-    if not -truncation <= i0 < truncation:
-        raise ValueError(f"reroute column {i0} outside [-{truncation}, {truncation})")
     alphabet = BlipAlphabet(truncation)
-    c1, c2, c3, c4 = _psi_words(alphabet)
-    return _assemble_state(alphabet, (c1, c2.with_sign(i0, PLUS),
-                                      c3.with_sign(i0, PLUS), c4))
+    return _assemble_state(alphabet, _phi_words(alphabet, i0))
 
 
 def swap_signs(state: TasselState, i: int) -> TasselState:
@@ -269,17 +273,23 @@ def _boundary_weights(stabilized: bool) -> np.ndarray:
     return w
 
 
-def _transfer_value(bra: TasselState, ket: TasselState, stabilized: bool) -> complex:
-    if bra.alphabet != ket.alphabet:
-        raise ValueError("states live on different alphabets")
+def _transfer_value(alphabet: BlipAlphabet, bra_curves, ket_curves, stabilized: bool) -> complex:
+    """The transfer contraction of two four-curve words over one alphabet;
+    it reads only the curves' signs, never a network."""
     boundary = _boundary_weights(stabilized)
     v = boundary
-    for i in bra.alphabet.indices:
-        q = _column_basis(tuple(w.sign(i) for w in bra.curves),
-                          tuple(w.sign(i) for w in ket.curves))
+    for i in alphabet.indices:
+        q = _column_basis(tuple(w.sign(i) for w in bra_curves),
+                          tuple(w.sign(i) for w in ket_curves))
         v = q.T @ (q.conj() @ v)
     # bra conjugation is already inside the factors and weights
     return complex(np.dot(boundary, v))
+
+
+def _state_value(bra: TasselState, ket: TasselState, stabilized: bool) -> complex:
+    if bra.alphabet != ket.alphabet:
+        raise ValueError("states live on different alphabets")
+    return _transfer_value(bra.alphabet, bra.curves, ket.curves, stabilized)
 
 
 def truncated_inner_product(bra: TasselState, ket: TasselState) -> complex:
@@ -289,7 +299,7 @@ def truncated_inner_product(bra: TasselState, ket: TasselState) -> complex:
     geometrically as the window widens because the endpoint caps are not
     fixed by the column operators.
     """
-    return _transfer_value(bra, ket, stabilized=False)
+    return _state_value(bra, ket, stabilized=False)
 
 
 def stabilized_inner_product(bra: TasselState, ket: TasselState) -> complex:
@@ -300,7 +310,7 @@ def stabilized_inner_product(bra: TasselState, ket: TasselState) -> complex:
     fixes the projected boundary weights exactly, so the value does not
     depend on the window size.
     """
-    return _transfer_value(bra, ket, stabilized=True)
+    return _state_value(bra, ket, stabilized=True)
 
 
 def observation_one(truncation: int, i0: int) -> complex:
@@ -311,8 +321,8 @@ def observation_one(truncation: int, i0: int) -> complex:
     zero.  Raises ToleranceError if the value is degenerate or fails to
     be window-independent to 1e-9 against a window wider by two.
     """
-    value = stabilized_inner_product(build_tassel(truncation), build_phi(truncation, i0))
-    wide = stabilized_inner_product(build_tassel(truncation + 2), build_phi(truncation + 2, i0))
+    value, wide = (_transfer_value(a, _psi_words(a), _phi_words(a, i0), stabilized=True)
+                   for a in (BlipAlphabet(truncation), BlipAlphabet(truncation + 2)))
     if abs(value) <= 1e-6:
         raise ToleranceError(
             f"overlap {value} at truncation {truncation} is numerically degenerate")
@@ -323,6 +333,15 @@ def observation_one(truncation: int, i0: int) -> complex:
     return value
 
 
+@lru_cache(maxsize=16)
+def _reference_norm(truncation: int) -> float:
+    """<psi, psi> (stabilized) of the reference state, the same for every
+    column of ``observation_two``."""
+    alphabet = BlipAlphabet(truncation)
+    psi = _psi_words(alphabet)
+    return _transfer_value(alphabet, psi, psi, stabilized=True).real
+
+
 def observation_two(truncation: int, i: int) -> complex:
     """Overlap of the reference state with its column-i sign swap.
 
@@ -330,11 +349,12 @@ def observation_two(truncation: int, i: int) -> complex:
     distance) with nonzero overlap against the reference, for every
     column; ToleranceError if either part fails numerically.
     """
-    psi = build_tassel(truncation)
-    moved = swap_signs(psi, i)
-    value = stabilized_inner_product(psi, moved)
-    norm2 = (stabilized_inner_product(psi, psi).real
-             + stabilized_inner_product(moved, moved).real
+    alphabet = BlipAlphabet(truncation)
+    psi = _psi_words(alphabet)
+    moved = tuple(w.flipped_at(i) for w in psi)
+    value = _transfer_value(alphabet, psi, moved, stabilized=True)
+    norm2 = (_reference_norm(truncation)
+             + _transfer_value(alphabet, moved, moved, stabilized=True).real
              - 2.0 * value.real)
     if abs(value) <= 1e-6:
         raise ToleranceError(f"swap overlap at column {i} is numerically degenerate")

@@ -9,15 +9,17 @@ Haar distributed, so the inner product <a, b> is the Haar integral of
 conj(state_a) * state_b.  Because the intertwiners are invariant, a state
 is unchanged by the gauge transformation g_e -> h_t(e) g_e h_s(e)^-1.
 
-:func:`exact_inner_product` integrates it exactly: both states are
-re-expressed on single-segment edges (their common refinement) and each
-segment's Haar projector is contracted in factored form.
-:func:`mc_inner_product` estimates it by sampling: each state is evaluated
-on its own edges, batched over a chunk of samples, and the sample mean of
-conj(state_a) * state_b is taken.  The evaluator first fixes the gauge on a
-maximal tree of the state's graph: tree edges become the identity, and only
-the other edges, whose words become loops at a root, need a Wigner matrix
-per sample.  :func:`evaluate` is the one-sample case of that evaluator.
+:func:`exact_inner_product` integrates it exactly and
+:func:`mc_inner_product` estimates it by sampling; both hand each state to
+the engine on its own edges, through one builder (``_state_operands``).
+The exact path gives an edge one group factor per segment step of its word,
+chained by direct pairings, and contracts each segment's Haar projector in
+factored form.  The Monte Carlo path evaluates each state batched over a
+chunk of samples and takes the sample mean of conj(state_a) * state_b.  Its
+evaluator first fixes the gauge on a maximal tree of the state's graph:
+tree edges become the identity, and only the other edges, whose words
+become loops at a root, need a Wigner matrix per sample.  :func:`evaluate`
+is the one-sample case of that evaluator.
 """
 
 from __future__ import annotations
@@ -28,18 +30,18 @@ from typing import Mapping
 
 import numpy as np
 
-from .network_model import InvalidNetworkError, SpinNetwork, _sort_key, common_refinement
+from .network_model import InvalidNetworkError, SpinNetwork, _sort_key
 from .rep_core import GroupElement, _quat_product, inverse, multiply, transform_intertwiner
 from .tensor_engine import (
     MC_CHUNK,
+    FactorNetwork,
     GroupFactor,
     LabeledTensor,
     Leg,
     _factor_arrays,
+    _factor_plan,
     _execute,
     _mc_mean,
-    _plan,
-    _Plan,
     contract,
     haar_factored,
 )
@@ -99,19 +101,6 @@ def evaluate(n: SpinNetwork, h) -> complex:
     quats = {s: h[s].as_array()[None] for s in n.graph.segments}
     value, = _state_values([_prepared_state(n, 1)], quats)
     return complex(value[0])
-
-
-# Distinct state shapes whose evaluation plans are kept, and distinct
-# (network, batch) pairs whose prepared states are kept.
-_STATE_PLAN_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_STATE_PLAN_CACHE_SIZE)
-def _state_plan(legs: tuple, dims: tuple, pairs: tuple, n_edges: int, batch: int) -> _Plan:
-    """The plan evaluating one state shape on ``batch`` samples at once; the
-    first ``n_edges`` operands are per-sample edge matrices, the rest vertex
-    tensors."""
-    return _plan(legs, dims, [True] * n_edges + [False] * (len(legs) - n_edges), pairs, batch)
 
 
 def _inverse_word(word) -> tuple:
@@ -204,30 +193,19 @@ def _gauge_fixed_words(n: SpinNetwork) -> dict:
             for e in n.edges}
 
 
-@lru_cache(maxsize=_STATE_PLAN_CACHE_SIZE)
+# Distinct (network, batch) pairs whose prepared states are kept.
+@lru_cache(maxsize=256)
 def _prepared_state(n: SpinNetwork, batch: int) -> tuple:
     """(plan, edge factors, vertex arrays) evaluating ``n`` on ``batch``
     samples at once, kept in a bounded cache.  The state is gauge-fixed
     (``_gauge_fixed_words``): an edge whose word is the identity pairs its
-    out slot with its in slot directly, and every other edge is a factor
+    out slot with its in slot directly, and every other edge is one factor
     whose variable is its oriented word.  The plan is checked against the
     size budget here, before any sample exists."""
-    words = _gauge_fixed_words(n)
-    edges, tensors, pairings = _side_tensors(n, "N", conjugate=False)
-    factors, pairs = [], []
-    for (e, row, col), to_in, to_out in zip(edges, pairings[0::2], pairings[1::2]):
-        if words[e.id]:
-            word, inverted = _oriented(words[e.id])
-            factors.append(GroupFactor(word, e.spin, conjugated=False, inverted=inverted,
-                                       row_leg=row, col_leg=col))
-            pairs += [to_in, to_out]
-        else:
-            pairs.append((to_in[1], to_out[1]))
-    plan = _state_plan(
-        tuple((f.row_leg, f.col_leg) for f in factors) + tuple(tuple(l.id for l in t.legs) for t in tensors),
-        tuple((f.spin.dim,) * 2 for f in factors) + tuple(t.data.shape for t in tensors),
-        tuple(pairs), len(factors), batch)
-    return plan, tuple(factors), tuple(np.asarray(t.data, complex) for t in tensors)
+    steps = {eid: (_oriented(w),) if w else () for eid, w in _gauge_fixed_words(n).items()}
+    state = _state_operands(n, "N", False, steps)
+    return (_factor_plan(state, batch), state.factors,
+            tuple(np.asarray(t.data, complex) for t in state.tensors))
 
 
 def _word_holonomy(quats: Mapping, word, memo: dict | None = None) -> np.ndarray:
@@ -275,31 +253,33 @@ def _state_values(states, quats: Mapping) -> list[np.ndarray]:
     return values
 
 
-def _side_tensors(n: SpinNetwork, side: str, conjugate: bool):
-    """Edge legs, vertex tensors, and pairings for one network.
+def _state_operands(n: SpinNetwork, side: str, conjugate: bool, steps: Mapping) -> FactorNetwork:
+    """One state as a factor network: group factors and vertex tensors.
 
-    Returns one (edge, row leg id, column leg id) triple per edge, for the
-    caller to turn into a Wigner matrix or a group factor, then the vertex
-    tensors and the pairings, two per edge in edge order: its row with the
-    "in" slot at its target, then its column with the "out" slot at its
-    source.  ``conjugate`` marks the bra side: tensor data is
-    conjugated and leg variances flip, matching conjugated group factors.
+    Edge e carries one factor per entry of ``steps[e.id]``, a tuple of
+    (variable, inverted) pairs taken from source to target, chained by
+    direct pairings: the "in" slot at the target with the last factor's row,
+    each factor's column with the next-earlier factor's row, and the first
+    factor's column with the "out" slot at the source.  An edge with no step
+    pairs its two vertex slots directly.  Leg ids are tagged with ``side``.
+    ``conjugate`` marks the bra side: factors and tensor data are
+    conjugated and leg variances flip.
     """
-    edges = []
-    tensors = []
-    pairings = []
+    factors, pairings = [], []
     for e in n.edges:
-        row = (side, "E", e.id, "r")
-        col = (side, "E", e.id, "c")
-        edges.append((e, row, col))
-        pairings.append((row, (side, "V", e.target, e.id, "in")))
-        pairings.append((col, (side, "V", e.source, e.id, "out")))
-    for v, iv in n.vertices.items():
-        legs = tuple(Leg((side, "V", v, eid, d), spin,
-                         "ket" if (d == "out") != conjugate else "bra")
-                     for eid, d, spin in n.vertex_slots(v))
-        tensors.append(LabeledTensor(legs, iv.components.conj() if conjugate else iv.components))
-    return edges, tensors, pairings
+        legs = [((side, "E", e.id, k, "r"), (side, "E", e.id, k, "c"))
+                for k in range(len(steps[e.id]))]
+        factors += [GroupFactor(variable, e.spin, conjugate, inverted, row, col)
+                    for (variable, inverted), (row, col) in zip(steps[e.id], legs)]
+        chain = ([(side, "V", e.target, e.id, "in")] + [l for rc in reversed(legs) for l in rc]
+                 + [(side, "V", e.source, e.id, "out")])
+        pairings += zip(chain[0::2], chain[1::2])
+    tensors = [LabeledTensor(tuple(Leg((side, "V", v, eid, d), spin,
+                                       "ket" if (d == "out") != conjugate else "bra")
+                                   for eid, d, spin in n.vertex_slots(v)),
+                             iv.components.conj() if conjugate else iv.components)
+               for v, iv in n.vertices.items()]
+    return FactorNetwork(factors, tensors, pairings)
 
 
 def _segment_spins(a: SpinNetwork, b: SpinNetwork) -> dict:
@@ -326,25 +306,23 @@ def structural_zero(a: SpinNetwork, b: SpinNetwork) -> bool:
     return False
 
 
-def _paired_network(a: SpinNetwork, b: SpinNetwork):
-    factors, tensors, pairings = [], [], []
-    for n, side, conjugate in zip(common_refinement(a, b), "AB", (True, False)):
-        edges, t, p = _side_tensors(n, side, conjugate)
-        for e, row, col in edges:
-            (segment, rev), = e.word
-            factors.append(GroupFactor(segment, e.spin, conjugated=conjugate, inverted=rev,
-                                       row_leg=row, col_leg=col))
-        tensors += t
-        pairings += p
-    return factors, tensors, pairings
+def _paired_network(a: SpinNetwork, b: SpinNetwork) -> FactorNetwork:
+    """conj(state_a) * state_b as one factor network, each state on its own
+    edges with one factor per segment step of its words."""
+    bra, ket = (_state_operands(n, side, side == "A", {e.id: e.word for e in n.edges})
+                for n, side in ((a, "A"), (b, "B")))
+    return FactorNetwork(bra.factors + ket.factors, bra.tensors + ket.tensors,
+                         bra.pairings + ket.pairings)
 
 
 def exact_inner_product(a: SpinNetwork, b: SpinNetwork) -> complex:
     """<a, b> = integral of conj(state_a) * state_b, antilinear in ``a``.
 
-    Computed by common refinement, one factored invariant basis per segment
-    (the Haar projector P = B B^dagger as two tensors), and a greedy
-    contraction of those bases against vertex tensors.
+    Each state keeps its own edges, an edge contributing one group factor
+    per segment step of its word.  Each segment's factors, from either
+    state, are integrated by one factored invariant basis (the Haar
+    projector P = B B^dagger as two tensors), and those bases are contracted
+    greedily against each other and the vertex tensors.
     """
     if a.graph.registry != b.graph.registry:
         raise InvalidNetworkError("inner products require a shared segment registry")
@@ -352,9 +330,10 @@ def exact_inner_product(a: SpinNetwork, b: SpinNetwork) -> complex:
     # space, which haar_factored needs for its multiplicity leg.
     if structural_zero(a, b):
         return 0j
-    factors, tensors, pairings = _paired_network(a, b)
+    paired = _paired_network(a, b)
+    tensors, pairings = list(paired.tensors), list(paired.pairings)
     by_segment: dict = {}
-    for f in factors:
+    for f in paired.factors:
         by_segment.setdefault(f.variable, []).append(f)
     for segment in sorted(by_segment, key=_sort_key):
         basis, dual, pairing = haar_factored(by_segment[segment], ("H", segment))

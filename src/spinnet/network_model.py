@@ -321,7 +321,7 @@ class SpinNetwork:
         )
 
     def __hash__(self) -> int:
-        return hash((self.graph, self.edges))
+        return hash((self.graph, self.edges, frozenset(self.vertices.items())))
 
 
 def slot_order(edges, vertex) -> list:
@@ -429,10 +429,6 @@ def _assemble(graph: EmbeddedGraph, wedges, wverts) -> SpinNetwork:
     return SpinNetwork(graph, edges, vertices)
 
 
-def _refine(n: SpinNetwork) -> SpinNetwork:
-    return _assemble(n.graph, *_split_working(n))
-
-
 def common_refinement(a: SpinNetwork, b: SpinNetwork) -> tuple:
     """Re-express both networks with every edge a single registry segment.
 
@@ -442,7 +438,7 @@ def common_refinement(a: SpinNetwork, b: SpinNetwork) -> tuple:
     """
     if a.graph.registry != b.graph.registry:
         raise InvalidNetworkError("networks must share a segment registry")
-    return _refine(a), _refine(b)
+    return tuple(_assemble(n.graph, *_split_working(n)) for n in (a, b))
 
 
 def _reversed_slot(comps: np.ndarray, axis: int, spin: Spin, direction: str) -> np.ndarray:

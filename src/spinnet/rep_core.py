@@ -422,7 +422,8 @@ class Intertwiner:
         )
 
     def __hash__(self) -> int:
-        return hash(self.leg_spins)
+        # + 0.0 maps -0.0 to 0.0, so the hash agrees with np.array_equal
+        return hash((self.leg_spins, (self.components + 0.0).tobytes()))
 
 
 def _apply_on_axis(tensor: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:

@@ -13,16 +13,17 @@ Two evaluation paths share one bookkeeping scheme:
 
 Both contract through one engine.  A planner, which sees only leg ids, dims
 and which operands carry a per-sample batch axis, fixes a greedy pairwise
-order once, picks a kernel for each step and rejects a plan whose largest
-intermediate is over a fixed budget before any array is allocated.  An
-executor then runs each step on transposed, reshaped operands, so the number
-of legs in a step is not limited.  Unbatched steps, which are all the steps
-of an exact contraction, are one ``matmul`` each.  Batched operands keep the
-sample axis last: a small batched step is a multiply-add over its inner axis
-across all samples at once, and a larger one a ``matmul``, stacked or with
-the samples folded in, because a stacked ``matmul`` pays a dispatch per
-sample that dominates tiny matrices.  A single-operand trace is a
-``diagonal`` and a ``sum``.
+order once per shape (one bounded cache serves both paths), picks a kernel
+for each step and rejects a plan whose largest intermediate is over a fixed
+budget before any array is allocated.  An executor then runs each step on
+transposed, reshaped operands, so the number of legs in a step is not
+limited.  Unbatched steps, which are all the steps of an exact contraction,
+are one ``matmul`` each.  Batched operands keep the sample axis last: a
+small batched step is a multiply-add over its inner axis across all
+samples at once, and a larger one a ``matmul``, stacked or with the samples
+folded in, because a stacked ``matmul`` pays a dispatch per sample that
+dominates tiny matrices.  A single-operand trace is a ``diagonal`` and a
+``sum``.
 
 Legs carry (id, spin, variance); contraction only joins a ket leg to a bra
 leg of equal spin.  A ``GroupFactor`` names one matrix element
@@ -172,9 +173,10 @@ class _Plan:
     sample_first: frozenset[int]
 
 
+@lru_cache(maxsize=256)  # distinct (shape, batch) keys, for every caller
 def _plan(
-    legs: Sequence[Sequence], dims: Sequence[Sequence[int]], batched: Sequence[bool],
-    pairs: Sequence[tuple], batch: int = 1,
+    legs: tuple[tuple, ...], dims: tuple[tuple[int, ...], ...], batched: tuple[bool, ...],
+    pairs: tuple[tuple, ...], batch: int = 1,
 ) -> _Plan:
     """Greedy pairwise plan over operands given only by leg ids, dims and
     whether they carry a per-sample batch axis of length ``batch``.
@@ -183,6 +185,9 @@ def _plan(
     result of n elements as ``batch`` * n; disconnected remainders are then
     joined by outer products, in order.  Raises ValueError, before any array
     exists, when an intermediate would exceed ``_MAX_INTERMEDIATE`` elements.
+    Plans are kept in one bounded cache keyed on the (tuple) arguments, so
+    networks that differ only in their data share one; a refusal is not
+    cached and recurs on every call.
     """
     live = {i: (list(l), list(d), bool(b)) for i, (l, d, b) in enumerate(zip(legs, dims, batched))}
     pairs = [tuple(p) for p in pairs]
@@ -331,17 +336,6 @@ def _checked_legs(
     return legs_by_id, paired
 
 
-# Distinct contraction shapes whose plans ``contract`` keeps.
-_PLAN_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _contract_plan(legs: tuple, dims: tuple, pairs: tuple) -> _Plan:
-    """The unbatched plan of one contraction shape; networks that differ
-    only in their data, such as the terms of one averaged pairing, share it."""
-    return _plan(legs, dims, [False] * len(legs), pairs)
-
-
 def contract(
     tensors: Sequence[LabeledTensor], pairings: Sequence[tuple[str, str]]
 ) -> LabeledTensor:
@@ -350,15 +344,16 @@ def contract(
     The result keeps the unpaired legs in input appearance order.  The
     network is planned once, smallest intermediate first, and every step
     runs as one matrix product; any order gives the same values up to
-    rounding.  Plans are kept per shape (leg ids, dims and pairings) in a
-    bounded cache; the legs are checked on every call.  Raises ValueError,
-    before any work, when an intermediate would exceed
+    rounding.  The plan comes from ``_plan``'s bounded cache, so networks
+    that differ only in their data, such as the terms of one averaged
+    pairing, share one; the legs are checked on every call.  Raises
+    ValueError, before any work, when an intermediate would exceed
     ``_MAX_INTERMEDIATE`` elements.
     """
     legs_by_id, paired = _checked_legs([l for t in tensors for l in t.legs], pairings)
-    plan = _contract_plan(tuple(tuple(l.id for l in t.legs) for t in tensors),
-                          tuple(tuple(l.spin.dim for l in t.legs) for t in tensors),
-                          tuple((a, b) for a, b in pairings))
+    plan = _plan(tuple(tuple(l.id for l in t.legs) for t in tensors),
+                 tuple(tuple(l.spin.dim for l in t.legs) for t in tensors),
+                 (False,) * len(tensors), tuple((a, b) for a, b in pairings))
     result = _execute(plan, [np.asarray(t.data, complex) for t in tensors])
     order = [l.id for t in tensors for l in t.legs if l.id not in paired]
     perm = [plan.legs.index(l) for l in order]
@@ -454,6 +449,18 @@ def haar_factored(factors: Sequence[GroupFactor], key) -> tuple:
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
+def _factor_plan(network: FactorNetwork, batch: int) -> _Plan:
+    """The plan evaluating a factor network on ``batch`` samples at once: the
+    factors, per-sample matrices, come first and the constant tensors after."""
+    return _plan(
+        tuple((f.row_leg, f.col_leg) for f in network.factors)
+        + tuple(tuple(l.id for l in t.legs) for t in network.tensors),
+        tuple((f.spin.dim,) * 2 for f in network.factors)
+        + tuple(tuple(l.spin.dim for l in t.legs) for t in network.tensors),
+        (True,) * len(network.factors) + (False,) * len(network.tensors),
+        network.pairings, batch=batch)
+
+
 def _factor_arrays(
     factors: Sequence[GroupFactor], quats_by_var: dict,
     leading: Sequence[bool],
@@ -534,15 +541,7 @@ def mc_expectation(
 
     variables = sorted({f.variable for f in network.factors}, key=_sort_key)
     factor_count = len(network.factors)
-    plan = _plan(
-        [[f.row_leg, f.col_leg] for f in network.factors]
-        + [[l.id for l in t.legs] for t in network.tensors],
-        [[f.spin.dim] * 2 for f in network.factors]
-        + [[l.spin.dim for l in t.legs] for t in network.tensors],
-        [True] * factor_count + [False] * len(network.tensors),
-        network.pairings,
-        batch=min(MC_CHUNK, n_samples),
-    )
+    plan = _factor_plan(network, min(MC_CHUNK, n_samples))
     constants = [np.asarray(t.data, complex) for t in network.tensors]
     leading = [k in plan.sample_first for k in range(factor_count)]
 

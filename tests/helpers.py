@@ -3,7 +3,8 @@
 Oracles here deliberately avoid the library's own contraction paths:
 evaluation by explicit index sums, Monte Carlo by direct quaternion
 sampling, correspondence lists by filtering the full assignment
-product space.
+product space, and exact inner products over the common refinement
+rather than each state's own edges.
 """
 
 import itertools
@@ -22,8 +23,12 @@ from spinnet import (
     wigner_matrix,
     wigner_entries,
     epsilon,
+    common_refinement,
 )
 from spinnet.inner_product import edge_holonomy
+from spinnet.tensor_engine import (
+    GroupFactor, LabeledTensor, Leg, _projector_sides, contract, haar_factored,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +290,35 @@ def naive_evaluate(net, holonomies):
             term *= iv.components[idx]
         total += term
     return total
+
+
+def refinement_inner_product(bra, ket):
+    """Exact <bra, ket> over the common refinement of the two networks:
+    every edge one segment with identity bivalents at interior points, one
+    group factor per refined edge (bra conjugated), one factored Haar
+    projector per segment, then one ``contract``.  Zero when some segment's
+    factors admit no invariant."""
+    factors, tensors, pairings = [], [], []
+    for net, side, conj in zip(common_refinement(bra, ket), "AB", (True, False)):
+        for e in net.edges:
+            (segment, rev), = e.word
+            row, col = (side, e.id, "r"), (side, e.id, "c")
+            factors.append(GroupFactor(segment, e.spin, conj, rev, row, col))
+            pairings += [(row, (side, e.target, e.id, "in")), (col, (side, e.source, e.id, "out"))]
+        for v, iv in net.vertices.items():
+            legs = tuple(Leg((side, v, eid, d), spin, "ket" if (d == "out") != conj else "bra")
+                         for eid, d, spin in net.vertex_slots(v))
+            tensors.append(LabeledTensor(legs, iv.components.conj() if conj else iv.components))
+    by_segment = {}
+    for f in factors:
+        by_segment.setdefault(f.variable, []).append(f)
+    for segment, fs in by_segment.items():
+        if not len(_projector_sides(fs)[0]):
+            return 0j
+        basis, dual, pairing = haar_factored(fs, ("H", segment))
+        tensors += [basis, dual]
+        pairings.append(pairing)
+    return complex(contract(tensors, pairings).data)
 
 
 def brute_mc_inner_product(bra, ket, n_samples, seed, use_naive=False):

@@ -27,7 +27,7 @@ from spinnet import (
     emit_geometry,
     write_curves_csv,
 )
-from spinnet import tensor_engine
+from spinnet import blipweb, tensor_engine
 from spinnet.blipweb import (junction, bump, blip_amplitude, BumpCurve, PLUS, MINUS,
                              _HALF, _boundary_weights, _column_basis)
 from spinnet.tensor_engine import GroupFactor, haar_project
@@ -393,6 +393,31 @@ def test_observation_two_values():
     for i in (-2, -1, 0, 1):
         v = observation_two(2, i)
         npt.assert_allclose(v, frac(1, 128), atol=1e-12)
+
+
+def test_observations_read_only_the_words(monkeypatch):
+    """The observations build no network: with network construction refused
+    they return, bit for bit, the stabilized products of the built states."""
+    want_one = {(n, i0): stabilized_inner_product(build_tassel(n), build_phi(n, i0))
+                for n in (1, 2, 3) for i0 in range(-n, n) if i0 % 2}
+    want_two = {}
+    for n in (1, 2, 3):
+        psi = build_tassel(n)
+        for i in range(-n, n):
+            want_two[n, i] = stabilized_inner_product(psi, swap_signs(psi, i))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an observation built a network")
+
+    monkeypatch.setattr(blipweb, "network", refused)
+    with pytest.raises(AssertionError):
+        build_tassel(2)
+    assert {k: observation_one(*k) for k in want_one} == want_one
+    assert {k: observation_two(*k) for k in want_two} == want_two
+    with pytest.raises(ValueError, match="odd"):
+        observation_one(2, 0)
+    with pytest.raises(ValueError, match="outside"):
+        observation_two(2, 2)
 
 
 # ---------------------------------------------------------------------------

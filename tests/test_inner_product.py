@@ -24,12 +24,14 @@ from spinnet import (
     build_tassel,
     build_phi,
     swap_signs,
+    canonicalize,
 )
 import spinnet.inner_product as ip
+import spinnet.network_model as nm
 import spinnet.tensor_engine as te
 from spinnet.inner_product import _oriented, _paired_network, _word_holonomy, edge_holonomy
 from spinnet.rep_core import _quat_product
-from spinnet.tensor_engine import MC_CHUNK, FactorNetwork, mc_expectation
+from spinnet.tensor_engine import MC_CHUNK, mc_expectation
 from helpers import (
     character,
     haar_element,
@@ -40,6 +42,7 @@ from helpers import (
     random_holonomies,
     random_network,
     reintertwine,
+    refinement_inner_product,
     brute_mc_inner_product,
     wordy_network,
     MOTIF_NAMES,
@@ -201,21 +204,22 @@ def test_evaluate_gauge_invariance(rng):
 
 
 def test_evaluate_plans_once_per_shape(rng):
-    """States that differ only in their intertwiners share one plan, from a
-    bounded cache."""
-    assert ip._state_plan.cache_info().maxsize is not None
+    """States that differ only in their intertwiners share one plan, from the
+    engine's one bounded plan cache."""
+    assert te._plan.cache_info().maxsize is not None
     a = theta_network((1, 1, 2))
     h = random_holonomies(rng, a)
-    ip._state_plan.cache_clear()
+    te._plan.cache_clear()
     for _ in range(3):
         evaluate(reintertwine(rng, a), h)
-    assert ip._state_plan.cache_info().misses == 1
+    assert te._plan.cache_info().misses == 1
+    assert te._plan.cache_info().hits == 2
 
 
 def test_evaluate_prepares_each_network_once(rng, monkeypatch):
     """A second evaluation of one network reuses its prepared state, from a
-    cache with the plan cache's bound."""
-    assert ip._prepared_state.cache_info().maxsize == ip._STATE_PLAN_CACHE_SIZE
+    bounded cache."""
+    assert ip._prepared_state.cache_info().maxsize is not None
     calls = []
     real = ip._gauge_fixed_words
 
@@ -230,6 +234,20 @@ def test_evaluate_prepares_each_network_once(rng, monkeypatch):
         evaluate(n, random_holonomies(rng, n))
     evaluate(network(n.graph.registry, list(n.edges), n.vertices), random_holonomies(rng, n))
     assert len(calls) == 1
+
+
+def test_mc_paths_share_one_plan_cache():
+    """A prepared state and ``mc_expectation`` on the same operands and batch
+    take one plan from the engine's one cache."""
+    a = theta_network((1, 1, 2))
+    steps = {eid: (ip._oriented(w),) if w else () for eid, w in ip._gauge_fixed_words(a).items()}
+    ip._prepared_state.cache_clear()
+    te._plan.cache_clear()
+    mc_inner_product(a, a, 300, seed=1)
+    assert te._plan.cache_info().misses == 1
+    mc_expectation(ip._state_operands(a, "N", False, steps), 300, seed=1)
+    assert te._plan.cache_info().misses == 1
+    assert te._plan.cache_info().hits == 1
 
 
 def _zero_chain():
@@ -398,6 +416,88 @@ def test_inner_product_requires_shared_registry():
         mc_inner_product(a, b, 100, seed=0)
 
 
+def _exact_oracle_pairs():
+    """Pairs whose states differ in how their edges cut the shared segments:
+    random motifs, wordy networks (multi-segment, reversed words, circles)
+    against themselves and against canonical forms, a backtracking loop,
+    web states, and two structural zeros."""
+    rng = np.random.default_rng(606)
+    pairs = []
+    for motif in MOTIF_NAMES:
+        for _ in range(2):
+            a = random_network(rng, motif)
+            pairs += [(a, a), (a, reintertwine(rng, a))]
+    for twice_js, circle in (((1, 3, 2), 3), ((2, 2, 2), 2), ((1, 1, 2), 1)):
+        a = wordy_network(rng, twice_js, circle)
+        b = wordy_network(rng, twice_js, circle, registry=a.graph.registry)
+        pairs += [(a, a), (a, b), (b, canonicalize(a)), (canonicalize(b), a)]
+    loop = _backtracking_loop()
+    pairs.append((loop, loop))
+    for n in (1, 2, 3):
+        psi = build_tassel(n)
+        pairs += [(psi.network, build_phi(n, -1).network),
+                  (psi.network, swap_signs(psi, 0).network),
+                  (swap_signs(psi, -n).network, psi.network)]
+    half = loop_network(1)
+    pairs += [(half, loop_network(2, registry=half.graph.registry)),
+              (half, loop_network(1, segment="s2", registry=half.graph.registry))]
+    return pairs
+
+
+def test_state_operands_evaluate_the_state(rng):
+    """A state's operand network, one factor per segment step, contracted at
+    one holonomy assignment gives the index-sum value, conjugated on the bra
+    side."""
+    for n in (wordy_network(rng, (1, 1, 2), 1), _backtracking_loop(),
+              random_network(rng, "dumbbell")):
+        h = random_holonomies(rng, n)
+        quats = {s: h[s].as_array()[None] for s in n.graph.segments}
+        want = naive_evaluate(n, h)
+        for side, conjugate in (("A", True), ("B", False)):
+            state = ip._state_operands(n, side, conjugate, {e.id: e.word for e in n.edges})
+            plan = te._factor_plan(state, 1)
+            leading = [k in plan.sample_first for k in range(len(state.factors))]
+            arrays = te._factor_arrays(state.factors, quats, leading)
+            value, = te._execute(plan, arrays + [t.data for t in state.tensors])
+            npt.assert_allclose(value, np.conj(want) if conjugate else want, atol=1e-12)
+
+
+def test_exact_matches_refinement_oracle():
+    """Each state on its own edges, one factor per segment step, gives the
+    value of the contraction over the common refinement."""
+    zeros = 0
+    for a, b in _exact_oracle_pairs():
+        got, want = exact_inner_product(a, b), refinement_inner_product(a, b)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (got, want)
+        zeros += structural_zero(a, b)
+    assert zeros == 2
+
+
+def test_exact_path_never_refines(monkeypatch):
+    """The exact path gives the same values with the common refinement out
+    of reach."""
+    pairs = _exact_oracle_pairs()
+    before = [exact_inner_product(a, b) for a, b in pairs]
+
+    def refused(*args):
+        raise AssertionError("the exact path refined a network")
+
+    monkeypatch.setattr(nm, "common_refinement", refused)
+    monkeypatch.setattr(nm, "_split_working", refused)
+    monkeypatch.setattr(ip, "common_refinement", refused, raising=False)
+    assert [exact_inner_product(a, b) for a, b in pairs] == before
+
+
+def test_web_pairing_keeps_each_state_on_its_own_edges():
+    """Web psi.phi at N=2: four 4-segment curves per state make 32 factors,
+    and the only vertex tensors are the two caps of each state, 64 elements
+    in all."""
+    paired = _paired_network(build_tassel(2).network, build_phi(2, -1).network)
+    assert len(paired.factors) == 32
+    assert len(paired.tensors) == 4
+    assert sum(t.data.size for t in paired.tensors) == 64
+
+
 def test_exact_matches_independent_mc_oracle(rng):
     for k in range(3):
         a = random_network(rng)
@@ -449,7 +549,7 @@ def test_mc_inner_product_with_mixed_segment_id_types():
 def _joint_estimate(a, b, n_samples, seed):
     """The same estimate from one joint network over the common refinement,
     bra factors conjugated: the same stream, one factor per segment piece."""
-    return mc_expectation(FactorNetwork(*_paired_network(a, b)), n_samples, seed)
+    return mc_expectation(_paired_network(a, b), n_samples, seed)
 
 
 def _oracle_pairs():
@@ -629,8 +729,9 @@ def test_mc_oversized_state_fails_before_sampling(monkeypatch):
         raise AssertionError("sampled before the plan was checked")
 
     monkeypatch.setattr(te, "haar_quaternions", no_draws)
-    with pytest.raises(ValueError, match="intermediate"):
-        mc_inner_product(big, big, MC_CHUNK, seed=0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="intermediate"):
+            mc_inner_product(big, big, MC_CHUNK, seed=0)
 
 
 def test_mc_inner_product_needs_two_samples():

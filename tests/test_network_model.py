@@ -28,6 +28,7 @@ from helpers import (
     random_holonomies,
     random_network,
     naive_evaluate,
+    reintertwine,
 )
 
 
@@ -331,6 +332,25 @@ def test_decompose_presentation_on_random_registries():
         for group in (d.intervals, d.circles):
             leasts = [key(min((s for s, _ in p.steps), key=key)) for p in group]
             assert leasts == sorted(leasts)
+
+
+def test_network_hash_covers_intertwiners():
+    """Networks differing only in their intertwiners hash apart, and equal
+    networks hash equal, also when their components differ only in the sign
+    of zeros."""
+    rng = np.random.default_rng(51)
+    theta = theta_network((2, 2, 2))
+    variants = [reintertwine(rng, theta) for _ in range(50)]
+    assert len(set(variants)) == 50
+    assert len({hash(n) for n in variants}) == 50
+
+    negative_zero = complex(-0.0, -0.0)
+    flipped = network(theta.graph.registry, list(theta.edges), {
+        v: Intertwiner(iv.leg_spins, np.where(iv.components == 0, negative_zero, iv.components))
+        for v, iv in theta.vertices.items()})
+    before, after = theta.vertices["X"].components, flipped.vertices["X"].components
+    assert (np.signbit(before.real) != np.signbit(after.real)).any()
+    assert flipped == theta and hash(flipped) == hash(theta)
 
 
 # ---------------------------------------------------------------------------

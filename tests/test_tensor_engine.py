@@ -139,19 +139,20 @@ def test_contract_oversized_plan_fails_before_allocating():
 
 
 def test_contract_plan_cache_is_bounded_and_keeps_checks():
-    """One plan per contraction shape: the 48 transported terms of a
-    3-cycle self-pairing share one, and a cached shape is still checked and
-    still refused when oversized."""
-    maxsize = te._contract_plan.cache_info().maxsize
+    """One plan per contraction shape, from the engine's one bounded plan
+    cache: the 48 transported terms of a 3-cycle self-pairing share one, and
+    a cached shape is still checked and still refused when oversized."""
+    maxsize = te._plan.cache_info().maxsize
     assert maxsize is not None and maxsize > 0
     cycle = cycle_network(np.random.default_rng(3), 3)
     d = decompose(cycle.graph)
     classes = enumerate_correspondences(d, d)
     assert len(classes) == 48
-    te._contract_plan.cache_clear()
+    te._plan.cache_clear()
     for c in classes:
         exact_inner_product(transport(cycle, c), cycle)
-    assert te._contract_plan.cache_info().misses == 1
+    assert te._plan.cache_info().misses == 1
+    assert te._plan.cache_info().hits == 47
 
     ta = lt("a", np.eye(2)[0], ("ket",))
     contract([ta, lt("b", np.eye(2)[1], ("bra",))], [("a0", "b0")])
@@ -540,18 +541,11 @@ def _two_kernel_network():
     return FactorNetwork(tuple(factors), tuple(tensors), tuple(pairings))
 
 
-def _mc_plan(net, batch):
-    return te._plan(
-        [[f.row_leg, f.col_leg] for f in net.factors] + [[l.id for l in t.legs] for t in net.tensors],
-        [[f.spin.dim] * 2 for f in net.factors] + [[l.spin.dim for l in t.legs] for t in net.tensors],
-        [True] * len(net.factors) + [False] * len(net.tensors), net.pairings, batch=batch)
-
-
 def test_mc_two_kernel_plan_matches_per_sample_oracle():
     """The chunk plan mixes multiply-adds and matmuls; every sample of it
     agrees with a per-sample einsum over the same Philox draws."""
     net = _two_kernel_network()
-    plan = _mc_plan(net, MC_CHUNK)
+    plan = te._factor_plan(net, MC_CHUNK)
     n_in = len(net.factors) + len(net.tensors)
     made_by = {}
     seen = set()
@@ -596,7 +590,7 @@ def test_mc_two_kernel_plan_matches_per_sample_oracle():
     assert abs(mean - want) <= 1e-12 * max(1.0, abs(want))
     npt.assert_allclose(err, np.std(values, ddof=1) / np.sqrt(n), rtol=1e-9)
     # and sample by sample, through the executor
-    batch_plan = _mc_plan(net, n)
+    batch_plan = te._factor_plan(net, n)
     quats_by_var = {"g": quats[:, 0], "h": quats[:, 1]}
     leading = [k in batch_plan.sample_first for k in range(5)]
     assert any(leading) and not all(leading)
@@ -609,14 +603,14 @@ def test_contract_plans_never_multiply_add(monkeypatch):
     """Exact contractions have no batched operand, so every step of their
     plans is a matmul or a trace, however small."""
     kernels = set()
-    real = te._contract_plan
+    real = te._plan
 
-    def recording(*args):
-        plan = real(*args)
+    def recording(*args, **kwargs):
+        plan = real(*args, **kwargs)
         kernels.update(st.kernel for st in plan.steps)
         return plan
 
-    monkeypatch.setattr(te, "_contract_plan", recording)
+    monkeypatch.setattr(te, "_plan", recording)
     rng = np.random.default_rng(37)
     mats = [lt(f"m{k}", rng.standard_normal((2, 2)), ("ket", "bra")) for k in range(3)]
     contract(mats, [("m01", "m10"), ("m11", "m20"), ("m21", "m00")])
@@ -648,8 +642,8 @@ def test_execute_one_step_per_kernel_and_batch_placement(shape_a, shape_b, batch
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     a, b = rand(shape_a, batched_a), rand(shape_b, batched_b)
-    plan = te._plan([["i", "k"], ["k2", "j"]], [shape_a, shape_b], [batched_a, batched_b],
-                    [("k", "k2")], batch=m)
+    plan = te._plan((("i", "k"), ("k2", "j")), (shape_a, shape_b), (batched_a, batched_b),
+                    (("k", "k2"),), batch=m)
     (st,) = plan.steps
     assert st.kernel == kernel
     got = te._execute(plan, [a, b])
