@@ -35,7 +35,7 @@ import numpy as np
 
 from .rep_core import Spin, Intertwiner, epsilon
 from .network_model import SegmentRegistry, Edge, SpinNetwork, network
-from .tensor_engine import GroupFactor, _projector_sides
+from .tensor_engine import _invariant_basis
 
 __all__ = [
     "ToleranceError",
@@ -245,10 +245,8 @@ def _column_basis(bra_signs: tuple, ket_signs: tuple) -> np.ndarray:
     q, placed = np.ones((1, 1)), []
     for sign in (PLUS, MINUS):
         strands = [st for st in range(8) if signs[st] == sign]
-        factors = [GroupFactor("h", _HALF, conjugated=st < 4, inverted=False,
-                               row_leg=f"r{st}", col_leg=f"c{st}")
-                   for st in strands]
-        basis = _projector_sides(factors)[0]
+        # a bra strand (st < 4) is conjugated, so dual: its axis is an "in" leg
+        basis = _invariant_basis(tuple((1, st < 4) for st in strands))
         # explicit size: a -1 reshape fails when the arc has no invariants
         q = np.kron(q, basis.reshape(len(basis), 2 ** len(strands)))
         placed.extend(strands)

@@ -30,7 +30,9 @@ documents round-trip bit-exactly.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sys
 
 import numpy as np
 
@@ -84,6 +86,12 @@ def _expect(doc, key, kind, loc):
     return value
 
 
+def _is_real(v) -> bool:
+    """A finite JSON number: not a bool, NaN, an infinity or an int beyond
+    the float range (the comparison is exact, so it cannot overflow)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def _parse_word(refs, registry: SegmentRegistry, loc: str):
     if not isinstance(refs, list) or not refs:
         raise DocumentError(loc, "word must be a nonempty list of segment ids")
@@ -103,8 +111,8 @@ def _parse_complex_array(node, dims, loc: str) -> np.ndarray:
     """Nested lists of [re, im] pairs as a complex array of shape ``dims``.
 
     A well-formed array is checked level by level and converted in one
-    numpy call; anything else is walked pair by pair, which locates the
-    first offending entry.
+    numpy call; anything else, a number that is not a finite float included,
+    is walked pair by pair, which locates the first offending entry.
     """
     dims = tuple(dims)
     flat = [node]
@@ -115,12 +123,14 @@ def _parse_complex_array(node, dims, loc: str) -> np.ndarray:
     else:
         # exact types: a float conversion would silently accept bool
         if {type(v) for v in flat} <= {int, float}:
-            return np.array(flat, dtype=float).view(complex).reshape(dims)
+            with contextlib.suppress(OverflowError):  # an int beyond the float range
+                arr = np.array(flat, dtype=float)
+                if np.isfinite(arr).all():
+                    return arr.view(complex).reshape(dims)
 
     def rec(n, d, where):
         if not d:
-            ok = (isinstance(n, list) and len(n) == 2
-                  and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in n))
+            ok = isinstance(n, list) and len(n) == 2 and all(map(_is_real, n))
             if not ok:
                 raise DocumentError(where, f"expected a [re, im] pair, got {n!r}")
             return complex(n[0], n[1])
@@ -243,8 +253,7 @@ def holonomies_from_document(doc) -> HolonomyAssignment:
     out = {}
     for sid, quat in doc.items():
         loc = f"[{sid!r}]"
-        ok = (isinstance(quat, list) and len(quat) == 4
-              and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in quat))
+        ok = isinstance(quat, list) and len(quat) == 4 and all(map(_is_real, quat))
         if not ok:
             raise DocumentError(loc, f"expected [w, x, y, z], got {quat!r}")
         norm = float(np.linalg.norm(quat))

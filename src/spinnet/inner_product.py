@@ -237,13 +237,12 @@ def _state_values(states, quats: Mapping) -> list[np.ndarray]:
     and each word prefix is multiplied once; a state with no factor is a
     constant."""
     factors = [f for _, fs, _ in states for f in fs]
-    leading = [k in plan.sample_first for plan, fs, _ in states for k in range(len(fs))]
     holonomies: dict = {}
     prefixes: dict = {}
     for f in factors:
         if f.variable not in holonomies:
             holonomies[f.variable] = _word_holonomy(quats, f.variable, prefixes)
-    arrays = _factor_arrays(factors, holonomies, leading)
+    arrays = _factor_arrays(factors, holonomies)
     m = len(next(iter(quats.values())))
     values = []
     for plan, fs, constants in states:

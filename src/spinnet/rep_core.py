@@ -101,7 +101,7 @@ class GroupElement:
 
     def __post_init__(self) -> None:
         norm2 = self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(norm2 - 1.0) > 1e-12:
+        if not abs(norm2 - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"quaternion norm^2 = {norm2!r} is not 1 within 1e-12")
 
     @staticmethod

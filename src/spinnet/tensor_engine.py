@@ -17,13 +17,12 @@ order once per shape (one bounded cache serves both paths), picks a kernel
 for each step and rejects a plan whose largest intermediate is over a fixed
 budget before any array is allocated.  An executor then runs each step on
 transposed, reshaped operands, so the number of legs in a step is not
-limited.  Unbatched steps, which are all the steps of an exact contraction,
-are one ``matmul`` each.  Batched operands keep the sample axis last: a
-small batched step is a multiply-add over its inner axis across all
-samples at once, and a larger one a ``matmul``, stacked or with the samples
-folded in, because a stacked ``matmul`` pays a dispatch per sample that
-dominates tiny matrices.  A single-operand trace is a ``diagonal`` and a
-``sum``.
+limited.  Batched operands keep the sample axis last, and a step's kernel
+follows from which operands are batched, whatever its size: a step with
+both batched is a multiply-add over its inner axis across all samples at
+once, because a stacked ``matmul`` pays a dispatch per sample; every other
+step, which includes all the steps of an exact contraction, is one
+``matmul``.  A single-operand trace is a ``diagonal`` and a ``sum``.
 
 Legs carry (id, spin, variance); contraction only joins a ket leg to a bra
 leg of equal spin.  A ``GroupFactor`` names one matrix element
@@ -120,29 +119,19 @@ class FactorNetwork:
 # ---------------------------------------------------------------------------
 # contraction core
 
-# Largest intermediate a contraction plan may create, in complex elements and
-# counting the batch axis: the package-wide array budget.
-_MAX_INTERMEDIATE = _MAX_ELEMENTS
-
-# Largest rows * inner * cols of a batched step that runs as a multiply-add
-# over the inner axis instead of a stacked matmul, which pays a dispatch per
-# sample; chosen from per-step timings of the Monte Carlo plans.
-_MADD_MAX = 64
-
-
 @dataclass(frozen=True)
 class _Step:
     """One pairwise step of a plan.
 
-    A batched operand is stored with its per-sample axis last.  ``perm_a``
-    transposes slot ``a`` to [free..., contracted...] and ``perm_b`` slot
-    ``b`` to [contracted..., free...], so the step is one (rows x inner) @
-    (inner x cols) product per sample; each perm also places the sample axis
-    where ``kernel`` wants it.  ``kernel`` is "madd" (a multiply-add over the
-    inner axis, sample axis last, on small batched steps), "matmul" (sample
-    axis leading when ``a`` is batched, else folded into the columns) or
-    "trace" (``b`` is None, ``a`` ordered [free..., first legs...,
-    partners..., sample?]).  ``dims`` is the unbatched shape of the result.
+    A batched operand is stored with its per-sample axis last, and every
+    perm keeps it there.  ``perm_a`` transposes slot ``a`` to [free...,
+    contracted...] and ``perm_b`` slot ``b`` to [contracted..., free...], so
+    the step is one (rows x inner) @ (inner x cols) product per sample.
+    ``kernel`` follows from the batching alone: "trace" (``b`` is None,
+    ``a`` ordered [free..., first legs..., partners...]), "madd" (both
+    operands batched: a multiply-add over the inner axis) or "matmul"
+    (anything else: one matrix product).  ``dims`` is the unbatched shape
+    of the result.
     """
 
     a: int
@@ -163,14 +152,11 @@ class _Plan:
     """Pairwise contraction order for fixed legs, dims and batched flags.
 
     Slots 0..n-1 hold the n operands and step k writes slot n+k; the result
-    is the last slot, with legs ``legs``.  ``sample_first`` holds the batched
-    slots that a step reads with the sample axis leading; an operand stored
-    that way needs no copy to be read.
+    is the last slot, with legs ``legs``.
     """
 
     steps: tuple[_Step, ...]
     legs: tuple
-    sample_first: frozenset[int]
 
 
 @lru_cache(maxsize=256)  # distinct (shape, batch) keys, for every caller
@@ -184,7 +170,7 @@ def _plan(
     Each round takes the step with the smallest result, counting a batched
     result of n elements as ``batch`` * n; disconnected remainders are then
     joined by outer products, in order.  Raises ValueError, before any array
-    exists, when an intermediate would exceed ``_MAX_INTERMEDIATE`` elements.
+    exists, when an intermediate would exceed ``_MAX_ELEMENTS`` elements.
     Plans are kept in one bounded cache keyed on the (tuple) arguments, so
     networks that differ only in their data share one; a refusal is not
     cached and recurs on every call.
@@ -192,7 +178,6 @@ def _plan(
     live = {i: (list(l), list(d), bool(b)) for i, (l, d, b) in enumerate(zip(legs, dims, batched))}
     pairs = [tuple(p) for p in pairs]
     steps = []
-    sample_first = set()
 
     def add_step(ia, ib, plist):
         la, da, ba = live.pop(ia)
@@ -212,25 +197,15 @@ def _plan(
         inner = prod(da[k] for k in con_a[: len(plist)])
         cols = prod(db[k] for k in free_b)
         size = rows * cols * (batch if ba or bb else 1)
-        if size > _MAX_INTERMEDIATE:
+        if size > _MAX_ELEMENTS:
             raise ValueError(
                 f"contraction needs an intermediate of {size} elements, over the "
-                f"limit of {_MAX_INTERMEDIATE} ({_MAX_INTERMEDIATE * 16 >> 20} MiB)"
+                f"limit of {_MAX_ELEMENTS} ({_MAX_ELEMENTS * 16 >> 20} MiB)"
             )
-        if ia == ib:
-            kernel = "trace"
-        elif (ba or bb) and rows * inner * cols <= _MADD_MAX:
-            kernel = "madd"
-        else:
-            kernel = "matmul"
-        # the sample axis, stored last, leads only for a matmul on a batched a
-        lead = kernel == "matmul" and ba
-        if lead:
-            sample_first.update([ia, ib] if bb else [ia])
+        kernel = "trace" if ia == ib else "madd" if ba and bb else "matmul"
         steps.append(_Step(
             ia, None if ia == ib else ib, ba, bb,
-            tuple([len(la)] * lead + free_a + con_a + [len(la)] * (ba and not lead)),
-            tuple([len(lb)] * (bb and lead) + con_b + free_b + [len(lb)] * (bb and not lead)),
+            tuple(free_a + con_a + [len(la)] * ba), tuple(con_b + free_b + [len(lb)] * bb),
             rows, inner, cols, tuple(out_dims), kernel,
         ))
         out_legs = [la[k] for k in free_a] + [lb[k] for k in free_b]
@@ -261,20 +236,19 @@ def _plan(
         add_step(acc, ib, [])
         acc = len(legs) + len(steps) - 1
     (out_legs, _, _), = live.values()
-    return _Plan(tuple(steps), tuple(out_legs), frozenset(sample_first))
+    return _Plan(tuple(steps), tuple(out_legs))
 
 
 def _execute(plan: _Plan, arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Run a plan; batched arrays share a trailing sample axis of any length.
 
-    A step runs the kernel the plan chose for it.  "madd" accumulates
-    ``x[:, q, None] * y[None, q]`` over the inner index q on sample-last
-    operands, a constant operand broadcasting along a length-1 sample axis.
-    "matmul" is one matrix product: stacked when both operands are batched,
-    with the samples folded into the rows when only ``a`` is and into the
-    columns when only ``b`` is, and an outer product when nothing is
-    contracted (inner = 1).  A trace is a ``diagonal`` and a ``sum``.
-    Unbatched steps are always plain matmuls and traces.
+    Every operand and result keeps the sample axis last.  A "madd" step
+    accumulates ``x[:, q, None] * y[None, q]`` over the inner index q, a
+    broadcast product when nothing is contracted.  A "matmul" step is one
+    matrix product: plain when neither operand is batched, ``y.T @ x``
+    stacked over the rows of ``x`` when only ``a`` is, and with the samples
+    folded into the columns of ``y`` when only ``b`` is.  A trace is a
+    ``diagonal`` and a ``sum``.
     """
     slots = list(arrays)
     for st in plan.steps:
@@ -295,11 +269,7 @@ def _execute(plan: _Plan, arrays: Sequence[np.ndarray]) -> np.ndarray:
                 for q in range(1, st.inner):
                     out += x[:, q, None] * y[None, q]
             elif st.batched_a:
-                if st.batched_b:
-                    out = x.reshape(m + (st.rows, st.inner)) @ y.reshape(m + (st.inner, st.cols))
-                else:
-                    out = x.reshape(-1, st.inner) @ y.reshape(st.inner, st.cols)
-                out = np.moveaxis(out.reshape(m + st.dims), 0, -1)
+                out = y.reshape(st.inner, st.cols).T @ x.reshape(st.rows, st.inner, -1)
             else:
                 out = x.reshape(st.rows, st.inner) @ y.reshape(st.inner, -1)
         slots.append(out.reshape(st.dims + m))
@@ -348,7 +318,7 @@ def contract(
     that differ only in their data, such as the terms of one averaged
     pairing, share one; the legs are checked on every call.  Raises
     ValueError, before any work, when an intermediate would exceed
-    ``_MAX_INTERMEDIATE`` elements.
+    ``_MAX_ELEMENTS`` elements.
     """
     legs_by_id, paired = _checked_legs([l for t in tensors for l in t.legs], pairings)
     plan = _plan(tuple(tuple(l.id for l in t.legs) for t in tensors),
@@ -461,29 +431,19 @@ def _factor_plan(network: FactorNetwork, batch: int) -> _Plan:
         network.pairings, batch=batch)
 
 
-def _factor_arrays(
-    factors: Sequence[GroupFactor], quats_by_var: dict,
-    leading: Sequence[bool],
-) -> list[np.ndarray]:
-    """Per-sample matrices for each factor, shape (row, col, sample), reusing
-    one Wigner build per (variable, spin).  A factor flagged in ``leading``
-    is stored sample-first (see ``_Plan.sample_first``), the others
-    sample-last; each layout is made once."""
+def _factor_arrays(factors: Sequence[GroupFactor], quats_by_var: dict) -> list[np.ndarray]:
+    """Per-sample matrices for each factor, shape (row, col, sample) with
+    the sample axis last, as every plan reads them; one Wigner build per
+    (variable, spin)."""
     built: dict[tuple, np.ndarray] = {}
-    base: dict[tuple, np.ndarray] = {}
     out = []
-    for f, lead in zip(factors, leading):
-        key = (f.variable, f.spin.twice_j, lead)
-        if key not in base:
-            # wigner_entries returns a (sample, row, col) view of (row,
-            # col, sample) storage; moving the axes back gives the storage
-            if key[:2] not in built:
-                built[key[:2]] = wigner_entries(f.spin.twice_j, quats_by_var[f.variable])
-            entries = built[key[:2]]
-            if lead:
-                entries = np.ascontiguousarray(entries)
-            base[key] = entries.transpose(1, 2, 0)
-        arr = base[key]
+    for f in factors:
+        key = (f.variable, f.spin.twice_j)
+        if key not in built:
+            # wigner_entries returns a (sample, row, col) view of (row, col,
+            # sample) storage; moving the axes back gives the storage
+            built[key] = wigner_entries(f.spin.twice_j, quats_by_var[f.variable]).transpose(1, 2, 0)
+        arr = built[key]
         if f.inverted:
             arr = np.swapaxes(arr, 0, 1)
             if not f.conjugated:
@@ -543,12 +503,11 @@ def mc_expectation(
     factor_count = len(network.factors)
     plan = _factor_plan(network, min(MC_CHUNK, n_samples))
     constants = [np.asarray(t.data, complex) for t in network.tensors]
-    leading = [k in plan.sample_first for k in range(factor_count)]
 
     def chunk_values(quats):
         quats_by_var = {v: quats[:, i, :] for i, v in enumerate(variables)}
         result = _execute(
-            plan, _factor_arrays(network.factors, quats_by_var, leading) + constants)
+            plan, _factor_arrays(network.factors, quats_by_var) + constants)
         return result if factor_count else np.full(len(quats), complex(result))
 
     return _mc_mean(n_samples, seed, len(variables), chunk_values)

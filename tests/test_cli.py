@@ -121,6 +121,40 @@ def test_oversized_basis_vertex_is_exit_2(tmp_path, capsys):
     assert cap.out == ""
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_document_entries_are_exit_2(tmp_path, capsys, literal):
+    """Python's json reads NaN and Infinity; each subcommand that reads a
+    document refuses one in a holonomy quaternion or in an explicit
+    intertwiner with exit 2 and the entry's location."""
+    value = repr(json.loads(literal))
+    holonomies = tmp_path / "h.json"
+    holonomies.write_text(json.dumps(dict(IDENTITY_H, s1="X")).replace(
+        '"X"', f"[1.0, {literal}, 0.0, 0.0]"))
+    explicit = dict(LOOP_DOC, intertwiners={"P": {"kind": "explicit", "components": [
+        [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], "X"]]}})
+    network = tmp_path / "n.json"
+    network.write_text(json.dumps(explicit).replace('"X"', f"[1.0, {literal}]"))
+    good_network, good_holonomies = tmp_path / "loop.json", tmp_path / "ident.json"
+    good_network.write_text(dumps_document(LOOP_DOC))
+    good_holonomies.write_text(dumps_document(IDENTITY_H))
+    net_error = (f"intertwiners['P'].components[1][1]: "
+                 f"expected a [re, im] pair, got [1.0, {value}]")
+    hol_error = f"['s1']: expected [w, x, y, z], got [1.0, {value}, 0.0, 0.0]"
+    cases = [
+        (["eval", str(good_network), str(holonomies)], hol_error),
+        (["eval", str(network), str(good_holonomies)], net_error),
+        (["ip", str(network), str(good_network)], net_error),
+        (["ip", str(good_network), str(network), "--mc", "100"], net_error),
+        (["dip", str(network), str(network)], net_error),
+        (["gram", str(good_network), str(network)], net_error),
+    ]
+    for argv, message in cases:
+        code, _, cap = run(capsys, argv)
+        assert code == 2, argv
+        assert cap.err == f"error: {message}\n", argv
+        assert cap.out == ""
+
+
 def test_ip_exact_theta(docs, capsys):
     code, report, _ = run(capsys, ["ip", docs["theta"], docs["theta"]])
     assert code == 0
@@ -364,6 +398,25 @@ def test_reports_independent_of_hash_seed(docs, tmp_path):
             assert proc.returncode == 0, proc.stderr
             outputs.add(proc.stdout)
         assert len(outputs) == 1, argv
+
+
+def test_mc_report_independent_of_blas_threads(tmp_path):
+    """An MC report is byte-identical with one and with two BLAS threads:
+    the 4-4-4 theta's chunk plan runs matrix products through BLAS."""
+    theta444 = dict(THETA_DOC, edges=[dict(e, twice_j=4) for e in THETA_DOC["edges"]])
+    path = tmp_path / "theta444.json"
+    path.write_text(dumps_document(theta444))
+    outputs = set()
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinnet.cli", "ip", str(path), str(path),
+             "--mc", "5000", "--seed", "5"],
+            capture_output=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
 
 
 def test_argparse_usage_error_is_systemexit():

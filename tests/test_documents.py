@@ -254,13 +254,22 @@ EXPLICIT_ERRORS = [
     ([[ZERO_PAIR, ZERO_PAIR]] * 3, "intertwiners['P'].components: expected a list of length 2"),
     ("abc", "intertwiners['P'].components: expected a list of length 2"),
     (None, "intertwiners['P'].components: expected a list of length 2"),
+    ([[ZERO_PAIR, ZERO_PAIR], [ZERO_PAIR, [float("nan"), 0.0]]],
+     "intertwiners['P'].components[1][1]: expected a [re, im] pair, got [nan, 0.0]"),
+    ([[[1.0, float("-inf")], ZERO_PAIR], [ZERO_PAIR, ZERO_PAIR]],
+     "intertwiners['P'].components[0][0]: expected a [re, im] pair, got [1.0, -inf]"),
+    pytest.param(
+        [[ZERO_PAIR, [0.0, 10**400]], [ZERO_PAIR, ZERO_PAIR]],
+        f"intertwiners['P'].components[0][1]: expected a [re, im] pair, got [0.0, {10**400}]",
+        id="int-beyond-float"),
 ]
 
 
 @pytest.mark.parametrize("components, message", EXPLICIT_ERRORS)
 def test_explicit_component_errors_are_located(components, message):
     """Malformed components (a bool or str leaf, a ragged list, a pair of
-    length 3, a tuple) are refused with the first offending location."""
+    length 3, a tuple, a non-finite number) are refused with the first
+    offending location."""
     e = err(loop_doc(1, kind={"kind": "explicit", "components": components}))
     assert str(e) == message
 
@@ -319,6 +328,9 @@ def test_holonomies_reject_far_from_unit():
         holonomies_from_document({"s": [2.0, 0.0, 0.0, 0.0]})
     with pytest.raises(DocumentError):
         holonomies_from_document({"s": [1.0, 0.0, 0.0]})
+    for big in (float("nan"), float("inf"), 10**400):  # no norm comparison refuses a NaN
+        with pytest.raises(DocumentError, match=r"expected \[w, x, y, z\]"):
+            holonomies_from_document({"s": [big, 0.0, 0.0, 0.0]})
 
 
 # ---------------------------------------------------------------------------

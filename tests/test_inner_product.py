@@ -456,8 +456,7 @@ def test_state_operands_evaluate_the_state(rng):
         for side, conjugate in (("A", True), ("B", False)):
             state = ip._state_operands(n, side, conjugate, {e.id: e.word for e in n.edges})
             plan = te._factor_plan(state, 1)
-            leading = [k in plan.sample_first for k in range(len(state.factors))]
-            arrays = te._factor_arrays(state.factors, quats, leading)
+            arrays = te._factor_arrays(state.factors, quats)
             value, = te._execute(plan, arrays + [t.data for t in state.tensors])
             npt.assert_allclose(value, np.conj(want) if conjugate else want, atol=1e-12)
 
@@ -712,7 +711,7 @@ def test_mc_oversized_state_fails_before_sampling(monkeypatch):
     """Two vertices joined by k spin-1 edges: each step leaves a 3^j tensor
     per sample, and a full chunk of the largest is over the budget."""
     k = 1
-    while MC_CHUNK * 3 ** (k - 1) <= te._MAX_INTERMEDIATE:
+    while MC_CHUNK * 3 ** (k - 1) <= te._MAX_ELEMENTS:
         k += 1
     reg = SegmentRegistry()
     for i in range(k):

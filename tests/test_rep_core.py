@@ -61,6 +61,8 @@ def test_group_element_unit_norm():
     GroupElement(1.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         GroupElement(1.0, 1.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        GroupElement(float("nan"), 0.0, 0.0, 0.0)
     g = GroupElement.from_array([2.0, 0.0, 0.0, 0.0], normalize=True)
     assert g.w == 1.0
     npt.assert_allclose(g.as_array(), [1.0, 0.0, 0.0, 0.0])

@@ -429,7 +429,7 @@ def test_mc_oversized_chunk_fails_before_sampling(monkeypatch):
     """Every step of this network yields a 3^k tensor per sample; a full
     chunk of those is over the budget, two samples are not."""
     k = 1
-    while MC_CHUNK * 3**k <= te._MAX_INTERMEDIATE:
+    while MC_CHUNK * 3**k <= te._MAX_ELEMENTS:
         k += 1
     rng = np.random.default_rng(13)
     t1 = lt("s", rng.standard_normal((3,) * k), ("bra",) * k)
@@ -554,17 +554,17 @@ def test_mc_two_kernel_plan_matches_per_sample_oracle():
             seen.add("batched trace")
         if st.kernel == "madd":
             seen.add("madd")
-            if st.batched_a != st.batched_b:
-                seen.add("constant b" if st.batched_a else "constant a")
-        if st.kernel == "matmul" and (st.batched_a or st.batched_b):
-            seen.add("batched matmul")
+        if st.kernel == "matmul" and st.batched_a:
+            seen.add("batched a, constant b")
+        if st.kernel == "matmul" and st.batched_b:
+            seen.add("constant a, batched b")
         for src in (st.a, st.b):
             if made_by.get(src) == "madd" and st.kernel == "matmul":
                 seen.add("madd -> matmul")
             if made_by.get(src) == "matmul" and st.kernel == "madd":
                 seen.add("matmul -> madd")
         made_by[n_in + k] = st.kernel
-    assert seen == {"batched trace", "madd", "constant a", "constant b", "batched matmul",
+    assert seen == {"batched trace", "madd", "batched a, constant b", "constant a, batched b",
                     "madd -> matmul", "matmul -> madd"}
 
     n, seed = 300, 29
@@ -592,9 +592,7 @@ def test_mc_two_kernel_plan_matches_per_sample_oracle():
     # and sample by sample, through the executor
     batch_plan = te._factor_plan(net, n)
     quats_by_var = {"g": quats[:, 0], "h": quats[:, 1]}
-    leading = [k in batch_plan.sample_first for k in range(5)]
-    assert any(leading) and not all(leading)
-    arrays = te._factor_arrays(net.factors, quats_by_var, leading)
+    arrays = te._factor_arrays(net.factors, quats_by_var)
     got = te._execute(batch_plan, arrays + [t.data for t in net.tensors])
     npt.assert_allclose(got, values, rtol=0, atol=1e-12 * max(1.0, np.abs(values).max()))
 
@@ -622,18 +620,23 @@ def test_contract_plans_never_multiply_add(monkeypatch):
     assert kernels <= {"matmul", "trace"}
 
 
-@pytest.mark.parametrize("shape_a, shape_b, batched_a, batched_b, kernel", [
-    ((2, 3), (3, 4), True, True, "madd"),
-    ((2, 3), (3, 4), False, True, "madd"),
-    ((2, 3), (3, 4), True, False, "madd"),
-    ((8, 3), (3, 8), True, True, "matmul"),
-    ((8, 3), (3, 8), False, True, "matmul"),
-    ((8, 3), (3, 8), True, False, "matmul"),
+@pytest.mark.parametrize("shape_a, shape_b, batched_a, batched_b, kernel, subscripts", [
+    ((2, 3), (3, 4), True, True, "madd", "ik,kj"),
+    ((2, 3), (3, 4), False, True, "matmul", "ik,kj"),
+    ((2, 3), (3, 4), True, False, "matmul", "ik,kj"),
+    ((8, 3), (3, 8), True, True, "madd", "ik,kj"),
+    ((8, 3), (3, 8), False, True, "matmul", "ik,kj"),
+    ((8, 3), (3, 8), True, False, "matmul", "ik,kj"),
+    # nothing contracted (inner = 1): a broadcast product
+    ((2,), (4,), True, True, "madd", "i,j"),
+    # rows = 8 and the contracted leg moved behind the free ones
+    ((3, 2, 4), (3, 5), True, False, "matmul", "kil,kj"),
 ])
 def test_execute_one_step_per_kernel_and_batch_placement(shape_a, shape_b, batched_a,
-                                                         batched_b, kernel):
+                                                         batched_b, kernel, subscripts):
     """One pairwise step, sample axis last on each batched operand, against a
-    per-sample einsum: each kernel with either or both operands batched."""
+    per-sample einsum: the kernel follows from the batching alone, whatever
+    the step's size."""
     rng = np.random.default_rng(41)
     m = 5
 
@@ -642,11 +645,16 @@ def test_execute_one_step_per_kernel_and_batch_placement(shape_a, shape_b, batch
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     a, b = rand(shape_a, batched_a), rand(shape_b, batched_b)
-    plan = te._plan((("i", "k"), ("k2", "j")), (shape_a, shape_b), (batched_a, batched_b),
-                    (("k", "k2"),), batch=m)
+    sub_a, sub_b = subscripts.split(",")
+    inner = [c for c in sub_a if c in sub_b]
+    plan = te._plan((tuple(sub_a), tuple(c + "2" if c in inner else c for c in sub_b)),
+                    (shape_a, shape_b), (batched_a, batched_b),
+                    tuple((c, c + "2") for c in inner), batch=m)
     (st,) = plan.steps
     assert st.kernel == kernel
     got = te._execute(plan, [a, b])
-    want = np.einsum("ik" + "s" * batched_a + ",kj" + "s" * batched_b + "->ijs", a, b)
-    assert plan.legs == ("i", "j")
+    free = [c for c in sub_a + sub_b if c not in inner]
+    want = np.einsum(sub_a + "s" * batched_a + "," + sub_b + "s" * batched_b
+                     + "->" + "".join(free) + "s", a, b)
+    assert plan.legs == tuple(free)
     npt.assert_allclose(got, want, rtol=0, atol=1e-12)
