@@ -442,7 +442,8 @@ def _factor_arrays(factors: Sequence[GroupFactor], quats_by_var: dict) -> list[n
         if key not in built:
             # wigner_entries returns a (sample, row, col) view of (row, col,
             # sample) storage; moving the axes back gives the storage
-            built[key] = wigner_entries(f.spin.twice_j, quats_by_var[f.variable]).transpose(1, 2, 0)
+            entries = wigner_entries(f.spin.twice_j, quats_by_var[f.variable])
+            built[key] = entries.transpose(1, 2, 0)
         arr = built[key]
         if f.inverted:
             arr = np.swapaxes(arr, 0, 1)
