@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -35,6 +36,11 @@ from .documents import (DocumentError, read_network, read_holonomies,
                         dumps_document, _complex_nested)
 
 __all__ = ["main"]
+
+# haar-projector prints every entry of its projector, so it refuses, from the
+# spins alone, a report beyond this many entries (about 140 MB of text for ten
+# spin-1/2 legs), well inside the library's budget for the projector itself.
+_MAX_REPORT_ENTRIES = 2**20
 
 
 def _resolve_seed(explicit):
@@ -59,9 +65,13 @@ def _cmd_eval(args) -> dict:
     return _scalar(evaluate(n, h))
 
 
-def _cmd_ip(args) -> dict:
+def _read_pair(args):
     a = read_network(args.network_a)
-    b = read_network(args.network_b)
+    return a, a if args.network_b == args.network_a else read_network(args.network_b)
+
+
+def _cmd_ip(args) -> dict:
+    a, b = _read_pair(args)
     if args.mc is not None:
         seed = _resolve_seed(args.seed)
         value, stderr = mc_inner_product(a, b, args.mc, seed=seed)
@@ -74,8 +84,7 @@ def _cmd_ip(args) -> dict:
 
 
 def _cmd_dip(args) -> dict:
-    a = read_network(args.network_a)
-    b = read_network(args.network_b)
+    a, b = _read_pair(args)
     value, count = _averaged_pairing(a, b, args.orientation_preserving_only)
     report = _scalar(value)
     report["correspondence_count"] = count
@@ -83,7 +92,8 @@ def _cmd_dip(args) -> dict:
 
 
 def _cmd_gram(args) -> dict:
-    nets = [read_network(p) for p in args.networks]
+    read = {p: read_network(p) for p in dict.fromkeys(args.networks)}
+    nets = [read[p] for p in args.networks]
     families = [[(1.0, n)] for n in nets]
     g = averaged_gram(families, orientation_preserving_only=args.orientation_preserving_only)
     eigs = np.linalg.eigvalsh(g)
@@ -119,11 +129,16 @@ def _cmd_section4(args) -> dict:
 
 
 def _cmd_haar_projector(args) -> dict:
-    factors = [GroupFactor("g", Spin(tj), conjugated=False, inverted=False,
+    spins = [Spin(tj) for tj in args.spins]
+    dim = math.prod(s.dim for s in spins)
+    if dim * dim > _MAX_REPORT_ENTRIES:
+        raise ValueError(
+            f"a projector on dimension {dim} has {dim * dim} entries, over the limit "
+            f"of {_MAX_REPORT_ENTRIES} (2^20) that haar-projector prints")
+    factors = [GroupFactor("g", s, conjugated=False, inverted=False,
                            row_leg=f"r{k}", col_leg=f"c{k}")
-               for k, tj in enumerate(args.spins)]
+               for k, s in enumerate(spins)]
     proj = haar_project(factors).data
-    dim = int(np.prod([Spin(tj).dim for tj in args.spins], dtype=int))
     rank = int(round(float(np.trace(proj.reshape(dim, dim)).real)))
     return {
         "twice_j": list(args.spins),

@@ -32,7 +32,9 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -117,9 +119,9 @@ def _parse_complex_array(node, dims, loc: str) -> np.ndarray:
     dims = tuple(dims)
     flat = [node]
     for d in dims + (2,):
-        if not all(isinstance(n, list) and len(n) == d for n in flat):
+        if set(map(type, flat)) != {list} or set(map(len, flat)) != {d}:
             break
-        flat = [v for n in flat for v in n]
+        flat = list(chain.from_iterable(flat))
     else:
         # exact types: a float conversion would silently accept bool
         if {type(v) for v in flat} <= {int, float}:
@@ -217,9 +219,8 @@ def network_from_document(doc) -> SpinNetwork:
 
 
 def _complex_nested(arr: np.ndarray):
-    if arr.ndim == 0:
-        return [float(arr.real), float(arr.imag)]
-    return [_complex_nested(sub) for sub in arr]
+    """Nested lists of [re, im] pairs, the document form of a complex array."""
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def network_to_document(n: SpinNetwork) -> dict:
@@ -271,15 +272,72 @@ def holonomies_to_document(h: HolonomyAssignment) -> dict:
 # ---------------------------------------------------------------------------
 # serialization with pinned float precision
 
+# "%.17g" round-trips, so it prints a value without a "." or an "e" exactly
+# when the value is integral and below 1e17; those get ".0" appended so that
+# they read back as floats.
+_SPECS = ("%.17g", "%.17g.0")
+
+
 def format_number(x) -> str:
     """17-significant-digit decimal form, always reading back as a float."""
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite number {x!r} in document")
-    s = format(x, ".17g")
-    if "." not in s and "e" not in s and "E" not in s:
-        s += ".0"
-    return s
+    return _SPECS[x.is_integer() and abs(x) < 1e17] % x
+
+
+def _render_block(obj, indent: int, level: int):
+    """Text of a rectangular nested list of finite floats, else None.
+
+    None covers an empty or ragged level, a leaf that is not exactly a float
+    (int, bool, float subclass, container) and a non-finite value; the
+    element-by-element walk renders those, with its errors.  The shape is
+    found and the leaves flattened by C-level walks.  Each outermost row is
+    one % over a template that interleaves shared spec strings with the text
+    between leaves, so no string is made per value, and the rows are joined
+    once.
+    """
+    shape, leaves = [], [obj]
+    while set(map(type, leaves)) == {list}:
+        lens = set(map(len, leaves))
+        if len(lens) != 1 or 0 in lens:
+            return None
+        shape.append(lens.pop())
+        leaves = list(chain.from_iterable(leaves))
+    if set(map(type, leaves)) != {float}:
+        return None
+    values = np.array(leaves)
+    if not np.isfinite(values).all():
+        return None
+    integral = (values == np.floor(values)) & (np.abs(values) < 1e17)
+    # reopen[j] goes between two leaves where the lists at depth j and deeper
+    # (the block itself is depth 0) all close: it closes them, then opens
+    # their successors
+    k = len(shape) - 1
+    pads = [" " * (indent * (level + j)) for j in range(k + 1)]
+    opens = ["[\n" + pads[j + 1] for j in range(k)] + ["["]
+    closes = ["\n" + pads[j] + "]" for j in range(k)] + ["]"]
+    reopen = {j: "".join(closes[:j - 1:-1]) + ",\n" + pads[j] + "".join(opens[j:])
+              for j in range(1, k + 1)}
+    # one template per outermost row (the whole block when it is flat):
+    # what precedes the row, then leaves and separators alternating, then
+    # what follows it
+    size = len(leaves) // shape[0] if k else len(leaves)
+    frame = [", "] * (2 * size + 1)
+    frame[0], frame[-1] = "".join(opens), ""
+    for j in range(k, 1, -1):
+        stride = math.prod(shape[j:])
+        frame[2 * stride:-1:2 * stride] = [reopen[j]] * ((size - 1) // stride)
+    rows = []
+    for i in range(0, len(leaves), size):
+        if i:
+            frame[0] = reopen[1]
+        if i + size == len(leaves):
+            frame[-1] = "".join(reversed(closes))
+        frame[1::2] = map(_SPECS.__getitem__, integral[i:i + size].tolist())
+        rows.append("".join(frame) % tuple(leaves[i:i + size]))
+    del leaves, values, frame  # not held while the rows are joined
+    return "".join(rows)
 
 
 def _render(obj, indent: int, level: int) -> str:
@@ -298,6 +356,9 @@ def _render(obj, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        text = _render_block(obj, indent, level)
+        if text is not None:
+            return text
         if all(not isinstance(v, (dict, list, tuple)) for v in obj):
             return "[" + ", ".join(_render(v, indent, 0) for v in obj) + "]"
         body = ",\n".join(inner + _render(v, indent, level + 1) for v in obj)
@@ -315,7 +376,12 @@ def _render(obj, indent: int, level: int) -> str:
 
 
 def dumps_document(obj, indent: int = 2) -> str:
-    """Render a document as JSON text, scalar lists inline."""
+    """Render a document as JSON text, scalar lists inline.
+
+    A rectangular nested list of floats (intertwiner components, a projector,
+    a Gram matrix) is rendered in one pass; the text is the same as the
+    element-by-element walk's.
+    """
     return _render(obj, indent, 0) + "\n"
 
 

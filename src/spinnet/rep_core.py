@@ -16,9 +16,10 @@ phase convention.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -155,7 +156,8 @@ def haar_sample(rng: np.random.Generator) -> GroupElement:
 def haar_quaternions(rng: np.random.Generator, shape) -> np.ndarray:
     """Batch of Haar-uniform unit quaternions, shape ``shape + (4,)``."""
     q = rng.standard_normal(tuple(shape) + (4,))
-    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    s = q * q  # summed in np.linalg.norm's order, so the quotient is the same
+    q /= np.sqrt(s[..., 0] + s[..., 1] + s[..., 2] + s[..., 3])[..., None]
     return q
 
 
@@ -214,19 +216,23 @@ def wigner_entries(twice_j: int, quats: np.ndarray) -> np.ndarray:
     c = -y + 1j * x
     d = w - 1j * z
     n = twice_j
-    pows = {}
-    for name, base in (("a", a), ("b", b), ("c", c), ("d", d)):
-        p = [np.ones_like(base)]
-        for _ in range(n):
+    pows = []
+    for base in (a, b, c, d):
+        p = [None, base]
+        for _ in range(n - 1):
             p.append(p[-1] * base)
-        pows[name] = p
+        pows.append(p)
     out = np.zeros((n + 1, n + 1) + quats.shape[:-1], dtype=complex)
-    pa, pb, pc, pd = pows["a"], pows["b"], pows["c"], pows["d"]
+    # A factor to the power 0 and a unit coefficient are skipped: multiplying
+    # by one can flip only the sign of a zero, and the sum into the +0 of
+    # ``out`` clears that sign, so the entries are those of the full product.
     for kp, k, tl in _wigner_terms(n):
-        acc = 0.0
-        for coeff, ea, eb, ec, ed in tl:
-            acc = acc + coeff * (pa[ea] * pb[eb] * pc[ec] * pd[ed])
-        out[kp, k] = acc
+        for coeff, *exps in tl:
+            factors = [p[e] for p, e in zip(pows, exps) if e]
+            term = reduce(operator.mul, factors) if factors else 1.0
+            if coeff != 1.0:
+                term = coeff * term
+            out[kp, k] += term  # in place: a local alias of a 0-d entry is a copy
     return out.transpose(*range(2, out.ndim), 0, 1)
 
 

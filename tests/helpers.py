@@ -4,10 +4,13 @@ Oracles here deliberately avoid the library's own contraction paths:
 evaluation by explicit index sums, Monte Carlo by direct quaternion
 sampling, correspondence lists by filtering the full assignment
 product space, and exact inner products over the common refinement
-rather than each state's own edges.
+rather than each state's own edges.  Document text has the
+element-by-element renderer, and the Wigner build and Haar sampler their
+earlier straightforward forms, as references for bit-identical output.
 """
 
 import itertools
+import json
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from spinnet import (
     epsilon,
     common_refinement,
 )
+from spinnet.rep_core import _wigner_terms
 from spinnet.inner_product import edge_holonomy
 from spinnet.tensor_engine import (
     GroupFactor, LabeledTensor, Leg, _projector_sides, contract, haar_factored,
@@ -416,3 +420,89 @@ def character(twice_j, g):
         sign = 1.0 if w > 0 else (-1.0) ** twice_j
         return sign * (twice_j + 1)
     return np.sin((twice_j + 1) * half) / np.sin(half)
+
+
+# ---------------------------------------------------------------------------
+# reference forms of rewritten kernels
+
+def reference_wigner_entries(twice_j, quats):
+    """The monomial loop with full power tables: every factor and coefficient
+    multiplied in, unit ones included."""
+    quats = np.asarray(quats, dtype=float)
+    w, x, y, z = (quats[..., k] for k in range(4))
+    n = twice_j
+    pows = []
+    for base in (w + 1j * z, y + 1j * x, -y + 1j * x, w - 1j * z):
+        p = [np.ones_like(base)]
+        for _ in range(n):
+            p.append(p[-1] * base)
+        pows.append(p)
+    pa, pb, pc, pd = pows
+    out = np.zeros((n + 1, n + 1) + quats.shape[:-1], dtype=complex)
+    for kp, k, tl in _wigner_terms(n):
+        acc = 0.0
+        for coeff, ea, eb, ec, ed in tl:
+            acc = acc + coeff * (pa[ea] * pb[eb] * pc[ec] * pd[ed])
+        out[kp, k] = acc
+    return out.transpose(*range(2, out.ndim), 0, 1)
+
+
+def reference_haar_quaternions(rng, shape):
+    q = rng.standard_normal(tuple(shape) + (4,))
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    return q
+
+
+# ---------------------------------------------------------------------------
+# element-by-element document text
+
+def walk_format_number(x) -> str:
+    x = float(x)
+    if not np.isfinite(x):
+        raise ValueError(f"non-finite number {x!r} in document")
+    s = format(x, ".17g")
+    if "." not in s and "e" not in s and "E" not in s:
+        s += ".0"
+    return s
+
+
+def walk_render(obj, indent, level):
+    pad = " " * (indent * level)
+    inner = " " * (indent * (level + 1))
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return walk_format_number(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(not isinstance(v, (dict, list, tuple)) for v in obj):
+            return "[" + ", ".join(walk_render(v, indent, 0) for v in obj) + "]"
+        body = ",\n".join(inner + walk_render(v, indent, level + 1) for v in obj)
+        return "[\n" + body + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise ValueError(f"document keys must be strings, got {k!r}")
+            items.append(inner + json.dumps(k) + ": " + walk_render(v, indent, level + 1))
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    raise ValueError(f"cannot serialize {type(obj).__name__} in a document")
+
+
+def walk_dumps_document(obj, indent=2):
+    return walk_render(obj, indent, 0) + "\n"
+
+
+def walk_complex_nested(arr):
+    if arr.ndim == 0:
+        return [float(arr.real), float(arr.imag)]
+    return [walk_complex_nested(sub) for sub in arr]

@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+from spinnet import cli, documents
 from spinnet.cli import _build_parser, main
 from spinnet import (ToleranceError, averaged_inner_product, canonicalize, decompose,
                      dumps_document, enumerate_correspondences, read_network)
@@ -262,6 +264,30 @@ def test_gram_two_loops(docs, capsys):
     assert report["min_eigenvalue"] >= -1e-9
 
 
+@pytest.mark.parametrize("argv,reads", [
+    (["ip", "loop", "loop"], 1),
+    (["ip", "loop", "loop", "--mc", "64"], 1),
+    (["dip", "loop", "loop"], 1),
+    (["gram", "loop", "loop2", "loop"], 2),
+])
+def test_a_path_given_twice_is_read_once(docs, capsys, monkeypatch, tmp_path, argv, reads):
+    copy = tmp_path / "loop_copy.json"
+    copy.write_text(dumps_document(LOOP_DOC))
+    first = argv.index("loop")
+    copies = [str(copy) if a == "loop" and k > first else docs.get(a, a)
+              for k, a in enumerate(argv)]
+    code, expected, _ = run(capsys, copies)
+    assert code == 0
+
+    calls = []
+    original = documents.read_document
+    monkeypatch.setattr(documents, "read_document", lambda p: calls.append(p) or original(p))
+    code, report, _ = run(capsys, [docs.get(a, a) for a in argv])
+    assert code == 0
+    assert len(calls) == reads
+    assert report == expected
+
+
 # ---------------------------------------------------------------------------
 # section4
 
@@ -363,6 +389,27 @@ def test_haar_projector_oversized_exits_2(capsys):
     code, _, cap = run(capsys, ["haar-projector", "--spins"] + ["1"] * 14)
     assert code == 2
     assert "over the limit" in cap.err
+
+
+def test_haar_projector_report_limit_refuses_before_building(capsys, monkeypatch):
+    def no_build(factors):
+        raise AssertionError("the projector was built")
+
+    monkeypatch.setattr(cli, "haar_project", no_build)
+    start = time.perf_counter()
+    code, _, cap = run(capsys, ["haar-projector", "--spins"] + ["1"] * 11)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "4194304 entries, over the limit of 1048576 (2^20)" in cap.err
+
+
+def test_haar_projector_report_limit_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_REPORT_ENTRIES", 16)
+    code, report, _ = run(capsys, ["haar-projector", "--spins", "1", "1"])
+    assert code == 0 and report["dimension"] == 4
+    code, _, cap = run(capsys, ["haar-projector", "--spins", "1", "1", "1"])
+    assert code == 2
+    assert "64 entries, over the limit of 16" in cap.err
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -24,8 +26,9 @@ from spinnet import (
     dumps_document,
     build_tassel,
 )
-from spinnet.documents import read_document, format_number
-from helpers import theta_network, naive_evaluate, random_holonomies
+from spinnet.documents import _complex_nested, read_document, format_number
+from helpers import (MOTIF_NAMES, theta_network, naive_evaluate, random_holonomies, random_network,
+                     walk_complex_nested, walk_dumps_document, walk_format_number)
 
 
 def loop_doc(twice_j=1, kind=None):
@@ -386,6 +389,66 @@ def test_dumps_document_layout():
     assert json.loads(text) == {"b": [1, 2, 3], "a": {"nested": [1.5]}}
     # scalar lists are inlined on one line
     assert "[1, 2, 3]" in text
+
+
+EDGE_FLOATS = [0.0, -0.0, 1e16, 1e17 - 16, 1e17, -1e17, 2.0**53 + 2, 5e-324,
+               sys.float_info.max, -sys.float_info.max, 0.1, -2.5, 1e-5, 123456.789]
+
+
+def test_format_number_matches_the_element_walk():
+    rng = np.random.default_rng(41)
+    draws = rng.standard_normal(2000) * 10.0 ** rng.integers(-320, 300, 2000)
+    for x in EDGE_FLOATS + draws.tolist() + np.round(draws[:200]).tolist():
+        assert format_number(x) == walk_format_number(x)
+
+
+def _edge_documents(rng):
+    blocks = [rng.standard_normal(shape).tolist()
+              for shape in ((5,), (1,), (3, 2), (1, 1), (2, 3, 4), (2, 1, 3, 2))]
+    blocks += [(rng.integers(-3, 3, shape) * 1.0).tolist() for shape in ((4,), (2, 2, 2))]
+    return blocks + [
+        EDGE_FLOATS, [EDGE_FLOATS, EDGE_FLOATS[::-1]], [[[-0.0, 0.0]], [[1e17, 5e-324]]],
+        [], [[]], [[], []], [[1.0], [2.0, 3.0]], [[1.0, 2.0], [3.0]],
+        [1, 2.0], [[1.0, 2.0], [3.0, 4]], [True, 1.0], [[False], [0.5]],
+        [np.float64(1.5), 2.0], [[np.float64(0.25)], [0.5]], (1.0, 2.0), [(1.0, 2.0), (3.0, 4.0)],
+        [[1.0, 2.0], "x"], ['say "hi"', "caf\u00e9 \u2192 \u03c8", ""], [None, True, 3],
+        {"empty": {}, "nested": [{"m": [[0.5, -0.0], [2.0, 1e-300]]}, [1.5]]},
+    ]
+
+
+def test_dumps_document_matches_the_element_walk():
+    rng = np.random.default_rng(43)
+    docs = _edge_documents(rng)
+    for motif in MOTIF_NAMES:
+        docs.append(network_to_document(random_network(rng, motif, max_twice_j=3)))
+    gram = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    docs.append({"size": 3, "matrix": _complex_nested(gram), "min_eigenvalue": -1e-17})
+    for doc in docs:
+        for wrapped in (doc, {"k": [doc, {"z": doc}]}):
+            for indent in (0, 2, 4):
+                assert dumps_document(wrapped, indent) == walk_dumps_document(wrapped, indent)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("shape,where", [((4,), (3,)), ((3, 2), (0, 1)), ((2, 3, 2), (1, 2, 0))])
+def test_non_finite_in_a_block_raises_the_walk_error(bad, shape, where):
+    arr = np.arange(float(np.prod(shape))).reshape(shape)
+    arr[where] = bad
+    doc = {"block": arr.tolist()}
+    with pytest.raises(ValueError) as walk:
+        walk_dumps_document(doc)
+    with pytest.raises(ValueError, match=re.escape(str(walk.value))):
+        dumps_document(doc)
+
+
+def test_complex_nested_matches_the_element_walk():
+    rng = np.random.default_rng(47)
+    signed = np.array([[0.0 + 0.0j, complex(-0.0, -0.0)], [complex(0.0, -0.0), 1e17 - 0.5j]])
+    for arr in (np.array(1 - 2j), np.array(complex(-0.0, 0.0)), signed,
+                rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4)),
+                rng.standard_normal((3, 3))):
+        nested = _complex_nested(arr)
+        assert dumps_document(nested) == walk_dumps_document(walk_complex_nested(arr))
 
 
 def test_read_files(tmp_path):

@@ -24,7 +24,8 @@ from spinnet import (
     Intertwiner,
 )
 from spinnet.rep_core import _MAX_ELEMENTS, _cg_tensor, haar_quaternions
-from helpers import character, haar_element
+from helpers import (character, haar_element, reference_haar_quaternions,
+                     reference_wigner_entries)
 
 
 @pytest.fixture
@@ -134,6 +135,34 @@ def test_wigner_entries_batch_layout_keeps_bits():
             assert one.shape == (1, tj + 1, tj + 1)
             assert np.array_equal(batch[i, j], one[0])
         npt.assert_allclose(batch[2, 3], wigner_entries(tj, q[2, 3]), atol=1e-14)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_wigner_entries_bit_identical_to_full_products():
+    """Skipping unit factors and coefficients changes no bit, zero signs
+    included, for batches and for a bare quaternion, also where the
+    quaternion's zero components make zero products."""
+    rng = np.random.default_rng(53)
+    axes = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+                     [-1, 0, 0, 0], [0, 0, -1, 0], [-0.0, 0, 0, -1], [0.6, -0.8, 0, 0],
+                     [0, 0, 0.6, -0.8], [0.5, -0.5, 0.5, -0.5]], dtype=float)
+    for tj in range(13):
+        batch = haar_quaternions(rng, (6, 3))
+        for q in (batch, axes, batch[0, 0], *axes):
+            got, want = wigner_entries(tj, q), reference_wigner_entries(tj, q)
+            assert got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_haar_quaternions_bit_identical_to_norm_division():
+    for seed, shape in ((0, (2048, 3)), (1, (7,)), (2, (5, 4, 3)), (3, ())):
+        got = haar_quaternions(np.random.default_rng(seed), shape)
+        want = reference_haar_quaternions(np.random.default_rng(seed), shape)
+        assert got.shape == want.shape == tuple(shape) + (4,)
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_spin_half_determinant(rng):
