@@ -59,6 +59,7 @@ __all__ = [
 
 PLUS = "+"
 MINUS = "-"
+_FLIPPED = {PLUS: MINUS, MINUS: PLUS}
 _HALF = Spin(1)
 
 
@@ -133,8 +134,7 @@ class CurveWord:
         return CurveWord(self.truncation, tuple(new))
 
     def flipped_at(self, i: int) -> "CurveWord":
-        flipped = MINUS if self.sign(i) == PLUS else PLUS
-        return self.with_sign(i, flipped)
+        return self.with_sign(i, _FLIPPED[self.sign(i)])
 
     def segment_ids(self, alphabet: BlipAlphabet) -> tuple[str, ...]:
         return tuple(alphabet.segment_id(i, self.sign(i)) for i in alphabet.indices)
@@ -271,17 +271,46 @@ def _boundary_weights(stabilized: bool) -> np.ndarray:
     return w
 
 
+def _forward(v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """One column of a forward sweep: the column operator applied to v."""
+    return q.T @ (q.conj() @ v)
+
+
+def _backward(u: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """One column of a backward sweep: row vector u times the column operator."""
+    return (q @ u) @ q.conj()
+
+
+def _meet(q: np.ndarray, v: np.ndarray, u: np.ndarray) -> complex:
+    """The value where a forward vector v and a backward row vector u meet
+    at column q; bra conjugation is already inside the factors and weights."""
+    return complex(np.dot(u, _forward(v, q)))
+
+
+def _column_signs(curves, i: int) -> tuple:
+    return tuple(w.sign(i) for w in curves)
+
+
 def _transfer_value(alphabet: BlipAlphabet, bra_curves, ket_curves, stabilized: bool) -> complex:
     """The transfer contraction of two four-curve words over one alphabet;
-    it reads only the curves' signs, never a network."""
+    it reads only the curves' signs, never a network.
+
+    A forward sweep from the left boundary and a backward sweep from the
+    right one meet at the first column where bra and ket signs differ, or
+    at the last column if there is none.  A pair that differs from psi.psi
+    at one column alone therefore meets there on psi.psi's own sweeps,
+    which ``_reference_environments`` keeps.
+    """
+    columns = [(_column_signs(bra_curves, i), _column_signs(ket_curves, i))
+               for i in alphabet.indices]
+    meet = next((k for k, (b, c) in enumerate(columns) if b != c), len(columns) - 1)
     boundary = _boundary_weights(stabilized)
-    v = boundary
-    for i in alphabet.indices:
-        q = _column_basis(tuple(w.sign(i) for w in bra_curves),
-                          tuple(w.sign(i) for w in ket_curves))
-        v = q.T @ (q.conj() @ v)
-    # bra conjugation is already inside the factors and weights
-    return complex(np.dot(boundary, v))
+    v = u = boundary
+    for pair in columns[:meet]:
+        v = _forward(v, _column_basis(*pair))
+    for pair in reversed(columns[meet + 1:]):
+        u = _backward(u, _column_basis(*pair))
+    return _meet(_column_basis(*columns[meet]), v, u)
 
 
 def _state_value(bra: TasselState, ket: TasselState, stabilized: bool) -> complex:
@@ -311,6 +340,66 @@ def stabilized_inner_product(bra: TasselState, ket: TasselState) -> complex:
     return _state_value(bra, ket, stabilized=True)
 
 
+# Largest truncation the observations accept.  Each cached truncation N
+# holds a forward and a backward vector of 256 complex entries (4 KiB each)
+# per column, 16 KiB x N, so the cache of _ENVIRONMENT_TRUNCATIONS windows of
+# at most _MAX_TRUNCATION + 2 columns a side (the wide window of
+# observation_one) stays under 16 x 66 x 16 KiB, about 17.3 MB.
+_MAX_TRUNCATION = 64
+_ENVIRONMENT_TRUNCATIONS = 16
+
+
+def _check_truncation(truncation: int) -> None:
+    if not 1 <= truncation <= _MAX_TRUNCATION:
+        raise ValueError(
+            f"truncation must be between 1 and {_MAX_TRUNCATION}, got {truncation}")
+
+
+@dataclass(frozen=True)
+class _Environments:
+    """The reference words and, for psi.psi (stabilized), the sweep vectors
+    around each column k: ``forward[k]`` has crossed the columns before k,
+    ``backward[k]`` those after it."""
+
+    words: tuple
+    forward: tuple
+    backward: tuple
+    norm: float
+
+    def value(self, i: int, bra_signs: tuple, ket_signs: tuple) -> complex:
+        """The stabilized value of a pair that agrees with psi.psi on every
+        column but i, where it has these signs: one column step."""
+        k = i + self.words[0].truncation
+        return _meet(_column_basis(bra_signs, ket_signs), self.forward[k], self.backward[k])
+
+
+@lru_cache(maxsize=_ENVIRONMENT_TRUNCATIONS)
+def _reference_environments(truncation: int) -> _Environments:
+    """One forward and one backward sweep of psi.psi; entry k is what
+    ``_transfer_value`` holds when it meets at column k on such a pair."""
+    psi = _psi_words(BlipAlphabet(truncation))
+    columns = [_column_basis(signs, signs) for signs in zip(*(w.signs for w in psi))]
+    boundary = _boundary_weights(True)
+    forward, backward = [boundary], [boundary]
+    for q in columns[:-1]:
+        forward.append(_forward(forward[-1], q))
+    for q in reversed(columns[1:]):
+        backward.append(_backward(backward[-1], q))
+    backward.reverse()
+    for vec in forward + backward:
+        vec.setflags(write=False)
+    # <psi, psi> meets at the last column
+    norm = _meet(columns[-1], forward[-1], backward[-1]).real
+    return _Environments(psi, tuple(forward), tuple(backward), norm)
+
+
+def _reroute_overlap(truncation: int, i0: int) -> complex:
+    """<psi, phi_i0> (stabilized) on one window: one column step."""
+    phi = _phi_words(BlipAlphabet(truncation), i0)
+    env = _reference_environments(truncation)
+    return env.value(i0, _column_signs(env.words, i0), _column_signs(phi, i0))
+
+
 def observation_one(truncation: int, i0: int) -> complex:
     """Overlap of the reference state with its reroute at odd column i0.
 
@@ -319,8 +408,8 @@ def observation_one(truncation: int, i0: int) -> complex:
     zero.  Raises ToleranceError if the value is degenerate or fails to
     be window-independent to 1e-9 against a window wider by two.
     """
-    value, wide = (_transfer_value(a, _psi_words(a), _phi_words(a, i0), stabilized=True)
-                   for a in (BlipAlphabet(truncation), BlipAlphabet(truncation + 2)))
+    _check_truncation(truncation)
+    value, wide = (_reroute_overlap(n, i0) for n in (truncation, truncation + 2))
     if abs(value) <= 1e-6:
         raise ToleranceError(
             f"overlap {value} at truncation {truncation} is numerically degenerate")
@@ -331,15 +420,6 @@ def observation_one(truncation: int, i0: int) -> complex:
     return value
 
 
-@lru_cache(maxsize=16)
-def _reference_norm(truncation: int) -> float:
-    """<psi, psi> (stabilized) of the reference state, the same for every
-    column of ``observation_two``."""
-    alphabet = BlipAlphabet(truncation)
-    psi = _psi_words(alphabet)
-    return _transfer_value(alphabet, psi, psi, stabilized=True).real
-
-
 def observation_two(truncation: int, i: int) -> complex:
     """Overlap of the reference state with its column-i sign swap.
 
@@ -347,13 +427,12 @@ def observation_two(truncation: int, i: int) -> complex:
     distance) with nonzero overlap against the reference, for every
     column; ToleranceError if either part fails numerically.
     """
-    alphabet = BlipAlphabet(truncation)
-    psi = _psi_words(alphabet)
-    moved = tuple(w.flipped_at(i) for w in psi)
-    value = _transfer_value(alphabet, psi, moved, stabilized=True)
-    norm2 = (_reference_norm(truncation)
-             + _transfer_value(alphabet, moved, moved, stabilized=True).real
-             - 2.0 * value.real)
+    _check_truncation(truncation)
+    env = _reference_environments(truncation)
+    signs = _column_signs(env.words, i)
+    moved = tuple(_FLIPPED[s] for s in signs)
+    value = env.value(i, signs, moved)
+    norm2 = env.norm + env.value(i, moved, moved).real - 2.0 * value.real
     if abs(value) <= 1e-6:
         raise ToleranceError(f"swap overlap at column {i} is numerically degenerate")
     if norm2 <= 1e-6:
@@ -412,6 +491,10 @@ class BumpCurve:
 # clears double-precision underflow.
 _JUNCTION_MARGIN = 1.0 / 16.0
 
+# Largest number of sampled points emit_geometry returns over its four
+# curves: 2^20 points, about 50 MB as CSV text.
+_MAX_CURVE_POINTS = 2**20
+
 
 def _check_disjoint(words, samples, truncation: int) -> None:
     """Differing-sign arcs must separate the sampled curves away from
@@ -434,14 +517,20 @@ def emit_geometry(truncation: int, resolution: int = 64) -> list[BumpCurve]:
 
     Each column contributes `resolution` points per curve (left junction
     included, right excluded); flat tails connect the ladder to (0, 0)
-    and (1, 0).  Checks that curves taking different arcs of a column
-    stay strictly apart away from the junctions.
+    and (1, 0).  Refuses more than 2^20 points in all.  Checks that curves
+    taking different arcs of a column stay strictly apart away from the
+    junctions.
     """
     if resolution < 16:
         raise ValueError(f"resolution must be at least 16 samples per arc, got {resolution}")
     if truncation > 5:
         raise ValueError(
             "arc amplitudes 2^(-4^|i|) underflow double precision beyond truncation 5")
+    points = 4 * (2 * truncation * resolution + 3)
+    if points > _MAX_CURVE_POINTS:
+        raise ValueError(
+            f"{points} curve points at truncation {truncation} and resolution "
+            f"{resolution}, over the limit of {_MAX_CURVE_POINTS} (2^20)")
     alphabet = BlipAlphabet(truncation)
     words = _psi_words(alphabet)
     t = np.arange(resolution) / resolution

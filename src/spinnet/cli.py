@@ -31,7 +31,8 @@ from .network_model import InvalidNetworkError
 from .inner_product import exact_inner_product, mc_inner_product, structural_zero, evaluate
 from .diffeo_average import _averaged_pairing, averaged_gram
 from .blipweb import (ToleranceError, observation_one, observation_two,
-                      emit_geometry, write_curves_csv)
+                      emit_geometry, write_curves_csv, _check_truncation,
+                      _MAX_TRUNCATION)
 from .documents import (DocumentError, read_network, read_holonomies,
                         dumps_document, _complex_nested)
 
@@ -105,6 +106,12 @@ def _cmd_gram(args) -> dict:
 
 
 def _cmd_section4(args) -> dict:
+    _check_truncation(args.truncation)
+    # the geometry checks its own limits before it samples, so an oversized
+    # request fails before the observables are computed
+    curves = None
+    if args.emit_curves is not None:
+        curves = emit_geometry(args.truncation, args.resolution)
     report = {"which": args.which, "truncation": args.truncation}
     if args.which == "obs1":
         if args.i0 is None:
@@ -120,8 +127,7 @@ def _cmd_section4(args) -> dict:
             entry.update(_scalar(observation_two(args.truncation, i)))
             values.append(entry)
         report["values"] = values
-    if args.emit_curves is not None:
-        curves = emit_geometry(args.truncation, args.resolution)
+    if curves is not None:
         write_curves_csv(args.emit_curves, curves)
         report["curves_csv"] = str(args.emit_curves)
         report["curve_ids"] = [c.curve_id for c in curves]
@@ -185,7 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("section4", help="four-curve web observables")
     p.add_argument("--truncation", type=int, required=True, metavar="N",
-                   help="number of columns on each side of the center")
+                   help="number of columns on each side of the center "
+                        f"(1 to {_MAX_TRUNCATION})")
     p.add_argument("--which", choices=("obs1", "obs2"), required=True,
                    help="obs1: overlap with the rerouted state; "
                         "obs2: overlaps with all single-column sign swaps")
@@ -194,7 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-curves", metavar="PATH", default=None,
                    help="also write sampled curve polylines as CSV")
     p.add_argument("--resolution", type=int, default=64,
-                   help="samples per arc for --emit-curves (default 64)")
+                   help="samples per arc for --emit-curves (default 64; "
+                        "at most 2^20 points over the four curves)")
     p.set_defaults(func=_cmd_section4)
 
     p = sub.add_parser("haar-projector",

@@ -266,7 +266,7 @@ def _vertex_overlap(pa: _Prepared, pb: _Prepared, p, q, moves) -> complex:
     keys = []
     for axis, ((i, d), (j, flip)) in enumerate(zip(pa.slots[p], moves)):
         if flip:
-            comps = _reversed_slot(comps, axis, pa.piece_edges[i].spin, d)
+            comps = _reversed_slot(comps, axis, pa.piece_edges[i].spin)
             d = "in" if d == "out" else "out"
         keys.append((j, d))
     perm = [keys.index(k) for k in pb.slots[q]]

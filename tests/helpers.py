@@ -5,8 +5,9 @@ evaluation by explicit index sums, Monte Carlo by direct quaternion
 sampling, correspondence lists by filtering the full assignment
 product space, and exact inner products over the common refinement
 rather than each state's own edges.  Document text has the
-element-by-element renderer, and the Wigner build and Haar sampler their
-earlier straightforward forms, as references for bit-identical output.
+element-by-element renderer, and the Wigner build, the Haar sampler and the
+web transfer their earlier straightforward forms, as references for
+bit-identical or nearly identical output.
 """
 
 import itertools
@@ -29,6 +30,7 @@ from spinnet import (
     common_refinement,
 )
 from spinnet.rep_core import _wigner_terms
+from spinnet.blipweb import _boundary_weights, _column_basis
 from spinnet.inner_product import edge_holonomy
 from spinnet.tensor_engine import (
     GroupFactor, LabeledTensor, Leg, _projector_sides, contract, haar_factored,
@@ -451,6 +453,18 @@ def reference_haar_quaternions(rng, shape):
     q = rng.standard_normal(tuple(shape) + (4,))
     q /= np.linalg.norm(q, axis=-1, keepdims=True)
     return q
+
+
+def reference_transfer_value(alphabet, bra_curves, ket_curves, stabilized):
+    """The web transfer as one forward sweep over every column from the
+    left boundary, closed against the boundary weights on the right."""
+    boundary = _boundary_weights(stabilized)
+    v = boundary
+    for i in alphabet.indices:
+        q = _column_basis(tuple(w.sign(i) for w in bra_curves),
+                          tuple(w.sign(i) for w in ket_curves))
+        v = q.T @ (q.conj() @ v)
+    return complex(np.dot(boundary, v))
 
 
 # ---------------------------------------------------------------------------

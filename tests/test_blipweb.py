@@ -32,6 +32,8 @@ from spinnet.blipweb import (junction, bump, blip_amplitude, BumpCurve, PLUS, MI
                              _HALF, _boundary_weights, _column_basis)
 from spinnet.tensor_engine import GroupFactor, haar_project
 
+from helpers import reference_transfer_value
+
 
 # ---------------------------------------------------------------------------
 # combinatorial layer
@@ -344,6 +346,38 @@ def test_transfer_rejects_mismatched_windows():
         truncated_inner_product(build_tassel(1), build_tassel(2))
 
 
+def _random_words(rng, n):
+    return tuple(CurveWord(n, tuple(rng.choice([PLUS, MINUS], size=2 * n)))
+                 for _ in range(4))
+
+
+def test_transfer_value_matches_the_forward_sweep():
+    """The sweeps that meet at the first differing column agree with one
+    forward sweep over the whole window to 1e-15, and equal it exactly when
+    bra and ket agree on every column (they then meet at the last one)."""
+    rng = np.random.default_rng(15)
+    nonzero = 0
+    for n in (1, 2, 3, 4):
+        alphabet = BlipAlphabet(n)
+        for _ in range(12):
+            bra = _random_words(rng, n)
+            # flip an even number of curves per column, so every column pairs
+            flips = [rng.permutation([True, True, False, False] if rng.random() < 0.5
+                                     else [False] * 4) for _ in range(2 * n)]
+            paired = tuple(CurveWord(n, tuple(
+                blipweb._FLIPPED[s] if flips[k][c] else s
+                for k, s in enumerate(w.signs))) for c, w in enumerate(bra))
+            for stabilized in (False, True):
+                for ket in (bra, paired, _random_words(rng, n)):
+                    got = blipweb._transfer_value(alphabet, bra, ket, stabilized)
+                    want = reference_transfer_value(alphabet, bra, ket, stabilized)
+                    if ket is bra:
+                        assert got == want
+                    assert abs(got - want) <= 1e-15, (n, stabilized, got, want)
+                    nonzero += abs(want) > 1e-6
+    assert nonzero >= 100
+
+
 def test_web_evaluates_to_one_at_identity():
     psi = build_tassel(2)
     h = {sid: GroupElement.identity() for sid in psi.network.graph.segments}
@@ -393,6 +427,69 @@ def test_observation_two_values():
     for i in (-2, -1, 0, 1):
         v = observation_two(2, i)
         npt.assert_allclose(v, frac(1, 128), atol=1e-12)
+
+
+def test_observations_equal_the_built_states_bit_for_bit():
+    """Each observation is one column step on psi.psi's cached sweeps, which
+    are the very vectors the general transfer builds for the same pair."""
+    for n in range(1, 11):
+        psi = build_tassel(n)
+        for i0 in range(-n + 1 - n % 2, n, 2):
+            want = stabilized_inner_product(psi, build_phi(n, i0))
+            # observation_one reads the windows n and n + 2
+            assert blipweb._reroute_overlap(n, i0) == want, (n, i0)
+            if n <= 8:
+                assert observation_one(n, i0) == want, (n, i0)
+        if n <= 8:
+            for i in range(-n, n):
+                want = stabilized_inner_product(psi, swap_signs(psi, i))
+                assert observation_two(n, i) == want, (n, i)
+        assert blipweb._reference_environments(n).norm == \
+            stabilized_inner_product(psi, psi).real
+
+
+def test_observation_two_takes_linearly_many_column_steps(monkeypatch):
+    """All 2N columns of observation_two cost one sweep each way over
+    psi.psi, one step for its norm and two steps a column: 8N - 1 steps."""
+    steps = []
+    for name in ("_forward", "_backward"):
+        step = getattr(blipweb, name)
+        monkeypatch.setattr(blipweb, name, lambda *a, _step=step: steps.append(1) or _step(*a))
+    counts = {}
+    for n in (8, 16, 32):
+        blipweb._reference_environments.cache_clear()
+        steps.clear()
+        for i in range(-n, n):
+            observation_two(n, i)
+        counts[n] = len(steps)
+    assert counts == {8: 63, 16: 127, 32: 255}
+    # a warm cache leaves two steps a column
+    steps.clear()
+    for i in range(-32, 32):
+        observation_two(32, i)
+    assert len(steps) == 128
+
+
+def test_observations_refuse_a_truncation_over_the_limit():
+    limit = blipweb._MAX_TRUNCATION
+    for bad in (0, limit + 1):
+        with pytest.raises(ValueError, match=f"between 1 and {limit}"):
+            observation_one(bad, 1)
+        with pytest.raises(ValueError, match=f"between 1 and {limit}"):
+            observation_two(bad, 0)
+    npt.assert_allclose(observation_one(limit, limit - 1), frac(1, 64), atol=1e-12)
+    npt.assert_allclose(observation_two(limit, -limit), frac(1, 128), atol=1e-12)
+
+
+def test_environment_cache_is_bounded():
+    """16 KiB per unit of truncation; the bounded cache of the widest windows
+    (observation_one reads N + 2) stays under 17.5 MB."""
+    env = blipweb._reference_environments(3)
+    assert sum(v.nbytes for v in env.forward + env.backward) == 3 * 16 * 1024
+    assert not any(v.flags.writeable for v in env.forward + env.backward)
+    maxsize = blipweb._reference_environments.cache_info().maxsize
+    assert maxsize is not None
+    assert maxsize * (blipweb._MAX_TRUNCATION + 2) * 16 * 1024 < 17.5e6
 
 
 def test_observations_read_only_the_words(monkeypatch):
@@ -480,6 +577,15 @@ def test_emit_geometry_guards():
     with pytest.raises(ValueError):
         emit_geometry(2, resolution=8)
     emit_geometry(5, resolution=16)  # largest supported window
+
+
+def test_emit_geometry_point_budget(monkeypatch):
+    with pytest.raises(ValueError, match="over the limit of 1048576"):
+        emit_geometry(5, resolution=26215)  # 4 * (10 * 26215 + 3) points
+    monkeypatch.setattr(blipweb, "_MAX_CURVE_POINTS", 4 * (2 * 16 + 3))
+    assert sum(len(c.xs) for c in emit_geometry(1, resolution=16)) == 140
+    with pytest.raises(ValueError, match="over the limit of 140"):
+        emit_geometry(1, resolution=17)
 
 
 def test_bump_curve_validation():

@@ -346,6 +346,38 @@ def test_section4_curve_guards(tmp_path, capsys):
     assert "truncation" in cap.err
 
 
+def test_section4_limits_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the observables were computed")
+
+    monkeypatch.setattr(cli, "observation_one", no_work)
+    monkeypatch.setattr(cli, "observation_two", no_work)
+    out = tmp_path / "c.csv"
+    cases = [
+        (["--which", "obs2", "--truncation", "65"], "between 1 and 64, got 65"),
+        (["--which", "obs1", "--truncation", str(10**12), "--i0", "1"], "between 1 and 64"),
+        (["--which", "obs2", "--truncation", "0"], "between 1 and 64, got 0"),
+        (["--which", "obs2", "--truncation", "5", "--emit-curves", str(out),
+          "--resolution", "26215"], "over the limit of 1048576 (2^20)"),
+        (["--which", "obs2", "--truncation", "5", "--emit-curves", str(out),
+          "--resolution", str(10**12)], "over the limit of 1048576 (2^20)"),
+    ]
+    for argv, message in cases:
+        start = time.perf_counter()
+        code, _, cap = run(capsys, ["section4"] + argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and message in cap.err, argv
+    assert not out.exists()
+
+
+def test_section4_truncation_limit_is_inclusive(capsys):
+    code, report, _ = run(capsys, ["section4", "--which", "obs2", "--truncation", "64"])
+    assert code == 0
+    assert [entry["i"] for entry in report["values"]] == list(range(-64, 64))
+    for entry in report["values"]:
+        np.testing.assert_allclose(entry["re"], 1.0 / 128.0, atol=1e-12)
+
+
 def test_tolerance_failures_exit_3(capsys, monkeypatch):
     import spinnet.cli as cli_module
 

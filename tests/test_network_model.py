@@ -19,7 +19,10 @@ from spinnet import (
     canonicalize,
     intertwiner_basis,
     evaluate,
+    epsilon,
 )
+from spinnet.network_model import _reversed_slot
+from spinnet.rep_core import MAX_TWICE_J
 from helpers import (
     loop_network,
     theta_network,
@@ -536,3 +539,17 @@ def test_canonicalize_rejects_non_scalar_bivalent():
     m = network(n.graph.registry, list(n.edges), bad)
     with pytest.raises(InvalidNetworkError):
         canonicalize(m)
+
+
+def test_reversed_slot_absorbs_epsilon_on_either_direction():
+    """Reversal rewrites an old "out" slot with eps and an old "in" slot with
+    (eps^-1)^T; eps is a real signed permutation, so the two are equal for
+    every spin the package builds, and one rewrite serves both directions."""
+    rng = np.random.default_rng(14)
+    for twice_j in range(MAX_TWICE_J + 1):
+        eps = epsilon(Spin(twice_j))
+        npt.assert_array_equal(np.linalg.inv(eps).T, eps)
+        d = twice_j + 1
+        comps = rng.standard_normal((2, d, 3)) + 1j * rng.standard_normal((2, d, 3))
+        npt.assert_array_equal(_reversed_slot(comps, 1, Spin(twice_j)),
+                               np.einsum("ab,xby->xay", eps, comps))
