@@ -26,7 +26,6 @@ The geometric side realizes each arc as a smooth bump of amplitude
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -556,10 +555,16 @@ def emit_geometry(truncation: int, resolution: int = 64) -> list[BumpCurve]:
 
 
 def write_curves_csv(path, curves) -> None:
-    """Write sampled curves as CSV rows curve_id,x,y (17 significant digits)."""
+    """Write sampled curves as CSV rows curve_id,x,y (17 significant digits),
+    each curve by one row template over its interleaved xs and ys.  Rows
+    end in CRLF, and an id holding a comma, quote or line break is quoted,
+    as ``csv.writer`` writes them."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["curve_id", "x", "y"])
+        fh.write("curve_id,x,y\r\n")
         for curve in curves:
-            for x, y in zip(curve.xs, curve.ys):
-                writer.writerow([curve.curve_id, format(x, ".17g"), format(y, ".17g")])
+            cell = curve.curve_id
+            if any(c in cell for c in ',"\r\n'):
+                cell = '"' + cell.replace('"', '""') + '"'
+            row = cell.replace("%", "%%") + ",%.17g,%.17g\r\n"
+            values = np.stack((curve.xs, curve.ys), axis=1).ravel().tolist()
+            fh.write(row * len(curve.xs) % tuple(values))

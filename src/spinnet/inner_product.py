@@ -16,10 +16,12 @@ The exact path gives an edge one group factor per segment step of its word,
 chained by direct pairings, and contracts each segment's Haar projector in
 factored form.  The Monte Carlo path evaluates each state batched over a
 chunk of samples and takes the sample mean of conj(state_a) * state_b.  Its
-evaluator first fixes the gauge on a maximal tree of the state's graph:
-tree edges become the identity, and only the other edges, whose words
-become loops at a root, need a Wigner matrix per sample.  :func:`evaluate`
-is the one-sample case of that evaluator.
+evaluator first fixes the gauge on a maximal tree of the state's graph
+(a vertex whose tensor is not invariant keeps its gauge): tree edges
+become the identity, and only the other edges, whose words become loops at
+a root, need a Wigner matrix per sample, one per distinct (word, spin) for
+bra and ket together.  :func:`evaluate` is the one-sample case of that
+evaluator.
 """
 
 from __future__ import annotations
@@ -107,15 +109,6 @@ def _inverse_word(word) -> tuple:
     return tuple((s, not r) for s, r in reversed(word))
 
 
-def _oriented(word) -> tuple[tuple, bool]:
-    """The word or its inverse, whichever sorts first, and whether it is the
-    inverse.  D(g^-1) = D(g)^dagger, so both share one holonomy and one
-    Wigner build."""
-    inv = _inverse_word(word)
-    flipped = [(_sort_key(s), r) for s, r in inv] < [(_sort_key(s), r) for s, r in word]
-    return (inv if flipped else word), flipped
-
-
 def _reduced(word) -> tuple:
     """The freely reduced word: each step followed by its own reverse is
     cancelled, until none is."""
@@ -151,23 +144,22 @@ def _gauge_fixed_words(n: SpinNetwork) -> dict:
 
     The state is unchanged by g_e -> h_t g_e h_s^-1 for any element h_v at
     each invariant vertex.  The forest is a maximum spanning forest with
-    edges weighted by dimension (ties by ``_sort_key`` of the edge id), no
-    loop edge and at most one non-invariant vertex per tree, which roots its
-    tree; another tree is rooted at its vertex with the fewest out slots
-    (ties by ``_sort_key``).  h_v is the holonomy of the tree path from v to
-    the root, so each tree edge becomes the identity and every other edge
-    the freely reduced loop inv(h_s) + w_e + h_t.
+    edges weighted by dimension (ties by ``_sort_key`` of the edge id),
+    over the edges that are not loops and have no non-invariant end, so a
+    non-invariant vertex is a tree of its own and keeps h_v = 1.  Each tree
+    is rooted at its vertex with the fewest out slots (ties by
+    ``_sort_key``).  h_v is the holonomy of the tree path from v to the
+    root, so each tree edge becomes the identity and every other edge the
+    freely reduced loop inv(h_s) + w_e + h_t.
     """
     invariant = {v: _is_invariant(iv) for v, iv in n.vertices.items()}
     component = {v: v for v in n.vertices}
-    holds_fixed = {v: not invariant[v] for v in n.vertices}
     tree: dict = {v: [] for v in n.vertices}
     tree_edges = set()
     for e in sorted(n.edges, key=lambda e: (-e.spin.dim, _sort_key(e.id))):
         a, b = component[e.source], component[e.target]
-        if a != b and not (holds_fixed[a] and holds_fixed[b]):
+        if a != b and invariant[e.source] and invariant[e.target]:
             component = {v: a if c == b else c for v, c in component.items()}
-            holds_fixed[a] = holds_fixed[a] or holds_fixed[b]
             tree[e.source].append(e)
             tree[e.target].append(e)
             tree_edges.add(e.id)
@@ -176,7 +168,7 @@ def _gauge_fixed_words(n: SpinNetwork) -> dict:
         out_slots[e.source] += 1
     gauge: dict = {}
     # the first vertex of each tree in this order is its root
-    for root in sorted(n.vertices, key=lambda v: (invariant[v], out_slots[v], _sort_key(v))):
+    for root in sorted(n.vertices, key=lambda v: (out_slots[v], _sort_key(v))):
         if root in gauge:
             continue
         gauge[root] = ()
@@ -200,48 +192,35 @@ def _prepared_state(n: SpinNetwork, batch: int) -> tuple:
     samples at once, kept in a bounded cache.  The state is gauge-fixed
     (``_gauge_fixed_words``): an edge whose word is the identity pairs its
     out slot with its in slot directly, and every other edge is one factor
-    whose variable is its oriented word.  The plan is checked against the
+    whose variable is its gauge-fixed word.  The plan is checked against the
     size budget here, before any sample exists."""
-    steps = {eid: (_oriented(w),) if w else () for eid, w in _gauge_fixed_words(n).items()}
+    steps = {eid: ((w, False),) if w else () for eid, w in _gauge_fixed_words(n).items()}
     state = _state_operands(n, "N", False, steps)
     return (_factor_plan(state, batch), state.factors,
             tuple(np.asarray(t.data, complex) for t in state.tensors))
 
 
-def _word_holonomy(quats: Mapping, word, memo: dict | None = None) -> np.ndarray:
+def _word_holonomy(quats: Mapping, word) -> np.ndarray:
     """Batched ``edge_holonomy``: the (m, 4) quaternions of a word's holonomy
     from (m, 4) quaternions per segment, the product of the steps rightmost
-    first with a reversed step conjugated.  ``memo`` maps word prefixes to
-    their products, so that words sharing a prefix multiply it once, with
-    the same bits."""
+    first with a reversed step conjugated."""
     if len(word) == 1 and not word[0][1]:
         return quats[word[0][0]]
-    memo = {} if memo is None else memo
-    k = len(word)
-    while k and word[:k] not in memo:
-        k -= 1
-    total = memo[word[:k]] if k else None
-    for i in range(k, len(word)):
-        segment, rev = word[i]
+    total = None
+    for segment, rev in word:
         w, x, y, z = quats[segment].T
         g = (w, -x, -y, -z) if rev else (w, x, y, z)
         total = g if total is None else _quat_product(g, total)
-        memo[word[:i + 1]] = total
     return np.stack(total, axis=-1)
 
 
 def _state_values(states, quats: Mapping) -> list[np.ndarray]:
     """Values of prepared states on one batch of (m, 4) quaternions per
     segment, one (m,) array per state.  Each distinct word's holonomy and
-    each distinct (word, spin) Wigner matrix is built once, for all states,
-    and each word prefix is multiplied once; a state with no factor is a
-    constant."""
+    each distinct (word, spin) Wigner matrix is built once, for all states;
+    a state with no factor is a constant."""
     factors = [f for _, fs, _ in states for f in fs]
-    holonomies: dict = {}
-    prefixes: dict = {}
-    for f in factors:
-        if f.variable not in holonomies:
-            holonomies[f.variable] = _word_holonomy(quats, f.variable, prefixes)
+    holonomies = {w: _word_holonomy(quats, w) for w in {f.variable for f in factors}}
     arrays = _factor_arrays(factors, holonomies)
     m = len(next(iter(quats.values())))
     values = []
@@ -351,15 +330,18 @@ def mc_inner_product(a: SpinNetwork, b: SpinNetwork, n_samples: int, seed: int):
     given seed and ``MC_CHUNK``.  Each state is gauge-fixed on a maximal
     tree (``_gauge_fixed_words``), so its tree edges need no Wigner matrix
     and a state left without any is a constant.  Each chunk evaluates each
-    state on its own edges, with one holonomy per word prefix and one Wigner
-    build per distinct (gauge-fixed word, spin) shared by bra and ket, and
-    averages conj(state_a) * state_b; a ket equal to the bra is evaluated
-    once.  Each state is prepared and planned once, from a bounded cache,
-    and a plan over the size budget raises ValueError before any sample is
-    drawn.
+    state on its own edges, with one holonomy per distinct gauge-fixed word
+    and one Wigner build per distinct (gauge-fixed word, spin), shared by
+    bra and ket, and averages conj(state_a) * state_b; a ket equal to the
+    bra is evaluated once.  Each state is prepared and planned once, from a
+    bounded cache, and a plan over the size budget raises ValueError before
+    any sample is drawn; so does a sample count below 2, before any state is
+    prepared.
     """
     if a.graph.registry != b.graph.registry:
         raise InvalidNetworkError("inner products require a shared segment registry")
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
     segments = sorted(set(a.graph.segments) | set(b.graph.segments), key=_sort_key)
     batch = min(MC_CHUNK, n_samples)
     states = [_prepared_state(n, batch) for n in ((a,) if a == b else (a, b))]

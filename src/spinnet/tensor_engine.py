@@ -462,9 +462,8 @@ def _mc_mean(n_samples: int, seed: int, n_variables: int, chunk_values) -> tuple
     stream seeded by ``seed``, each as an (m, n_variables, 4) array of
     Haar-uniform quaternions; ``chunk_values`` maps it to the m sample
     values, which are summed, with their squared moduli, in chunk order.
+    Callers refuse ``n_samples`` below 2 before preparing anything.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
     rng = np.random.Generator(np.random.Philox(seed))
     total = 0.0 + 0.0j
     total_sq = 0.0
@@ -491,8 +490,11 @@ def mc_expectation(
     fixed seed: samples are generated and reduced in fixed-size chunks from
     a counter-based stream.  The network is planned once, for a full chunk,
     and the plan runs on every chunk with the sample axis last; a plan over
-    the size budget raises ValueError before any sample is drawn.
+    the size budget raises ValueError before any sample is drawn, and a
+    sample count below 2 before any planning.
     """
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
     factor_legs = [Leg(leg, f.spin, v) for f in network.factors
                    for leg, v in zip((f.row_leg, f.col_leg), f.leg_variances())]
     legs_by_id, paired = _checked_legs(

@@ -7,9 +7,11 @@ product space, and exact inner products over the common refinement
 rather than each state's own edges.  Document text has the
 element-by-element renderer, and the Wigner build, the Haar sampler and the
 web transfer their earlier straightforward forms, as references for
-bit-identical or nearly identical output.
+bit-identical or nearly identical output, and the curve CSV its
+``csv.writer`` form.
 """
 
+import csv
 import itertools
 import json
 
@@ -520,3 +522,14 @@ def walk_complex_nested(arr):
     if arr.ndim == 0:
         return [float(arr.real), float(arr.imag)]
     return [walk_complex_nested(sub) for sub in arr]
+
+
+def csv_writer_curves(path, curves):
+    """``blipweb.write_curves_csv`` as one ``csv.writer`` row per point, the
+    byte-for-byte reference for its row-template writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["curve_id", "x", "y"])
+        for curve in curves:
+            for x, y in zip(curve.xs, curve.ys):
+                writer.writerow([curve.curve_id, format(x, ".17g"), format(y, ".17g")])

@@ -32,7 +32,7 @@ from spinnet.blipweb import (junction, bump, blip_amplitude, BumpCurve, PLUS, MI
                              _HALF, _boundary_weights, _column_basis)
 from spinnet.tensor_engine import GroupFactor, haar_project
 
-from helpers import reference_transfer_value
+from helpers import csv_writer_curves, reference_transfer_value
 
 
 # ---------------------------------------------------------------------------
@@ -607,3 +607,19 @@ def test_write_curves_csv(tmp_path):
     c1_rows = [r for r in rows[1:] if r[0] == "c1"]
     xs = np.array([float(r[1]) for r in c1_rows])
     npt.assert_array_equal(xs, curves[0].xs)
+
+
+def test_write_curves_csv_matches_csv_writer(tmp_path):
+    """The row-template writer gives ``csv.writer``'s bytes, on the emitted
+    curves and on ids and values that need care: a comma, quote, percent
+    sign or line break in the id, signed zeros, subnormals, infinities and
+    an empty curve."""
+    odd = [1.0, -0.0, 5e-324, -1e300, np.inf, -np.inf, 0.1, 2.0 / 3.0]
+    curves = emit_geometry(2, resolution=16) + [
+        BumpCurve(curve_id, np.array(odd), np.array(odd[::-1]))
+        for curve_id in ("a,b", 'say "hi"', "50%", "%s%%", "line\nbreak", "cr\r", "")]
+    curves.append(BumpCurve("empty", np.zeros(0), np.zeros(0)))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_curves_csv(got, curves)
+    csv_writer_curves(want, curves)
+    assert got.read_bytes() == want.read_bytes()

@@ -10,10 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from spinnet import cli, documents
+from spinnet import cli, documents, inner_product, tensor_engine
 from spinnet.cli import _build_parser, main
 from spinnet import (ToleranceError, averaged_inner_product, canonicalize, decompose,
-                     dumps_document, enumerate_correspondences, read_network)
+                     dumps_document, enumerate_correspondences, mc_expectation, read_network)
 
 
 LOOP_DOC = {
@@ -206,6 +206,23 @@ def test_ip_mc_bad_env_seed(docs, capsys, monkeypatch):
     code, _, cap = run(capsys, ["ip", docs["loop"], docs["loop"], "--mc", "2000"])
     assert code == 2
     assert "SPINNET_SEED" in cap.err
+
+
+def test_ip_mc_bad_sample_count_prepares_nothing(docs, capsys):
+    """A sample count below 2 exits 2 before any state is prepared or
+    planned: neither bounded cache gains an entry."""
+    caches = (inner_product._prepared_state, tensor_engine._plan)
+    for cache in caches:
+        cache.cache_clear()
+    for count in ("0", "-5", "1"):
+        code, _, cap = run(capsys, ["ip", docs["theta"], docs["theta"], "--mc", count])
+        assert code == 2, count
+        assert cap.err == "error: n_samples must be at least 2\n"
+        assert cap.out == ""
+    theta = read_network(docs["theta"])
+    with pytest.raises(ValueError, match="at least 2"):
+        mc_expectation(inner_product._paired_network(theta, theta), 1, seed=0)
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
 
 
 # ---------------------------------------------------------------------------

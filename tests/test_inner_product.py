@@ -29,7 +29,7 @@ from spinnet import (
 import spinnet.inner_product as ip
 import spinnet.network_model as nm
 import spinnet.tensor_engine as te
-from spinnet.inner_product import _oriented, _paired_network, _word_holonomy, edge_holonomy
+from spinnet.inner_product import _paired_network, _word_holonomy, edge_holonomy
 from spinnet.rep_core import _quat_product
 from spinnet.tensor_engine import MC_CHUNK, mc_expectation
 from helpers import (
@@ -45,6 +45,8 @@ from helpers import (
     refinement_inner_product,
     brute_mc_inner_product,
     wordy_network,
+    random_intertwiner,
+    _slot_legs,
     MOTIF_NAMES,
 )
 
@@ -124,8 +126,8 @@ def _explicit(rng, net, vertices):
 
 
 def test_evaluate_keeps_non_invariant_vertices_ungauged(rng):
-    """A vertex carrying an explicit tensor roots its tree, and a tree holds
-    at most one such vertex: with one or two of them the value still
+    """A vertex carrying an explicit tensor is never gauge-transformed: no
+    edge at it is a tree edge, so with one or two of them the value still
     matches the index sums."""
     for n in _gauged_networks(rng):
         vertices = sorted(n.vertices, key=str)
@@ -240,7 +242,7 @@ def test_mc_paths_share_one_plan_cache():
     """A prepared state and ``mc_expectation`` on the same operands and batch
     take one plan from the engine's one cache."""
     a = theta_network((1, 1, 2))
-    steps = {eid: (ip._oriented(w),) if w else () for eid, w in ip._gauge_fixed_words(a).items()}
+    steps = {eid: ((w, False),) if w else () for eid, w in ip._gauge_fixed_words(a).items()}
     ip._prepared_state.cache_clear()
     te._plan.cache_clear()
     mc_inner_product(a, a, 300, seed=1)
@@ -551,6 +553,15 @@ def _joint_estimate(a, b, n_samples, seed):
     return mc_expectation(_paired_network(a, b), n_samples, seed)
 
 
+def _reversed_edge(rng, net, edge_id):
+    """``net`` with one edge reversed (inverse word, ends swapped) and fresh
+    random invariant intertwiners on the new slots."""
+    edges = [Edge(e.id, ip._inverse_word(e.word), e.target, e.source, e.spin)
+             if e.id == edge_id else e for e in net.edges]
+    verts = {v: random_intertwiner(rng, tuple(legs)) for v, legs in _slot_legs(edges).items()}
+    return network(net.graph.registry, edges, verts)
+
+
 def _oracle_pairs():
     rng = np.random.default_rng(808)
     pairs = []
@@ -562,6 +573,12 @@ def _oracle_pairs():
     for n in (2, 3):
         pairs.append((build_tassel(n).network, build_phi(n, -1).network, False))
     pairs.append((build_tassel(2).network, swap_signs(build_tassel(2), 0).network, False))
+    # e3 reversed: the ket's gauge-fixed e3 is the inverse of the bra's
+    reversed_e3 = _reversed_edge(rng, wordy, "e3")
+    bra_words = {f.variable for f in ip._prepared_state(wordy, 7)[1]}
+    assert any(ip._inverse_word(f.variable) in bra_words
+               for f in ip._prepared_state(reversed_e3, 7)[1])
+    pairs.append((wordy, reversed_e3, False))
     return pairs
 
 
@@ -622,39 +639,6 @@ def test_word_holonomy_batches_edge_holonomy(rng):
             batch = _word_holonomy(quats, word)
             for k, h in enumerate(holonomies):
                 npt.assert_allclose(batch[k], edge_holonomy(h, word).as_array(), atol=1e-15)
-        word, inverted = _oriented(e.word)
-        assert (word == inverse_word) == inverted
-
-
-def test_word_prefix_memo_keeps_bits(rng, monkeypatch):
-    """Sharing word prefixes gives the unshared products bit for bit, on the
-    wordy network's and the web states' edge and gauge-fixed words, and
-    takes fewer quaternion products on web psi.phi."""
-    psi, phi = build_tassel(2).network, build_phi(2, -1).network
-    for nets in ((wordy_network(rng),), (psi, phi)):
-        segments = sorted({s for n in nets for s in n.graph.segments}, key=str)
-        quats = dict(zip(segments, te.haar_quaternions(rng, (len(segments), 7))))
-        words = {w for n in nets for e in n.edges for w in (e.word, _oriented(e.word)[0])}
-        words |= {f.variable for n in nets for f in ip._prepared_state(n, 7)[1]}
-        memo: dict = {}
-        for word in sorted(words, key=str):
-            assert np.array_equal(_word_holonomy(quats, word, memo), _word_holonomy(quats, word))
-
-    calls = []
-    real = ip._quat_product
-
-    def counting(a, b):
-        calls.append(1)
-        return real(a, b)
-
-    monkeypatch.setattr(ip, "_quat_product", counting)
-    gauged = {f.variable for n in (psi, phi) for f in ip._prepared_state(n, 7)[1]}
-    for word in gauged:
-        _word_holonomy(quats, word)
-    unshared = len(calls)
-    calls.clear()
-    ip._state_values([ip._prepared_state(n, 7) for n in (psi, phi)], quats)
-    assert len(calls) < unshared
 
 
 def test_quaternion_product_is_one_formula(rng):
