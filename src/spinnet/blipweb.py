@@ -32,9 +32,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .rep_core import Spin, Intertwiner, epsilon
+from .rep_core import Spin, Intertwiner, _invariant_basis, epsilon
 from .network_model import SegmentRegistry, Edge, SpinNetwork, network
-from .tensor_engine import _invariant_basis
 
 __all__ = [
     "ToleranceError",

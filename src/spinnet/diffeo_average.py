@@ -30,13 +30,13 @@ from .network_model import (
     InvalidNetworkError,
     SpinNetwork,
     _assemble,
-    _reversed_slot,
     _sort_key,
     _WorkEdge,
     _WorkVertex,
     canonicalize,
     decompose,
 )
+from .rep_core import _dualized
 
 
 @dataclass(frozen=True)
@@ -190,11 +190,8 @@ class _Prepared:
 def _prepare(n: SpinNetwork) -> _Prepared:
     cn = canonicalize(n)
     dec = decompose(cn.graph)
-    by_support = {frozenset(s for s, _ in e.word): e for e in cn.edges}
-    piece_edges = tuple(
-        by_support[frozenset(s for s, _ in piece.steps)]
-        for piece in dec.intervals + dec.circles
-    )
+    edges = {e.id: e for e in cn.edges}
+    piece_edges = tuple(edges[piece.steps[0][0]] for piece in dec.intervals + dec.circles)
     piece_of = {e.id: k for k, e in enumerate(piece_edges)}
     slots = {
         p: tuple((piece_of[eid], d) for eid, d, _ in cn.vertex_slots(p)) for p in cn.vertices
@@ -229,7 +226,7 @@ def _prepared_pairing(pa: _Prepared, pb: _Prepared, orientation_preserving_only:
     is counted and skipped.  Any other class contributes
     prod_e 1/d_e * prod_p <iota^a_p moved to q, iota^b_q>: the slots of
     vertex p follow their pieces, a flipped piece swaps its slot directions
-    with the epsilon rewrite of ``_reversed_slot``, and the overlaps, which
+    with the epsilon rewrite of ``rep_core._dualized``, and the overlaps, which
     classes largely share, are computed once per call.
     """
     corrs = enumerate_correspondences(pa.pieces, pb.pieces, orientation_preserving_only)
@@ -266,7 +263,7 @@ def _vertex_overlap(pa: _Prepared, pb: _Prepared, p, q, moves) -> complex:
     keys = []
     for axis, ((i, d), (j, flip)) in enumerate(zip(pa.slots[p], moves)):
         if flip:
-            comps = _reversed_slot(comps, axis, pa.piece_edges[i].spin)
+            comps = _dualized(comps, axis, pa.piece_edges[i].spin.twice_j)
             d = "in" if d == "out" else "out"
         keys.append((j, d))
     perm = [keys.index(k) for k in pb.slots[q]]

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .rep_core import Intertwiner, Spin, _apply_on_axis, _sort_key, epsilon
+from .rep_core import Intertwiner, Spin, _dualized, _sort_key
 
 
 class InvalidNetworkError(ValueError):
@@ -441,26 +441,15 @@ def common_refinement(a: SpinNetwork, b: SpinNetwork) -> tuple:
     return tuple(_assemble(n.graph, *_split_working(n)) for n in (a, b))
 
 
-def _reversed_slot(comps: np.ndarray, axis: int, spin: Spin) -> np.ndarray:
-    """Vertex components after the edge at slot ``axis`` is reversed.
-
-    Value-preserving: D(h^-1)[r, c] = (eps D(h) eps^-1)[c, r], so an old
-    "out" slot absorbs eps and an old "in" slot absorbs (eps^-1)^T, which is
-    eps again (a real signed permutation); the slot then has the other
-    direction.
-    """
-    return _apply_on_axis(comps, epsilon(spin), axis)
-
-
 def _reverse_work_edge(wid, wedges, wverts) -> None:
     w = wedges[wid]
     sv = wverts[w.source]
     tv = wverts[w.target]
     ax_out = sv.keys.index((wid, "out"))
     ax_in = tv.keys.index((wid, "in"))
-    sv.comps = _reversed_slot(sv.comps, ax_out, w.spin)
+    sv.comps = _dualized(sv.comps, ax_out, w.spin.twice_j)
     sv.keys[ax_out] = (wid, "in")
-    tv.comps = _reversed_slot(tv.comps, ax_in, w.spin)
+    tv.comps = _dualized(tv.comps, ax_in, w.spin.twice_j)
     tv.keys[ax_in] = (wid, "out")
     (s, r), = w.steps
     w.steps = [(s, not r)]

@@ -432,44 +432,62 @@ class Intertwiner:
         return hash((self.leg_spins, (self.components + 0.0).tobytes()))
 
 
-def _apply_on_axis(tensor: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
-    """Left-multiply ``matrix`` onto one axis: out[..a'..] = sum_a M[a',a] T[..a..]."""
-    moved = np.moveaxis(tensor, axis, 0)
-    return np.moveaxis(np.tensordot(matrix, moved, axes=(1, 0)), 0, axis)
+def _dualized(tensor: np.ndarray, axis: int, twice_j: int) -> np.ndarray:
+    """``tensor`` with epsilon applied to its spin-``twice_j`` axis ``axis``.
+
+    epsilon is a real signed antidiagonal, so this is the signed flip
+    out[..i..] = (-1)^i tensor[..n-i..], n = twice_j.  It dualizes a leg, and
+    at both ends of a reversed edge it keeps the value, as D(h^-1)[r, c] =
+    (eps D(h) eps^-1)[c, r] and eps is its own inverse transpose.  The
+    + 0.0 turns the -0.0 that a sign makes of a zero back into 0.0.
+    """
+    shape = [1] * tensor.ndim
+    shape[axis] = twice_j + 1
+    signs = (-1.0) ** np.arange(twice_j + 1)
+    return np.flip(tensor, axis) * signs.reshape(shape) + 0.0
+
+
+# Distinct leg signatures whose invariant bases are kept.
+_BASIS_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _invariant_basis(signature: tuple[tuple[int, bool], ...]) -> np.ndarray:
+    """Stacked orthonormal invariant basis B, shape (r, *dims), read-only.
+
+    ``signature`` holds (twice_j, dualized) per leg: the all-ket basis of
+    ``invariant_vectors``, ``_dualized`` on each "in" axis, stays orthonormal.
+    """
+    vecs = invariant_vectors([tj for tj, _ in signature])
+    stack = np.array(vecs, dtype=complex).reshape(-1, *(tj + 1 for tj, _ in signature))
+    for axis, (tj, dual) in enumerate(signature, start=1):
+        if dual:
+            stack = _dualized(stack, axis, tj)
+    stack.setflags(write=False)
+    return stack
 
 
 def intertwiner_basis(legs: Sequence[tuple[Spin, str]]) -> list[Intertwiner]:
     """Orthonormal basis (Hilbert-Schmidt) of the intertwiner space.
 
-    Empty list when the space is zero-dimensional.  In-legs are obtained
-    from the all-ket invariant basis by applying epsilon on the dualized
-    axes, which preserves orthonormality.
+    Empty list when the space is zero-dimensional.  The components are
+    writable copies of the rows of the cached ``_invariant_basis`` stack.
     """
     legs = tuple((s, d) for s, d in legs)
-    kets = invariant_vectors([s.twice_j for s, _ in legs])
-    out = []
-    for v in kets:
-        comp = v
-        for axis, (s, d) in enumerate(legs):
-            if d == "in":
-                comp = _apply_on_axis(comp, epsilon(s), axis)
-        out.append(Intertwiner(legs, comp))
-    return out
+    stack = _invariant_basis(tuple((s.twice_j, d == "in") for s, d in legs))
+    return [Intertwiner(legs, row.copy()) for row in stack]
 
 
 def transform_intertwiner(iv: Intertwiner, g: GroupElement) -> np.ndarray:
     """Group action on an intertwiner's components.
 
-    Out-legs are contracted with D(g) on the right of the axis,
-    in-legs with D(g)^{-1} on the left; an intertwiner is a fixed point
-    of this action for every g.
+    Out-legs are contracted with D(g) on the right of the axis, in-legs
+    with D(g)^{-1} on the left, which is conj(D(g)) on the right; an
+    intertwiner is a fixed point of this action for every g.
     """
     comp = iv.components
     for axis, (s, d) in enumerate(iv.leg_spins):
         dmat = wigner_entries(s.twice_j, g.as_array())
-        if d == "out":
-            moved = np.moveaxis(comp, axis, -1)
-            comp = np.moveaxis(moved @ dmat, -1, axis)
-        else:
-            comp = _apply_on_axis(comp, dmat.conj().T, axis)
+        moved = np.moveaxis(comp, axis, -1)
+        comp = np.moveaxis(moved @ (dmat.conj() if d == "in" else dmat), -1, axis)
     return comp

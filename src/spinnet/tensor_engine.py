@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .rep_core import (
-    _MAX_ELEMENTS, Spin, _sort_key, haar_quaternions, intertwiner_basis, wigner_entries,
+    _MAX_ELEMENTS, Spin, _invariant_basis, _sort_key, haar_quaternions, wigner_entries,
 )
 
 __all__ = [
@@ -332,34 +332,14 @@ def contract(
 
 
 # ---------------------------------------------------------------------------
-# Haar projection
-
-# Distinct factor signatures whose invariant bases are kept.
-_BASIS_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_BASIS_CACHE_SIZE)
-def _invariant_basis(signature: tuple[tuple[int, bool], ...]) -> np.ndarray:
-    """Stacked orthonormal invariant basis B, shape (r, *dims), of one variable.
-
-    ``signature`` holds (twice_j, dualized) per factor.  A conjugated-xor-
-    inverted factor transforms in the dual representation, so its axis is an
-    "in" leg of the intertwiner space; the projector is P = sum_b B[b] (x)
-    conj(B[b]).
-    """
-    legs = [(Spin(tj), "in" if dual else "out") for tj, dual in signature]
-    basis = intertwiner_basis(legs)
-    if basis:
-        stack = np.stack([iv.components for iv in basis])
-    else:
-        stack = np.zeros((0,) + tuple(tj + 1 for tj, _ in signature), dtype=complex)
-    stack.setflags(write=False)
-    return stack
-
+# Haar projection: P = sum_b B[b] (x) conj(B[b]) over the rows of one
+# variable's cached stack B = rep_core._invariant_basis(signature).
 
 def _projector_sides(factors: Sequence[GroupFactor]):
     """Invariant basis of one variable's factors, with its row-side and
-    column-side legs.  Inversion swaps which named leg sits on which side."""
+    column-side legs.  Inversion swaps which named leg sits on which side.
+    A conjugated-xor-inverted factor transforms in the dual representation:
+    its axis is an "in" leg, dualized in ``rep_core._invariant_basis``."""
     signature = tuple((f.spin.twice_j, bool(f.conjugated) != bool(f.inverted)) for f in factors)
     row_legs, col_legs = [], []
     for f in factors:

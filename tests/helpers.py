@@ -5,13 +5,14 @@ evaluation by explicit index sums, Monte Carlo by direct quaternion
 sampling, correspondence lists by filtering the full assignment
 product space, and exact inner products over the common refinement
 rather than each state's own edges.  Document text has the
-element-by-element renderer, and the Wigner build, the Haar sampler and the
-web transfer their earlier straightforward forms, as references for
-bit-identical or nearly identical output, and the curve CSV its
-``csv.writer`` form.
+element-by-element renderer, and the Wigner build, the Haar sampler, the
+intertwiner basis and the web transfer their earlier straightforward
+forms, as references for bit-identical or nearly identical output, and the
+curve CSV its ``csv.writer`` form.
 """
 
 import csv
+import functools
 import itertools
 import json
 
@@ -26,6 +27,7 @@ from spinnet import (
     network,
     decompose,
     intertwiner_basis,
+    invariant_vectors,
     wigner_matrix,
     wigner_entries,
     epsilon,
@@ -449,6 +451,29 @@ def reference_wigner_entries(twice_j, quats):
             acc = acc + coeff * (pa[ea] * pb[eb] * pc[ec] * pd[ed])
         out[kp, k] = acc
     return out.transpose(*range(2, out.ndim), 0, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _ket_invariants(twice_js):
+    vecs = invariant_vectors(twice_js)
+    for v in vecs:
+        v.setflags(write=False)
+    return tuple(vecs)
+
+
+def reference_intertwiner_basis(legs):
+    """The intertwiner basis built one all-ket invariant at a time, with a
+    complex ``epsilon`` matrix contracted onto each "in" axis by
+    ``tensordot``.  The all-ket invariants are kept per spin tuple, so every
+    direction pattern of one tuple starts from the same vectors."""
+    out = []
+    for v in _ket_invariants(tuple(s.twice_j for s, _ in legs)):
+        for axis, (s, d) in enumerate(legs):
+            if d == "in":
+                moved = np.tensordot(epsilon(s), np.moveaxis(v, axis, 0), axes=(1, 0))
+                v = np.moveaxis(moved, 0, axis)
+        out.append(v)
+    return out
 
 
 def reference_haar_quaternions(rng, shape):

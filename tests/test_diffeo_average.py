@@ -147,13 +147,23 @@ def _cycle_decomposition(k):
 
 def test_enumeration_order_matches_product_space_oracle():
     """The full ordered lists, not only their lengths, equal the product-space
-    filter on every zoo pair and on k-cycles with a loop at every point."""
+    filter on every zoo pair, on k-cycles with a loop at every point, and on a
+    lollipop, a loop at D with a stem from B to D.  The loop is assigned
+    first, so the flipped stem would send B onto the already used D and is
+    pruned there; 2 classes remain, 1 orientation-preserving."""
     zoo = _zoo()
     cases = [(n1, d1, n2, d2, op_only) for n1, d1 in zoo for n2, d2 in zoo
              for op_only in (False, True)]
     c3, c4 = _cycle_decomposition(3), _cycle_decomposition(4)
     cases += [("3-cycle", c3, "3-cycle", c3, False), ("3-cycle", c3, "3-cycle", c3, True),
               ("4-cycle", c4, "4-cycle", c4, True)]
+    reg = SegmentRegistry()
+    reg.add_segment("s0", "D", "D")
+    reg.add_segment("s1", "B", "D")
+    lolli = decompose(reg.graph(["s0", "s1"]))
+    assert len(enumerate_correspondences(lolli, lolli)) == 2
+    assert len(enumerate_correspondences(lolli, lolli, True)) == 1
+    cases += [("lollipop", lolli, "lollipop", lolli, op_only) for op_only in (False, True)]
     for name1, d1, name2, d2, op_only in cases:
         got = _listed(enumerate_correspondences(d1, d2, op_only))
         assert got == brute_correspondences(d1, d2, op_only), (name1, name2, op_only)

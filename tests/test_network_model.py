@@ -21,8 +21,7 @@ from spinnet import (
     evaluate,
     epsilon,
 )
-from spinnet.network_model import _reversed_slot
-from spinnet.rep_core import MAX_TWICE_J
+from spinnet.rep_core import MAX_TWICE_J, _dualized
 from helpers import (
     loop_network,
     theta_network,
@@ -372,18 +371,27 @@ def test_common_refinement_requires_shared_registry():
 
 
 def test_common_refinement_preserves_value():
+    """Pieces of a split edge are named ``<id>#<k>``, with a ``#`` prefixed
+    until the name is free: beside edges ``e#0`` and ``#e#0``, the pieces of
+    ``e`` are ``##e#0`` and ``e#1``."""
     rng = np.random.default_rng(31)
     reg = SegmentRegistry()
     reg.add_segment("c1", "A", "B")
     reg.add_segment("c2", "B", "A")
+    reg.add_segment("d1", "C", "C")
+    reg.add_segment("d2", "E", "E")
     marker = identity_marker(ONE)
     n = network(
         reg,
-        [Edge("e", (("c1", False), ("c2", False)), "A", "A", ONE)],
-        {"A": marker},
+        [Edge("e", (("c1", False), ("c2", False)), "A", "A", ONE),
+         Edge("e#0", (("d1", False),), "C", "C", ONE),
+         Edge("#e#0", (("d2", False),), "E", "E", ONE)],
+        {"A": marker, "C": marker, "E": marker},
     )
     ref, _ = common_refinement(n, n)
     assert all(len(e.word) == 1 for e in ref.edges)
+    ids = [e.id for e in ref.edges]
+    assert sorted(ids) == sorted(["##e#0", "e#1", "e#0", "#e#0"])
     for _ in range(5):
         h = random_holonomies(rng, n)
         npt.assert_allclose(evaluate(ref, h), evaluate(n, h), atol=1e-12)
@@ -551,5 +559,5 @@ def test_reversed_slot_absorbs_epsilon_on_either_direction():
         npt.assert_array_equal(np.linalg.inv(eps).T, eps)
         d = twice_j + 1
         comps = rng.standard_normal((2, d, 3)) + 1j * rng.standard_normal((2, d, 3))
-        npt.assert_array_equal(_reversed_slot(comps, 1, Spin(twice_j)),
+        npt.assert_array_equal(_dualized(comps, 1, twice_j),
                                np.einsum("ab,xby->xay", eps, comps))

@@ -25,7 +25,7 @@ from spinnet import (
 )
 from spinnet.rep_core import _MAX_ELEMENTS, _cg_tensor, haar_quaternions
 from helpers import (character, haar_element, reference_haar_quaternions,
-                     reference_wigner_entries)
+                     reference_intertwiner_basis, reference_wigner_entries)
 
 
 @pytest.fixture
@@ -338,6 +338,24 @@ def test_bivalent_basis_forms():
 def test_intertwiner_basis_empty_cases():
     assert intertwiner_basis(((Spin(1), "out"),)) == []
     assert intertwiner_basis(((Spin(1), "out"), (Spin(2), "in"))) == []
+
+
+def test_intertwiner_basis_matches_per_vector_epsilon_oracle():
+    """On every leg list of at most four legs with twice_j <= 4, the basis
+    equals the per-vector tensordot construction value for value.  Only the
+    sign of a zero may differ: the signed flip gives 0.0 for every zero,
+    where the matrix product sometimes leaves -0.0, and ``np.array_equal``
+    does not tell them apart.  The components returned are the caller's to
+    write."""
+    choices = [(Spin(tj), d) for tj in range(5) for d in ("out", "in")]
+    for n in range(5):
+        for legs in itertools.product(choices, repeat=n):
+            got = intertwiner_basis(legs)
+            want = reference_intertwiner_basis(legs)
+            assert len(got) == len(want), legs
+            for iv, w in zip(got, want):
+                assert np.array_equal(iv.components, w), legs
+                assert iv.components.flags.writeable
 
 
 def test_non_invariant_tensor_moves(rng):

@@ -180,7 +180,7 @@ def test_haar_project_oversized_refused_before_building(monkeypatch):
     def no_basis(*args, **kwargs):
         raise AssertionError("built the basis before the size check")
 
-    monkeypatch.setattr(te, "intertwiner_basis", no_basis)
+    monkeypatch.setattr(te, "_invariant_basis", no_basis)
     factors = [factor("g", 1, f"r{k}", f"c{k}") for k in range(14)]
     start = time.perf_counter()
     with pytest.raises(ValueError, match="over the limit"):
