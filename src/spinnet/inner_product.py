@@ -15,13 +15,15 @@ the engine on its own edges, through one builder (``_state_operands``).
 The exact path gives an edge one group factor per segment step of its word,
 chained by direct pairings, and contracts each segment's Haar projector in
 factored form.  The Monte Carlo path evaluates each state batched over a
-chunk of samples and takes the sample mean of conj(state_a) * state_b.  Its
-evaluator first fixes the gauge on a maximal tree of the state's graph
-(a vertex whose tensor is not invariant keeps its gauge): tree edges
-become the identity, and only the other edges, whose words become loops at
-a root, need a Wigner matrix per sample, one per distinct (word, spin) for
-bra and ket together.  :func:`evaluate` is the one-sample case of that
-evaluator.
+chunk of samples and takes the sample mean of conj(state_a) * state_b; a
+batch of elements is carried as Cayley-Klein pairs (``rep_core._pair``),
+two complex arrays, from the draw through the word products to the Wigner
+build.  Its evaluator first fixes the gauge on a maximal tree of the
+state's graph (a vertex whose tensor is not invariant keeps its gauge):
+tree edges become the identity, and only the other edges, whose words
+become loops at a root, need a Wigner matrix per sample, one per distinct
+(word, spin) for bra and ket together.  :func:`evaluate` is the one-sample
+case of that evaluator.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ from typing import Mapping
 import numpy as np
 
 from .network_model import InvalidNetworkError, SpinNetwork, _sort_key
-from .rep_core import GroupElement, _quat_product, inverse, multiply, transform_intertwiner
+from .rep_core import (
+    MAX_TWICE_J, GroupElement, _acted, _pair, _pair_product, inverse, multiply, wigner_entries,
+)
 from .tensor_engine import (
     MC_CHUNK,
     FactorNetwork,
@@ -100,8 +104,8 @@ def evaluate(n: SpinNetwork, h) -> complex:
     missing = sorted((s for s in n.graph.segments if s not in h), key=_sort_key)
     if missing:
         raise InvalidNetworkError(f"holonomy assignment missing segments {missing!r}")
-    quats = {s: h[s].as_array()[None] for s in n.graph.segments}
-    value, = _state_values([_prepared_state(n, 1)], quats)
+    pairs = {s: _pair(h[s].as_array()[:, None]) for s in n.graph.segments}
+    value, = _state_values([_prepared_state(n, 1)], pairs)
     return complex(value[0])
 
 
@@ -129,13 +133,22 @@ _GUARD_ELEMENTS = (
 )
 
 
+@lru_cache(maxsize=MAX_TWICE_J + 1)
+def _guard_matrices(twice_j: int) -> tuple:
+    """The spin-j matrix of each guard element, read-only."""
+    mats = tuple(wigner_entries(twice_j, g.as_array()) for g in _GUARD_ELEMENTS)
+    for mat in mats:
+        mat.setflags(write=False)
+    return mats
+
+
 def _is_invariant(iv) -> bool:
     """Whether a vertex tensor is an intertwiner, so that the state may be
     gauge-transformed at its vertex.  Documents may carry explicit tensors
     that are not."""
     tol = 1e-12 * max(1.0, float(np.linalg.norm(iv.components)))
-    return all(np.linalg.norm(transform_intertwiner(iv, g) - iv.components) <= tol
-               for g in _GUARD_ELEMENTS)
+    return all(np.linalg.norm(_acted(iv, lambda tj: _guard_matrices(tj)[k]) - iv.components)
+               <= tol for k in range(len(_GUARD_ELEMENTS)))
 
 
 def _gauge_fixed_words(n: SpinNetwork) -> dict:
@@ -200,29 +213,29 @@ def _prepared_state(n: SpinNetwork, batch: int) -> tuple:
             tuple(np.asarray(t.data, complex) for t in state.tensors))
 
 
-def _word_holonomy(quats: Mapping, word) -> np.ndarray:
-    """Batched ``edge_holonomy``: the (m, 4) quaternions of a word's holonomy
-    from (m, 4) quaternions per segment, the product of the steps rightmost
-    first with a reversed step conjugated."""
-    if len(word) == 1 and not word[0][1]:
-        return quats[word[0][0]]
+def _word_holonomy(pairs: Mapping, word) -> tuple:
+    """Batched ``edge_holonomy``: the Cayley-Klein pair (a, b) of a word's
+    holonomy, two (m,) arrays, from one such pair per segment.  The steps
+    are multiplied rightmost first, a reversed step as its inverse
+    (conj(a), -b); a word of one unreversed step is its segment's pair."""
     total = None
     for segment, rev in word:
-        w, x, y, z = quats[segment].T
-        g = (w, -x, -y, -z) if rev else (w, x, y, z)
-        total = g if total is None else _quat_product(g, total)
-    return np.stack(total, axis=-1)
+        a, b = pairs[segment]
+        g = (a.conjugate(), -b) if rev else (a, b)
+        total = g if total is None else _pair_product(g, total)
+    return total
 
 
-def _state_values(states, quats: Mapping) -> list[np.ndarray]:
-    """Values of prepared states on one batch of (m, 4) quaternions per
-    segment, one (m,) array per state.  Each distinct word's holonomy and
-    each distinct (word, spin) Wigner matrix is built once, for all states;
-    a state with no factor is a constant."""
+def _state_values(states, pairs: Mapping) -> list[np.ndarray]:
+    """Values of prepared states on one batch of m samples, given as a
+    Cayley-Klein pair of (m,) arrays per segment, one (m,) array per state.
+    Each distinct word's holonomy and each distinct (word, spin) Wigner
+    matrix is built once, for all states; a state with no factor is a
+    constant."""
     factors = [f for _, fs, _ in states for f in fs]
-    holonomies = {w: _word_holonomy(quats, w) for w in {f.variable for f in factors}}
+    holonomies = {w: _word_holonomy(pairs, w) for w in {f.variable for f in factors}}
     arrays = _factor_arrays(factors, holonomies)
-    m = len(next(iter(quats.values())))
+    m = len(next(iter(pairs.values()))[0])
     values = []
     for plan, fs, constants in states:
         value = _execute(plan, arrays[:len(fs)] + list(constants))
@@ -346,8 +359,8 @@ def mc_inner_product(a: SpinNetwork, b: SpinNetwork, n_samples: int, seed: int):
     batch = min(MC_CHUNK, n_samples)
     states = [_prepared_state(n, batch) for n in ((a,) if a == b else (a, b))]
 
-    def chunk_values(quats):
-        values = _state_values(states, {s: quats[:, i, :] for i, s in enumerate(segments)})
+    def chunk_values(pairs):
+        values = _state_values(states, dict(zip(segments, zip(*pairs))))
         return np.conj(values[0]) * values[-1]
 
     return _mc_mean(n_samples, seed, len(segments), chunk_values)

@@ -5,9 +5,12 @@ Irreps are labeled by a nonnegative integer ``twice_j`` (dimension
 matrices by
 
     U(w, x, y, z) = w*I + i*(x*sigma_x + y*sigma_y + z*sigma_z)
+                  = [[a, b], [-conj(b), conj(a)]],  a = w + iz, b = y + ix,
 
-and higher-spin matrices are the orthonormalized symmetric tensor powers
-of U, which makes multiplicativity and unitarity exact up to rounding.
+The sampled paths carry each element as its Cayley-Klein pair (a, b)
+(``_pair``), and a batch as two complex arrays.  Higher-spin matrices are
+the orthonormalized symmetric tensor powers of U, which makes
+multiplicativity and unitarity exact up to rounding.
 Basis index ``k`` of a spin-j axis corresponds to weight m = j - k
 (m descending), and all coupling coefficients use the Condon-Shortley
 phase convention.
@@ -121,26 +124,28 @@ class GroupElement:
         return np.array([self.w, self.x, self.y, self.z], dtype=float)
 
 
-def _quat_product(a, b) -> tuple:
-    """Components (w, x, y, z) of the group product a*b, with the convention
-    matrix(a*b) = matrix(a) @ matrix(b).  ``a`` and ``b`` are component
-    sequences of floats, or of equally shaped arrays for a batch."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    # Note the sign of the cross term: it is fixed by requiring that the
-    # 2x2 matrix map above is a homomorphism, not by quaternion tradition.
-    return (
-        aw * bw - (ax * bx + ay * by + az * bz),
-        aw * bx + bw * ax - (ay * bz - az * by),
-        aw * by + bw * ay - (az * bx - ax * bz),
-        aw * bz + bw * az - (ax * by - ay * bx),
-    )
+def _pair(q) -> tuple:
+    """Cayley-Klein pair (a, b) = (w + iz, y + ix) of quaternion components
+    q = (w, x, y, z), floats or equally shaped arrays: U(q) = [[a, b],
+    [-conj(b), conj(a)]].  The inverse element is (conj(a), -b)."""
+    w, x, y, z = q
+    return w + 1j * z, y + 1j * x
+
+
+def _pair_product(g, h) -> tuple:
+    """Pair of the group product g*h, with the convention matrix(g*h) =
+    matrix(g) @ matrix(h): the first row of the 2x2 product.  ``g`` and
+    ``h`` are pairs of complex numbers, or of equally shaped arrays for a
+    batch."""
+    a1, b1 = g
+    a2, b2 = h
+    return a1 * a2 - b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate()
 
 
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     """Group product, with the convention matrix(a*b) = matrix(a) @ matrix(b)."""
-    product = _quat_product((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z))
-    return GroupElement.from_array(product, normalize=True)
+    pa, pb = _pair_product(_pair((a.w, a.x, a.y, a.z)), _pair((b.w, b.x, b.y, b.z)))
+    return GroupElement.from_array((pa.real, pb.imag, pb.real, pa.imag), normalize=True)
 
 
 def inverse(a: GroupElement) -> GroupElement:
@@ -159,6 +164,25 @@ def haar_quaternions(rng: np.random.Generator, shape) -> np.ndarray:
     s = q * q  # summed in np.linalg.norm's order, so the quotient is the same
     q /= np.sqrt(s[..., 0] + s[..., 1] + s[..., 2] + s[..., 3])[..., None]
     return q
+
+
+def _haar_pairs(rng: np.random.Generator, m: int, n_vars: int) -> tuple:
+    """The draw of ``haar_quaternions(rng, (m, n_vars))`` as Cayley-Klein
+    pairs (A, B), two complex arrays of shape (n_vars, m).
+
+    The same normals are normalized component by component on one
+    contiguous (4, n_vars, m) copy, in the same order of operations, so the
+    real and imaginary parts of A and B are the quaternions' w, z, y and x
+    bit for bit; each variable's samples are one contiguous row.
+    """
+    q = rng.standard_normal((m, n_vars, 4)).transpose(2, 1, 0).copy()
+    s = q * q
+    norm = np.sqrt(s[0] + s[1] + s[2] + s[3])
+    pairs = np.empty((2, n_vars, m), dtype=complex)
+    for k, part in ((0, pairs[0].real), (3, pairs[0].imag),
+                    (2, pairs[1].real), (1, pairs[1].imag)):
+        np.divide(q[k], norm, out=part)
+    return pairs[0], pairs[1]
 
 
 @dataclass(frozen=True)
@@ -194,6 +218,38 @@ def _wigner_terms(twice_j: int):
     return tuple(terms)
 
 
+def _wigner_storage(twice_j: int, a, b, c, d) -> np.ndarray:
+    """Spin-j matrices of U = [[a, b], [c, d]] for equally shaped batches of
+    the four entries, in (row, col, ...) storage, so that each entry is
+    written contiguously."""
+    n = twice_j
+    pows = []
+    for base in (a, b, c, d):
+        p = [None, base]
+        for _ in range(n - 1):
+            p.append(p[-1] * base)
+        pows.append(p)
+    out = np.zeros((n + 1, n + 1) + np.shape(a), dtype=complex)
+    # A factor to the power 0 and a unit coefficient are skipped: multiplying
+    # by one can flip only the sign of a zero, and the sum into the +0 of
+    # ``out`` clears that sign, so the entries are those of the full product.
+    for kp, k, tl in _wigner_terms(n):
+        for coeff, *exps in tl:
+            factors = [p[e] for p, e in zip(pows, exps) if e]
+            term = reduce(operator.mul, factors) if factors else 1.0
+            if coeff != 1.0:
+                term = coeff * term
+            out[kp, k] += term  # in place: a local alias of a 0-d entry is a copy
+    return out
+
+
+def _pair_wigner(twice_j: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Spin-j matrices of a batch of Cayley-Klein pairs, shape (twice_j + 1,
+    twice_j + 1) + a.shape: the matrix axes first, the sample axes last."""
+    _check_spin_cap(twice_j)
+    return _wigner_storage(twice_j, a, b, -b.conjugate(), a.conjugate())
+
+
 def wigner_entries(twice_j: int, quats: np.ndarray) -> np.ndarray:
     """Spin-j matrices for a batch of quaternions.
 
@@ -211,28 +267,8 @@ def wigner_entries(twice_j: int, quats: np.ndarray) -> np.ndarray:
     _check_spin_cap(twice_j)
     quats = np.asarray(quats, dtype=float)
     w, x, y, z = (quats[..., k] for k in range(4))
-    a = w + 1j * z
-    b = y + 1j * x
-    c = -y + 1j * x
-    d = w - 1j * z
-    n = twice_j
-    pows = []
-    for base in (a, b, c, d):
-        p = [None, base]
-        for _ in range(n - 1):
-            p.append(p[-1] * base)
-        pows.append(p)
-    out = np.zeros((n + 1, n + 1) + quats.shape[:-1], dtype=complex)
-    # A factor to the power 0 and a unit coefficient are skipped: multiplying
-    # by one can flip only the sign of a zero, and the sum into the +0 of
-    # ``out`` clears that sign, so the entries are those of the full product.
-    for kp, k, tl in _wigner_terms(n):
-        for coeff, *exps in tl:
-            factors = [p[e] for p, e in zip(pows, exps) if e]
-            term = reduce(operator.mul, factors) if factors else 1.0
-            if coeff != 1.0:
-                term = coeff * term
-            out[kp, k] += term  # in place: a local alias of a 0-d entry is a copy
+    a, b = _pair((w, x, y, z))
+    out = _wigner_storage(twice_j, a, b, -y + 1j * x, w - 1j * z)
     return out.transpose(*range(2, out.ndim), 0, 1)
 
 
@@ -485,9 +521,15 @@ def transform_intertwiner(iv: Intertwiner, g: GroupElement) -> np.ndarray:
     with D(g)^{-1} on the left, which is conj(D(g)) on the right; an
     intertwiner is a fixed point of this action for every g.
     """
+    return _acted(iv, lambda twice_j: wigner_entries(twice_j, g.as_array()))
+
+
+def _acted(iv: Intertwiner, matrix) -> np.ndarray:
+    """``transform_intertwiner`` for the element whose spin-j matrix is
+    ``matrix(twice_j)``."""
     comp = iv.components
     for axis, (s, d) in enumerate(iv.leg_spins):
-        dmat = wigner_entries(s.twice_j, g.as_array())
+        dmat = matrix(s.twice_j)
         moved = np.moveaxis(comp, axis, -1)
         comp = np.moveaxis(moved @ (dmat.conj() if d == "in" else dmat), -1, axis)
     return comp

@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .rep_core import (
-    _MAX_ELEMENTS, Spin, _invariant_basis, _sort_key, haar_quaternions, wigner_entries,
+    _MAX_ELEMENTS, Spin, _haar_pairs, _invariant_basis, _pair_wigner, _sort_key,
 )
 
 __all__ = [
@@ -411,19 +411,17 @@ def _factor_plan(network: FactorNetwork, batch: int) -> _Plan:
         network.pairings, batch=batch)
 
 
-def _factor_arrays(factors: Sequence[GroupFactor], quats_by_var: dict) -> list[np.ndarray]:
+def _factor_arrays(factors: Sequence[GroupFactor], pairs_by_var: dict) -> list[np.ndarray]:
     """Per-sample matrices for each factor, shape (row, col, sample) with
-    the sample axis last, as every plan reads them; one Wigner build per
+    the sample axis last, as every plan reads them, from each variable's
+    Cayley-Klein pair (a, b) of (sample,) arrays; one Wigner build per
     (variable, spin)."""
     built: dict[tuple, np.ndarray] = {}
     out = []
     for f in factors:
         key = (f.variable, f.spin.twice_j)
         if key not in built:
-            # wigner_entries returns a (sample, row, col) view of (row, col,
-            # sample) storage; moving the axes back gives the storage
-            entries = wigner_entries(f.spin.twice_j, quats_by_var[f.variable])
-            built[key] = entries.transpose(1, 2, 0)
+            built[key] = _pair_wigner(f.spin.twice_j, *pairs_by_var[f.variable])
         arr = built[key]
         if f.inverted:
             arr = np.swapaxes(arr, 0, 1)
@@ -439,9 +437,11 @@ def _mc_mean(n_samples: int, seed: int, n_variables: int, chunk_values) -> tuple
     """The Monte Carlo reduction: (mean, standard error) of a per-sample value.
 
     Chunks of at most ``MC_CHUNK`` samples are drawn in order from a Philox
-    stream seeded by ``seed``, each as an (m, n_variables, 4) array of
-    Haar-uniform quaternions; ``chunk_values`` maps it to the m sample
-    values, which are summed, with their squared moduli, in chunk order.
+    stream seeded by ``seed``, each the normals of an (m, n_variables, 4)
+    array of Haar-uniform quaternions, handed over as their Cayley-Klein
+    pairs (A, B), two complex (n_variables, m) arrays (``_haar_pairs``);
+    ``chunk_values`` maps the pairs to the m sample values, which are
+    summed, with their squared moduli, in chunk order.
     Callers refuse ``n_samples`` below 2 before preparing anything.
     """
     rng = np.random.Generator(np.random.Philox(seed))
@@ -450,7 +450,7 @@ def _mc_mean(n_samples: int, seed: int, n_variables: int, chunk_values) -> tuple
     remaining = n_samples
     while remaining > 0:
         m = min(MC_CHUNK, remaining)
-        values = chunk_values(haar_quaternions(rng, (m, n_variables)))
+        values = chunk_values(_haar_pairs(rng, m, n_variables))
         total += values.sum()
         total_sq += float((np.abs(values) ** 2).sum())
         remaining -= m
@@ -487,10 +487,10 @@ def mc_expectation(
     plan = _factor_plan(network, min(MC_CHUNK, n_samples))
     constants = [np.asarray(t.data, complex) for t in network.tensors]
 
-    def chunk_values(quats):
-        quats_by_var = {v: quats[:, i, :] for i, v in enumerate(variables)}
+    def chunk_values(pairs):
+        pairs_by_var = dict(zip(variables, zip(*pairs)))
         result = _execute(
-            plan, _factor_arrays(network.factors, quats_by_var) + constants)
-        return result if factor_count else np.full(len(quats), complex(result))
+            plan, _factor_arrays(network.factors, pairs_by_var) + constants)
+        return result if factor_count else np.full(pairs[0].shape[1], complex(result))
 
     return _mc_mean(n_samples, seed, len(variables), chunk_values)

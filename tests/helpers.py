@@ -6,8 +6,8 @@ sampling, correspondence lists by filtering the full assignment
 product space, and exact inner products over the common refinement
 rather than each state's own edges.  Document text has the
 element-by-element renderer, and the Wigner build, the Haar sampler, the
-intertwiner basis and the web transfer their earlier straightforward
-forms, as references for bit-identical or nearly identical output, and the
+word holonomy, the intertwiner basis and the web transfer their earlier
+straightforward forms, as references for bit-identical or nearly identical output, and the
 curve CSV its ``csv.writer`` form.
 """
 
@@ -480,6 +480,34 @@ def reference_haar_quaternions(rng, shape):
     q = rng.standard_normal(tuple(shape) + (4,))
     q /= np.linalg.norm(q, axis=-1, keepdims=True)
     return q
+
+
+def quat_product(a, b):
+    """Components (w, x, y, z) of the group product a*b, with the convention
+    matrix(a*b) = matrix(a) @ matrix(b), in quaternion arithmetic.  ``a`` and
+    ``b`` are component sequences of floats, or of equally shaped arrays."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    # The sign of the cross term is fixed by requiring that the 2x2 matrix
+    # map is a homomorphism, not by quaternion tradition.
+    return (
+        aw * bw - (ax * bx + ay * by + az * bz),
+        aw * bx + bw * ax - (ay * bz - az * by),
+        aw * by + bw * ay - (az * bx - ax * bz),
+        aw * bz + bw * az - (ax * by - ay * bx),
+    )
+
+
+def quaternion_word_holonomy(quats, word):
+    """The (m, 4) quaternions of a word's holonomy from (m, 4) quaternions
+    per segment: the steps multiplied rightmost first by ``quat_product``, a
+    reversed step conjugated."""
+    total = None
+    for segment, rev in word:
+        w, x, y, z = quats[segment].T
+        g = (w, -x, -y, -z) if rev else (w, x, y, z)
+        total = g if total is None else quat_product(g, total)
+    return np.stack(total, axis=-1)
 
 
 def reference_transfer_value(alphabet, bra_curves, ket_curves, stabilized):

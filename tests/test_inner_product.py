@@ -30,7 +30,7 @@ import spinnet.inner_product as ip
 import spinnet.network_model as nm
 import spinnet.tensor_engine as te
 from spinnet.inner_product import _paired_network, _word_holonomy, edge_holonomy
-from spinnet.rep_core import _quat_product
+from spinnet.rep_core import _pair, _pair_product
 from spinnet.tensor_engine import MC_CHUNK, mc_expectation
 from helpers import (
     character,
@@ -39,6 +39,8 @@ from helpers import (
     theta_network,
     figure8_network,
     naive_evaluate,
+    quat_product,
+    quaternion_word_holonomy,
     random_holonomies,
     random_network,
     reintertwine,
@@ -274,7 +276,7 @@ def test_state_without_factors_is_a_constant(rng, monkeypatch):
     zero, loop = _zero_chain(), _backtracking_loop()
     assert ip._gauge_fixed_words(zero) == {"a": (), "b": ()}
     assert ip._gauge_fixed_words(loop) == {"e": ()}
-    monkeypatch.setattr(te, "wigner_entries", None)
+    monkeypatch.setattr(te, "_pair_wigner", None)
     for n, value in ((zero, 0), (loop, 3)):
         assert evaluate(n, random_holonomies(rng, n)) == value
         assert mc_inner_product(n, n, MC_CHUNK + 5, seed=1) == (value ** 2, 0)
@@ -453,12 +455,12 @@ def test_state_operands_evaluate_the_state(rng):
     for n in (wordy_network(rng, (1, 1, 2), 1), _backtracking_loop(),
               random_network(rng, "dumbbell")):
         h = random_holonomies(rng, n)
-        quats = {s: h[s].as_array()[None] for s in n.graph.segments}
+        pairs = {s: _pair(h[s].as_array()[:, None]) for s in n.graph.segments}
         want = naive_evaluate(n, h)
         for side, conjugate in (("A", True), ("B", False)):
             state = ip._state_operands(n, side, conjugate, {e.id: e.word for e in n.edges})
             plan = te._factor_plan(state, 1)
-            arrays = te._factor_arrays(state.factors, quats)
+            arrays = te._factor_arrays(state.factors, pairs)
             value, = te._execute(plan, arrays + [t.data for t in state.tensors])
             npt.assert_allclose(value, np.conj(want) if conjugate else want, atol=1e-12)
 
@@ -615,42 +617,56 @@ def test_mc_theta_builds_only_the_small_spins(monkeypatch):
     """theta(6,6,12): the spin-6 edge is the tree edge, so each chunk builds
     two spin-3 matrices and no spin-6 one."""
     built = []
-    real = te.wigner_entries
+    real = te._pair_wigner
 
-    def counting(twice_j, quats):
+    def counting(twice_j, a, b):
         built.append(twice_j)
-        return real(twice_j, quats)
+        return real(twice_j, a, b)
 
-    monkeypatch.setattr(te, "wigner_entries", counting)
+    monkeypatch.setattr(te, "_pair_wigner", counting)
     a = theta_network((6, 6, 12))
     mc_inner_product(a, a, 2 * MC_CHUNK, seed=5)
     assert built == [6, 6, 6, 6]
 
 
 def test_word_holonomy_batches_edge_holonomy(rng):
-    """The batched holonomy of every word of the wordy network, and of its
-    inverse, matches the per-element product."""
+    """The batched pair holonomy of every word of the wordy network, and of
+    its inverse, matches the quaternion fold and the per-element product."""
     n = wordy_network(rng)
     holonomies = [random_holonomies(rng, n) for _ in range(4)]
     quats = {s: np.stack([h[s].as_array() for h in holonomies]) for s in n.graph.segments}
+    pairs = {s: _pair(q.T) for s, q in quats.items()}
     for e in n.edges:
         inverse_word = tuple((s, not r) for s, r in reversed(e.word))
         for word in (e.word, inverse_word):
-            batch = _word_holonomy(quats, word)
+            a, b = _word_holonomy(pairs, word)
+            want_a, want_b = _pair(quaternion_word_holonomy(quats, word).T)
+            npt.assert_allclose(a, want_a, rtol=0, atol=1e-15)
+            npt.assert_allclose(b, want_b, rtol=0, atol=1e-15)
             for k, h in enumerate(holonomies):
-                npt.assert_allclose(batch[k], edge_holonomy(h, word).as_array(), atol=1e-15)
+                a_k, b_k = _pair(edge_holonomy(h, word).as_array())
+                npt.assert_allclose([a[k], b[k]], [a_k, b_k], rtol=0, atol=1e-15)
 
 
 def test_quaternion_product_is_one_formula(rng):
-    """``multiply`` and the batched holonomy share one product: on floats
-    and on arrays it gives the same bits, and ``multiply`` only normalizes."""
+    """``multiply`` and the batched holonomy share one product, on pairs.
+    On a batch and on each of its elements taken as a batch of one it gives
+    the same bits (numpy's complex loops may fuse a multiply-add, so a
+    product of Python complex numbers may differ in the last bit); it is
+    the quaternion product, and ``multiply`` only normalizes."""
     qa, qb = rng.standard_normal((2, 5, 4))
-    batch = _quat_product(qa.T, qb.T)
+    batch = _pair_product(_pair(qa.T), _pair(qb.T))
     for k in range(5):
-        assert _quat_product(tuple(qa[k]), tuple(qb[k])) == tuple(c[k] for c in batch)
+        one = _pair_product(_pair(qa[k:k + 1].T), _pair(qb[k:k + 1].T))
+        for c, o in zip(batch, one):
+            assert c[k:k + 1].view(np.int64).tolist() == o.view(np.int64).tolist()
+    for c, w in zip(batch, _pair(quat_product(qa.T, qb.T))):
+        npt.assert_allclose(c, w, rtol=0, atol=1e-14)
     g, h = haar_element(rng), haar_element(rng)
-    product = _quat_product(g.as_array(), h.as_array())
-    npt.assert_allclose(multiply(g, h).as_array(), product, atol=1e-15)
+    a, b = _pair_product(_pair(g.as_array()), _pair(h.as_array()))
+    npt.assert_allclose(multiply(g, h).as_array(), (a.real, b.imag, b.real, a.imag), atol=1e-15)
+    npt.assert_allclose(multiply(g, h).as_array(), quat_product(g.as_array(), h.as_array()),
+                        atol=1e-15)
 
 
 def test_mc_self_pairing_evaluates_once_per_chunk(monkeypatch):
@@ -680,13 +696,13 @@ def test_mc_web_builds_one_wigner_matrix_per_word_and_spin(monkeypatch):
                 for n in (psi, phi) for f in ip._prepared_state(n, MC_CHUNK)[1]}
     assert len(distinct) < len(psi.edges) + len(phi.edges)
     built = []
-    real = te.wigner_entries
+    real = te._pair_wigner
 
-    def counting(twice_j, quats):
+    def counting(twice_j, a, b):
         built.append(twice_j)
-        return real(twice_j, quats)
+        return real(twice_j, a, b)
 
-    monkeypatch.setattr(te, "wigner_entries", counting)
+    monkeypatch.setattr(te, "_pair_wigner", counting)
     mc_inner_product(psi, phi, MC_CHUNK + 5, seed=4)
     assert len(built) == 2 * len(distinct)
 
@@ -711,7 +727,7 @@ def test_mc_oversized_state_fails_before_sampling(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("sampled before the plan was checked")
 
-    monkeypatch.setattr(te, "haar_quaternions", no_draws)
+    monkeypatch.setattr(te, "_haar_pairs", no_draws)
     for _ in range(2):
         with pytest.raises(ValueError, match="intermediate"):
             mc_inner_product(big, big, MC_CHUNK, seed=0)

@@ -23,7 +23,8 @@ from spinnet import (
     transform_intertwiner,
     Intertwiner,
 )
-from spinnet.rep_core import _MAX_ELEMENTS, _cg_tensor, haar_quaternions
+from spinnet.rep_core import (_MAX_ELEMENTS, _cg_tensor, _haar_pairs, _pair, _pair_wigner,
+                              haar_quaternions)
 from helpers import (character, haar_element, reference_haar_quaternions,
                      reference_intertwiner_basis, reference_wigner_entries)
 
@@ -163,6 +164,31 @@ def test_haar_quaternions_bit_identical_to_norm_division():
         want = reference_haar_quaternions(np.random.default_rng(seed), shape)
         assert got.shape == want.shape == tuple(shape) + (4,)
         assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_haar_pairs_are_the_quaternion_draw_bit_for_bit():
+    """The sampler's Cayley-Klein pairs (A, B) hold the reference draw's
+    components, A = w + iz and B = y + ix, bit for bit, chunk after chunk of
+    one stream, a partial chunk included."""
+    for n_vars in (3, 11):
+        rng, ref = (np.random.Generator(np.random.Philox(41)) for _ in range(2))
+        for m in (2048, 2048, 717):
+            a, b = _haar_pairs(rng, m, n_vars)
+            want = reference_haar_quaternions(ref, (m, n_vars)).transpose(2, 1, 0)
+            assert a.shape == b.shape == (n_vars, m)
+            for got, k in ((a.real, 0), (b.imag, 1), (b.real, 2), (a.imag, 3)):
+                assert np.array_equal(_bits(got), _bits(want[k]))
+
+
+def test_pair_wigner_equals_wigner_entries():
+    """Fed the pairs of a batch, with c = -conj(b) and d = conj(a), the one
+    Wigner kernel gives ``wigner_entries``, in (row, col, sample) storage."""
+    q = haar_quaternions(np.random.default_rng(43), (9, 4))
+    a, b = _pair(q.transpose(2, 0, 1))
+    for tj in range(13):
+        got = _pair_wigner(tj, a, b)
+        assert got.shape == (tj + 1, tj + 1, 9, 4)
+        assert np.array_equal(got.transpose(2, 3, 0, 1), wigner_entries(tj, q))
 
 
 def test_spin_half_determinant(rng):

@@ -26,7 +26,7 @@ from spinnet import (
     transport,
 )
 import spinnet.tensor_engine as te
-from spinnet.rep_core import haar_quaternions, wigner_entries
+from spinnet.rep_core import _pair, haar_quaternions, wigner_entries
 from spinnet.tensor_engine import MC_CHUNK, _invariant_basis, haar_factored
 from helpers import cycle_network
 
@@ -444,7 +444,7 @@ def test_mc_oversized_chunk_fails_before_sampling(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("sampled before the plan was checked")
 
-    monkeypatch.setattr(te, "haar_quaternions", no_draws)
+    monkeypatch.setattr(te, "_haar_pairs", no_draws)
     with pytest.raises(ValueError, match="intermediate"):
         mc_expectation(net, MC_CHUNK, seed=0)
 
@@ -591,8 +591,8 @@ def test_mc_two_kernel_plan_matches_per_sample_oracle():
     npt.assert_allclose(err, np.std(values, ddof=1) / np.sqrt(n), rtol=1e-9)
     # and sample by sample, through the executor
     batch_plan = te._factor_plan(net, n)
-    quats_by_var = {"g": quats[:, 0], "h": quats[:, 1]}
-    arrays = te._factor_arrays(net.factors, quats_by_var)
+    pairs_by_var = {"g": _pair(quats[:, 0].T), "h": _pair(quats[:, 1].T)}
+    arrays = te._factor_arrays(net.factors, pairs_by_var)
     got = te._execute(batch_plan, arrays + [t.data for t in net.tensors])
     npt.assert_allclose(got, values, rtol=0, atol=1e-12 * max(1.0, np.abs(values).max()))
 
