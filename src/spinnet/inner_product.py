@@ -226,19 +226,20 @@ def _word_holonomy(pairs: Mapping, word) -> tuple:
     return total
 
 
-def _state_values(states, pairs: Mapping) -> list[np.ndarray]:
+def _state_values(states, pairs: Mapping, scratch=None) -> list[np.ndarray]:
     """Values of prepared states on one batch of m samples, given as a
     Cayley-Klein pair of (m,) arrays per segment, one (m,) array per state.
     Each distinct word's holonomy and each distinct (word, spin) Wigner
     matrix is built once, for all states; a state with no factor is a
-    constant."""
+    constant.  A Monte Carlo chunk's ``scratch`` holds the Wigner matrices
+    and intermediates, never the values."""
     factors = [f for _, fs, _ in states for f in fs]
     holonomies = {w: _word_holonomy(pairs, w) for w in {f.variable for f in factors}}
-    arrays = _factor_arrays(factors, holonomies)
+    arrays = _factor_arrays(factors, holonomies, scratch)
     m = len(next(iter(pairs.values()))[0])
     values = []
     for plan, fs, constants in states:
-        value = _execute(plan, arrays[:len(fs)] + list(constants))
+        value = _execute(plan, arrays[:len(fs)] + list(constants), scratch)
         values.append(value if fs else np.full(m, complex(value)))
         arrays = arrays[len(fs):]
     return values
@@ -359,8 +360,8 @@ def mc_inner_product(a: SpinNetwork, b: SpinNetwork, n_samples: int, seed: int):
     batch = min(MC_CHUNK, n_samples)
     states = [_prepared_state(n, batch) for n in ((a,) if a == b else (a, b))]
 
-    def chunk_values(pairs):
-        values = _state_values(states, dict(zip(segments, zip(*pairs))))
+    def chunk_values(pairs, scratch):
+        values = _state_values(states, dict(zip(segments, zip(*pairs))), scratch)
         return np.conj(values[0]) * values[-1]
 
     return _mc_mean(n_samples, seed, len(segments), chunk_values)

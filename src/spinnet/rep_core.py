@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -185,6 +186,47 @@ def _haar_pairs(rng: np.random.Generator, m: int, n_vars: int) -> tuple:
     return pairs[0], pairs[1]
 
 
+# Scratch requests under this many complex elements (256 KiB) are left to
+# fresh arrays: the allocator recycles those warm from its free lists, and in
+# the scratch they would only widen a chunk's cache footprint.
+_SCRATCH_MIN = 2**14
+
+
+class _Scratch(threading.local):
+    """One thread's Monte Carlo scratch: a bump allocator over one flat
+    complex buffer, reused from one chunk to the next and from one call to
+    the next, so that a warm chunk touches no fresh page.
+
+    ``take`` hands out the next unused piece of the buffer, or None, for a
+    fresh array, when the request is under ``_SCRATCH_MIN`` elements or does
+    not fit.  ``reset`` starts a chunk: every piece is free again, and the
+    buffer grows to the previous chunk's need when that is at most ``cap``
+    elements.  A buffer over ``cap`` is dropped, so at most ``cap`` elements
+    are retained.  Pieces live until the next reset and are never handed to
+    callers.
+    """
+
+    def __init__(self) -> None:
+        self.buffer = np.empty(0, dtype=complex)
+        self.need = 0  # elements requested since the last reset
+
+    def reset(self, cap: int) -> None:
+        if self.buffer.size < self.need <= cap or self.buffer.size > cap:
+            self.buffer = np.empty(self.need if self.need <= cap else 0, dtype=complex)
+        self.need = 0
+
+    def take(self, shape: tuple) -> np.ndarray | None:
+        size = math.prod(shape)
+        if size >= _SCRATCH_MIN:
+            start, self.need = self.need, self.need + size
+            if self.need <= self.buffer.size:
+                return self.buffer[start:self.need].reshape(shape)
+        return None
+
+
+_SCRATCH = _Scratch()
+
+
 @dataclass(frozen=True)
 class WignerMatrix:
     spin: Spin
@@ -218,10 +260,11 @@ def _wigner_terms(twice_j: int):
     return tuple(terms)
 
 
-def _wigner_storage(twice_j: int, a, b, c, d) -> np.ndarray:
+def _wigner_storage(twice_j: int, a, b, c, d, scratch: _Scratch | None = None) -> np.ndarray:
     """Spin-j matrices of U = [[a, b], [c, d]] for equally shaped batches of
     the four entries, in (row, col, ...) storage, so that each entry is
-    written contiguously."""
+    written contiguously.  The output is zeroed memory of ``scratch`` when
+    it has some, and a fresh array otherwise."""
     n = twice_j
     pows = []
     for base in (a, b, c, d):
@@ -229,7 +272,12 @@ def _wigner_storage(twice_j: int, a, b, c, d) -> np.ndarray:
         for _ in range(n - 1):
             p.append(p[-1] * base)
         pows.append(p)
-    out = np.zeros((n + 1, n + 1) + np.shape(a), dtype=complex)
+    shape = (n + 1, n + 1) + np.shape(a)
+    out = None if scratch is None else scratch.take(shape)
+    if out is None:
+        out = np.zeros(shape, dtype=complex)
+    else:
+        out.fill(0)
     # A factor to the power 0 and a unit coefficient are skipped: multiplying
     # by one can flip only the sign of a zero, and the sum into the +0 of
     # ``out`` clears that sign, so the entries are those of the full product.
@@ -243,11 +291,14 @@ def _wigner_storage(twice_j: int, a, b, c, d) -> np.ndarray:
     return out
 
 
-def _pair_wigner(twice_j: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _pair_wigner(twice_j: int, a: np.ndarray, b: np.ndarray,
+                 scratch: _Scratch | None = None) -> np.ndarray:
     """Spin-j matrices of a batch of Cayley-Klein pairs, shape (twice_j + 1,
-    twice_j + 1) + a.shape: the matrix axes first, the sample axes last."""
+    twice_j + 1) + a.shape: the matrix axes first, the sample axes last.
+    With a ``scratch`` a large result lives in its memory, valid until its
+    next reset, with the same bits as without."""
     _check_spin_cap(twice_j)
-    return _wigner_storage(twice_j, a, b, -b.conjugate(), a.conjugate())
+    return _wigner_storage(twice_j, a, b, -b.conjugate(), a.conjugate(), scratch)
 
 
 def wigner_entries(twice_j: int, quats: np.ndarray) -> np.ndarray:

@@ -24,6 +24,13 @@ once, because a stacked ``matmul`` pays a dispatch per sample; every other
 step, which includes all the steps of an exact contraction, is one
 ``matmul``.  A single-operand trace is a ``diagonal`` and a ``sum``.
 
+The sampled path evaluates each chunk in one per-thread scratch
+(``rep_core._Scratch``, at most ``_MC_SCRATCH_CAP`` elements kept): the
+Wigner builds, conjugated copies, copies of transposed operands, products
+and multiply-add accumulators reuse memory from one chunk and one call to
+the next, so a warm chunk takes no fresh page.  Only where the arrays live
+changes, never a value; the exact path passes no scratch.
+
 Legs carry (id, spin, variance); contraction only joins a ket leg to a bra
 leg of equal spin.  A ``GroupFactor`` names one matrix element
 D^j(g)_{row, col} (possibly conjugated and/or inverted) of the variable it
@@ -41,7 +48,8 @@ from typing import Sequence
 import numpy as np
 
 from .rep_core import (
-    _MAX_ELEMENTS, Spin, _haar_pairs, _invariant_basis, _pair_wigner, _sort_key,
+    _MAX_ELEMENTS, _SCRATCH, _SCRATCH_MIN, Spin, _haar_pairs, _invariant_basis, _pair_wigner,
+    _Scratch, _sort_key,
 )
 
 __all__ = [
@@ -59,6 +67,10 @@ __all__ = [
 # bit-stable for a given seed.  It also bounds every batched intermediate,
 # whose size is the chunk length times the size of one sample's tensor.
 MC_CHUNK = 2048
+# Largest per-thread chunk scratch kept between chunks and calls, in complex
+# elements: 2**21 of 16 bytes is 32 MiB.  A chunk that needs more runs the
+# rest of its steps on fresh arrays.
+_MC_SCRATCH_CAP = 2**21
 
 
 @dataclass(frozen=True)
@@ -239,7 +251,9 @@ def _plan(
     return _Plan(tuple(steps), tuple(out_legs))
 
 
-def _execute(plan: _Plan, arrays: Sequence[np.ndarray]) -> np.ndarray:
+def _execute(
+    plan: _Plan, arrays: Sequence[np.ndarray], scratch: _Scratch | None = None
+) -> np.ndarray:
     """Run a plan; batched arrays share a trailing sample axis of any length.
 
     Every operand and result keeps the sample axis last.  A "madd" step
@@ -249,31 +263,66 @@ def _execute(plan: _Plan, arrays: Sequence[np.ndarray]) -> np.ndarray:
     stacked over the rows of ``x`` when only ``a`` is, and with the samples
     folded into the columns of ``y`` when only ``b`` is.  A trace is a
     ``diagonal`` and a ``sum``.
+
+    With a ``scratch`` (the sampled path) the copies that reshaping
+    transposed operands needs, the products and the multiply-add
+    accumulators and terms are written to its memory, all but the last
+    step's result, which stays a fresh array; the same ufuncs run on the
+    same operands in the same order, so the bits are those without.
     """
     slots = list(arrays)
-    for st in plan.steps:
+    for k, st in enumerate(plan.steps):
+        # the last result goes to the caller, so it is never in the scratch
+        dest = scratch if k < len(plan.steps) - 1 else None
         a, slots[st.a] = slots[st.a], None
         m = a.shape[-1:] if st.batched_a else ()
         x = a.transpose(st.perm_a)
         if st.b is None:
-            x = x.reshape((st.rows, st.inner, st.inner) + m)
+            x = _reshaped(x, (st.rows, st.inner, st.inner) + m, scratch)
             out = x.diagonal(axis1=1, axis2=2).sum(-1)
         else:
             b, slots[st.b] = slots[st.b], None
             m = m or (b.shape[-1:] if st.batched_b else ())
             y = b.transpose(st.perm_b)
             if st.kernel == "madd":
-                x = x.reshape(st.rows, st.inner, -1)
-                y = y.reshape(st.inner, st.cols, -1)
-                out = x[:, 0, None] * y[None, 0]
+                x = _reshaped(x, (st.rows, st.inner, -1), scratch)
+                y = _reshaped(y, (st.inner, st.cols, -1), scratch)
+                shape = (st.rows, st.cols) + m
+                out = np.multiply(x[:, 0, None], y[None, 0], out=_take(dest, shape))
+                term = _take(scratch, shape) if st.inner > 1 else None
                 for q in range(1, st.inner):
-                    out += x[:, q, None] * y[None, q]
+                    out += np.multiply(x[:, q, None], y[None, q], out=term)
             elif st.batched_a:
-                out = y.reshape(st.inner, st.cols).T @ x.reshape(st.rows, st.inner, -1)
+                out = np.matmul(_reshaped(y, (st.inner, st.cols), scratch).T,
+                                _reshaped(x, (st.rows, st.inner, -1), scratch),
+                                out=_take(dest, (st.rows, st.cols) + m))
             else:
-                out = x.reshape(st.rows, st.inner) @ y.reshape(st.inner, -1)
+                y = _reshaped(y, (st.inner, -1), scratch)
+                out = np.matmul(_reshaped(x, (st.rows, st.inner), scratch), y,
+                                out=_take(dest, (st.rows, y.shape[1])))
         slots.append(out.reshape(st.dims + m))
     return slots[-1]
+
+
+def _take(scratch: _Scratch | None, shape: tuple) -> np.ndarray | None:
+    """An output array for ``shape`` from ``scratch``, or None for a fresh
+    one."""
+    return None if scratch is None else scratch.take(shape)
+
+
+def _reshaped(x: np.ndarray, shape: tuple, scratch: _Scratch | None) -> np.ndarray:
+    """``x.reshape(shape)``, with the copy that needs, if any, made in
+    ``scratch`` when it takes one that large: the same C-ordered copy
+    reshape makes.  A contiguous array always reshapes to a view."""
+    if scratch is not None and x.size >= _SCRATCH_MIN and not x.flags.c_contiguous:
+        try:
+            x.view().shape = shape  # refused when only a copy can have it
+        except AttributeError:
+            copy = scratch.take(x.shape)
+            if copy is not None:
+                copy[...] = x
+                x = copy
+    return x.reshape(shape)
 
 
 def _checked_legs(
@@ -411,24 +460,26 @@ def _factor_plan(network: FactorNetwork, batch: int) -> _Plan:
         network.pairings, batch=batch)
 
 
-def _factor_arrays(factors: Sequence[GroupFactor], pairs_by_var: dict) -> list[np.ndarray]:
+def _factor_arrays(factors: Sequence[GroupFactor], pairs_by_var: dict,
+                   scratch: _Scratch | None = None) -> list[np.ndarray]:
     """Per-sample matrices for each factor, shape (row, col, sample) with
     the sample axis last, as every plan reads them, from each variable's
     Cayley-Klein pair (a, b) of (sample,) arrays; one Wigner build per
-    (variable, spin)."""
+    (variable, spin).  With a ``scratch`` the Wigner builds and the
+    conjugated copies live in its memory."""
     built: dict[tuple, np.ndarray] = {}
     out = []
     for f in factors:
         key = (f.variable, f.spin.twice_j)
         if key not in built:
-            built[key] = _pair_wigner(f.spin.twice_j, *pairs_by_var[f.variable])
+            built[key] = _pair_wigner(f.spin.twice_j, *pairs_by_var[f.variable], scratch)
         arr = built[key]
+        # D(g^-1) = D(g)^dagger: inverting conjugates and swaps the axes, so
+        # a conjugated inverse only swaps them
+        if f.inverted != f.conjugated:
+            arr = np.conj(arr, out=_take(scratch, arr.shape))
         if f.inverted:
             arr = np.swapaxes(arr, 0, 1)
-            if not f.conjugated:
-                arr = np.conj(arr)
-        elif f.conjugated:
-            arr = np.conj(arr)
         out.append(arr)
     return out
 
@@ -440,8 +491,10 @@ def _mc_mean(n_samples: int, seed: int, n_variables: int, chunk_values) -> tuple
     stream seeded by ``seed``, each the normals of an (m, n_variables, 4)
     array of Haar-uniform quaternions, handed over as their Cayley-Klein
     pairs (A, B), two complex (n_variables, m) arrays (``_haar_pairs``);
-    ``chunk_values`` maps the pairs to the m sample values, which are
-    summed, with their squared moduli, in chunk order.
+    ``chunk_values(pairs, scratch)`` maps the pairs to the m sample values,
+    which are summed, with their squared moduli, in chunk order.  The
+    scratch is this thread's (``rep_core._Scratch``), reset before each
+    chunk with the cap ``_MC_SCRATCH_CAP``; the values must not live in it.
     Callers refuse ``n_samples`` below 2 before preparing anything.
     """
     rng = np.random.Generator(np.random.Philox(seed))
@@ -450,7 +503,8 @@ def _mc_mean(n_samples: int, seed: int, n_variables: int, chunk_values) -> tuple
     remaining = n_samples
     while remaining > 0:
         m = min(MC_CHUNK, remaining)
-        values = chunk_values(_haar_pairs(rng, m, n_variables))
+        _SCRATCH.reset(_MC_SCRATCH_CAP)
+        values = chunk_values(_haar_pairs(rng, m, n_variables), _SCRATCH)
         total += values.sum()
         total_sq += float((np.abs(values) ** 2).sum())
         remaining -= m
@@ -487,10 +541,10 @@ def mc_expectation(
     plan = _factor_plan(network, min(MC_CHUNK, n_samples))
     constants = [np.asarray(t.data, complex) for t in network.tensors]
 
-    def chunk_values(pairs):
+    def chunk_values(pairs, scratch):
         pairs_by_var = dict(zip(variables, zip(*pairs)))
         result = _execute(
-            plan, _factor_arrays(network.factors, pairs_by_var) + constants)
+            plan, _factor_arrays(network.factors, pairs_by_var, scratch) + constants, scratch)
         return result if factor_count else np.full(pairs[0].shape[1], complex(result))
 
     return _mc_mean(n_samples, seed, len(variables), chunk_values)

@@ -619,9 +619,9 @@ def test_mc_theta_builds_only_the_small_spins(monkeypatch):
     built = []
     real = te._pair_wigner
 
-    def counting(twice_j, a, b):
+    def counting(twice_j, a, b, *args):
         built.append(twice_j)
-        return real(twice_j, a, b)
+        return real(twice_j, a, b, *args)
 
     monkeypatch.setattr(te, "_pair_wigner", counting)
     a = theta_network((6, 6, 12))
@@ -673,9 +673,9 @@ def test_mc_self_pairing_evaluates_once_per_chunk(monkeypatch):
     calls = []
     real = ip._execute
 
-    def counting(plan, arrays):
+    def counting(plan, arrays, *args):
         calls.append(plan)
-        return real(plan, arrays)
+        return real(plan, arrays, *args)
 
     monkeypatch.setattr(ip, "_execute", counting)
     a = theta_network((1, 1, 2))
@@ -698,9 +698,9 @@ def test_mc_web_builds_one_wigner_matrix_per_word_and_spin(monkeypatch):
     built = []
     real = te._pair_wigner
 
-    def counting(twice_j, a, b):
+    def counting(twice_j, a, b, *args):
         built.append(twice_j)
-        return real(twice_j, a, b)
+        return real(twice_j, a, b, *args)
 
     monkeypatch.setattr(te, "_pair_wigner", counting)
     mc_inner_product(psi, phi, MC_CHUNK + 5, seed=4)

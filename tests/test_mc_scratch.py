@@ -1,0 +1,217 @@
+"""The per-thread Monte Carlo chunk scratch changes where arrays live, never
+a value: every run gets the same bits in a fresh process, after other runs
+of other shapes, with the scratch capped at zero and from two threads at
+once, and nothing handed to a caller lives in it."""
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import spinnet
+import spinnet.inner_product as ip
+import spinnet.rep_core as rc
+import spinnet.tensor_engine as te
+from spinnet import evaluate, mc_expectation, mc_inner_product, wigner_entries
+from spinnet.blipweb import build_phi, build_tassel
+from spinnet.rep_core import _Scratch
+from spinnet.tensor_engine import MC_CHUNK
+from helpers import random_holonomies, theta_network
+from test_tensor_engine import _oracle_network
+
+
+def _theta():
+    """theta(6,6,12), 5000 samples: two full chunks and a partial one of
+    about 6 MiB each, most of it in 1.6 MB arrays."""
+    a = theta_network((6, 6, 12))
+    return mc_inner_product(a, a, 5000, seed=11)
+
+
+def _web():
+    return mc_inner_product(build_tassel(2).network, build_phi(2, -1).network,
+                            MC_CHUNK + 5, seed=12)
+
+
+def _oracle():
+    return mc_expectation(_oracle_network()[0], 2 * MC_CHUNK + 7, seed=13)
+
+
+RUNS = {"theta": _theta, "web": _web, "oracle": _oracle}
+
+
+def _bits(result):
+    mean, stderr = result
+    return (mean.real.hex(), mean.imag.hex(), stderr.hex())
+
+
+@pytest.fixture(scope="module")
+def fresh_bits():
+    """Each run's bits, each in a fresh interpreter."""
+    src = Path(spinnet.__file__).resolve().parents[1]
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(src), str(here), os.environ.get("PYTHONPATH", "")])
+    bits = {}
+    for name in RUNS:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import test_mc_scratch as t; print(t._bits(t.RUNS[{name!r}]()))"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        bits[name] = proc.stdout.strip()
+    return bits
+
+
+@pytest.mark.parametrize("smallest", [None, 1])
+def test_runs_keep_their_bits_after_other_shapes(fresh_bits, monkeypatch, smallest):
+    """Every run after every other one, so the scratch holds another
+    shape's pieces, or more than this run needs; also with every request,
+    however small, taken from the scratch."""
+    if smallest is not None:
+        monkeypatch.setattr(rc, "_SCRATCH_MIN", smallest)
+    for name in RUNS:
+        for other in RUNS:
+            RUNS[other]()
+        assert str(_bits(RUNS[name]())) == fresh_bits[name], name
+
+
+def test_runs_keep_their_bits_without_a_scratch(fresh_bits, monkeypatch):
+    monkeypatch.setattr(te, "_MC_SCRATCH_CAP", 0)
+    for name, run in RUNS.items():
+        assert str(_bits(run())) == fresh_bits[name], name
+        assert rc._SCRATCH.buffer.size == 0
+
+
+def test_chunk_over_the_cap_runs_on_fresh_arrays(fresh_bits, monkeypatch):
+    """theta(6,6,12) needs about 6 MiB a chunk; under a 4 MiB cap the pieces
+    that do not fit are fresh, and what is kept stays under the cap."""
+    assert te._MC_SCRATCH_CAP * np.dtype(complex).itemsize == 32 * 2**20  # as the README says
+    _web()
+    assert 0 < rc._SCRATCH.buffer.size <= te._MC_SCRATCH_CAP
+    cap = 2**18
+    monkeypatch.setattr(te, "_MC_SCRATCH_CAP", cap)
+    assert str(_bits(_theta())) == fresh_bits["theta"]
+    assert rc._SCRATCH.buffer.size <= cap
+    _theta()
+    assert rc._SCRATCH.buffer.size <= cap
+
+
+def test_threads_give_the_serial_bits(fresh_bits):
+    """Four threads run every run at once, each in its own order, switching
+    often; every result has the serial bits, so no thread writes into
+    another's scratch."""
+    names = list(RUNS)
+    barrier = threading.Barrier(4)
+    got = []
+
+    def work(k):
+        barrier.wait()
+        for name in names[k % 3:] + names[:k % 3]:
+            got.append((name, str(_bits(RUNS[name]()))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(name for name, _ in got) == sorted(names * 4)
+    for name, bits in got:
+        assert bits == fresh_bits[name], name
+
+
+def test_values_handed_over_never_live_in_the_scratch(monkeypatch):
+    """Chunk values reach the reduction, state values ``evaluate``, and
+    ``wigner_entries`` its caller, each outside the scratch, even with every
+    request, however small, taken from it; the means are Python numbers."""
+    monkeypatch.setattr(rc, "_SCRATCH_MIN", 1)
+    real_mean, real_values = te._mc_mean, ip._state_values
+    seen = []
+
+    def checked_mean(n_samples, seed, n_variables, chunk_values):
+        def values(pairs, scratch):
+            out = chunk_values(pairs, scratch)
+            seen.append(np.shares_memory(out, scratch.buffer))
+            return out
+        return real_mean(n_samples, seed, n_variables, values)
+
+    def checked_values(*args):
+        out = real_values(*args)
+        seen.extend(np.shares_memory(v, rc._SCRATCH.buffer) for v in out)
+        return out
+
+    monkeypatch.setattr(ip, "_mc_mean", checked_mean)
+    monkeypatch.setattr(te, "_mc_mean", checked_mean)
+    monkeypatch.setattr(ip, "_state_values", checked_values)
+    for run in RUNS.values():
+        mean, stderr = run()
+        assert type(mean) is complex and type(stderr) is float
+    assert rc._SCRATCH.buffer.size > 0
+    rng = np.random.default_rng(21)
+    a = theta_network((6, 6, 12))
+    assert type(evaluate(a, random_holonomies(rng, a))) is complex
+    quats = rng.standard_normal((MC_CHUNK, 4))
+    seen.append(np.shares_memory(wigner_entries(6, quats), rc._SCRATCH.buffer))
+    assert len(seen) > 10 and not any(seen)
+
+
+def test_scratch_pieces_are_disjoint_until_reset():
+    s, size = _Scratch(), rc._SCRATCH_MIN
+    assert s.take((2, 3)) is None and s.need == 0  # under the minimum: fresh
+    assert [s.take((size,)) for _ in range(2)] == [None, None]  # nothing kept yet
+    s.reset(cap=4 * size)  # grows to the last chunk's need
+    assert s.buffer.size == 2 * size
+    pieces = [s.take((size,)) for _ in range(3)]
+    assert all(np.shares_memory(p, s.buffer) for p in pieces[:2])
+    assert not np.shares_memory(pieces[0], pieces[1])
+    assert pieces[2] is None  # did not fit: fresh
+    s.reset(cap=4 * size)
+    assert s.buffer.size == 3 * size
+    piece = s.take((size,))
+    s.reset(cap=4 * size)  # reused: a piece is free again
+    assert s.buffer.size == 3 * size
+    assert np.shares_memory(s.take((size,)), piece)
+    for _ in range(5):
+        s.take((size,))
+    s.reset(cap=4 * size)  # a need over the cap keeps the buffer
+    assert s.buffer.size == 3 * size
+    s.reset(cap=size)  # a buffer over the cap is dropped
+    assert s.buffer.size == 0
+
+
+@pytest.mark.parametrize("perm", [(0, 1, 2, 3), (1, 0, 2, 3), (2, 0, 1, 3), (0, 2, 1, 3)])
+def test_reshaped_copies_exactly_when_reshape_does(perm):
+    """Into the scratch, the same C-ordered copy as ``reshape``'s, and a
+    view wherever ``reshape`` gives one, so layouts and bits agree."""
+    rng = np.random.default_rng(3)
+    x = (rng.standard_normal((4, 4, 3, 2048)) + 1j).transpose(perm)
+    s = _Scratch()
+    for shape in ((16, 3, -1), (4, 12, -1), x.shape[:2] + (-1,), (x.shape[0], -1)):
+        want = x.reshape(shape)
+        s.buffer = np.empty(2 * x.size, dtype=complex)
+        s.need = 0
+        got = te._reshaped(x, shape, s)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(got, x) == np.shares_memory(want, x)
+        assert np.shares_memory(got, s.buffer) != np.shares_memory(want, x)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts")
+def test_warm_chunks_take_no_fresh_pages():
+    """A warm theta(6,6,12) run reuses its scratch: without it, each chunk
+    faults in its 1.6 MB Wigner, product and copy arrays, about 6000 minor
+    faults a call."""
+    resource = pytest.importorskip("resource")
+    _theta()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _theta()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
