@@ -33,6 +33,8 @@ from .network_model import (
     _sort_key,
     _WorkEdge,
     _WorkVertex,
+    _check_shared_registry,
+    _inverse_word,
     canonicalize,
     decompose,
 )
@@ -156,7 +158,7 @@ def transport(n: SpinNetwork, c: Correspondence) -> SpinNetwork:
     for k, (old, (j, flip)) in enumerate(zip(prepared.piece_edges, moves)):
         steps, src, dst = targets[j]
         if flip:
-            steps, src, dst = [(s, not r) for s, r in reversed(steps)], dst, src
+            steps, src, dst = _inverse_word(steps), dst, src
         nid = f"#t{k}"
         wedges[nid] = _WorkEdge(nid, steps, src, dst, old.spin)
         edge_map[old.id] = nid
@@ -230,8 +232,8 @@ def _prepared_pairing(pa: _Prepared, pb: _Prepared, orientation_preserving_only:
     classes largely share, are computed once per call.
     """
     corrs = enumerate_correspondences(pa.pieces, pb.pieces, orientation_preserving_only)
-    if corrs and pa.network.graph.registry != pb.network.graph.registry:
-        raise InvalidNetworkError("inner products require a shared segment registry")
+    if corrs:
+        _check_shared_registry(pa.network, pb.network)
     spins_a = [e.spin.twice_j for e in pa.piece_edges]
     spins_b = [e.spin.twice_j for e in pb.piece_edges]
     n_int = len(pa.pieces.intervals)

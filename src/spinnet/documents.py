@@ -230,7 +230,7 @@ def network_to_document(n: SpinNetwork) -> dict:
         if not isinstance(sid, str):
             raise ValueError(f"segment id {sid!r} is not a string; cannot serialize")
     segments = []
-    for sid in sorted(registry.segment_ids):
+    for sid in sorted(registry.segment_ids, key=_sort_key):
         src, tgt = registry.endpoints(sid)
         segments.append({"id": sid, "source": str(src), "target": str(tgt)})
     edges = []

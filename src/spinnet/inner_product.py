@@ -17,13 +17,13 @@ chained by direct pairings, and contracts each segment's Haar projector in
 factored form.  The Monte Carlo path evaluates each state batched over a
 chunk of samples and takes the sample mean of conj(state_a) * state_b; a
 batch of elements is carried as Cayley-Klein pairs (``rep_core._pair``),
-two complex arrays, from the draw through the word products to the Wigner
-build.  Its evaluator first fixes the gauge on a maximal tree of the
-state's graph (a vertex whose tensor is not invariant keeps its gauge):
-tree edges become the identity, and only the other edges, whose words
-become loops at a root, need a Wigner matrix per sample, one per distinct
-(word, spin) for bra and ket together.  :func:`evaluate` is the one-sample
-case of that evaluator.
+two complex arrays, from the draw through the word products to the
+engine's one chunk evaluator.  Each state is first gauge-fixed on a
+maximal tree of its graph (a vertex whose tensor is not invariant keeps
+its gauge): tree edges become the identity, and only the other edges,
+whose words become loops at a root, need a Wigner matrix per sample, one
+per distinct (word, spin) for bra and ket together.  :func:`evaluate` is
+the one-sample case of that evaluator.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .network_model import InvalidNetworkError, SpinNetwork, _sort_key
+from .network_model import (
+    InvalidNetworkError, SpinNetwork, _check_shared_registry, _inverse_word, _sort_key,
+)
 from .rep_core import (
     MAX_TWICE_J, GroupElement, _acted, _pair, _pair_product, inverse, multiply, wigner_entries,
 )
@@ -44,10 +46,9 @@ from .tensor_engine import (
     GroupFactor,
     LabeledTensor,
     Leg,
-    _factor_arrays,
-    _factor_plan,
-    _execute,
     _mc_mean,
+    _prepared,
+    _state_values,
     contract,
     haar_factored,
 )
@@ -105,12 +106,10 @@ def evaluate(n: SpinNetwork, h) -> complex:
     if missing:
         raise InvalidNetworkError(f"holonomy assignment missing segments {missing!r}")
     pairs = {s: _pair(h[s].as_array()[:, None]) for s in n.graph.segments}
-    value, = _state_values([_prepared_state(n, 1)], pairs)
+    state = _prepared_state(n, 1)
+    holonomies = {f.variable: _word_holonomy(pairs, f.variable) for f in state[1]}
+    value, = _state_values([state], holonomies, 1)
     return complex(value[0])
-
-
-def _inverse_word(word) -> tuple:
-    return tuple((s, not r) for s, r in reversed(word))
 
 
 def _reduced(word) -> tuple:
@@ -208,9 +207,7 @@ def _prepared_state(n: SpinNetwork, batch: int) -> tuple:
     whose variable is its gauge-fixed word.  The plan is checked against the
     size budget here, before any sample exists."""
     steps = {eid: ((w, False),) if w else () for eid, w in _gauge_fixed_words(n).items()}
-    state = _state_operands(n, "N", False, steps)
-    return (_factor_plan(state, batch), state.factors,
-            tuple(np.asarray(t.data, complex) for t in state.tensors))
+    return _prepared(_state_operands(n, "N", False, steps), batch)
 
 
 def _word_holonomy(pairs: Mapping, word) -> tuple:
@@ -224,25 +221,6 @@ def _word_holonomy(pairs: Mapping, word) -> tuple:
         g = (a.conjugate(), -b) if rev else (a, b)
         total = g if total is None else _pair_product(g, total)
     return total
-
-
-def _state_values(states, pairs: Mapping, scratch=None) -> list[np.ndarray]:
-    """Values of prepared states on one batch of m samples, given as a
-    Cayley-Klein pair of (m,) arrays per segment, one (m,) array per state.
-    Each distinct word's holonomy and each distinct (word, spin) Wigner
-    matrix is built once, for all states; a state with no factor is a
-    constant.  A Monte Carlo chunk's ``scratch`` holds the Wigner matrices
-    and intermediates, never the values."""
-    factors = [f for _, fs, _ in states for f in fs]
-    holonomies = {w: _word_holonomy(pairs, w) for w in {f.variable for f in factors}}
-    arrays = _factor_arrays(factors, holonomies, scratch)
-    m = len(next(iter(pairs.values()))[0])
-    values = []
-    for plan, fs, constants in states:
-        value = _execute(plan, arrays[:len(fs)] + list(constants), scratch)
-        values.append(value if fs else np.full(m, complex(value)))
-        arrays = arrays[len(fs):]
-    return values
 
 
 def _state_operands(n: SpinNetwork, side: str, conjugate: bool, steps: Mapping) -> FactorNetwork:
@@ -316,8 +294,7 @@ def exact_inner_product(a: SpinNetwork, b: SpinNetwork) -> complex:
     projector P = B B^dagger as two tensors), and those bases are contracted
     greedily against each other and the vertex tensors.
     """
-    if a.graph.registry != b.graph.registry:
-        raise InvalidNetworkError("inner products require a shared segment registry")
+    _check_shared_registry(a, b)
     # Every segment that passes structural_zero has a nonzero invariant
     # space, which haar_factored needs for its multiplicity leg.
     if structural_zero(a, b):
@@ -352,16 +329,13 @@ def mc_inner_product(a: SpinNetwork, b: SpinNetwork, n_samples: int, seed: int):
     any sample is drawn; so does a sample count below 2, before any state is
     prepared.
     """
-    if a.graph.registry != b.graph.registry:
-        raise InvalidNetworkError("inner products require a shared segment registry")
+    _check_shared_registry(a, b)
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     segments = sorted(set(a.graph.segments) | set(b.graph.segments), key=_sort_key)
     batch = min(MC_CHUNK, n_samples)
     states = [_prepared_state(n, batch) for n in ((a,) if a == b else (a, b))]
-
-    def chunk_values(pairs, scratch):
-        values = _state_values(states, dict(zip(segments, zip(*pairs))), scratch)
-        return np.conj(values[0]) * values[-1]
-
-    return _mc_mean(n_samples, seed, len(segments), chunk_values)
+    words = {f.variable for _, fs, _ in states for f in fs}
+    return _mc_mean(n_samples, seed, segments, states,
+                    lambda pairs: {w: _word_holonomy(pairs, w) for w in words},
+                    lambda values: np.conj(values[0]) * values[-1])

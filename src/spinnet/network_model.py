@@ -105,7 +105,7 @@ class EmbeddedGraph:
         return self.registry == other.registry and self.segments == other.segments
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(map(str, self.segments))))
+        return hash(tuple(sorted(map(_sort_key, self.segments))))
 
     def degree(self, point) -> int:
         """Number of segment ends incident to a point (a loop segment counts twice)."""
@@ -122,6 +122,17 @@ class EmbeddedGraph:
             touched.add(src)
             touched.add(tgt)
         return frozenset(touched)
+
+
+def _check_shared_registry(a: "SpinNetwork", b: "SpinNetwork") -> None:
+    """Raise InvalidNetworkError unless the networks share one registry."""
+    if a.graph.registry != b.graph.registry:
+        raise InvalidNetworkError("inner products require a shared segment registry")
+
+
+def _inverse_word(word) -> tuple:
+    """The word traversed backwards: each step reversed, in reverse order."""
+    return tuple((s, not r) for s, r in reversed(word))
 
 
 def _step_endpoints(registry: SegmentRegistry, step) -> tuple:
@@ -198,8 +209,7 @@ def decompose(graph: EmbeddedGraph) -> GraphDecomposition:
             steps, arrived = walk(seg, end)
             least = min((s for s, _ in steps), key=_sort_key)
             if dict(steps)[least]:
-                steps = [(s, not r) for s, r in reversed(steps)]
-                intervals.append(Interval(tuple(steps), arrived, p))
+                intervals.append(Interval(_inverse_word(steps), arrived, p))
             else:
                 intervals.append(Interval(tuple(steps), p, arrived))
     intervals.sort(key=lambda iv: _sort_key(min((s for s, _ in iv.steps), key=_sort_key)))
@@ -458,7 +468,7 @@ def _reverse_work_edge(wid, wedges, wverts) -> None:
 
 def _bivalent_scalar(wv: _WorkVertex, key_in, key_out) -> complex:
     """Scalar lambda of a bivalent intertwiner, which must be lambda * identity."""
-    if sorted(map(str, wv.keys)) != sorted(map(str, [key_in, key_out])):
+    if sorted(map(_sort_key, wv.keys)) != sorted(map(_sort_key, [key_in, key_out])):
         raise InvalidNetworkError("internal: unexpected slots at bivalent vertex")
     ax_in = wv.keys.index(key_in)
     ax_out = wv.keys.index(key_out)

@@ -10,7 +10,9 @@ matrices by
 The sampled paths carry each element as its Cayley-Klein pair (a, b)
 (``_pair``), and a batch as two complex arrays.  Higher-spin matrices are
 the orthonormalized symmetric tensor powers of U, which makes
-multiplicativity and unitarity exact up to rounding.
+multiplicativity and unitarity exact up to rounding; one kernel,
+``_pair_wigner``, builds them from pairs.  Every Haar draw divides by one
+norm (``_haar_norm``), and epsilon is a signed flip (``_dualized``).
 Basis index ``k`` of a spin-j axis corresponds to weight m = j - k
 (m descending), and all coupling coefficients use the Condon-Shortley
 phase convention.
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -154,16 +155,22 @@ def inverse(a: GroupElement) -> GroupElement:
 
 
 def haar_sample(rng: np.random.Generator) -> GroupElement:
-    """One Haar-uniform element: a normalized 4-dimensional Gaussian draw."""
-    q = rng.standard_normal(4)
-    return GroupElement.from_array(q, normalize=True)
+    """One Haar-uniform element: the draw of ``haar_quaternions(rng, ())``."""
+    return GroupElement.from_array(haar_quaternions(rng, ()))
+
+
+def _haar_norm(q: np.ndarray) -> np.ndarray:
+    """Norm of Gaussian quaternions stored components first, shape (4, ...),
+    summed ((s0 + s1) + s2) + s3: np.linalg.norm's order, so the quotients
+    are those of dividing by it.  Every Haar draw divides by it."""
+    s = q * q
+    return np.sqrt(s[0] + s[1] + s[2] + s[3])
 
 
 def haar_quaternions(rng: np.random.Generator, shape) -> np.ndarray:
     """Batch of Haar-uniform unit quaternions, shape ``shape + (4,)``."""
     q = rng.standard_normal(tuple(shape) + (4,))
-    s = q * q  # summed in np.linalg.norm's order, so the quotient is the same
-    q /= np.sqrt(s[..., 0] + s[..., 1] + s[..., 2] + s[..., 3])[..., None]
+    q /= _haar_norm(np.moveaxis(q, -1, 0))[..., None]
     return q
 
 
@@ -177,54 +184,12 @@ def _haar_pairs(rng: np.random.Generator, m: int, n_vars: int) -> tuple:
     bit for bit; each variable's samples are one contiguous row.
     """
     q = rng.standard_normal((m, n_vars, 4)).transpose(2, 1, 0).copy()
-    s = q * q
-    norm = np.sqrt(s[0] + s[1] + s[2] + s[3])
+    norm = _haar_norm(q)
     pairs = np.empty((2, n_vars, m), dtype=complex)
     for k, part in ((0, pairs[0].real), (3, pairs[0].imag),
                     (2, pairs[1].real), (1, pairs[1].imag)):
         np.divide(q[k], norm, out=part)
     return pairs[0], pairs[1]
-
-
-# Scratch requests under this many complex elements (256 KiB) are left to
-# fresh arrays: the allocator recycles those warm from its free lists, and in
-# the scratch they would only widen a chunk's cache footprint.
-_SCRATCH_MIN = 2**14
-
-
-class _Scratch(threading.local):
-    """One thread's Monte Carlo scratch: a bump allocator over one flat
-    complex buffer, reused from one chunk to the next and from one call to
-    the next, so that a warm chunk touches no fresh page.
-
-    ``take`` hands out the next unused piece of the buffer, or None, for a
-    fresh array, when the request is under ``_SCRATCH_MIN`` elements or does
-    not fit.  ``reset`` starts a chunk: every piece is free again, and the
-    buffer grows to the previous chunk's need when that is at most ``cap``
-    elements.  A buffer over ``cap`` is dropped, so at most ``cap`` elements
-    are retained.  Pieces live until the next reset and are never handed to
-    callers.
-    """
-
-    def __init__(self) -> None:
-        self.buffer = np.empty(0, dtype=complex)
-        self.need = 0  # elements requested since the last reset
-
-    def reset(self, cap: int) -> None:
-        if self.buffer.size < self.need <= cap or self.buffer.size > cap:
-            self.buffer = np.empty(self.need if self.need <= cap else 0, dtype=complex)
-        self.need = 0
-
-    def take(self, shape: tuple) -> np.ndarray | None:
-        size = math.prod(shape)
-        if size >= _SCRATCH_MIN:
-            start, self.need = self.need, self.need + size
-            if self.need <= self.buffer.size:
-                return self.buffer[start:self.need].reshape(shape)
-        return None
-
-
-_SCRATCH = _Scratch()
 
 
 @dataclass(frozen=True)
@@ -260,22 +225,23 @@ def _wigner_terms(twice_j: int):
     return tuple(terms)
 
 
-def _wigner_storage(twice_j: int, a, b, c, d, scratch: _Scratch | None = None) -> np.ndarray:
-    """Spin-j matrices of U = [[a, b], [c, d]] for equally shaped batches of
-    the four entries, in (row, col, ...) storage, so that each entry is
-    written contiguously.  The output is zeroed memory of ``scratch`` when
-    it has some, and a fresh array otherwise."""
+def _pair_wigner(twice_j: int, a, b, out: np.ndarray | None = None) -> np.ndarray:
+    """Spin-j matrices of U = [[a, b], [-conj(b), conj(a)]] for equally
+    shaped batches of Cayley-Klein pairs, shape (twice_j + 1, twice_j + 1) +
+    a.shape: the matrix axes first, the sample axes last, so that each entry
+    is written contiguously.  The result is written to ``out``, which is
+    zeroed first, when one is given (numpy-style: of exactly that shape), and
+    to a fresh array otherwise, with the same bits."""
+    _check_spin_cap(twice_j)
     n = twice_j
     pows = []
-    for base in (a, b, c, d):
+    for base in (a, b, -b.conjugate(), a.conjugate()):
         p = [None, base]
         for _ in range(n - 1):
             p.append(p[-1] * base)
         pows.append(p)
-    shape = (n + 1, n + 1) + np.shape(a)
-    out = None if scratch is None else scratch.take(shape)
     if out is None:
-        out = np.zeros(shape, dtype=complex)
+        out = np.zeros((n + 1, n + 1) + np.shape(a), dtype=complex)
     else:
         out.fill(0)
     # A factor to the power 0 and a unit coefficient are skipped: multiplying
@@ -291,16 +257,6 @@ def _wigner_storage(twice_j: int, a, b, c, d, scratch: _Scratch | None = None) -
     return out
 
 
-def _pair_wigner(twice_j: int, a: np.ndarray, b: np.ndarray,
-                 scratch: _Scratch | None = None) -> np.ndarray:
-    """Spin-j matrices of a batch of Cayley-Klein pairs, shape (twice_j + 1,
-    twice_j + 1) + a.shape: the matrix axes first, the sample axes last.
-    With a ``scratch`` a large result lives in its memory, valid until its
-    next reset, with the same bits as without."""
-    _check_spin_cap(twice_j)
-    return _wigner_storage(twice_j, a, b, -b.conjugate(), a.conjugate(), scratch)
-
-
 def wigner_entries(twice_j: int, quats: np.ndarray) -> np.ndarray:
     """Spin-j matrices for a batch of quaternions.
 
@@ -312,15 +268,13 @@ def wigner_entries(twice_j: int, quats: np.ndarray) -> np.ndarray:
     Returns
     -------
     array with shape (..., twice_j + 1, twice_j + 1), complex.  It is a view
-    of storage with the matrix axes first, so that each entry is written
-    contiguously; moving the axes back to (row, col, ...) needs no copy.
+    of ``_pair_wigner``'s storage, with the matrix axes first, so that each
+    entry is written contiguously; moving the axes back to (row, col, ...)
+    needs no copy.
     """
-    _check_spin_cap(twice_j)
     quats = np.asarray(quats, dtype=float)
-    w, x, y, z = (quats[..., k] for k in range(4))
-    a, b = _pair((w, x, y, z))
-    out = _wigner_storage(twice_j, a, b, -y + 1j * x, w - 1j * z)
-    return out.transpose(*range(2, out.ndim), 0, 1)
+    out = _pair_wigner(twice_j, *_pair(np.moveaxis(quats, -1, 0)))
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def wigner_matrix(spin: Spin, g: GroupElement) -> WignerMatrix:
@@ -403,16 +357,6 @@ def clebsch_gordan(j1: Spin, j2: Spin, J: Spin) -> np.ndarray:
     return _cg_tensor(j1.twice_j, j2.twice_j, J.twice_j).astype(complex)
 
 
-@lru_cache(maxsize=None)
-def _epsilon(twice_j: int) -> np.ndarray:
-    d = twice_j + 1
-    e = np.zeros((d, d))
-    for k in range(d):
-        e[twice_j - k, k] = (-1.0) ** (twice_j - k)
-    e.setflags(write=False)
-    return e
-
-
 def epsilon(spin: Spin) -> np.ndarray:
     """Dual-representation conjugator C with conj(D(g)) = C D(g) C^{-1}.
 
@@ -420,7 +364,7 @@ def epsilon(spin: Spin) -> np.ndarray:
     1/2 it is [[0, 1], [-1, 0]].
     """
     _check_spin_cap(spin.twice_j)
-    return _epsilon(spin.twice_j).astype(complex)
+    return _dualized(np.eye(spin.dim, dtype=complex), 0, spin.twice_j)
 
 
 def invariant_vectors(twice_js: Sequence[int]) -> list[np.ndarray]:

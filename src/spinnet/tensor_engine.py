@@ -24,12 +24,14 @@ once, because a stacked ``matmul`` pays a dispatch per sample; every other
 step, which includes all the steps of an exact contraction, is one
 ``matmul``.  A single-operand trace is a ``diagonal`` and a ``sum``.
 
-The sampled path evaluates each chunk in one per-thread scratch
-(``rep_core._Scratch``, at most ``_MC_SCRATCH_CAP`` elements kept): the
-Wigner builds, conjugated copies, copies of transposed operands, products
-and multiply-add accumulators reuse memory from one chunk and one call to
-the next, so a warm chunk takes no fresh page.  Only where the arrays live
-changes, never a value; the exact path passes no scratch.
+The sampled path has one chunk evaluator, ``_state_values``: one Wigner
+build per (variable, spin) from Cayley-Klein pairs, then each prepared
+state's plan.  ``_mc_mean`` draws and reduces the chunks, each in one
+per-thread scratch (``_Scratch``, at most ``_MC_SCRATCH_CAP`` elements
+kept) that the Wigner builds, conjugated and transposed copies, products
+and multiply-add accumulators reuse from one chunk and call to the next,
+so a warm chunk takes no fresh page.  Only where the arrays live changes,
+never a value; the exact path passes no scratch.
 
 Legs carry (id, spin, variance); contraction only joins a ket leg to a bra
 leg of equal spin.  A ``GroupFactor`` names one matrix element
@@ -40,17 +42,15 @@ the opposite.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .rep_core import (
-    _MAX_ELEMENTS, _SCRATCH, _SCRATCH_MIN, Spin, _haar_pairs, _invariant_basis, _pair_wigner,
-    _Scratch, _sort_key,
-)
+from .rep_core import _MAX_ELEMENTS, Spin, _haar_pairs, _invariant_basis, _pair_wigner, _sort_key
 
 __all__ = [
     "Leg",
@@ -126,6 +126,50 @@ class FactorNetwork:
         object.__setattr__(self, "factors", tuple(self.factors))
         object.__setattr__(self, "tensors", tuple(self.tensors))
         object.__setattr__(self, "pairings", tuple((a, b) for a, b in self.pairings))
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo chunk scratch
+
+# Scratch requests under this many complex elements (256 KiB) are left to
+# fresh arrays: the allocator recycles those warm from its free lists, and in
+# the scratch they would only widen a chunk's cache footprint.
+_SCRATCH_MIN = 2**14
+
+
+class _Scratch(threading.local):
+    """One thread's Monte Carlo scratch: a bump allocator over one flat
+    complex buffer, reused from one chunk to the next and from one call to
+    the next, so that a warm chunk touches no fresh page.
+
+    ``take`` hands out the next unused piece of the buffer, or None, for a
+    fresh array, when the request is under ``_SCRATCH_MIN`` elements or does
+    not fit.  ``reset`` starts a chunk: every piece is free again, and the
+    buffer grows to the previous chunk's need when that is at most ``cap``
+    elements.  A buffer over ``cap`` is dropped, so at most ``cap`` elements
+    are retained.  Pieces live until the next reset and are never handed to
+    callers.
+    """
+
+    def __init__(self) -> None:
+        self.buffer = np.empty(0, dtype=complex)
+        self.need = 0  # elements requested since the last reset
+
+    def reset(self, cap: int) -> None:
+        if self.buffer.size < self.need <= cap or self.buffer.size > cap:
+            self.buffer = np.empty(self.need if self.need <= cap else 0, dtype=complex)
+        self.need = 0
+
+    def take(self, shape: tuple) -> np.ndarray | None:
+        size = prod(shape)
+        if size >= _SCRATCH_MIN:
+            start, self.need = self.need, self.need + size
+            if self.need <= self.buffer.size:
+                return self.buffer[start:self.need].reshape(shape)
+        return None
+
+
+_SCRATCH = _Scratch()
 
 
 # ---------------------------------------------------------------------------
@@ -448,31 +492,37 @@ def haar_factored(factors: Sequence[GroupFactor], key) -> tuple:
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
-def _factor_plan(network: FactorNetwork, batch: int) -> _Plan:
-    """The plan evaluating a factor network on ``batch`` samples at once: the
-    factors, per-sample matrices, come first and the constant tensors after."""
-    return _plan(
+def _prepared(network: FactorNetwork, batch: int) -> tuple:
+    """(plan, factors, constant arrays): a factor network ready for
+    ``_state_values`` on ``batch`` samples at once.  The plan takes the
+    factors, per-sample matrices, first and the constant tensors after; it
+    is checked against the size budget here, before any sample exists."""
+    plan = _plan(
         tuple((f.row_leg, f.col_leg) for f in network.factors)
         + tuple(tuple(l.id for l in t.legs) for t in network.tensors),
         tuple((f.spin.dim,) * 2 for f in network.factors)
         + tuple(tuple(l.spin.dim for l in t.legs) for t in network.tensors),
         (True,) * len(network.factors) + (False,) * len(network.tensors),
         network.pairings, batch=batch)
+    return plan, network.factors, tuple(np.asarray(t.data, complex) for t in network.tensors)
 
 
-def _factor_arrays(factors: Sequence[GroupFactor], pairs_by_var: dict,
+def _factor_arrays(factors: Sequence[GroupFactor], pairs_by_var: Mapping,
                    scratch: _Scratch | None = None) -> list[np.ndarray]:
     """Per-sample matrices for each factor, shape (row, col, sample) with
     the sample axis last, as every plan reads them, from each variable's
-    Cayley-Klein pair (a, b) of (sample,) arrays; one Wigner build per
-    (variable, spin).  With a ``scratch`` the Wigner builds and the
-    conjugated copies live in its memory."""
+    Cayley-Klein pair (a, b) of (sample,) arrays; one ``_pair_wigner``
+    build per (variable, spin).  With a ``scratch`` the Wigner builds are
+    written to its memory, as ``out`` arrays, and so are the conjugated
+    copies."""
     built: dict[tuple, np.ndarray] = {}
     out = []
     for f in factors:
         key = (f.variable, f.spin.twice_j)
         if key not in built:
-            built[key] = _pair_wigner(f.spin.twice_j, *pairs_by_var[f.variable], scratch)
+            a, b = pairs_by_var[f.variable]
+            built[key] = _pair_wigner(f.spin.twice_j, a, b,
+                                      _take(scratch, (f.spin.dim,) * 2 + a.shape))
         arr = built[key]
         # D(g^-1) = D(g)^dagger: inverting conjugates and swaps the axes, so
         # a conjugated inverse only swaps them
@@ -484,18 +534,39 @@ def _factor_arrays(factors: Sequence[GroupFactor], pairs_by_var: dict,
     return out
 
 
-def _mc_mean(n_samples: int, seed: int, n_variables: int, chunk_values) -> tuple[complex, float]:
-    """The Monte Carlo reduction: (mean, standard error) of a per-sample value.
+def _state_values(states, holonomies: Mapping, m: int,
+                  scratch: _Scratch | None = None) -> list[np.ndarray]:
+    """Values of prepared states (``_prepared``) on one batch of m samples,
+    given as a Cayley-Klein pair of (m,) arrays per variable, one (m,) array
+    per state.  Each distinct (variable, spin) Wigner matrix is built once,
+    for all states; a state with no factor is a constant.  A Monte Carlo
+    chunk's ``scratch`` holds the Wigner matrices and intermediates, never
+    the values."""
+    factors = [f for _, fs, _ in states for f in fs]
+    arrays = _factor_arrays(factors, holonomies, scratch)
+    values = []
+    for plan, fs, constants in states:
+        value = _execute(plan, arrays[:len(fs)] + list(constants), scratch)
+        values.append(value if fs else np.full(m, complex(value)))
+        arrays = arrays[len(fs):]
+    return values
+
+
+def _mc_mean(n_samples: int, seed: int, variables: Sequence, states, holonomies,
+             combine) -> tuple[complex, float]:
+    """The Monte Carlo reduction: (mean, standard error) of a per-sample
+    value of prepared states (``_prepared``).
 
     Chunks of at most ``MC_CHUNK`` samples are drawn in order from a Philox
-    stream seeded by ``seed``, each the normals of an (m, n_variables, 4)
-    array of Haar-uniform quaternions, handed over as their Cayley-Klein
-    pairs (A, B), two complex (n_variables, m) arrays (``_haar_pairs``);
-    ``chunk_values(pairs, scratch)`` maps the pairs to the m sample values,
-    which are summed, with their squared moduli, in chunk order.  The
-    scratch is this thread's (``rep_core._Scratch``), reset before each
-    chunk with the cap ``_MC_SCRATCH_CAP``; the values must not live in it.
-    Callers refuse ``n_samples`` below 2 before preparing anything.
+    stream seeded by ``seed``, each an (m, len(variables)) draw of
+    Haar-uniform quaternions taken as Cayley-Klein pairs
+    (``rep_core._haar_pairs``), one pair of (m,) arrays per drawn variable,
+    in the order given.  ``holonomies(pairs)`` maps those to one pair per
+    variable of the states, and ``combine(values)`` the states' values to
+    the m sample values, which are summed, with their squared moduli, in
+    chunk order.  Each chunk runs in this thread's ``_Scratch``, reset with
+    the cap ``_MC_SCRATCH_CAP``; the values never live in it.  Callers
+    refuse ``n_samples`` below 2 first.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     total = 0.0 + 0.0j
@@ -504,7 +575,9 @@ def _mc_mean(n_samples: int, seed: int, n_variables: int, chunk_values) -> tuple
     while remaining > 0:
         m = min(MC_CHUNK, remaining)
         _SCRATCH.reset(_MC_SCRATCH_CAP)
-        values = chunk_values(_haar_pairs(rng, m, n_variables), _SCRATCH)
+        draw = _haar_pairs(rng, m, len(variables))
+        pairs = holonomies(dict(zip(variables, zip(*draw))))
+        values = combine(_state_values(states, pairs, m, _SCRATCH))
         total += values.sum()
         total_sq += float((np.abs(values) ** 2).sum())
         remaining -= m
@@ -537,14 +610,6 @@ def mc_expectation(
         raise ValueError("mc_expectation requires a fully paired (scalar) network")
 
     variables = sorted({f.variable for f in network.factors}, key=_sort_key)
-    factor_count = len(network.factors)
-    plan = _factor_plan(network, min(MC_CHUNK, n_samples))
-    constants = [np.asarray(t.data, complex) for t in network.tensors]
-
-    def chunk_values(pairs, scratch):
-        pairs_by_var = dict(zip(variables, zip(*pairs)))
-        result = _execute(
-            plan, _factor_arrays(network.factors, pairs_by_var, scratch) + constants, scratch)
-        return result if factor_count else np.full(pairs[0].shape[1], complex(result))
-
-    return _mc_mean(n_samples, seed, len(variables), chunk_values)
+    state = _prepared(network, min(MC_CHUNK, n_samples))
+    return _mc_mean(n_samples, seed, variables, [state], lambda pairs: pairs,
+                    lambda values: values[0])

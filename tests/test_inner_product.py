@@ -459,7 +459,7 @@ def test_state_operands_evaluate_the_state(rng):
         want = naive_evaluate(n, h)
         for side, conjugate in (("A", True), ("B", False)):
             state = ip._state_operands(n, side, conjugate, {e.id: e.word for e in n.edges})
-            plan = te._factor_plan(state, 1)
+            plan, _, _ = te._prepared(state, 1)
             arrays = te._factor_arrays(state.factors, pairs)
             value, = te._execute(plan, arrays + [t.data for t in state.tensors])
             npt.assert_allclose(value, np.conj(want) if conjugate else want, atol=1e-12)
@@ -671,13 +671,13 @@ def test_quaternion_product_is_one_formula(rng):
 
 def test_mc_self_pairing_evaluates_once_per_chunk(monkeypatch):
     calls = []
-    real = ip._execute
+    real = te._execute
 
     def counting(plan, arrays, *args):
         calls.append(plan)
         return real(plan, arrays, *args)
 
-    monkeypatch.setattr(ip, "_execute", counting)
+    monkeypatch.setattr(te, "_execute", counting)
     a = theta_network((1, 1, 2))
     mc_inner_product(a, a, 2 * MC_CHUNK + 5, seed=3)
     assert len(calls) == 3

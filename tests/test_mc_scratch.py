@@ -14,12 +14,10 @@ import pytest
 
 import spinnet
 import spinnet.inner_product as ip
-import spinnet.rep_core as rc
 import spinnet.tensor_engine as te
 from spinnet import evaluate, mc_expectation, mc_inner_product, wigner_entries
 from spinnet.blipweb import build_phi, build_tassel
-from spinnet.rep_core import _Scratch
-from spinnet.tensor_engine import MC_CHUNK
+from spinnet.tensor_engine import MC_CHUNK, _Scratch
 from helpers import random_holonomies, theta_network
 from test_tensor_engine import _oracle_network
 
@@ -71,7 +69,7 @@ def test_runs_keep_their_bits_after_other_shapes(fresh_bits, monkeypatch, smalle
     shape's pieces, or more than this run needs; also with every request,
     however small, taken from the scratch."""
     if smallest is not None:
-        monkeypatch.setattr(rc, "_SCRATCH_MIN", smallest)
+        monkeypatch.setattr(te, "_SCRATCH_MIN", smallest)
     for name in RUNS:
         for other in RUNS:
             RUNS[other]()
@@ -82,7 +80,7 @@ def test_runs_keep_their_bits_without_a_scratch(fresh_bits, monkeypatch):
     monkeypatch.setattr(te, "_MC_SCRATCH_CAP", 0)
     for name, run in RUNS.items():
         assert str(_bits(run())) == fresh_bits[name], name
-        assert rc._SCRATCH.buffer.size == 0
+        assert te._SCRATCH.buffer.size == 0
 
 
 def test_chunk_over_the_cap_runs_on_fresh_arrays(fresh_bits, monkeypatch):
@@ -90,13 +88,13 @@ def test_chunk_over_the_cap_runs_on_fresh_arrays(fresh_bits, monkeypatch):
     that do not fit are fresh, and what is kept stays under the cap."""
     assert te._MC_SCRATCH_CAP * np.dtype(complex).itemsize == 32 * 2**20  # as the README says
     _web()
-    assert 0 < rc._SCRATCH.buffer.size <= te._MC_SCRATCH_CAP
+    assert 0 < te._SCRATCH.buffer.size <= te._MC_SCRATCH_CAP
     cap = 2**18
     monkeypatch.setattr(te, "_MC_SCRATCH_CAP", cap)
     assert str(_bits(_theta())) == fresh_bits["theta"]
-    assert rc._SCRATCH.buffer.size <= cap
+    assert te._SCRATCH.buffer.size <= cap
     _theta()
-    assert rc._SCRATCH.buffer.size <= cap
+    assert te._SCRATCH.buffer.size <= cap
 
 
 def test_threads_give_the_serial_bits(fresh_bits):
@@ -132,39 +130,40 @@ def test_values_handed_over_never_live_in_the_scratch(monkeypatch):
     """Chunk values reach the reduction, state values ``evaluate``, and
     ``wigner_entries`` its caller, each outside the scratch, even with every
     request, however small, taken from it; the means are Python numbers."""
-    monkeypatch.setattr(rc, "_SCRATCH_MIN", 1)
-    real_mean, real_values = te._mc_mean, ip._state_values
+    monkeypatch.setattr(te, "_SCRATCH_MIN", 1)
+    real_mean, real_values = te._mc_mean, te._state_values
     seen = []
 
-    def checked_mean(n_samples, seed, n_variables, chunk_values):
-        def values(pairs, scratch):
-            out = chunk_values(pairs, scratch)
-            seen.append(np.shares_memory(out, scratch.buffer))
+    def checked_mean(n_samples, seed, variables, states, holonomies, combine):
+        def values(state_values):
+            out = combine(state_values)
+            seen.append(np.shares_memory(out, te._SCRATCH.buffer))
             return out
-        return real_mean(n_samples, seed, n_variables, values)
+        return real_mean(n_samples, seed, variables, states, holonomies, values)
 
     def checked_values(*args):
         out = real_values(*args)
-        seen.extend(np.shares_memory(v, rc._SCRATCH.buffer) for v in out)
+        seen.extend(np.shares_memory(v, te._SCRATCH.buffer) for v in out)
         return out
 
     monkeypatch.setattr(ip, "_mc_mean", checked_mean)
     monkeypatch.setattr(te, "_mc_mean", checked_mean)
     monkeypatch.setattr(ip, "_state_values", checked_values)
+    monkeypatch.setattr(te, "_state_values", checked_values)
     for run in RUNS.values():
         mean, stderr = run()
         assert type(mean) is complex and type(stderr) is float
-    assert rc._SCRATCH.buffer.size > 0
+    assert te._SCRATCH.buffer.size > 0
     rng = np.random.default_rng(21)
     a = theta_network((6, 6, 12))
     assert type(evaluate(a, random_holonomies(rng, a))) is complex
     quats = rng.standard_normal((MC_CHUNK, 4))
-    seen.append(np.shares_memory(wigner_entries(6, quats), rc._SCRATCH.buffer))
+    seen.append(np.shares_memory(wigner_entries(6, quats), te._SCRATCH.buffer))
     assert len(seen) > 10 and not any(seen)
 
 
 def test_scratch_pieces_are_disjoint_until_reset():
-    s, size = _Scratch(), rc._SCRATCH_MIN
+    s, size = _Scratch(), te._SCRATCH_MIN
     assert s.take((2, 3)) is None and s.need == 0  # under the minimum: fresh
     assert [s.take((size,)) for _ in range(2)] == [None, None]  # nothing kept yet
     s.reset(cap=4 * size)  # grows to the last chunk's need

@@ -166,6 +166,14 @@ def test_haar_quaternions_bit_identical_to_norm_division():
         assert np.array_equal(_bits(got), _bits(want))
 
 
+def test_haar_sample_is_the_reference_draw_bit_for_bit():
+    """One element is the batch draw of shape (): same normals, same norm."""
+    for seed in range(12):
+        got = haar_sample(np.random.default_rng(seed)).as_array()
+        want = reference_haar_quaternions(np.random.default_rng(seed), ())
+        assert np.array_equal(_bits(got), _bits(want)), seed
+
+
 def test_haar_pairs_are_the_quaternion_draw_bit_for_bit():
     """The sampler's Cayley-Klein pairs (A, B) hold the reference draw's
     components, A = w + iz and B = y + ix, bit for bit, chunk after chunk of

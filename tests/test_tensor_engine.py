@@ -545,7 +545,7 @@ def test_mc_two_kernel_plan_matches_per_sample_oracle():
     """The chunk plan mixes multiply-adds and matmuls; every sample of it
     agrees with a per-sample einsum over the same Philox draws."""
     net = _two_kernel_network()
-    plan = te._factor_plan(net, MC_CHUNK)
+    plan, _, _ = te._prepared(net, MC_CHUNK)
     n_in = len(net.factors) + len(net.tensors)
     made_by = {}
     seen = set()
@@ -590,7 +590,7 @@ def test_mc_two_kernel_plan_matches_per_sample_oracle():
     assert abs(mean - want) <= 1e-12 * max(1.0, abs(want))
     npt.assert_allclose(err, np.std(values, ddof=1) / np.sqrt(n), rtol=1e-9)
     # and sample by sample, through the executor
-    batch_plan = te._factor_plan(net, n)
+    batch_plan, _, _ = te._prepared(net, n)
     pairs_by_var = {"g": _pair(quats[:, 0].T), "h": _pair(quats[:, 1].T)}
     arrays = te._factor_arrays(net.factors, pairs_by_var)
     got = te._execute(batch_plan, arrays + [t.data for t in net.tensors])
