@@ -14,16 +14,15 @@ is unchanged by the gauge transformation g_e -> h_t(e) g_e h_s(e)^-1.
 the engine on its own edges, through one builder (``_state_operands``).
 The exact path gives an edge one group factor per segment step of its word,
 chained by direct pairings, and contracts each segment's Haar projector in
-factored form.  The Monte Carlo path evaluates each state batched over a
-chunk of samples and takes the sample mean of conj(state_a) * state_b; a
-batch of elements is carried as Cayley-Klein pairs (``rep_core._pair``),
-two complex arrays, from the draw through the word products to the
-engine's one chunk evaluator.  Each state is first gauge-fixed on a
-maximal tree of its graph (a vertex whose tensor is not invariant keeps
-its gauge): tree edges become the identity, and only the other edges,
-whose words become loops at a root, need a Wigner matrix per sample, one
-per distinct (word, spin) for bra and ket together.  :func:`evaluate` is
-the one-sample case of that evaluator.
+factored form.  The Monte Carlo path fixes the gauge of the measure: Haar
+measure is invariant too, so a spanning forest of segments avoiding every
+non-invariant vertex is set to the identity (``_gauge_forest``), only the
+other (chord) segments are drawn, and each edge keeps its chord steps,
+freely reduced.  It takes the sample mean of conj(state_a) * state_b over
+chunks of samples carried as Cayley-Klein pairs (``rep_core._pair``), two
+complex arrays, from the draw through the word products to the engine's
+one chunk evaluator.  :func:`evaluate` is the one-sample case of that
+evaluator, with no gauge fixed.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import Mapping
 import numpy as np
 
 from .network_model import (
-    InvalidNetworkError, SpinNetwork, _check_shared_registry, _inverse_word, _sort_key,
+    InvalidNetworkError, SpinNetwork, _check_shared_registry, _sort_key,
 )
 from .rep_core import (
     MAX_TWICE_J, GroupElement, _acted, _pair, _pair_product, inverse, multiply, wigner_entries,
@@ -96,17 +95,17 @@ def evaluate(n: SpinNetwork, h) -> complex:
     Each edge contributes D^j(holonomy); its row index is contracted with the
     "in" slot at the edge's target and its column index with the "out" slot
     at its source.  This is the one-sample case of the batched evaluator
-    that :func:`mc_inner_product` runs on every chunk, so it evaluates the
-    gauge-fixed state (see ``_gauge_fixed_words``), which has the same value
-    up to rounding; a vertex whose tensor is not invariant is never
-    gauge-transformed.  Each network is prepared once, from a bounded cache.
+    that :func:`mc_inner_product` runs on every chunk, with no gauge fixed:
+    setting segments to the identity is valid only inside the integral, so
+    each edge is one factor on its freely reduced word.  Each network is
+    prepared once, from a bounded cache.
     """
     h = _coerce_holonomies(h)
     missing = sorted((s for s in n.graph.segments if s not in h), key=_sort_key)
     if missing:
         raise InvalidNetworkError(f"holonomy assignment missing segments {missing!r}")
     pairs = {s: _pair(h[s].as_array()[:, None]) for s in n.graph.segments}
-    state = _prepared_state(n, 1)
+    state = _prepared_state(n, frozenset(), 1)
     holonomies = {f.variable: _word_holonomy(pairs, f.variable) for f in state[1]}
     value, = _state_values([state], holonomies, 1)
     return complex(value[0])
@@ -150,63 +149,49 @@ def _is_invariant(iv) -> bool:
                <= tol for k in range(len(_GUARD_ELEMENTS)))
 
 
-def _gauge_fixed_words(n: SpinNetwork) -> dict:
-    """The word of each edge after gauge-fixing on a maximal forest; an
-    empty word is the identity.
+def _gauge_forest(a: SpinNetwork, b: SpinNetwork) -> frozenset:
+    """The segments that the Monte Carlo integral sets to the identity: a
+    maximum spanning forest of the segments either state touches.
 
-    The state is unchanged by g_e -> h_t g_e h_s^-1 for any element h_v at
-    each invariant vertex.  The forest is a maximum spanning forest with
-    edges weighted by dimension (ties by ``_sort_key`` of the edge id),
-    over the edges that are not loops and have no non-invariant end, so a
-    non-invariant vertex is a tree of its own and keeps h_v = 1.  Each tree
-    is rooted at its vertex with the fewest out slots (ties by
-    ``_sort_key``).  h_v is the holonomy of the tree path from v to the
-    root, so each tree edge becomes the identity and every other edge the
-    freely reduced loop inv(h_s) + w_e + h_t.
+    Both states and Haar measure are unchanged by g_s -> h_q g_s h_p^-1, for
+    each segment s from p to q, with an element h_p at each registry point
+    that is not a vertex with a non-invariant tensor: inside a word h_p
+    cancels, and an invariant vertex tensor absorbs it.  Kruskal takes the segments heaviest first, by the
+    summed dimensions of the steps crossing them (ties by ``_sort_key``), and
+    never one that ends at a non-invariant vertex of either state; a loop
+    never joins two trees.
     """
-    invariant = {v: _is_invariant(iv) for v, iv in n.vertices.items()}
-    component = {v: v for v in n.vertices}
-    tree: dict = {v: [] for v in n.vertices}
-    tree_edges = set()
-    for e in sorted(n.edges, key=lambda e: (-e.spin.dim, _sort_key(e.id))):
-        a, b = component[e.source], component[e.target]
-        if a != b and invariant[e.source] and invariant[e.target]:
-            component = {v: a if c == b else c for v, c in component.items()}
-            tree[e.source].append(e)
-            tree[e.target].append(e)
-            tree_edges.add(e.id)
-    out_slots = {v: 0 for v in n.vertices}
-    for e in n.edges:
-        out_slots[e.source] += 1
-    gauge: dict = {}
-    # the first vertex of each tree in this order is its root
-    for root in sorted(n.vertices, key=lambda v: (out_slots[v], _sort_key(v))):
-        if root in gauge:
-            continue
-        gauge[root] = ()
-        stack = [root]
-        while stack:
-            p = stack.pop()
-            for e in tree[p]:
-                c = e.target if e.source == p else e.source
-                if c not in gauge:
-                    gauge[c] = (_inverse_word(e.word) if e.source == p else e.word) + gauge[p]
-                    stack.append(c)
-    return {e.id: () if e.id in tree_edges
-            else _reduced(_inverse_word(gauge[e.source]) + e.word + gauge[e.target])
-            for e in n.edges}
+    non_invariant = {v for n in ((a,) if a == b else (a, b))
+             for v, iv in n.vertices.items() if not _is_invariant(iv)}
+    weight = {s: sum(tj + 1 for tj in tjs) for s, tjs in _segment_spins(a, b).items()}
+    parent: dict = {}
+    tree = set()
+
+    def root(p):
+        while p in parent:
+            p = parent[p]
+        return p
+
+    for s in sorted(weight, key=lambda s: (-weight[s], _sort_key(s))):
+        ends = a.graph.registry.endpoints(s)
+        source, target = root(ends[0]), root(ends[1])
+        if source != target and non_invariant.isdisjoint(ends):
+            parent[source] = target
+            tree.add(s)
+    return frozenset(tree)
 
 
-# Distinct (network, batch) pairs whose prepared states are kept.
+# Distinct (network, forest, batch) triples whose prepared states are kept.
 @lru_cache(maxsize=256)
-def _prepared_state(n: SpinNetwork, batch: int) -> tuple:
+def _prepared_state(n: SpinNetwork, tree: frozenset, batch: int) -> tuple:
     """(plan, edge factors, vertex arrays) evaluating ``n`` on ``batch``
-    samples at once, kept in a bounded cache.  The state is gauge-fixed
-    (``_gauge_fixed_words``): an edge whose word is the identity pairs its
-    out slot with its in slot directly, and every other edge is one factor
-    whose variable is its gauge-fixed word.  The plan is checked against the
-    size budget here, before any sample exists."""
-    steps = {eid: ((w, False),) if w else () for eid, w in _gauge_fixed_words(n).items()}
+    samples at once with the segments of ``tree`` set to the identity, kept
+    in a bounded cache.  Each edge is one factor whose variable is its word
+    without tree steps, freely reduced; an empty word pairs the edge's out
+    slot with its in slot directly.  The plan is checked against the size
+    budget here, before any sample exists."""
+    words = {e.id: _reduced(step for step in e.word if step[0] not in tree) for e in n.edges}
+    steps = {eid: ((w, False),) if w else () for eid, w in words.items()}
     return _prepared(_state_operands(n, "N", False, steps), batch)
 
 
@@ -315,27 +300,27 @@ def exact_inner_product(a: SpinNetwork, b: SpinNetwork) -> complex:
 def mc_inner_product(a: SpinNetwork, b: SpinNetwork, n_samples: int, seed: int):
     """Monte Carlo estimate of <a, b>; returns (mean, standard error).
 
-    One Haar-uniform element is drawn per segment of the union of the two
-    supports, the segments taking the stream's columns in ``_sort_key``
-    order, in chunks of ``MC_CHUNK`` samples; the value is bit-stable for a
-    given seed and ``MC_CHUNK``.  Each state is gauge-fixed on a maximal
-    tree (``_gauge_fixed_words``), so its tree edges need no Wigner matrix
-    and a state left without any is a constant.  Each chunk evaluates each
-    state on its own edges, with one holonomy per distinct gauge-fixed word
-    and one Wigner build per distinct (gauge-fixed word, spin), shared by
-    bra and ket, and averages conj(state_a) * state_b; a ket equal to the
-    bra is evaluated once.  Each state is prepared and planned once, from a
-    bounded cache, and a plan over the size budget raises ValueError before
-    any sample is drawn; so does a sample count below 2, before any state is
-    prepared.
+    The segments of a spanning forest of the two supports
+    (``_gauge_forest``) are the identity, and one Haar-uniform element is
+    drawn per other (chord) segment, the chords taking the stream's columns
+    in ``_sort_key`` order; the value is bit-stable for a given seed,
+    whatever ``MC_CHUNK``.  Each chunk evaluates each state on its own
+    edges, with one holonomy per distinct chord word and one Wigner build
+    per distinct (chord word, spin), shared by bra and ket, and averages
+    conj(state_a) * state_b; a ket equal to the bra is evaluated once, and
+    a state whose words all reduce to nothing is a constant.  Each state is
+    prepared and planned once per forest, from a bounded cache, and a plan
+    over the size budget raises ValueError before any sample is drawn; so
+    does a sample count below 2, before any state is prepared.
     """
     _check_shared_registry(a, b)
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    segments = sorted(set(a.graph.segments) | set(b.graph.segments), key=_sort_key)
+    tree = _gauge_forest(a, b)
+    chords = sorted((a.graph.segments | b.graph.segments) - tree, key=_sort_key)
     batch = min(MC_CHUNK, n_samples)
-    states = [_prepared_state(n, batch) for n in ((a,) if a == b else (a, b))]
+    states = [_prepared_state(n, tree, batch) for n in ((a,) if a == b else (a, b))]
     words = {f.variable for _, fs, _ in states for f in fs}
-    return _mc_mean(n_samples, seed, segments, states,
+    return _mc_mean(n_samples, seed, chords, states,
                     lambda pairs: {w: _word_holonomy(pairs, w) for w in words},
                     lambda values: np.conj(values[0]) * values[-1])

@@ -63,10 +63,12 @@ __all__ = [
     "MC_CHUNK",
 ]
 
-# Fixed Monte Carlo chunk size; accumulation in chunk order makes the mean
-# bit-stable for a given seed.  It also bounds every batched intermediate,
-# whose size is the chunk length times the size of one sample's tensor.
+# Fixed Monte Carlo chunk size.  It bounds every batched intermediate, whose
+# size is the chunk length times the size of one sample's tensor.
 MC_CHUNK = 2048
+# Samples are summed in fixed blocks of this many, so a mean is bit-stable
+# for a given seed whatever the chunk size, a multiple of it.
+_MC_BLOCK = 256
 # Largest per-thread chunk scratch kept between chunks and calls, in complex
 # elements: 2**21 of 16 bytes is 32 MiB.  A chunk that needs more runs the
 # rest of its steps on fresh arrays.
@@ -563,10 +565,12 @@ def _mc_mean(n_samples: int, seed: int, variables: Sequence, states, holonomies,
     (``rep_core._haar_pairs``), one pair of (m,) arrays per drawn variable,
     in the order given.  ``holonomies(pairs)`` maps those to one pair per
     variable of the states, and ``combine(values)`` the states' values to
-    the m sample values, which are summed, with their squared moduli, in
-    chunk order.  Each chunk runs in this thread's ``_Scratch``, reset with
-    the cap ``_MC_SCRATCH_CAP``; the values never live in it.  Callers
-    refuse ``n_samples`` below 2 first.
+    the m sample values.  These are summed, with their squared moduli, in
+    blocks of ``_MC_BLOCK`` samples (the last may be shorter), and the block
+    sums are added to running totals one by one, in block order.  Each chunk
+    runs in this thread's ``_Scratch``, reset with the cap
+    ``_MC_SCRATCH_CAP``; the values never live in it.  Callers refuse
+    ``n_samples`` below 2 first.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     total = 0.0 + 0.0j
@@ -578,8 +582,11 @@ def _mc_mean(n_samples: int, seed: int, variables: Sequence, states, holonomies,
         draw = _haar_pairs(rng, m, len(variables))
         pairs = holonomies(dict(zip(variables, zip(*draw))))
         values = combine(_state_values(states, pairs, m, _SCRATCH))
-        total += values.sum()
-        total_sq += float((np.abs(values) ** 2).sum())
+        full = m - m % _MC_BLOCK
+        for blocks in (values[:full].reshape(-1, _MC_BLOCK), values[None, full:]):
+            for s, s_sq in zip(blocks.sum(1).tolist(), (np.abs(blocks) ** 2).sum(1).tolist()):
+                total += s
+                total_sq += s_sq
         remaining -= m
     mean = total / n_samples
     var = max(total_sq - n_samples * abs(mean) ** 2, 0.0) / (n_samples - 1)

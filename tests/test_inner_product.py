@@ -101,8 +101,8 @@ def test_evaluate_accepts_assignment_or_mapping(rng):
 
 
 def _gauged_networks(rng):
-    """Networks whose gauge-fixed edges are the identity or longer words: a
-    theta, a two-gon, a dumbbell (a loop moved to the root) and the wordy
+    """Networks whose gauge forests are nonempty, empty (loops only) or cut
+    longer words: a theta, a figure-8, a two-gon, a dumbbell and the wordy
     network (multi-segment and reversed words, a circle with a non-unit
     marker), its spins kept small for the index sums."""
     return [theta_network((1, 1, 2)), figure8_network()] + [
@@ -128,9 +128,8 @@ def _explicit(rng, net, vertices):
 
 
 def test_evaluate_keeps_non_invariant_vertices_ungauged(rng):
-    """A vertex carrying an explicit tensor is never gauge-transformed: no
-    edge at it is a tree edge, so with one or two of them the value still
-    matches the index sums."""
+    """``evaluate`` fixes no gauge, so with explicit tensors at one or two
+    vertices the value still matches the index sums."""
     for n in _gauged_networks(rng):
         vertices = sorted(n.vertices, key=str)
         for chosen in [[v] for v in vertices] + [vertices[:2], vertices[-2:]]:
@@ -149,16 +148,25 @@ def test_guard_accepts_intertwiners_only(rng):
         assert not ip._is_invariant(Intertwiner(iv.leg_spins, iv.components + 1e-9))
 
 
+def _chord_words(n, tree):
+    """The variable of each edge factor of a prepared state: its chord word."""
+    return [f.variable for f in ip._prepared_state(n, tree, 7)[1]]
+
+
 def test_gauge_fixing_drops_tree_edges_and_reduces_words(rng):
-    """Tree edges are the identity; the other edges become loops at the
-    root, and a word that reduces to nothing is the identity too."""
+    """The forest takes the heaviest segments, never a loop: theta's spin-1
+    segment, one arc per column of the web pair at N=2, the dumbbell's
+    middle bar, and nothing of a bouquet.  Tree segments drop out of each
+    word, and a word that reduces to nothing is the identity."""
     theta = theta_network((1, 1, 2))
-    assert ip._gauge_fixed_words(theta) == {
-        "e0": (("u3", True), ("u1", False)), "e1": (("u3", True), ("u2", False)), "e2": ()}
+    assert ip._gauge_forest(theta, theta) == {"u3"}
+    assert _chord_words(theta, frozenset({"u3"})) == [(("u1", False),), (("u2", False),)]
+    psi, phi = build_tassel(2).network, build_phi(2, -1).network
+    assert ip._gauge_forest(psi, phi) == {"b-2+", "b-1+", "b0+", "b1+"}
     dumbbell = random_network(rng, "dumbbell")
-    words = ip._gauge_fixed_words(dumbbell)
-    assert words["m"] == () and words["r"] == (("dr", False),)
-    assert words["l"] == (("dm", True), ("dl", False), ("dm", False))
+    assert ip._gauge_forest(dumbbell, dumbbell) == {"dm"}
+    bouquet = random_network(rng, "bouquet3")
+    assert ip._gauge_forest(bouquet, bouquet) == frozenset()
     assert ip._reduced((("p1", False), ("p2", True), ("p2", False), ("p1", True))) == ()
     assert ip._reduced((("a", False), ("b", True), ("c", False))) == (
         ("a", False), ("b", True), ("c", False))
@@ -225,13 +233,13 @@ def test_evaluate_prepares_each_network_once(rng, monkeypatch):
     bounded cache."""
     assert ip._prepared_state.cache_info().maxsize is not None
     calls = []
-    real = ip._gauge_fixed_words
+    real = ip._state_operands
 
-    def counting(n):
+    def counting(n, *args):
         calls.append(n)
-        return real(n)
+        return real(n, *args)
 
-    monkeypatch.setattr(ip, "_gauge_fixed_words", counting)
+    monkeypatch.setattr(ip, "_state_operands", counting)
     ip._prepared_state.cache_clear()
     n = wordy_network(rng)
     for _ in range(2):
@@ -244,7 +252,8 @@ def test_mc_paths_share_one_plan_cache():
     """A prepared state and ``mc_expectation`` on the same operands and batch
     take one plan from the engine's one cache."""
     a = theta_network((1, 1, 2))
-    steps = {eid: ((w, False),) if w else () for eid, w in ip._gauge_fixed_words(a).items()}
+    tree = ip._gauge_forest(a, a)
+    steps = {e.id: () if e.word[0][0] in tree else ((e.word, False),) for e in a.edges}
     ip._prepared_state.cache_clear()
     te._plan.cache_clear()
     mc_inner_product(a, a, 300, seed=1)
@@ -270,15 +279,18 @@ def _zero_chain():
 
 
 def test_state_without_factors_is_a_constant(rng, monkeypatch):
-    """Tree edges and words that reduce to nothing need no Wigner matrix:
-    the zero chain is 0 and the backtracking loop is the trace 3 of its
-    marker, at every sample."""
+    """Tree segments and words that reduce to nothing need no Wigner
+    matrix: the zero chain's two segments are its forest, so its Monte
+    Carlo value is 0, and the backtracking loop is the trace 3 of its
+    marker, at every sample, with or without a gauge."""
     zero, loop = _zero_chain(), _backtracking_loop()
-    assert ip._gauge_fixed_words(zero) == {"a": (), "b": ()}
-    assert ip._gauge_fixed_words(loop) == {"e": ()}
+    assert ip._gauge_forest(zero, zero) == {"z1", "z2"}
+    assert _chord_words(zero, frozenset({"z1", "z2"})) == []
+    assert _chord_words(loop, frozenset()) == []
+    assert evaluate(zero, random_holonomies(rng, zero)) == 0
     monkeypatch.setattr(te, "_pair_wigner", None)
+    assert evaluate(loop, random_holonomies(rng, loop)) == 3
     for n, value in ((zero, 0), (loop, 3)):
-        assert evaluate(n, random_holonomies(rng, n)) == value
         assert mc_inner_product(n, n, MC_CHUNK + 5, seed=1) == (value ** 2, 0)
 
 
@@ -550,15 +562,23 @@ def test_mc_inner_product_with_mixed_segment_id_types():
 
 
 def _joint_estimate(a, b, n_samples, seed):
-    """The same estimate from one joint network over the common refinement,
-    bra factors conjugated: the same stream, one factor per segment piece."""
-    return mc_expectation(_paired_network(a, b), n_samples, seed)
+    """The same estimate from one joint network on the same gauge forest,
+    bra factors conjugated: tree steps dropped and one factor per chord
+    step, so the chords take the same columns of the same stream."""
+    tree = ip._gauge_forest(a, b)
+    bra, ket = (ip._state_operands(n, side, side == "A",
+                                   {e.id: tuple(t for t in e.word if t[0] not in tree)
+                                    for e in n.edges})
+                for n, side in ((a, "A"), (b, "B")))
+    joint = te.FactorNetwork(bra.factors + ket.factors, bra.tensors + ket.tensors,
+                             bra.pairings + ket.pairings)
+    return mc_expectation(joint, n_samples, seed)
 
 
 def _reversed_edge(rng, net, edge_id):
     """``net`` with one edge reversed (inverse word, ends swapped) and fresh
     random invariant intertwiners on the new slots."""
-    edges = [Edge(e.id, ip._inverse_word(e.word), e.target, e.source, e.spin)
+    edges = [Edge(e.id, nm._inverse_word(e.word), e.target, e.source, e.spin)
              if e.id == edge_id else e for e in net.edges]
     verts = {v: random_intertwiner(rng, tuple(legs)) for v, legs in _slot_legs(edges).items()}
     return network(net.graph.registry, edges, verts)
@@ -575,21 +595,22 @@ def _oracle_pairs():
     for n in (2, 3):
         pairs.append((build_tassel(n).network, build_phi(n, -1).network, False))
     pairs.append((build_tassel(2).network, swap_signs(build_tassel(2), 0).network, False))
-    # e3 reversed: the ket's gauge-fixed e3 is the inverse of the bra's
+    # e3 reversed: the ket's chord word on e3 is the inverse of the bra's
     reversed_e3 = _reversed_edge(rng, wordy, "e3")
-    bra_words = {f.variable for f in ip._prepared_state(wordy, 7)[1]}
-    assert any(ip._inverse_word(f.variable) in bra_words
-               for f in ip._prepared_state(reversed_e3, 7)[1])
+    tree = ip._gauge_forest(wordy, reversed_e3)
+    bra_words = set(_chord_words(wordy, tree))
+    assert any(nm._inverse_word(w) in bra_words for w in _chord_words(reversed_e3, tree))
     pairs.append((wordy, reversed_e3, False))
     return pairs
 
 
 def test_mc_inner_product_matches_joint_network_estimate():
-    """Evaluating each gauge-fixed state on its own edges gives the joint
-    network's estimate, sample for sample: within 1e-13 in mean and
-    standard error, and bit for bit on self-pairings of single-vertex
-    motifs, which have no gauged edge and whose per-state plans are the
-    joint plan's two halves."""
+    """Evaluating each state on its own edges, with the forest's segments
+    set to the identity, gives the estimate of the joint network on the
+    same forest, sample for sample: within 1e-13 in mean and standard
+    error, and bit for bit on self-pairings of single-vertex motifs, whose
+    segments are all loops, so that nothing is in the forest and the
+    per-state plans are the joint plan's two halves."""
     for a, b, exact_bits in _oracle_pairs():
         for n_samples, seed in ((MC_CHUNK + 37, 61), (300, 62)):
             got = mc_inner_product(a, b, n_samples, seed)
@@ -601,20 +622,20 @@ def test_mc_inner_product_matches_joint_network_estimate():
 
 
 def test_mc_ungauged_states_match_joint_estimate_bit_for_bit():
-    """With an explicit tensor at every vertex nothing is gauge-fixed, and
+    """With an explicit tensor at every vertex the forest is empty, and
     self-pairings of single-segment edges keep the joint network's bits."""
     rng = np.random.default_rng(809)
     for motif in ("theta", "twogon", "dumbbell"):
         a = random_network(rng, motif)
         a = _explicit(rng, a, a.vertices)
-        words = ip._gauge_fixed_words(a)
-        assert all(words[e.id] == e.word for e in a.edges)
+        assert ip._gauge_forest(a, a) == frozenset()
+        assert _chord_words(a, frozenset()) == [e.word for e in a.edges]
         for n_samples, seed in ((MC_CHUNK + 37, 61), (300, 62)):
             assert mc_inner_product(a, a, n_samples, seed) == _joint_estimate(a, a, n_samples, seed)
 
 
 def test_mc_theta_builds_only_the_small_spins(monkeypatch):
-    """theta(6,6,12): the spin-6 edge is the tree edge, so each chunk builds
+    """theta(6,6,12): the spin-6 segment is the forest, so each chunk builds
     two spin-3 matrices and no spin-6 one."""
     built = []
     real = te._pair_wigner
@@ -627,6 +648,51 @@ def test_mc_theta_builds_only_the_small_spins(monkeypatch):
     a = theta_network((6, 6, 12))
     mc_inner_product(a, a, 2 * MC_CHUNK, seed=5)
     assert built == [6, 6, 6, 6]
+
+
+def test_mc_draws_only_chord_segments(monkeypatch):
+    """One element is drawn per segment outside the forest: 2 of theta's 3
+    segments, and 4 of the 8 that the web pair psi.phi at N=2 touches."""
+    drawn = []
+    real = te._haar_pairs
+
+    def counting(rng, m, n_vars):
+        drawn.append(n_vars)
+        return real(rng, m, n_vars)
+
+    monkeypatch.setattr(te, "_haar_pairs", counting)
+    theta = theta_network((1, 1, 2))
+    mc_inner_product(theta, theta, 300, seed=1)
+    mc_inner_product(build_tassel(2).network, build_phi(2, -1).network, 300, seed=1)
+    assert drawn == [2, 4]
+
+
+def _non_invariant_pairs(rng):
+    """Motif, wordy and web pairs with explicit tensors, which are not
+    intertwiners, at one or two vertices of each state; each pair with the
+    vertices that were made explicit."""
+    pairs = []
+    bases = [(a, reintertwine(rng, a)) for a in (random_network(rng, m) for m in MOTIF_NAMES)]
+    bases += [(w, reintertwine(rng, w)) for w in (wordy_network(rng, (1, 1, 2), 1),)]
+    bases += [(build_tassel(2).network, build_phi(2, -1).network)]
+    for a, b in bases:
+        vertices = sorted(a.vertices, key=str)
+        for chosen in [vertices[:1], vertices[-1:], vertices[:2]]:
+            pairs.append((_explicit(rng, a, chosen), b, set(chosen)))
+            pairs.append((a, _explicit(rng, b, chosen), set(chosen)))
+    return pairs
+
+
+def test_mc_forest_avoids_non_invariant_vertices():
+    """No forest segment ends at a vertex with an explicit tensor, and the
+    estimate stays within 4 standard errors of the exact pairing."""
+    rng = np.random.default_rng(811)
+    for k, (a, b, explicit) in enumerate(_non_invariant_pairs(rng)):
+        registry = a.graph.registry
+        assert not any(explicit & set(registry.endpoints(s)) for s in ip._gauge_forest(a, b))
+        exact = exact_inner_product(a, b)
+        mean, err = mc_inner_product(a, b, 4000, seed=70 + k)
+        assert abs(mean - exact) <= 4 * err, (k, mean, exact, err)
 
 
 def test_word_holonomy_batches_edge_holonomy(rng):
@@ -689,11 +755,12 @@ def test_mc_self_pairing_evaluates_once_per_chunk(monkeypatch):
 
 def test_mc_web_builds_one_wigner_matrix_per_word_and_spin(monkeypatch):
     """psi and phi share two of their four curves; each chunk builds one
-    Wigner matrix per distinct (gauge-fixed word, spin), for bra and ket
+    Wigner matrix per distinct (chord word, spin), for bra and ket
     together."""
     psi, phi = build_tassel(2).network, build_phi(2, -1).network
+    tree = ip._gauge_forest(psi, phi)
     distinct = {(f.variable, f.spin.twice_j)
-                for n in (psi, phi) for f in ip._prepared_state(n, MC_CHUNK)[1]}
+                for n in (psi, phi) for f in ip._prepared_state(n, tree, MC_CHUNK)[1]}
     assert len(distinct) < len(psi.edges) + len(phi.edges)
     built = []
     real = te._pair_wigner

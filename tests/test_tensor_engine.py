@@ -24,11 +24,15 @@ from spinnet import (
     enumerate_correspondences,
     exact_inner_product,
     transport,
+    mc_inner_product,
+    build_tassel,
+    build_phi,
 )
+import spinnet.inner_product as ip
 import spinnet.tensor_engine as te
 from spinnet.rep_core import _pair, haar_quaternions, wigner_entries
 from spinnet.tensor_engine import MC_CHUNK, _invariant_basis, haar_factored
-from helpers import cycle_network
+from helpers import cycle_network, loop_network, theta_network
 
 
 def lt(name_prefix, arr, variances):
@@ -379,13 +383,33 @@ def test_mc_agrees_with_exact_projector():
     assert abs(mean - exact) < 4 * err
 
 
-def test_mc_bit_stable_and_chunk_insensitive():
+def test_mc_bit_stable_and_chunk_insensitive(monkeypatch):
+    """One seed gives one (mean, stderr), bit for bit, whatever the chunk
+    size: samples are summed in fixed blocks of ``_MC_BLOCK``, so chunks of
+    256 to 8192 samples, with a partial last chunk and a partial last block
+    at 6001 samples, reduce to the same bits, for a joint network and for
+    each state on its own edges alike."""
     net = character_network(1)
     first = mc_expectation(net, MC_CHUNK + 7, seed=42)
     second = mc_expectation(net, MC_CHUNK + 7, seed=42)
     assert first == second
     other_seed = mc_expectation(net, MC_CHUNK + 7, seed=43)
     assert other_seed != first
+
+    theta, big = theta_network((1, 1, 2)), theta_network((6, 6, 12))
+    loop = loop_network(1)
+    pairs = [(theta, theta), (big, big), (build_tassel(2).network, build_phi(2, -1).network),
+             (loop, loop)]
+    results = []
+    for chunk in (256, 512, 2048, 8192):
+        assert chunk % te._MC_BLOCK == 0
+        monkeypatch.setattr(te, "MC_CHUNK", chunk)
+        monkeypatch.setattr(ip, "MC_CHUNK", chunk)
+        results.append([f(a, b, 6001, seed=7) for a, b in pairs
+                        for f in (mc_inner_product,
+                                  lambda a, b, n, seed: mc_expectation(
+                                      ip._paired_network(a, b), n, seed))])
+    assert all(r == results[0] for r in results[1:])
 
 
 def test_mc_validation():
