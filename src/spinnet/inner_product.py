@@ -149,17 +149,20 @@ def _is_invariant(iv) -> bool:
                <= tol for k in range(len(_GUARD_ELEMENTS)))
 
 
+# Distinct (bra, ket) pairs whose gauge forests are kept.
+@lru_cache(maxsize=256)
 def _gauge_forest(a: SpinNetwork, b: SpinNetwork) -> frozenset:
     """The segments that the Monte Carlo integral sets to the identity: a
-    maximum spanning forest of the segments either state touches.
+    maximum spanning forest of the segments either state touches, kept in a
+    bounded cache.
 
     Both states and Haar measure are unchanged by g_s -> h_q g_s h_p^-1, for
     each segment s from p to q, with an element h_p at each registry point
     that is not a vertex with a non-invariant tensor: inside a word h_p
-    cancels, and an invariant vertex tensor absorbs it.  Kruskal takes the segments heaviest first, by the
-    summed dimensions of the steps crossing them (ties by ``_sort_key``), and
-    never one that ends at a non-invariant vertex of either state; a loop
-    never joins two trees.
+    cancels, and an invariant vertex tensor absorbs it.  Kruskal takes the
+    segments heaviest first, by the summed dimensions of the steps crossing
+    them (ties by ``_sort_key``), and never one that ends at a non-invariant
+    vertex of either state; a loop never joins two trees.
     """
     non_invariant = {v for n in ((a,) if a == b else (a, b))
              for v, iv in n.vertices.items() if not _is_invariant(iv)}
@@ -308,10 +311,11 @@ def mc_inner_product(a: SpinNetwork, b: SpinNetwork, n_samples: int, seed: int):
     edges, with one holonomy per distinct chord word and one Wigner build
     per distinct (chord word, spin), shared by bra and ket, and averages
     conj(state_a) * state_b; a ket equal to the bra is evaluated once, and
-    a state whose words all reduce to nothing is a constant.  Each state is
-    prepared and planned once per forest, from a bounded cache, and a plan
-    over the size budget raises ValueError before any sample is drawn; so
-    does a sample count below 2, before any state is prepared.
+    a state whose words all reduce to nothing is a constant.  Each pair's
+    forest is found once, and each state is prepared and planned once per
+    forest, from bounded caches; a plan over the size budget raises
+    ValueError before any sample is drawn, and so does a sample count below
+    2, before any forest is found or state prepared.
     """
     _check_shared_registry(a, b)
     if n_samples < 2:

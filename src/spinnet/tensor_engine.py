@@ -28,10 +28,9 @@ The sampled path has one chunk evaluator, ``_state_values``: one Wigner
 build per (variable, spin) from Cayley-Klein pairs, then each prepared
 state's plan.  ``_mc_mean`` draws and reduces the chunks, each in one
 per-thread scratch (``_Scratch``, at most ``_MC_SCRATCH_CAP`` elements
-kept) that the Wigner builds, conjugated and transposed copies, products
-and multiply-add accumulators reuse from one chunk and call to the next,
-so a warm chunk takes no fresh page.  Only where the arrays live changes,
-never a value; the exact path passes no scratch.
+kept) that the Wigner builds and the matrix products reuse from one chunk
+and call to the next, so a warm chunk takes no fresh page.  Only where the
+arrays live changes, never a value; the exact path passes no scratch.
 
 Legs carry (id, spin, variance); contraction only joins a ket leg to a bra
 leg of equal spin.  A ``GroupFactor`` names one matrix element
@@ -133,24 +132,19 @@ class FactorNetwork:
 # ---------------------------------------------------------------------------
 # Monte Carlo chunk scratch
 
-# Scratch requests under this many complex elements (256 KiB) are left to
-# fresh arrays: the allocator recycles those warm from its free lists, and in
-# the scratch they would only widen a chunk's cache footprint.
-_SCRATCH_MIN = 2**14
-
-
 class _Scratch(threading.local):
     """One thread's Monte Carlo scratch: a bump allocator over one flat
     complex buffer, reused from one chunk to the next and from one call to
-    the next, so that a warm chunk touches no fresh page.
+    the next, so that a warm chunk touches no fresh page.  A chunk's Wigner
+    builds (``_factor_arrays``) and the matrix products of every plan step
+    but the last (``_execute``) take pieces of it.
 
     ``take`` hands out the next unused piece of the buffer, or None, for a
-    fresh array, when the request is under ``_SCRATCH_MIN`` elements or does
-    not fit.  ``reset`` starts a chunk: every piece is free again, and the
-    buffer grows to the previous chunk's need when that is at most ``cap``
-    elements.  A buffer over ``cap`` is dropped, so at most ``cap`` elements
-    are retained.  Pieces live until the next reset and are never handed to
-    callers.
+    fresh array, when the request does not fit.  ``reset`` starts a chunk:
+    every piece is free again, and the buffer grows to the previous chunk's
+    need when that is at most ``cap`` elements.  A buffer over ``cap`` is
+    dropped, so at most ``cap`` elements are retained.  Pieces live until
+    the next reset and are never handed to callers.
     """
 
     def __init__(self) -> None:
@@ -163,11 +157,9 @@ class _Scratch(threading.local):
         self.need = 0
 
     def take(self, shape: tuple) -> np.ndarray | None:
-        size = prod(shape)
-        if size >= _SCRATCH_MIN:
-            start, self.need = self.need, self.need + size
-            if self.need <= self.buffer.size:
-                return self.buffer[start:self.need].reshape(shape)
+        start, self.need = self.need, self.need + prod(shape)
+        if self.need <= self.buffer.size:
+            return self.buffer[start:self.need].reshape(shape)
         return None
 
 
@@ -310,11 +302,10 @@ def _execute(
     folded into the columns of ``y`` when only ``b`` is.  A trace is a
     ``diagonal`` and a ``sum``.
 
-    With a ``scratch`` (the sampled path) the copies that reshaping
-    transposed operands needs, the products and the multiply-add
-    accumulators and terms are written to its memory, all but the last
-    step's result, which stays a fresh array; the same ufuncs run on the
-    same operands in the same order, so the bits are those without.
+    With a ``scratch`` (the sampled path) the matrix products are written
+    to its memory, all but the last step's, which stays a fresh array; the
+    same ufuncs run on the same operands in the same order, so the bits are
+    those without.
     """
     slots = list(arrays)
     for k, st in enumerate(plan.steps):
@@ -324,27 +315,23 @@ def _execute(
         m = a.shape[-1:] if st.batched_a else ()
         x = a.transpose(st.perm_a)
         if st.b is None:
-            x = _reshaped(x, (st.rows, st.inner, st.inner) + m, scratch)
-            out = x.diagonal(axis1=1, axis2=2).sum(-1)
+            out = x.reshape((st.rows, st.inner, st.inner) + m).diagonal(axis1=1, axis2=2).sum(-1)
         else:
             b, slots[st.b] = slots[st.b], None
             m = m or (b.shape[-1:] if st.batched_b else ())
             y = b.transpose(st.perm_b)
             if st.kernel == "madd":
-                x = _reshaped(x, (st.rows, st.inner, -1), scratch)
-                y = _reshaped(y, (st.inner, st.cols, -1), scratch)
-                shape = (st.rows, st.cols) + m
-                out = np.multiply(x[:, 0, None], y[None, 0], out=_take(dest, shape))
-                term = _take(scratch, shape) if st.inner > 1 else None
+                x = x.reshape(st.rows, st.inner, -1)
+                y = y.reshape(st.inner, st.cols, -1)
+                out = x[:, 0, None] * y[None, 0]
                 for q in range(1, st.inner):
-                    out += np.multiply(x[:, q, None], y[None, q], out=term)
+                    out += x[:, q, None] * y[None, q]
             elif st.batched_a:
-                out = np.matmul(_reshaped(y, (st.inner, st.cols), scratch).T,
-                                _reshaped(x, (st.rows, st.inner, -1), scratch),
+                out = np.matmul(y.reshape(st.inner, st.cols).T, x.reshape(st.rows, st.inner, -1),
                                 out=_take(dest, (st.rows, st.cols) + m))
             else:
-                y = _reshaped(y, (st.inner, -1), scratch)
-                out = np.matmul(_reshaped(x, (st.rows, st.inner), scratch), y,
+                y = y.reshape(st.inner, -1)
+                out = np.matmul(x.reshape(st.rows, st.inner), y,
                                 out=_take(dest, (st.rows, y.shape[1])))
         slots.append(out.reshape(st.dims + m))
     return slots[-1]
@@ -354,21 +341,6 @@ def _take(scratch: _Scratch | None, shape: tuple) -> np.ndarray | None:
     """An output array for ``shape`` from ``scratch``, or None for a fresh
     one."""
     return None if scratch is None else scratch.take(shape)
-
-
-def _reshaped(x: np.ndarray, shape: tuple, scratch: _Scratch | None) -> np.ndarray:
-    """``x.reshape(shape)``, with the copy that needs, if any, made in
-    ``scratch`` when it takes one that large: the same C-ordered copy
-    reshape makes.  A contiguous array always reshapes to a view."""
-    if scratch is not None and x.size >= _SCRATCH_MIN and not x.flags.c_contiguous:
-        try:
-            x.view().shape = shape  # refused when only a copy can have it
-        except AttributeError:
-            copy = scratch.take(x.shape)
-            if copy is not None:
-                copy[...] = x
-                x = copy
-    return x.reshape(shape)
 
 
 def _checked_legs(
@@ -515,8 +487,7 @@ def _factor_arrays(factors: Sequence[GroupFactor], pairs_by_var: Mapping,
     the sample axis last, as every plan reads them, from each variable's
     Cayley-Klein pair (a, b) of (sample,) arrays; one ``_pair_wigner``
     build per (variable, spin).  With a ``scratch`` the Wigner builds are
-    written to its memory, as ``out`` arrays, and so are the conjugated
-    copies."""
+    written to its memory, as ``out`` arrays."""
     built: dict[tuple, np.ndarray] = {}
     out = []
     for f in factors:
@@ -529,7 +500,7 @@ def _factor_arrays(factors: Sequence[GroupFactor], pairs_by_var: Mapping,
         # D(g^-1) = D(g)^dagger: inverting conjugates and swaps the axes, so
         # a conjugated inverse only swaps them
         if f.inverted != f.conjugated:
-            arr = np.conj(arr, out=_take(scratch, arr.shape))
+            arr = np.conj(arr)
         if f.inverted:
             arr = np.swapaxes(arr, 0, 1)
         out.append(arr)
@@ -542,8 +513,8 @@ def _state_values(states, holonomies: Mapping, m: int,
     given as a Cayley-Klein pair of (m,) arrays per variable, one (m,) array
     per state.  Each distinct (variable, spin) Wigner matrix is built once,
     for all states; a state with no factor is a constant.  A Monte Carlo
-    chunk's ``scratch`` holds the Wigner matrices and intermediates, never
-    the values."""
+    chunk's ``scratch`` holds the Wigner matrices and the matrix products
+    of non-final steps, never the values."""
     factors = [f for _, fs, _ in states for f in fs]
     arrays = _factor_arrays(factors, holonomies, scratch)
     values = []

@@ -209,9 +209,9 @@ def test_ip_mc_bad_env_seed(docs, capsys, monkeypatch):
 
 
 def test_ip_mc_bad_sample_count_prepares_nothing(docs, capsys):
-    """A sample count below 2 exits 2 before any state is prepared or
-    planned: neither bounded cache gains an entry."""
-    caches = (inner_product._prepared_state, tensor_engine._plan)
+    """A sample count below 2 exits 2 before any forest is found or state
+    prepared or planned: no bounded cache gains an entry."""
+    caches = (inner_product._gauge_forest, inner_product._prepared_state, tensor_engine._plan)
     for cache in caches:
         cache.cache_clear()
     for count in ("0", "-5", "1"):
@@ -222,7 +222,7 @@ def test_ip_mc_bad_sample_count_prepares_nothing(docs, capsys):
     theta = read_network(docs["theta"])
     with pytest.raises(ValueError, match="at least 2"):
         mc_expectation(inner_product._paired_network(theta, theta), 1, seed=0)
-    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
 
 
 # ---------------------------------------------------------------------------

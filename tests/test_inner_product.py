@@ -51,6 +51,7 @@ from helpers import (
     _slot_legs,
     MOTIF_NAMES,
 )
+from test_mc_scratch import _bits
 
 
 @pytest.fixture
@@ -170,6 +171,31 @@ def test_gauge_fixing_drops_tree_edges_and_reduces_words(rng):
     assert ip._reduced((("p1", False), ("p2", True), ("p2", False), ("p1", True))) == ()
     assert ip._reduced((("a", False), ("b", True), ("c", False))) == (
         ("a", False), ("b", True), ("c", False))
+
+
+def test_gauge_forest_is_found_once_per_pair(monkeypatch):
+    """A second Monte Carlo call on equal but freshly built networks takes
+    the pair's forest from a bounded cache: no vertex is checked again, and
+    the bits are those of the first call."""
+    assert ip._gauge_forest.cache_info().maxsize is not None
+    calls = []
+    real = ip._is_invariant
+
+    def counting(iv):
+        calls.append(iv)
+        return real(iv)
+
+    monkeypatch.setattr(ip, "_is_invariant", counting)
+    ip._gauge_forest.cache_clear()
+    builds = (lambda: (theta_network((1, 1, 2)),) * 2,
+              lambda: (build_tassel(2).network, build_phi(2, -1).network))
+    for build in builds:
+        first = mc_inner_product(*build(), 300, seed=4)
+        assert calls
+        calls.clear()
+        again = mc_inner_product(*build(), 300, seed=4)
+        assert calls == []
+        assert _bits(again) == _bits(first)
 
 
 def _backtracking_loop():

@@ -23,8 +23,9 @@ from test_tensor_engine import _oracle_network
 
 
 def _theta():
-    """theta(6,6,12), 5000 samples: two full chunks and a partial one of
-    about 6 MiB each, most of it in 1.6 MB arrays."""
+    """theta(6,6,12), 5000 samples: two full chunks and a partial one,
+    each holding two spin-3 Wigner builds of 1.6 MB and the products, 4.63
+    MiB in all."""
     a = theta_network((6, 6, 12))
     return mc_inner_product(a, a, 5000, seed=11)
 
@@ -63,13 +64,9 @@ def fresh_bits():
     return bits
 
 
-@pytest.mark.parametrize("smallest", [None, 1])
-def test_runs_keep_their_bits_after_other_shapes(fresh_bits, monkeypatch, smallest):
+def test_runs_keep_their_bits_after_other_shapes(fresh_bits):
     """Every run after every other one, so the scratch holds another
-    shape's pieces, or more than this run needs; also with every request,
-    however small, taken from the scratch."""
-    if smallest is not None:
-        monkeypatch.setattr(te, "_SCRATCH_MIN", smallest)
+    shape's pieces, or more than this run needs."""
     for name in RUNS:
         for other in RUNS:
             RUNS[other]()
@@ -84,7 +81,7 @@ def test_runs_keep_their_bits_without_a_scratch(fresh_bits, monkeypatch):
 
 
 def test_chunk_over_the_cap_runs_on_fresh_arrays(fresh_bits, monkeypatch):
-    """theta(6,6,12) needs about 6 MiB a chunk; under a 4 MiB cap the pieces
+    """theta(6,6,12) needs 4.63 MiB a chunk; under a 4 MiB cap the pieces
     that do not fit are fresh, and what is kept stays under the cap."""
     assert te._MC_SCRATCH_CAP * np.dtype(complex).itemsize == 32 * 2**20  # as the README says
     _web()
@@ -128,9 +125,8 @@ def test_threads_give_the_serial_bits(fresh_bits):
 
 def test_values_handed_over_never_live_in_the_scratch(monkeypatch):
     """Chunk values reach the reduction, state values ``evaluate``, and
-    ``wigner_entries`` its caller, each outside the scratch, even with every
-    request, however small, taken from it; the means are Python numbers."""
-    monkeypatch.setattr(te, "_SCRATCH_MIN", 1)
+    ``wigner_entries`` its caller, each outside the scratch; the means are
+    Python numbers."""
     real_mean, real_values = te._mc_mean, te._state_values
     seen = []
 
@@ -163,8 +159,7 @@ def test_values_handed_over_never_live_in_the_scratch(monkeypatch):
 
 
 def test_scratch_pieces_are_disjoint_until_reset():
-    s, size = _Scratch(), te._SCRATCH_MIN
-    assert s.take((2, 3)) is None and s.need == 0  # under the minimum: fresh
+    s, size = _Scratch(), 1000
     assert [s.take((size,)) for _ in range(2)] == [None, None]  # nothing kept yet
     s.reset(cap=4 * size)  # grows to the last chunk's need
     assert s.buffer.size == 2 * size
@@ -186,24 +181,6 @@ def test_scratch_pieces_are_disjoint_until_reset():
     assert s.buffer.size == 0
 
 
-@pytest.mark.parametrize("perm", [(0, 1, 2, 3), (1, 0, 2, 3), (2, 0, 1, 3), (0, 2, 1, 3)])
-def test_reshaped_copies_exactly_when_reshape_does(perm):
-    """Into the scratch, the same C-ordered copy as ``reshape``'s, and a
-    view wherever ``reshape`` gives one, so layouts and bits agree."""
-    rng = np.random.default_rng(3)
-    x = (rng.standard_normal((4, 4, 3, 2048)) + 1j).transpose(perm)
-    s = _Scratch()
-    for shape in ((16, 3, -1), (4, 12, -1), x.shape[:2] + (-1,), (x.shape[0], -1)):
-        want = x.reshape(shape)
-        s.buffer = np.empty(2 * x.size, dtype=complex)
-        s.need = 0
-        got = te._reshaped(x, shape, s)
-        assert got.shape == want.shape and got.strides == want.strides
-        assert got.tobytes() == want.tobytes()
-        assert np.shares_memory(got, x) == np.shares_memory(want, x)
-        assert np.shares_memory(got, s.buffer) != np.shares_memory(want, x)
-
-
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts")
 def test_warm_chunks_take_no_fresh_pages():
     """A warm theta(6,6,12) run reuses its scratch: without it, each chunk
@@ -214,3 +191,13 @@ def test_warm_chunks_take_no_fresh_pages():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     _theta()
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
+
+
+def test_warm_theta_keeps_only_wigner_builds_and_products():
+    """The scratch holds a chunk's Wigner builds and the products of all
+    plan steps but the last, 4.63 MiB for theta(6,6,12); no reshaped,
+    conjugated or multiply-add copy takes a piece."""
+    te._SCRATCH.reset(cap=0)  # drops what other runs left
+    _theta()
+    _theta()
+    assert te._SCRATCH.buffer.size * np.dtype(complex).itemsize < 5 * 2**20
