@@ -64,9 +64,16 @@ def fresh_bits():
     return bits
 
 
-def test_runs_keep_their_bits_after_other_shapes(fresh_bits):
+@pytest.mark.parametrize("blocks_per_chunk", [None, 1])
+def test_runs_keep_their_bits_after_other_shapes(fresh_bits, monkeypatch, blocks_per_chunk):
     """Every run after every other one, so the scratch holds another
-    shape's pieces, or more than this run needs."""
+    shape's pieces, or more than this run needs; also with chunks of one
+    summing block, so each run resets the scratch many more times on pieces
+    of another chunk length, and still gives the bits of the default chunk."""
+    if blocks_per_chunk is not None:
+        chunk = blocks_per_chunk * te._MC_BLOCK
+        monkeypatch.setattr(te, "MC_CHUNK", chunk)
+        monkeypatch.setattr(ip, "MC_CHUNK", chunk)
     for name in RUNS:
         for other in RUNS:
             RUNS[other]()
