@@ -18,11 +18,12 @@ factored form.  The Monte Carlo path fixes the gauge of the measure: Haar
 measure is invariant too, so a spanning forest of segments avoiding every
 non-invariant vertex is set to the identity (``_gauge_forest``), only the
 other (chord) segments are drawn, and each edge keeps its chord steps,
-freely reduced.  It takes the sample mean of conj(state_a) * state_b over
-chunks of samples carried as Cayley-Klein pairs (``rep_core._pair``), two
-complex arrays, from the draw through the word products to the engine's
-one chunk evaluator.  :func:`evaluate` is the one-sample case of that
-evaluator, with no gauge fixed.
+freely reduced; a vertex is invariant when the su(2) generators annihilate
+its tensor (``rep_core._is_invariant``).  It takes the sample mean of
+conj(state_a) * state_b over chunks of samples carried as Cayley-Klein
+pairs (``rep_core._pair``), two complex arrays, from the draw through the
+word products to the engine's one chunk evaluator.  :func:`evaluate` is
+the one-sample case of that evaluator, with no gauge fixed.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .network_model import (
     InvalidNetworkError, SpinNetwork, _check_shared_registry, _sort_key,
 )
 from .rep_core import (
-    MAX_TWICE_J, GroupElement, _acted, _pair, _pair_product, inverse, multiply, wigner_entries,
+    GroupElement, _has_invariant, _is_invariant, _pair, _pair_product, inverse, multiply,
 )
 from .tensor_engine import (
     MC_CHUNK,
@@ -123,32 +124,6 @@ def _reduced(word) -> tuple:
     return tuple(out)
 
 
-# Two fixed elements generating a dense subgroup of SU(2): a tensor fixed by
-# both is fixed by the whole group, to within the guard's tolerance.
-_GUARD_ELEMENTS = (
-    GroupElement.from_array((0.6, 0.3, -0.5, 0.55), normalize=True),
-    GroupElement.from_array((-0.2, 0.7, 0.4, -0.55), normalize=True),
-)
-
-
-@lru_cache(maxsize=MAX_TWICE_J + 1)
-def _guard_matrices(twice_j: int) -> tuple:
-    """The spin-j matrix of each guard element, read-only."""
-    mats = tuple(wigner_entries(twice_j, g.as_array()) for g in _GUARD_ELEMENTS)
-    for mat in mats:
-        mat.setflags(write=False)
-    return mats
-
-
-def _is_invariant(iv) -> bool:
-    """Whether a vertex tensor is an intertwiner, so that the state may be
-    gauge-transformed at its vertex.  Documents may carry explicit tensors
-    that are not."""
-    tol = 1e-12 * max(1.0, float(np.linalg.norm(iv.components)))
-    return all(np.linalg.norm(_acted(iv, lambda tj: _guard_matrices(tj)[k]) - iv.components)
-               <= tol for k in range(len(_GUARD_ELEMENTS)))
-
-
 # Distinct (bra, ket) pairs whose gauge forests are kept.
 @lru_cache(maxsize=256)
 def _gauge_forest(a: SpinNetwork, b: SpinNetwork) -> frozenset:
@@ -162,7 +137,8 @@ def _gauge_forest(a: SpinNetwork, b: SpinNetwork) -> frozenset:
     cancels, and an invariant vertex tensor absorbs it.  Kruskal takes the
     segments heaviest first, by the summed dimensions of the steps crossing
     them (ties by ``_sort_key``), and never one that ends at a non-invariant
-    vertex of either state; a loop never joins two trees.
+    vertex of either state; a loop never joins two trees.  The vertices are
+    tested by ``rep_core._is_invariant``, which builds no Wigner matrix.
     """
     non_invariant = {v for n in ((a,) if a == b else (a, b))
              for v, iv in n.vertices.items() if not _is_invariant(iv)}
@@ -253,15 +229,11 @@ def structural_zero(a: SpinNetwork, b: SpinNetwork) -> bool:
     """Whether the inner product vanishes identically, before any numerics.
 
     Integrating a segment's variable kills the product unless the spins
-    crossing that segment (from either state) admit an invariant: their
-    doubled sum must be even and no single spin may exceed the sum of the
-    rest.  A segment traversed with nontrivial spin by only one of two
-    disjointly supported networks is the basic case.
+    crossing that segment (from either state) admit an invariant
+    (``rep_core._has_invariant``).  A segment traversed with nontrivial spin
+    by only one of two disjointly supported networks is the basic case.
     """
-    for tjs in _segment_spins(a, b).values():
-        if sum(tjs) % 2 == 1 or 2 * max(tjs) > sum(tjs):
-            return True
-    return False
+    return not all(_has_invariant(tjs) for tjs in _segment_spins(a, b).values())
 
 
 def _paired_network(a: SpinNetwork, b: SpinNetwork) -> FactorNetwork:

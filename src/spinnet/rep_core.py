@@ -13,6 +13,8 @@ the orthonormalized symmetric tensor powers of U, which makes
 multiplicativity and unitarity exact up to rounding; one kernel,
 ``_pair_wigner``, builds them from pairs.  Every Haar draw divides by one
 norm (``_haar_norm``), and epsilon is a signed flip (``_dualized``).
+Invariance is defined once: which spins admit one (``_has_invariant``),
+and which tensors are one, by the su(2) generators (``_is_invariant``).
 Basis index ``k`` of a spin-j axis corresponds to weight m = j - k
 (m descending), and all coupling coefficients use the Condon-Shortley
 phase convention.
@@ -61,6 +63,12 @@ def _sort_key(value) -> str:
     """The one order on user-chosen ids (segments, points, edges) in every
     layer: by string form, so ``int`` and ``str`` ids sort together."""
     return str(value)
+
+
+def _has_invariant(twice_js: Sequence[int]) -> bool:
+    """Whether spins ``twice_js`` admit an invariant: an even sum, and no
+    spin over the sum of the others (for three, the triangle rule)."""
+    return sum(twice_js) % 2 == 0 and 2 * max(twice_js, default=0) <= sum(twice_js)
 
 
 def _check_spin_cap(twice_j: int) -> None:
@@ -319,10 +327,6 @@ def _cg_coefficient(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) ->
     return sign * math.sqrt(float(pre * total * total))
 
 
-def _admissible(tj1: int, tj2: int, tJ: int) -> bool:
-    return (tj1 + tj2 + tJ) % 2 == 0 and abs(tj1 - tj2) <= tJ <= tj1 + tj2
-
-
 @lru_cache(maxsize=None)
 def _cg_tensor(tj1: int, tj2: int, tJ: int) -> np.ndarray:
     d1, d2, dJ = tj1 + 1, tj2 + 1, tJ + 1
@@ -352,7 +356,7 @@ def clebsch_gordan(j1: Spin, j2: Spin, J: Spin) -> np.ndarray:
     """
     for s in (j1, j2, J):
         _check_spin_cap(s.twice_j)
-    if not _admissible(j1.twice_j, j2.twice_j, J.twice_j):
+    if not _has_invariant((j1.twice_j, j2.twice_j, J.twice_j)):
         raise ValueError(f"inadmissible coupling ({j1.twice_j}, {j2.twice_j}, {J.twice_j})/2")
     return _cg_tensor(j1.twice_j, j2.twice_j, J.twice_j).astype(complex)
 
@@ -385,11 +389,10 @@ def invariant_vectors(twice_js: Sequence[int]) -> list[np.ndarray]:
         _check_spin_cap(t)
     if len(tjs) == 0:
         return [np.ones((), dtype=complex)]
-    if sum(tjs) % 2:
+    if not _has_invariant(tjs):
         return []
-    # Spins couple to zero only when the largest is at most the sum of the
-    # others.  An intermediate spin that breaks this with the legs still to
-    # come (rest[k]: their total after leg k, big[k]: their largest) can
+    # An intermediate spin that breaks ``_has_invariant`` with the legs still
+    # to come (rest[k]: their total after leg k, big[k]: their largest) can
     # never close, so its branch is skipped: every kept branch ends in a
     # vector, and no partial array is larger than one vector.
     rest = [sum(tjs[k + 1:]) for k in range(len(tjs))]
@@ -516,15 +519,29 @@ def transform_intertwiner(iv: Intertwiner, g: GroupElement) -> np.ndarray:
     with D(g)^{-1} on the left, which is conj(D(g)) on the right; an
     intertwiner is a fixed point of this action for every g.
     """
-    return _acted(iv, lambda twice_j: wigner_entries(twice_j, g.as_array()))
-
-
-def _acted(iv: Intertwiner, matrix) -> np.ndarray:
-    """``transform_intertwiner`` for the element whose spin-j matrix is
-    ``matrix(twice_j)``."""
     comp = iv.components
     for axis, (s, d) in enumerate(iv.leg_spins):
-        dmat = matrix(s.twice_j)
+        dmat = wigner_entries(s.twice_j, g.as_array())
         moved = np.moveaxis(comp, axis, -1)
         comp = np.moveaxis(moved @ (dmat.conj() if d == "in" else dmat), -1, axis)
     return comp
+
+
+def _is_invariant(iv: Intertwiner) -> bool:
+    """Whether ``transform_intertwiner`` fixes ``iv`` for every g, tested
+    exactly: SU(2) is connected and the generators about z and y span
+    su(2), so whether both annihilate it.  On a spin-j axis (n = twice_j,
+    index k) z acts by the weight n - 2k, negated on an "in" leg, and y on
+    the right by the real antisymmetric Y[k-1, k] = sqrt(k (n - k + 1)) =
+    -Y[k, k-1] on either leg.  Both sums over legs must have norm at most
+    1e-12 * max(1, |components|).  No Wigner matrix is built."""
+    comp = iv.components
+    z_sum, y_sum = np.zeros_like(comp), np.zeros_like(comp)
+    for axis, (s, d) in enumerate(iv.leg_spins):
+        n, k = s.twice_j, np.arange(s.twice_j + 1)
+        root = np.sqrt(k[1:] * (n - k[1:] + 1.0))
+        moved = np.moveaxis(comp, axis, -1)
+        z_sum += np.moveaxis(moved * ((n - 2 * k) if d == "out" else (2 * k - n)), -1, axis)
+        y_sum += np.moveaxis(moved @ (np.diag(root, 1) - np.diag(root, -1)), -1, axis)
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(comp)))
+    return bool(np.linalg.norm(z_sum) <= tol and np.linalg.norm(y_sum) <= tol)

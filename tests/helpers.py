@@ -7,8 +7,9 @@ product space, and exact inner products over the common refinement
 rather than each state's own edges.  Document text has the
 element-by-element renderer, and the Wigner build, the Haar sampler, the
 word holonomy, the intertwiner basis and the web transfer their earlier
-straightforward forms, as references for bit-identical or nearly identical output, and the
-curve CSV its ``csv.writer`` form.
+straightforward forms, as references for bit-identical or nearly identical
+output, and the curve CSV its ``csv.writer`` form.  Invariance is checked by
+the group action at two fixed elements.
 """
 
 import csv
@@ -28,6 +29,7 @@ from spinnet import (
     decompose,
     intertwiner_basis,
     invariant_vectors,
+    transform_intertwiner,
     wigner_matrix,
     wigner_entries,
     epsilon,
@@ -451,6 +453,22 @@ def reference_wigner_entries(twice_j, quats):
             acc = acc + coeff * (pa[ea] * pb[eb] * pc[ec] * pd[ed])
         out[kp, k] = acc
     return out.transpose(*range(2, out.ndim), 0, 1)
+
+
+# Two fixed elements generating a dense subgroup of SU(2): a tensor fixed by
+# both is fixed by the whole group.  The reference for the generator test.
+GUARD_ELEMENTS = (
+    GroupElement.from_array((0.6, 0.3, -0.5, 0.55), normalize=True),
+    GroupElement.from_array((-0.2, 0.7, 0.4, -0.55), normalize=True),
+)
+
+
+def fixed_by_guard_elements(iv):
+    """Whether ``transform_intertwiner`` at both guard elements moves the
+    components by at most 1e-12 * max(1, |components|)."""
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(iv.components)))
+    return all(np.linalg.norm(transform_intertwiner(iv, g) - iv.components) <= tol
+               for g in GUARD_ELEMENTS)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,5 +1,8 @@
 """Evaluation against holonomies and inner products under the uniform measure."""
 
+import itertools
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,6 +19,7 @@ from spinnet import (
     inverse,
     wigner_matrix,
     transform_intertwiner,
+    intertwiner_basis,
     HolonomyAssignment,
     evaluate,
     structural_zero,
@@ -27,6 +31,7 @@ from spinnet import (
     canonicalize,
 )
 import spinnet.inner_product as ip
+import spinnet.rep_core as rep_core
 import spinnet.network_model as nm
 import spinnet.tensor_engine as te
 from spinnet.inner_product import _paired_network, _word_holonomy, edge_holonomy
@@ -48,6 +53,7 @@ from helpers import (
     brute_mc_inner_product,
     wordy_network,
     random_intertwiner,
+    fixed_by_guard_elements,
     _slot_legs,
     MOTIF_NAMES,
 )
@@ -141,12 +147,73 @@ def test_evaluate_keeps_non_invariant_vertices_ungauged(rng):
                 npt.assert_allclose(evaluate(m, h), naive_evaluate(m, h), atol=1e-12)
 
 
+# Leg signatures (twice_j, direction) for the invariance test: bivalent
+# same-direction (epsilon) and mixed, valence up to 5, twice_j up to 12.
+_SIGNATURES = (
+    ((1, "out"), (1, "out")),
+    ((12, "in"), (12, "in")),
+    ((12, "out"), (12, "in")),
+    ((6, "out"), (6, "out"), (12, "in")),
+    ((12, "out"), (12, "out"), (12, "out")),
+    ((3, "out"), (5, "in"), (4, "out"), (2, "in")),
+    ((12, "in"), (6, "out"), (6, "out"), (12, "out")),
+    ((1, "out"), (2, "in"), (3, "out"), (2, "in"), (2, "out")),
+    ((4, "in"), (4, "out"), (4, "in"), (4, "out"), (4, "in")),
+    ((12, "out"), (2, "out"), (4, "in"), (6, "in"), (2, "out")),
+)
+
+
 def test_guard_accepts_intertwiners_only(rng):
-    n = wordy_network(rng)
-    for iv in n.vertices.values():
+    """The generator test accepts random combinations of basis vectors, also
+    scaled by 1e6, and rejects them plus noise of norm 1e-9 |c|, and random
+    tensors; the group action at the two guard elements of ``helpers``
+    agrees on each.  Every vertex of the wordy network is accepted."""
+    for signature in _SIGNATURES:
+        legs = tuple((Spin(tj), d) for tj, d in signature)
+        basis = intertwiner_basis(legs)
+        shape = tuple(tj + 1 for tj, _ in signature)
+        assert basis, signature
+
+        def noise():
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        for _ in range(2):
+            c = sum(complex(*rng.standard_normal(2)) * b.components for b in basis)
+            off = noise()
+            off *= 1e-9 * np.linalg.norm(c) / np.linalg.norm(off)
+            for comps, invariant in ((c, True), (1e6 * c, True), (c + off, False),
+                                     (noise(), False)):
+                iv = Intertwiner(legs, comps)
+                assert ip._is_invariant(iv) is invariant, signature
+                assert fixed_by_guard_elements(iv) is invariant, signature
+    for iv in wordy_network(rng).vertices.values():
         assert ip._is_invariant(iv)
         assert ip._is_invariant(Intertwiner(iv.leg_spins, 1e6 * iv.components))
         assert not ip._is_invariant(Intertwiner(iv.leg_spins, iv.components + 1e-9))
+
+
+def test_classifying_vertices_builds_no_wigner_matrix_or_basis(monkeypatch):
+    """The forest's invariance test builds nothing: with every cache of
+    ``inner_product`` cleared, classifying the invariant vertices of theta
+    (6,6,12) and the explicit 11-leg spin-1 vertex of the oversized-state
+    test builds no Wigner matrix and does not touch the basis cache."""
+    builds = []
+    real = rep_core._pair_wigner
+
+    def counting(twice_j, *args, **kwargs):
+        builds.append(twice_j)
+        return real(twice_j, *args, **kwargs)
+
+    theta, big = theta_network((6, 6, 12)), _spin_one_bundle()
+    monkeypatch.setattr(rep_core, "_pair_wigner", counting)
+    for n, tree in ((theta, {"u3"}), (big, frozenset())):
+        for cached in vars(ip).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+        before = rep_core._invariant_basis.cache_info()
+        assert ip._gauge_forest(n, n) == tree
+        assert rep_core._invariant_basis.cache_info() == before
+    assert builds == []
 
 
 def _chord_words(n, tree):
@@ -373,6 +440,19 @@ def test_structural_zero_negative_cases():
 def test_theta_norm_frozen_value():
     th = theta_network((1, 1, 2))
     npt.assert_allclose(exact_inner_product(th, th), 1.0 / 12.0, atol=1e-12)
+
+
+def test_theta_norms_meet_the_closed_form():
+    """Schur orthogonality: with the normalized intertwiner at both vertices,
+    <theta, theta> = 1/(d1 d2 d3), for each of the 127 admissible sorted
+    triples with twice_j 1-12."""
+    triples = [t for t in itertools.combinations_with_replacement(range(1, 13), 3)
+               if sum(t) % 2 == 0 and t[2] <= t[0] + t[1]]
+    assert len(triples) == 127
+    for tjs in triples:
+        th = theta_network(tjs)
+        want = 1.0 / math.prod(tj + 1 for tj in tjs)
+        assert abs(exact_inner_product(th, th) - want) <= 1e-14 * want, tjs
 
 
 @pytest.mark.parametrize("tj", [1, 2, 3, 4])
@@ -800,9 +880,10 @@ def test_mc_web_builds_one_wigner_matrix_per_word_and_spin(monkeypatch):
     assert len(built) == 2 * len(distinct)
 
 
-def test_mc_oversized_state_fails_before_sampling(monkeypatch):
-    """Two vertices joined by k spin-1 edges: each step leaves a 3^j tensor
-    per sample, and a full chunk of the largest is over the budget."""
+def _spin_one_bundle():
+    """Two vertices joined by the fewest k spin-1 edges with a full chunk of
+    3^(k-1) tensors over the budget, with one random explicit tensor, not
+    an intertwiner, at both."""
     k = 1
     while MC_CHUNK * 3 ** (k - 1) <= te._MAX_ELEMENTS:
         k += 1
@@ -814,7 +895,13 @@ def test_mc_oversized_state_fails_before_sampling(monkeypatch):
     comps = np.random.default_rng(5).standard_normal((3,) * k)
     verts = {"X": Intertwiner(((one, "out"),) * k, comps),
              "Y": Intertwiner(((one, "in"),) * k, comps)}
-    big = network(reg, edges, verts)
+    return network(reg, edges, verts)
+
+
+def test_mc_oversized_state_fails_before_sampling(monkeypatch):
+    """Two vertices joined by k spin-1 edges: each step leaves a 3^j tensor
+    per sample, and a full chunk of the largest is over the budget."""
+    big = _spin_one_bundle()
     mc_inner_product(big, big, 2, seed=0)
 
     def no_draws(*args, **kwargs):

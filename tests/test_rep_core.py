@@ -23,8 +23,8 @@ from spinnet import (
     transform_intertwiner,
     Intertwiner,
 )
-from spinnet.rep_core import (_MAX_ELEMENTS, _cg_tensor, _haar_pairs, _pair, _pair_wigner,
-                              haar_quaternions)
+from spinnet.rep_core import (MAX_TWICE_J, _MAX_ELEMENTS, _cg_tensor, _haar_pairs,
+                              _has_invariant, _pair, _pair_wigner, haar_quaternions)
 from helpers import (character, haar_element, reference_haar_quaternions,
                      reference_intertwiner_basis, reference_wigner_entries)
 
@@ -235,6 +235,24 @@ def test_clebsch_gordan_inadmissible():
         clebsch_gordan(Spin(1), Spin(1), Spin(1))  # parity
     with pytest.raises(ValueError):
         clebsch_gordan(Spin(1), Spin(2), Spin(5))  # triangle
+
+
+def test_has_invariant_is_the_one_spin_rule():
+    """One rule says which spins admit an invariant: ``invariant_vectors``
+    finds one exactly then (valence 1-4, twice_j up to 4), and
+    ``clebsch_gordan`` refuses exactly the triples, up to the spin cap, that
+    fail parity or the triangle inequality."""
+    for valence in range(1, 5):
+        for tjs in itertools.product(range(5), repeat=valence):
+            assert _has_invariant(tjs) == bool(invariant_vectors(tjs)), tjs
+    for tj1, tj2, tJ in itertools.product(range(MAX_TWICE_J + 1), repeat=3):
+        admissible = (tj1 + tj2 + tJ) % 2 == 0 and abs(tj1 - tj2) <= tJ <= tj1 + tj2
+        assert _has_invariant((tj1, tj2, tJ)) == admissible
+        if admissible:
+            clebsch_gordan(Spin(tj1), Spin(tj2), Spin(tJ))
+        else:
+            with pytest.raises(ValueError, match="inadmissible"):
+                clebsch_gordan(Spin(tj1), Spin(tj2), Spin(tJ))
 
 
 # ---------------------------------------------------------------------------
