@@ -49,7 +49,6 @@ __all__ = [
     "network_from_document",
     "network_to_document",
     "holonomies_from_document",
-    "holonomies_to_document",
     "read_network",
     "read_holonomies",
     "dumps_document",
@@ -262,11 +261,6 @@ def holonomies_from_document(doc) -> HolonomyAssignment:
             raise DocumentError(loc, f"quaternion norm {norm!r} is not 1 within 1e-6")
         out[sid] = GroupElement.from_array(quat, normalize=True)
     return HolonomyAssignment(out)
-
-
-def holonomies_to_document(h: HolonomyAssignment) -> dict:
-    return {str(sid): [g.w, g.x, g.y, g.z] for sid, g in sorted(
-        h.elements.items(), key=lambda kv: _sort_key(kv[0]))}
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .network_model import (
     InvalidNetworkError, SpinNetwork, _check_shared_registry, _sort_key,
 )
 from .rep_core import (
-    GroupElement, _has_invariant, _is_invariant, _pair, _pair_product, inverse, multiply,
+    GroupElement, _has_invariant, _is_invariant, _pair, _pair_product,
 )
 from .tensor_engine import (
     MC_CHUNK,
@@ -77,17 +77,6 @@ def _coerce_holonomies(h) -> HolonomyAssignment:
     if isinstance(h, HolonomyAssignment):
         return h
     return HolonomyAssignment(h)
-
-
-def edge_holonomy(h: HolonomyAssignment, word) -> GroupElement:
-    """Ordered product of segment holonomies along a word, rightmost first."""
-    total = GroupElement.identity()
-    for segment, rev in word:
-        g = h[segment]
-        if rev:
-            g = inverse(g)
-        total = multiply(g, total)
-    return total
 
 
 def evaluate(n: SpinNetwork, h) -> complex:
@@ -175,10 +164,10 @@ def _prepared_state(n: SpinNetwork, tree: frozenset, batch: int) -> tuple:
 
 
 def _word_holonomy(pairs: Mapping, word) -> tuple:
-    """Batched ``edge_holonomy``: the Cayley-Klein pair (a, b) of a word's
-    holonomy, two (m,) arrays, from one such pair per segment.  The steps
-    are multiplied rightmost first, a reversed step as its inverse
-    (conj(a), -b); a word of one unreversed step is its segment's pair."""
+    """The Cayley-Klein pair (a, b) of a word's holonomy, two (m,) arrays,
+    from one such pair per segment.  The steps are multiplied rightmost
+    first, a reversed step as its inverse (conj(a), -b); a word of one
+    unreversed step is its segment's pair."""
     total = None
     for segment, rev in word:
         a, b = pairs[segment]

@@ -11,8 +11,9 @@ The sampled paths carry each element as its Cayley-Klein pair (a, b)
 (``_pair``), and a batch as two complex arrays.  Higher-spin matrices are
 the orthonormalized symmetric tensor powers of U, which makes
 multiplicativity and unitarity exact up to rounding; one kernel,
-``_pair_wigner``, builds them from pairs.  Every Haar draw divides by one
-norm (``_haar_norm``), and epsilon is a signed flip (``_dualized``).
+``_pair_wigner``, builds them from pairs.  Haar elements are drawn as
+batches of pairs (``_haar_pairs``), and epsilon is a signed flip
+(``_dualized``).
 Invariance is defined once: which spins admit one (``_has_invariant``),
 and which tensors are one, by the su(2) generators (``_is_invariant``).
 Basis index ``k`` of a spin-j axis corresponds to weight m = j - k
@@ -35,23 +36,17 @@ __all__ = [
     "MAX_TWICE_J",
     "Spin",
     "GroupElement",
-    "WignerMatrix",
     "Intertwiner",
-    "multiply",
-    "inverse",
-    "haar_sample",
-    "haar_quaternions",
-    "wigner_matrix",
     "wigner_entries",
     "clebsch_gordan",
     "epsilon",
     "invariant_vectors",
     "intertwiner_basis",
-    "transform_intertwiner",
 ]
 
-# Largest twice_j accepted by the representation builders.  Kept as a
-# module-level knob; everything downstream stays desk-scale under it.
+# Largest twice_j accepted by the representation builders, a fixed cap.  It
+# bounds the unbounded caches keyed by spins: ``_wigner_terms`` holds at most
+# MAX_TWICE_J + 1 keys and ``_cg_tensor`` at most (MAX_TWICE_J + 1) ** 3.
 MAX_TWICE_J = 12
 
 # Largest array, in complex elements, the package builds from one input:
@@ -152,58 +147,26 @@ def _pair_product(g, h) -> tuple:
     return a1 * a2 - b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate()
 
 
-def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Group product, with the convention matrix(a*b) = matrix(a) @ matrix(b)."""
-    pa, pb = _pair_product(_pair((a.w, a.x, a.y, a.z)), _pair((b.w, b.x, b.y, b.z)))
-    return GroupElement.from_array((pa.real, pb.imag, pb.real, pa.imag), normalize=True)
-
-
-def inverse(a: GroupElement) -> GroupElement:
-    return GroupElement(a.w, -a.x, -a.y, -a.z)
-
-
-def haar_sample(rng: np.random.Generator) -> GroupElement:
-    """One Haar-uniform element: the draw of ``haar_quaternions(rng, ())``."""
-    return GroupElement.from_array(haar_quaternions(rng, ()))
-
-
-def _haar_norm(q: np.ndarray) -> np.ndarray:
-    """Norm of Gaussian quaternions stored components first, shape (4, ...),
-    summed ((s0 + s1) + s2) + s3: np.linalg.norm's order, so the quotients
-    are those of dividing by it.  Every Haar draw divides by it."""
-    s = q * q
-    return np.sqrt(s[0] + s[1] + s[2] + s[3])
-
-
-def haar_quaternions(rng: np.random.Generator, shape) -> np.ndarray:
-    """Batch of Haar-uniform unit quaternions, shape ``shape + (4,)``."""
-    q = rng.standard_normal(tuple(shape) + (4,))
-    q /= _haar_norm(np.moveaxis(q, -1, 0))[..., None]
-    return q
-
-
 def _haar_pairs(rng: np.random.Generator, m: int, n_vars: int) -> tuple:
-    """The draw of ``haar_quaternions(rng, (m, n_vars))`` as Cayley-Klein
+    """``m`` Haar-uniform draws of ``n_vars`` elements each, as Cayley-Klein
     pairs (A, B), two complex arrays of shape (n_vars, m).
 
-    The same normals are normalized component by component on one
-    contiguous (4, n_vars, m) copy, in the same order of operations, so the
-    real and imaginary parts of A and B are the quaternions' w, z, y and x
-    bit for bit; each variable's samples are one contiguous row.
+    The draw is that of dividing ``rng.standard_normal((m, n_vars, 4))`` by
+    its norm over the last axis, bit for bit.  The normals are normalized
+    component by component on one contiguous (4, n_vars, m) copy, so each
+    variable's samples are one contiguous row, and the real and imaginary
+    parts of A and B are the quaternions' w, z, y and x.
     """
     q = rng.standard_normal((m, n_vars, 4)).transpose(2, 1, 0).copy()
-    norm = _haar_norm(q)
+    # Summed ((s0 + s1) + s2) + s3: np.linalg.norm's order, so the quotients
+    # are those of dividing by it.
+    s = q * q
+    norm = np.sqrt(s[0] + s[1] + s[2] + s[3])
     pairs = np.empty((2, n_vars, m), dtype=complex)
     for k, part in ((0, pairs[0].real), (3, pairs[0].imag),
                     (2, pairs[1].real), (1, pairs[1].imag)):
         np.divide(q[k], norm, out=part)
     return pairs[0], pairs[1]
-
-
-@dataclass(frozen=True)
-class WignerMatrix:
-    spin: Spin
-    entries: np.ndarray = field(repr=False)
 
 
 @lru_cache(maxsize=None)
@@ -283,11 +246,6 @@ def wigner_entries(twice_j: int, quats: np.ndarray) -> np.ndarray:
     quats = np.asarray(quats, dtype=float)
     out = _pair_wigner(twice_j, *_pair(np.moveaxis(quats, -1, 0)))
     return np.moveaxis(out, (0, 1), (-2, -1))
-
-
-def wigner_matrix(spin: Spin, g: GroupElement) -> WignerMatrix:
-    """The spin-j representation matrix of g."""
-    return WignerMatrix(spin, wigner_entries(spin.twice_j, g.as_array()))
 
 
 def _cg_coefficient(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
@@ -512,23 +470,9 @@ def intertwiner_basis(legs: Sequence[tuple[Spin, str]]) -> list[Intertwiner]:
     return [Intertwiner(legs, row.copy()) for row in stack]
 
 
-def transform_intertwiner(iv: Intertwiner, g: GroupElement) -> np.ndarray:
-    """Group action on an intertwiner's components.
-
-    Out-legs are contracted with D(g) on the right of the axis, in-legs
-    with D(g)^{-1} on the left, which is conj(D(g)) on the right; an
-    intertwiner is a fixed point of this action for every g.
-    """
-    comp = iv.components
-    for axis, (s, d) in enumerate(iv.leg_spins):
-        dmat = wigner_entries(s.twice_j, g.as_array())
-        moved = np.moveaxis(comp, axis, -1)
-        comp = np.moveaxis(moved @ (dmat.conj() if d == "in" else dmat), -1, axis)
-    return comp
-
-
 def _is_invariant(iv: Intertwiner) -> bool:
-    """Whether ``transform_intertwiner`` fixes ``iv`` for every g, tested
+    """Whether the group action fixes ``iv`` for every g, D(g) on the right
+    of each "out" axis and conj(D(g)) on the right of each "in" axis, tested
     exactly: SU(2) is connected and the generators about z and y span
     su(2), so whether both annihilate it.  On a spin-j axis (n = twice_j,
     index k) z acts by the weight n - 2k, negated on an "in" leg, and y on

@@ -8,8 +8,9 @@ rather than each state's own edges.  Document text has the
 element-by-element renderer, and the Wigner build, the Haar sampler, the
 word holonomy, the intertwiner basis and the web transfer their earlier
 straightforward forms, as references for bit-identical or nearly identical
-output, and the curve CSV its ``csv.writer`` form.  Invariance is checked by
-the group action at two fixed elements.
+output, and the curve CSV its ``csv.writer`` form.  Group elements multiply
+by the quaternion product, and invariance is checked by the group action at
+two fixed elements.
 """
 
 import csv
@@ -29,15 +30,12 @@ from spinnet import (
     decompose,
     intertwiner_basis,
     invariant_vectors,
-    transform_intertwiner,
-    wigner_matrix,
     wigner_entries,
     epsilon,
     common_refinement,
 )
 from spinnet.rep_core import _wigner_terms
 from spinnet.blipweb import _boundary_weights, _column_basis
-from spinnet.inner_product import edge_holonomy
 from spinnet.tensor_engine import (
     GroupFactor, LabeledTensor, Leg, _projector_sides, contract, haar_factored,
 )
@@ -279,8 +277,8 @@ def naive_evaluate(net, holonomies):
     intertwiner components; exponential cost, tiny networks only."""
     mats = {}
     for e in net.edges:
-        g = edge_holonomy(holonomies, e.word)
-        mats[e.id] = wigner_matrix(e.spin, g).entries
+        quats = {s: holonomies[s].as_array()[None] for s, _ in e.word}
+        mats[e.id] = wigner_entries(e.spin.twice_j, quaternion_word_holonomy(quats, e.word))[0]
     slot_index = {}
     for e in net.edges:
         slot_index.setdefault(e.source, []).append((e.id, "out"))
@@ -455,6 +453,21 @@ def reference_wigner_entries(twice_j, quats):
     return out.transpose(*range(2, out.ndim), 0, 1)
 
 
+def transform_intertwiner(iv, g):
+    """Group action on an intertwiner's components.
+
+    Out-legs are contracted with D(g) on the right of the axis, in-legs
+    with D(g)^{-1} on the left, which is conj(D(g)) on the right; an
+    intertwiner is a fixed point of this action for every g.
+    """
+    comp = iv.components
+    for axis, (s, d) in enumerate(iv.leg_spins):
+        dmat = wigner_entries(s.twice_j, g.as_array())
+        moved = np.moveaxis(comp, axis, -1)
+        comp = np.moveaxis(moved @ (dmat.conj() if d == "in" else dmat), -1, axis)
+    return comp
+
+
 # Two fixed elements generating a dense subgroup of SU(2): a tensor fixed by
 # both is fixed by the whole group.  The reference for the generator test.
 GUARD_ELEMENTS = (
@@ -514,6 +527,15 @@ def quat_product(a, b):
         aw * by + bw * ay - (az * bx - ax * bz),
         aw * bz + bw * az - (ax * by - ay * bx),
     )
+
+
+def multiply(a, b):
+    """Group product of two elements by ``quat_product``, renormalized."""
+    return GroupElement.from_array(quat_product(a.as_array(), b.as_array()), normalize=True)
+
+
+def inverse(a):
+    return GroupElement(a.w, -a.x, -a.y, -a.z)
 
 
 def quaternion_word_holonomy(quats, word):

@@ -30,7 +30,7 @@ from spinnet import (
     mc_inner_product,
     structural_zero,
     transport,
-    wigner_matrix,
+    wigner_entries,
 )
 from spinnet.blipweb import (
     build_phi,
@@ -131,7 +131,7 @@ def test_criterion_02_haar_projector_suite():
             g = haar_element(rng)
             rep = np.eye(1)
             for tj in tjs:
-                rep = np.kron(rep, wigner_matrix(Spin(tj), g).entries)
+                rep = np.kron(rep, wigner_entries(tj, g.as_array()))
             assert np.allclose(rep @ mat, mat, atol=1e-9), tjs
         trace = np.trace(mat)
         rank = int(round(trace.real))

@@ -1,6 +1,9 @@
 """Correspondence enumeration, state transport, and the group-averaged
 inner product obtained by summing once over each correspondence class."""
 
+import itertools
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,19 +16,21 @@ from spinnet import (
     SegmentRegistry,
     decompose,
     canonicalize,
-    inverse,
     evaluate,
     exact_inner_product,
     enumerate_correspondences,
     transport,
     averaged_inner_product,
     averaged_gram,
+    intertwiner_basis,
+    network,
 )
 from helpers import (
     loop_network,
     theta_network,
     figure8_network,
     dumbbell_registry,
+    inverse,
     brute_correspondences,
     brute_correspondence_count,
     cycle_network,
@@ -495,3 +500,57 @@ def test_gram_psd_on_random_family(rng):
     gm = averaged_gram([[(1.0, n)] for n in nets])
     npt.assert_allclose(gm, gm.conj().T, atol=1e-10)
     assert np.linalg.eigvalsh(gm).min() >= -1e-9
+
+
+def _labellings(template):
+    """Every network on ``template``'s edges whose vertices carry one element
+    each of their orthonormal intertwiner basis: an orthonormal basis, up to
+    the factor prod_e 1/d_e, of the states with these spins."""
+    bases = {v: intertwiner_basis(iv.leg_spins) for v, iv in template.vertices.items()}
+    return [network(template.graph.registry, list(template.edges), dict(zip(bases, choice)))
+            for choice in itertools.product(*bases.values())]
+
+
+def _spin_keeping_classes(n):
+    """The correspondence classes of ``n``'s graph onto itself, and those
+    among them that carry every piece onto a piece of equal spin."""
+    prepared = diffeo_average._prepare(n)
+    spins = [e.spin.twice_j for e in prepared.piece_edges]
+    n_int = len(prepared.pieces.intervals)
+    classes = enumerate_correspondences(prepared.pieces, prepared.pieces)
+    kept = [c for c in classes
+            if all(spins[k] == spins[j] for k, (j, _) in
+                   enumerate(list(c.interval_map) + [(n_int + j, f) for j, f in c.circle_map]))]
+    return classes, kept
+
+
+@pytest.mark.parametrize("template, n_labellings, n_kept, n_classes", [
+    (theta_network((1, 1, 2)), 1, 4, 12),
+    (theta_network((2, 2, 2)), 1, 12, 12),
+    (figure8_network(1, 1), 2, 8, 8),
+    (figure8_network(2, 2), 3, 8, 8),
+    (figure8_network(1, 3), 2, 4, 8),
+    (cycle_network(np.random.default_rng(0), 3), 8, 48, 48),
+], ids=["theta112", "theta222", "figure8_11", "figure8_22", "figure8_13", "cycle3_loops"])
+def test_averaged_gram_over_a_labelling_basis_is_a_projector(
+        template, n_labellings, n_kept, n_classes):
+    """On the orthonormal labellings of one graph with fixed spins, the
+    averaged Gram times prod_e d_e is P = sum over H of the transport
+    matrices, where H is the group of classes that keep every piece's spin.
+    So P / |H| is a Hermitian idempotent, the projector onto the invariant
+    states, and tr P is the summed diagonal overlaps of the transported
+    labellings.  Dividing by the count of all classes instead fails when H
+    is smaller."""
+    states = _labellings(template)
+    classes, kept = _spin_keeping_classes(states[0])
+    assert (len(states), len(kept), len(classes)) == (n_labellings, n_kept, n_classes)
+    dims = math.prod(e.spin.dim for e in template.edges)
+    p = dims * averaged_gram([[(1.0, s)] for s in states])
+    proj = p / len(kept)
+    npt.assert_allclose(proj, proj.conj().T, rtol=0, atol=1e-12)
+    npt.assert_allclose(proj @ proj, proj, rtol=0, atol=1e-12)
+    trace = sum(dims * exact_inner_product(s, transport(s, c)) for c in kept for s in states)
+    npt.assert_allclose(np.trace(p), trace, rtol=0, atol=1e-12)
+    if len(kept) < len(classes):
+        wrong = p / len(classes)
+        assert np.abs(wrong @ wrong - wrong).max() > 0.1

@@ -20,7 +20,6 @@ from spinnet import (
     network_from_document,
     network_to_document,
     holonomies_from_document,
-    holonomies_to_document,
     read_network,
     read_holonomies,
     dumps_document,
@@ -308,14 +307,16 @@ def test_error_invalid_json(tmp_path):
 # ---------------------------------------------------------------------------
 # holonomies
 
-def test_holonomies_round_trip():
-    h = holonomies_from_document({"s1": [1.0, 0.0, 0.0, 0.0],
-                                  "s2": [0.5, 0.5, 0.5, 0.5]})
-    assert h["s1"].w == 1.0
-    doc = holonomies_to_document(h)
-    again = holonomies_from_document(doc)
-    for sid in ("s1", "s2"):
-        npt.assert_allclose(again[sid].as_array(), h[sid].as_array(), atol=0.0)
+def test_holonomies_round_trip(tmp_path):
+    """A literal document of exactly unit quaternions reads back as those
+    components, from an object and from a file."""
+    doc = {"s1": [1.0, 0.0, 0.0, 0.0], "s2": [0.5, 0.5, 0.5, 0.5]}
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(doc))
+    for h in (holonomies_from_document(doc), read_holonomies(path)):
+        assert h["s1"].w == 1.0
+        for sid, quat in doc.items():
+            npt.assert_allclose(h[sid].as_array(), quat, atol=0.0)
 
 
 def test_holonomies_tolerant_renormalization():

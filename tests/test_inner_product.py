@@ -9,16 +9,11 @@ import pytest
 
 from spinnet import (
     Spin,
-    GroupElement,
     Intertwiner,
     InvalidNetworkError,
     SegmentRegistry,
     Edge,
     network,
-    multiply,
-    inverse,
-    wigner_matrix,
-    transform_intertwiner,
     intertwiner_basis,
     HolonomyAssignment,
     evaluate,
@@ -34,15 +29,17 @@ import spinnet.inner_product as ip
 import spinnet.rep_core as rep_core
 import spinnet.network_model as nm
 import spinnet.tensor_engine as te
-from spinnet.inner_product import _paired_network, _word_holonomy, edge_holonomy
-from spinnet.rep_core import _pair, _pair_product
+from spinnet.inner_product import _paired_network, _word_holonomy
+from spinnet.rep_core import _pair, _pair_product, wigner_entries
 from spinnet.tensor_engine import MC_CHUNK, mc_expectation
 from helpers import (
     character,
     haar_element,
+    inverse,
     loop_network,
     theta_network,
     figure8_network,
+    multiply,
     naive_evaluate,
     quat_product,
     quaternion_word_holonomy,
@@ -54,6 +51,7 @@ from helpers import (
     wordy_network,
     random_intertwiner,
     fixed_by_guard_elements,
+    transform_intertwiner,
     _slot_legs,
     MOTIF_NAMES,
 )
@@ -68,17 +66,24 @@ def rng():
 # ---------------------------------------------------------------------------
 # holonomy composition
 
+def _one_pair(g):
+    return _pair(g.as_array()[:, None])
+
+
 def test_edge_holonomy_orders_rightmost_first(rng):
+    """A word's holonomy multiplies its steps rightmost first."""
     g1, g2 = haar_element(rng), haar_element(rng)
-    h = {"s1": g1, "s2": g2}
-    total = edge_holonomy(h, (("s1", False), ("s2", False)))
-    npt.assert_allclose(total.as_array(), multiply(g2, g1).as_array(), atol=1e-12)
+    total = _word_holonomy({"s1": _one_pair(g1), "s2": _one_pair(g2)},
+                           (("s1", False), ("s2", False)))
+    want = _pair(quat_product(g2.as_array(), g1.as_array()))
+    npt.assert_allclose(np.ravel(total), want, atol=1e-12)
 
 
 def test_edge_holonomy_reversal(rng):
+    """A reversed step contributes its segment's inverse."""
     g = haar_element(rng)
-    back = edge_holonomy({"s": g}, (("s", True),))
-    npt.assert_allclose(back.as_array(), inverse(g).as_array(), atol=1e-12)
+    back = _word_holonomy({"s": _one_pair(g)}, (("s", True),))
+    npt.assert_allclose(np.ravel(back), _pair(inverse(g).as_array()), atol=1e-12)
 
 
 def test_holonomy_assignment_validation(rng):
@@ -285,10 +290,11 @@ def test_evaluate_multistep_reversed_word(rng):
     for _ in range(5):
         h = random_holonomies(rng, n)
         npt.assert_allclose(evaluate(n, h), naive_evaluate(n, h), atol=1e-12)
-        word_h = edge_holonomy(h, n.edges[0].word)
+        quats = {s: h[s].as_array()[None] for s in n.graph.segments}
+        word_h = quaternion_word_holonomy(quats, n.edges[0].word)
         npt.assert_allclose(
             evaluate(n, h),
-            np.trace(wigner_matrix(one, word_h).entries) / np.sqrt(1),
+            np.trace(wigner_entries(one.twice_j, word_h)[0]) / np.sqrt(1),
             atol=1e-10,
         )
 
@@ -803,7 +809,8 @@ def test_mc_forest_avoids_non_invariant_vertices():
 
 def test_word_holonomy_batches_edge_holonomy(rng):
     """The batched pair holonomy of every word of the wordy network, and of
-    its inverse, matches the quaternion fold and the per-element product."""
+    its inverse, matches the quaternion fold, on the batch and on each
+    element alone."""
     n = wordy_network(rng)
     holonomies = [random_holonomies(rng, n) for _ in range(4)]
     quats = {s: np.stack([h[s].as_array() for h in holonomies]) for s in n.graph.segments}
@@ -815,17 +822,18 @@ def test_word_holonomy_batches_edge_holonomy(rng):
             want_a, want_b = _pair(quaternion_word_holonomy(quats, word).T)
             npt.assert_allclose(a, want_a, rtol=0, atol=1e-15)
             npt.assert_allclose(b, want_b, rtol=0, atol=1e-15)
-            for k, h in enumerate(holonomies):
-                a_k, b_k = _pair(edge_holonomy(h, word).as_array())
+            for k in range(len(holonomies)):
+                one = {s: q[k:k + 1] for s, q in quats.items()}
+                a_k, b_k = _pair(quaternion_word_holonomy(one, word)[0])
                 npt.assert_allclose([a[k], b[k]], [a_k, b_k], rtol=0, atol=1e-15)
 
 
 def test_quaternion_product_is_one_formula(rng):
-    """``multiply`` and the batched holonomy share one product, on pairs.
+    """The package multiplies group elements by one product, on pairs.
     On a batch and on each of its elements taken as a batch of one it gives
     the same bits (numpy's complex loops may fuse a multiply-add, so a
     product of Python complex numbers may differ in the last bit); it is
-    the quaternion product, and ``multiply`` only normalizes."""
+    the quaternion product, on batches and on scalar elements."""
     qa, qb = rng.standard_normal((2, 5, 4))
     batch = _pair_product(_pair(qa.T), _pair(qb.T))
     for k in range(5):
@@ -836,9 +844,8 @@ def test_quaternion_product_is_one_formula(rng):
         npt.assert_allclose(c, w, rtol=0, atol=1e-14)
     g, h = haar_element(rng), haar_element(rng)
     a, b = _pair_product(_pair(g.as_array()), _pair(h.as_array()))
-    npt.assert_allclose(multiply(g, h).as_array(), (a.real, b.imag, b.real, a.imag), atol=1e-15)
-    npt.assert_allclose(multiply(g, h).as_array(), quat_product(g.as_array(), h.as_array()),
-                        atol=1e-15)
+    npt.assert_allclose((a.real, b.imag, b.real, a.imag),
+                        quat_product(g.as_array(), h.as_array()), atol=1e-15)
 
 
 def test_mc_self_pairing_evaluates_once_per_chunk(monkeypatch):

@@ -11,22 +11,18 @@ import pytest
 from spinnet import (
     Spin,
     GroupElement,
-    multiply,
-    inverse,
-    haar_sample,
-    wigner_matrix,
     wigner_entries,
     clebsch_gordan,
     epsilon,
     invariant_vectors,
     intertwiner_basis,
-    transform_intertwiner,
     Intertwiner,
 )
 from spinnet.rep_core import (MAX_TWICE_J, _MAX_ELEMENTS, _cg_tensor, _haar_pairs,
-                              _has_invariant, _pair, _pair_wigner, haar_quaternions)
-from helpers import (character, haar_element, reference_haar_quaternions,
-                     reference_intertwiner_basis, reference_wigner_entries)
+                              _has_invariant, _pair, _pair_product, _pair_wigner)
+from helpers import (character, haar_element, inverse, multiply, reference_haar_quaternions,
+                     reference_intertwiner_basis, reference_wigner_entries,
+                     transform_intertwiner)
 
 
 @pytest.fixture
@@ -35,7 +31,7 @@ def rng():
 
 
 def wig(tj, g):
-    return wigner_matrix(Spin(tj), g).entries
+    return wigner_entries(tj, g.as_array())
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +48,9 @@ def test_spin_validation():
 
 def test_spin_cap_enforced():
     # twice_j = 12 is the largest supported label
-    wigner_matrix(Spin(12), GroupElement.identity())
+    wig(12, GroupElement.identity())
     with pytest.raises(ValueError):
-        wigner_matrix(Spin(13), GroupElement.identity())
+        wig(13, GroupElement.identity())
     with pytest.raises(ValueError):
         epsilon(Spin(14))
 
@@ -71,16 +67,16 @@ def test_group_element_unit_norm():
 
 
 def test_multiply_inverse_identity(rng):
-    a, b = haar_sample(rng), haar_sample(rng)
-    e = GroupElement.identity()
-    npt.assert_allclose(multiply(a, inverse(a)).as_array(), e.as_array(), atol=1e-12)
-    npt.assert_allclose(multiply(e, a).as_array(), a.as_array(), atol=1e-12)
-    ab = multiply(a, b)
-    npt.assert_allclose(
-        multiply(inverse(b), inverse(a)).as_array(),
-        inverse(ab).as_array(),
-        atol=1e-12,
-    )
+    """The package's product on Cayley-Klein pairs, with the inverse
+    (conj(a), -b) and the identity (1, 0)."""
+    def inv(g):
+        return g[0].conjugate(), -g[1]
+
+    a, b = (_pair(haar_element(rng).as_array()) for _ in range(2))
+    e = _pair(GroupElement.identity().as_array())
+    npt.assert_allclose(_pair_product(a, inv(a)), e, atol=1e-12)
+    npt.assert_allclose(_pair_product(e, a), a, atol=1e-12)
+    npt.assert_allclose(_pair_product(inv(b), inv(a)), inv(_pair_product(a, b)), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +85,14 @@ def test_multiply_inverse_identity(rng):
 @pytest.mark.parametrize("tj", [1, 2, 3, 4, 6])
 def test_wigner_homomorphism(tj, rng):
     """matrix(a b) = matrix(a) matrix(b), and inverses map to adjoints."""
-    a, b = haar_sample(rng), haar_sample(rng)
+    a, b = haar_element(rng), haar_element(rng)
     npt.assert_allclose(wig(tj, multiply(a, b)), wig(tj, a) @ wig(tj, b), atol=1e-12)
     npt.assert_allclose(wig(tj, inverse(a)), wig(tj, a).conj().T, atol=1e-12)
 
 
 @pytest.mark.parametrize("tj", [1, 2, 5])
 def test_wigner_unitary(tj, rng):
-    d = wig(tj, haar_sample(rng))
+    d = wig(tj, haar_element(rng))
     npt.assert_allclose(d @ d.conj().T, np.eye(tj + 1), atol=1e-12)
     npt.assert_allclose(wig(tj, GroupElement.identity()), np.eye(tj + 1), atol=1e-12)
 
@@ -111,12 +107,12 @@ def test_wigner_center_parity():
 @pytest.mark.parametrize("tj", [1, 2, 3, 6])
 def test_wigner_character_closed_form(tj, rng):
     for _ in range(20):
-        g = haar_sample(rng)
+        g = haar_element(rng)
         npt.assert_allclose(np.trace(wig(tj, g)), character(tj, g), atol=1e-10)
 
 
 def test_wigner_entries_batch_matches_scalar(rng):
-    q = np.stack([haar_sample(rng).as_array() for _ in range(6)])
+    q = np.stack([haar_element(rng).as_array() for _ in range(6)])
     batch = wigner_entries(3, q)
     assert batch.shape == (6, 4, 4)
     for k in range(6):
@@ -127,7 +123,7 @@ def test_wigner_entries_batch_layout_keeps_bits():
     """A batch of any shape gives, bit for bit, the matrices of each
     quaternion taken as a batch of one.  (A bare (4,) quaternion runs through
     numpy's scalar arithmetic and may differ in the last bit.)"""
-    q = haar_quaternions(np.random.default_rng(31), (5, 7))
+    q = reference_haar_quaternions(np.random.default_rng(31), (5, 7))
     for tj in range(13):
         batch = wigner_entries(tj, q)
         assert batch.shape == (5, 7, tj + 1, tj + 1)
@@ -151,27 +147,11 @@ def test_wigner_entries_bit_identical_to_full_products():
                      [-1, 0, 0, 0], [0, 0, -1, 0], [-0.0, 0, 0, -1], [0.6, -0.8, 0, 0],
                      [0, 0, 0.6, -0.8], [0.5, -0.5, 0.5, -0.5]], dtype=float)
     for tj in range(13):
-        batch = haar_quaternions(rng, (6, 3))
+        batch = reference_haar_quaternions(rng, (6, 3))
         for q in (batch, axes, batch[0, 0], *axes):
             got, want = wigner_entries(tj, q), reference_wigner_entries(tj, q)
             assert got.shape == want.shape
             assert np.array_equal(_bits(got), _bits(want))
-
-
-def test_haar_quaternions_bit_identical_to_norm_division():
-    for seed, shape in ((0, (2048, 3)), (1, (7,)), (2, (5, 4, 3)), (3, ())):
-        got = haar_quaternions(np.random.default_rng(seed), shape)
-        want = reference_haar_quaternions(np.random.default_rng(seed), shape)
-        assert got.shape == want.shape == tuple(shape) + (4,)
-        assert np.array_equal(_bits(got), _bits(want))
-
-
-def test_haar_sample_is_the_reference_draw_bit_for_bit():
-    """One element is the batch draw of shape (): same normals, same norm."""
-    for seed in range(12):
-        got = haar_sample(np.random.default_rng(seed)).as_array()
-        want = reference_haar_quaternions(np.random.default_rng(seed), ())
-        assert np.array_equal(_bits(got), _bits(want)), seed
 
 
 def test_haar_pairs_are_the_quaternion_draw_bit_for_bit():
@@ -191,7 +171,7 @@ def test_haar_pairs_are_the_quaternion_draw_bit_for_bit():
 def test_pair_wigner_equals_wigner_entries():
     """Fed the pairs of a batch, with c = -conj(b) and d = conj(a), the one
     Wigner kernel gives ``wigner_entries``, in (row, col, sample) storage."""
-    q = haar_quaternions(np.random.default_rng(43), (9, 4))
+    q = reference_haar_quaternions(np.random.default_rng(43), (9, 4))
     a, b = _pair(q.transpose(2, 0, 1))
     for tj in range(13):
         got = _pair_wigner(tj, a, b)
@@ -200,7 +180,7 @@ def test_pair_wigner_equals_wigner_entries():
 
 
 def test_spin_half_determinant(rng):
-    g = haar_sample(rng)
+    g = haar_element(rng)
     npt.assert_allclose(np.linalg.det(wig(1, g)), 1.0, atol=1e-12)
 
 
@@ -214,7 +194,7 @@ def test_clebsch_gordan_isometry_and_intertwining(tjs, rng):
     assert c.shape == (tj1 + 1, tj2 + 1, tJ + 1)
     flat = c.reshape(-1, tJ + 1)
     npt.assert_allclose(flat.conj().T @ flat, np.eye(tJ + 1), atol=1e-12)
-    g = haar_sample(rng)
+    g = haar_element(rng)
     lhs = np.einsum("ac,bd,cdJ->abJ", wig(tj1, g), wig(tj2, g), c)
     rhs = np.einsum("abK,KJ->abJ", c, wig(tJ, g))
     npt.assert_allclose(lhs, rhs, atol=1e-12)
@@ -268,7 +248,7 @@ def test_epsilon_conjugates_representation(tj, rng):
     npt.assert_allclose(e @ e.conj().T, np.eye(tj + 1), atol=1e-12)
     npt.assert_allclose(e @ e.conj(), (-1.0) ** tj * np.eye(tj + 1), atol=1e-12)
     for _ in range(5):
-        d = wig(tj, haar_sample(rng))
+        d = wig(tj, haar_element(rng))
         npt.assert_allclose(d.conj(), e @ d @ np.linalg.inv(e), atol=1e-11)
 
 
@@ -298,7 +278,7 @@ def test_invariant_vectors_orthonormal_and_fixed(rng):
     vecs = invariant_vectors((1, 1, 1, 1))
     flat = np.stack([v.ravel() for v in vecs])
     npt.assert_allclose(flat @ flat.conj().T, np.eye(2), atol=1e-12)
-    g = haar_sample(rng)
+    g = haar_element(rng)
     d = wig(1, g)
     for v in vecs:
         rotated = np.einsum("ae,bf,cg,dh,efgh->abcd", d, d, d, d, v)
@@ -364,7 +344,7 @@ def test_intertwiner_basis_gauge_fixed_points(rng):
     assert len(basis) == 1
     for b in basis:
         for _ in range(5):
-            g = haar_sample(rng)
+            g = haar_element(rng)
             npt.assert_allclose(transform_intertwiner(b, g), b.components, atol=1e-10)
 
 
@@ -413,7 +393,7 @@ def test_intertwiner_basis_matches_per_vector_epsilon_oracle():
 def test_non_invariant_tensor_moves(rng):
     legs = ((Spin(1), "out"), (Spin(1), "in"))
     tensor = Intertwiner(legs, np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
-    g = haar_sample(rng)
+    g = haar_element(rng)
     assert not np.allclose(transform_intertwiner(tensor, g), tensor.components, atol=1e-6)
 
 

@@ -8,9 +8,6 @@ import pytest
 
 from spinnet import (
     Spin,
-    GroupElement,
-    haar_sample,
-    wigner_matrix,
     invariant_vectors,
     intertwiner_basis,
     Leg,
@@ -30,9 +27,10 @@ from spinnet import (
 )
 import spinnet.inner_product as ip
 import spinnet.tensor_engine as te
-from spinnet.rep_core import _pair, haar_quaternions, wigner_entries
+from spinnet.rep_core import _pair, wigner_entries
 from spinnet.tensor_engine import MC_CHUNK, _invariant_basis, haar_factored
-from helpers import cycle_network, loop_network, theta_network
+from helpers import (cycle_network, haar_element, loop_network, reference_haar_quaternions,
+                     theta_network)
 
 
 def lt(name_prefix, arr, variances):
@@ -263,10 +261,10 @@ def test_haar_project_is_invariant_projector(specs):
     # when exactly one of (conjugated, inverted) is set; inversion is
     # otherwise a pure leg renaming, checked separately
     for _ in range(5):
-        g = haar_sample(rng)
+        g = haar_element(rng)
         blocks = []
         for tj, cj, iv in specs:
-            d = wigner_matrix(Spin(tj), g).entries
+            d = wigner_entries(tj, g.as_array())
             blocks.append(d.conj() if cj != iv else d)
         rep = blocks[0]
         for b in blocks[1:]:
@@ -507,7 +505,7 @@ def test_mc_matches_per_sample_oracle():
     n, seed = min(MC_CHUNK, 300), 23
     mean, err = mc_expectation(net, n, seed)
     rng = np.random.Generator(np.random.Philox(seed))
-    quats = haar_quaternions(rng, (n, 2))  # variables in sorted order: g, h
+    quats = reference_haar_quaternions(rng, (n, 2))  # variables in sorted order: g, h
     inverse = np.array([1.0, -1.0, -1.0, -1.0])
     values = []
     for q in quats:
@@ -594,7 +592,7 @@ def test_mc_two_kernel_plan_matches_per_sample_oracle():
     n, seed = 300, 29
     mean, err = mc_expectation(net, n, seed)
     rng = np.random.Generator(np.random.Philox(seed))
-    quats = haar_quaternions(rng, (n, 2))  # variables in sorted order: g, h
+    quats = reference_haar_quaternions(rng, (n, 2))  # variables in sorted order: g, h
     label = {}
     for a, b in net.pairings:
         label[a] = label[b] = len(label) // 2
