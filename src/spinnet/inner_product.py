@@ -22,8 +22,10 @@ freely reduced; a vertex is invariant when the su(2) generators annihilate
 its tensor (``rep_core._is_invariant``).  It takes the sample mean of
 conj(state_a) * state_b over chunks of samples carried as Cayley-Klein
 pairs (``rep_core._pair``), two complex arrays, from the draw through the
-word products to the engine's one chunk evaluator.  :func:`evaluate` is
-the one-sample case of that evaluator, with no gauge fixed.
+word products to the engine's one chunk evaluator; the chunk length, the
+sample floor and the chords' stream columns are the engine's
+(``tensor_engine._mc_mean``).  :func:`evaluate` is the one-sample case of
+that evaluator, with no gauge fixed.
 """
 
 from __future__ import annotations
@@ -41,11 +43,11 @@ from .rep_core import (
     GroupElement, _has_invariant, _is_invariant, _pair, _pair_product,
 )
 from .tensor_engine import (
-    MC_CHUNK,
     FactorNetwork,
     GroupFactor,
     LabeledTensor,
     Leg,
+    _mc_batch,
     _mc_mean,
     _prepared,
     _state_values,
@@ -266,9 +268,9 @@ def mc_inner_product(a: SpinNetwork, b: SpinNetwork, n_samples: int, seed: int):
 
     The segments of a spanning forest of the two supports
     (``_gauge_forest``) are the identity, and one Haar-uniform element is
-    drawn per other (chord) segment, the chords taking the stream's columns
-    in ``_sort_key`` order; the value is bit-stable for a given seed,
-    whatever ``MC_CHUNK``.  Each chunk evaluates each state on its own
+    drawn per other (chord) segment under the engine's seed contract
+    (``tensor_engine._mc_mean``), bit-stable for a given seed whatever the
+    chunk length.  Each chunk evaluates each state on its own
     edges, with one holonomy per distinct chord word and one Wigner build
     per distinct (chord word, spin), shared by bra and ket, and averages
     conj(state_a) * state_b; a ket equal to the bra is evaluated once, and
@@ -279,11 +281,9 @@ def mc_inner_product(a: SpinNetwork, b: SpinNetwork, n_samples: int, seed: int):
     2, before any forest is found or state prepared.
     """
     _check_shared_registry(a, b)
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
+    batch = _mc_batch(n_samples)
     tree = _gauge_forest(a, b)
-    chords = sorted((a.graph.segments | b.graph.segments) - tree, key=_sort_key)
-    batch = min(MC_CHUNK, n_samples)
+    chords = (a.graph.segments | b.graph.segments) - tree
     states = [_prepared_state(n, tree, batch) for n in ((a,) if a == b else (a, b))]
     words = {f.variable for _, fs, _ in states for f in fs}
     return _mc_mean(n_samples, seed, chords, states,

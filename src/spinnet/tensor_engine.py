@@ -24,13 +24,14 @@ once, because a stacked ``matmul`` pays a dispatch per sample; every other
 step, which includes all the steps of an exact contraction, is one
 ``matmul``.  A single-operand trace is a ``diagonal`` and a ``sum``.
 
-The sampled path has one chunk evaluator, ``_state_values``: one Wigner
-build per (variable, spin) from Cayley-Klein pairs, then each prepared
-state's plan.  ``_mc_mean`` draws and reduces the chunks, each in one
-per-thread scratch (``_Scratch``, at most ``_MC_SCRATCH_CAP`` elements
-kept) that the Wigner builds and the matrix products reuse from one chunk
-and call to the next, so a warm chunk takes no fresh page.  Only where the
-arrays live changes, never a value; the exact path passes no scratch.
+The sampled path has one chunk evaluator, ``_state_values``: it resets
+this thread's scratch (``_Scratch``), builds one Wigner matrix per
+(variable, spin) there, from Cayley-Klein pairs, and runs each prepared
+state's plan, whose sampled matrix products but the last reuse it too, so
+a warm chunk takes no fresh page; an unbatched plan never touches it.  This
+module alone fixes the Monte Carlo contract: the chunk length and the
+sample floor (``_mc_batch``), the stream's column order and the reduction
+(``_mc_mean``).
 
 Legs carry (id, spin, variance); contraction only joins a ket leg to a bra
 leg of equal spin.  A ``GroupFactor`` names one matrix element
@@ -135,23 +136,25 @@ class FactorNetwork:
 class _Scratch(threading.local):
     """One thread's Monte Carlo scratch: a bump allocator over one flat
     complex buffer, reused from one chunk to the next and from one call to
-    the next, so that a warm chunk touches no fresh page.  A chunk's Wigner
-    builds (``_factor_arrays``) and the matrix products of every plan step
-    but the last (``_execute``) take pieces of it.
+    the next, so that a warm chunk touches no fresh page.  ``_state_values``
+    resets it for each chunk, ``evaluate``'s one sample included; the
+    chunk's Wigner builds (``_factor_arrays``) and its sampled matrix
+    products but the last (``_execute``) take pieces of it.
 
     ``take`` hands out the next unused piece of the buffer, or None, for a
     fresh array, when the request does not fit.  ``reset`` starts a chunk:
     every piece is free again, and the buffer grows to the previous chunk's
-    need when that is at most ``cap`` elements.  A buffer over ``cap`` is
-    dropped, so at most ``cap`` elements are retained.  Pieces live until
-    the next reset and are never handed to callers.
+    need when that is at most ``_MC_SCRATCH_CAP`` elements; a larger buffer
+    is dropped, so at most that many are retained.  Pieces live until the
+    next reset and are never handed to callers.
     """
 
     def __init__(self) -> None:
         self.buffer = np.empty(0, dtype=complex)
         self.need = 0  # elements requested since the last reset
 
-    def reset(self, cap: int) -> None:
+    def reset(self) -> None:
+        cap = _MC_SCRATCH_CAP
         if self.buffer.size < self.need <= cap or self.buffer.size > cap:
             self.buffer = np.empty(self.need if self.need <= cap else 0, dtype=complex)
         self.need = 0
@@ -289,9 +292,7 @@ def _plan(
     return _Plan(tuple(steps), tuple(out_legs))
 
 
-def _execute(
-    plan: _Plan, arrays: Sequence[np.ndarray], scratch: _Scratch | None = None
-) -> np.ndarray:
+def _execute(plan: _Plan, arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Run a plan; batched arrays share a trailing sample axis of any length.
 
     Every operand and result keeps the sample axis last.  A "madd" step
@@ -302,15 +303,15 @@ def _execute(
     folded into the columns of ``y`` when only ``b`` is.  A trace is a
     ``diagonal`` and a ``sum``.
 
-    With a ``scratch`` (the sampled path) the matrix products are written
-    to its memory, all but the last step's, which stays a fresh array; the
-    same ufuncs run on the same operands in the same order, so the bits are
-    those without.
+    A matrix product that carries samples is written to ``_SCRATCH``,
+    unless its step is the last, whose result goes to the caller; the same
+    ufuncs run on the same operands in the same order, so the bits are
+    those of fresh arrays.  An unbatched plan never touches the scratch.
     """
     slots = list(arrays)
+    last = len(plan.steps) - 1
     for k, st in enumerate(plan.steps):
-        # the last result goes to the caller, so it is never in the scratch
-        dest = scratch if k < len(plan.steps) - 1 else None
+        scratch = k < last and (st.batched_a or st.batched_b)
         a, slots[st.a] = slots[st.a], None
         m = a.shape[-1:] if st.batched_a else ()
         x = a.transpose(st.perm_a)
@@ -328,19 +329,13 @@ def _execute(
                     out += x[:, q, None] * y[None, q]
             elif st.batched_a:
                 out = np.matmul(y.reshape(st.inner, st.cols).T, x.reshape(st.rows, st.inner, -1),
-                                out=_take(dest, (st.rows, st.cols) + m))
+                                out=_SCRATCH.take((st.rows, st.cols) + m) if scratch else None)
             else:
                 y = y.reshape(st.inner, -1)
                 out = np.matmul(x.reshape(st.rows, st.inner), y,
-                                out=_take(dest, (st.rows, y.shape[1])))
+                                out=_SCRATCH.take((st.rows, y.shape[1])) if scratch else None)
         slots.append(out.reshape(st.dims + m))
     return slots[-1]
-
-
-def _take(scratch: _Scratch | None, shape: tuple) -> np.ndarray | None:
-    """An output array for ``shape`` from ``scratch``, or None for a fresh
-    one."""
-    return None if scratch is None else scratch.take(shape)
 
 
 def _checked_legs(
@@ -481,13 +476,12 @@ def _prepared(network: FactorNetwork, batch: int) -> tuple:
     return plan, network.factors, tuple(np.asarray(t.data, complex) for t in network.tensors)
 
 
-def _factor_arrays(factors: Sequence[GroupFactor], pairs_by_var: Mapping,
-                   scratch: _Scratch | None = None) -> list[np.ndarray]:
+def _factor_arrays(factors: Sequence[GroupFactor], pairs_by_var: Mapping) -> list[np.ndarray]:
     """Per-sample matrices for each factor, shape (row, col, sample) with
     the sample axis last, as every plan reads them, from each variable's
     Cayley-Klein pair (a, b) of (sample,) arrays; one ``_pair_wigner``
-    build per (variable, spin).  With a ``scratch`` the Wigner builds are
-    written to its memory, as ``out`` arrays."""
+    build per (variable, spin), written to ``_SCRATCH`` as its ``out``
+    array."""
     built: dict[tuple, np.ndarray] = {}
     out = []
     for f in factors:
@@ -495,7 +489,7 @@ def _factor_arrays(factors: Sequence[GroupFactor], pairs_by_var: Mapping,
         if key not in built:
             a, b = pairs_by_var[f.variable]
             built[key] = _pair_wigner(f.spin.twice_j, a, b,
-                                      _take(scratch, (f.spin.dim,) * 2 + a.shape))
+                                      _SCRATCH.take((f.spin.dim,) * 2 + a.shape))
         arr = built[key]
         # D(g^-1) = D(g)^dagger: inverting conjugates and swaps the axes, so
         # a conjugated inverse only swaps them
@@ -507,58 +501,65 @@ def _factor_arrays(factors: Sequence[GroupFactor], pairs_by_var: Mapping,
     return out
 
 
-def _state_values(states, holonomies: Mapping, m: int,
-                  scratch: _Scratch | None = None) -> list[np.ndarray]:
+def _state_values(states, holonomies: Mapping, m: int) -> list[np.ndarray]:
     """Values of prepared states (``_prepared``) on one batch of m samples,
     given as a Cayley-Klein pair of (m,) arrays per variable, one (m,) array
     per state.  Each distinct (variable, spin) Wigner matrix is built once,
-    for all states; a state with no factor is a constant.  A Monte Carlo
-    chunk's ``scratch`` holds the Wigner matrices and the matrix products
-    of non-final steps, never the values."""
+    for all states; a state with no factor is a constant.  The batch starts
+    by resetting ``_SCRATCH``, which then holds the Wigner matrices and the
+    sampled matrix products of non-final steps, never the values."""
+    _SCRATCH.reset()
     factors = [f for _, fs, _ in states for f in fs]
-    arrays = _factor_arrays(factors, holonomies, scratch)
+    arrays = _factor_arrays(factors, holonomies)
     values = []
     for plan, fs, constants in states:
-        value = _execute(plan, arrays[:len(fs)] + list(constants), scratch)
+        value = _execute(plan, arrays[:len(fs)] + list(constants))
         values.append(value if fs else np.full(m, complex(value)))
         arrays = arrays[len(fs):]
     return values
 
 
-def _mc_mean(n_samples: int, seed: int, variables: Sequence, states, holonomies,
+def _mc_batch(n_samples: int) -> int:
+    """The chunk length, and the batch every Monte Carlo plan is made for:
+    ``MC_CHUNK``, or ``n_samples`` when fewer.  Refuses fewer than 2."""
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
+    return min(MC_CHUNK, n_samples)
+
+
+def _mc_mean(n_samples: int, seed: int, variables, states, holonomies,
              combine) -> tuple[complex, float]:
     """The Monte Carlo reduction: (mean, standard error) of a per-sample
-    value of prepared states (``_prepared``).
+    value of prepared states (``_prepared`` for ``_mc_batch(n_samples)``).
 
-    Chunks of at most ``MC_CHUNK`` samples are drawn in order from a Philox
-    stream seeded by ``seed``, each an (m, len(variables)) draw of
-    Haar-uniform quaternions taken as Cayley-Klein pairs
-    (``rep_core._haar_pairs``), one pair of (m,) arrays per drawn variable,
-    in the order given.  ``holonomies(pairs)`` maps those to one pair per
-    variable of the states, and ``combine(values)`` the states' values to
-    the m sample values.  These are summed, with their squared moduli, in
-    blocks of ``_MC_BLOCK`` samples (the last may be shorter), and the block
-    sums are added to running totals one by one, in block order.  Each chunk
-    runs in this thread's ``_Scratch``, reset with the cap
-    ``_MC_SCRATCH_CAP``; the values never live in it.  Callers refuse
-    ``n_samples`` below 2 first.
+    The seed contract: chunks of ``_mc_batch(n_samples)`` samples, the last
+    possibly shorter, are drawn in order from a Philox stream seeded by
+    ``seed``, each an (m, len(variables)) draw of Haar-uniform Cayley-Klein
+    pairs (``rep_core._haar_pairs``) whose k-th column is the k-th drawn
+    variable in ``_sort_key`` order, whatever order ``variables`` has.
+    ``holonomies(pairs)`` maps those to one pair per variable of the
+    states, and ``combine(values)`` the states' values to the m sample
+    values.  These are summed, with their squared moduli, in blocks of
+    ``_MC_BLOCK`` samples (the last may be shorter), and the block sums are
+    added to running totals in block order, so no chunk length moves a
+    bit.  Each chunk runs in this thread's ``_Scratch``; the values never
+    live in it.
     """
+    batch = _mc_batch(n_samples)
+    variables = sorted(variables, key=_sort_key)
     rng = np.random.Generator(np.random.Philox(seed))
     total = 0.0 + 0.0j
     total_sq = 0.0
-    remaining = n_samples
-    while remaining > 0:
-        m = min(MC_CHUNK, remaining)
-        _SCRATCH.reset(_MC_SCRATCH_CAP)
+    for start in range(0, n_samples, batch):
+        m = min(batch, n_samples - start)
         draw = _haar_pairs(rng, m, len(variables))
         pairs = holonomies(dict(zip(variables, zip(*draw))))
-        values = combine(_state_values(states, pairs, m, _SCRATCH))
+        values = combine(_state_values(states, pairs, m))
         full = m - m % _MC_BLOCK
         for blocks in (values[:full].reshape(-1, _MC_BLOCK), values[None, full:]):
             for s, s_sq in zip(blocks.sum(1).tolist(), (np.abs(blocks) ** 2).sum(1).tolist()):
                 total += s
                 total_sq += s_sq
-        remaining -= m
     mean = total / n_samples
     var = max(total_sq - n_samples * abs(mean) ** 2, 0.0) / (n_samples - 1)
     return complex(mean), float(np.sqrt(var / n_samples))
@@ -569,17 +570,15 @@ def mc_expectation(
 ) -> tuple[complex, float]:
     """Monte Carlo estimate of a fully contracted factor network.
 
-    Every variable is drawn independently from Haar measure, the variables
-    taking the stream's columns in ``_sort_key`` order; the network is
-    evaluated per sample.  Returns (mean, standard error), bit-stable for a
-    fixed seed: samples are generated and reduced in fixed-size chunks from
-    a counter-based stream.  The network is planned once, for a full chunk,
-    and the plan runs on every chunk with the sample axis last; a plan over
-    the size budget raises ValueError before any sample is drawn, and a
-    sample count below 2 before any planning.
+    Every variable is drawn independently from Haar measure, under the seed
+    contract of ``_mc_mean``; the network is evaluated per sample.  Returns
+    (mean, standard error), bit-stable for a fixed seed.  The network is
+    planned once, for a full chunk (``_mc_batch``), and the plan runs on
+    every chunk with the sample axis last; a plan over the size budget
+    raises ValueError before any sample is drawn, and a sample count below
+    2 before any planning.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
+    batch = _mc_batch(n_samples)
     factor_legs = [Leg(leg, f.spin, v) for f in network.factors
                    for leg, v in zip((f.row_leg, f.col_leg), f.leg_variances())]
     legs_by_id, paired = _checked_legs(
@@ -587,7 +586,5 @@ def mc_expectation(
     if paired != set(legs_by_id):
         raise ValueError("mc_expectation requires a fully paired (scalar) network")
 
-    variables = sorted({f.variable for f in network.factors}, key=_sort_key)
-    state = _prepared(network, min(MC_CHUNK, n_samples))
-    return _mc_mean(n_samples, seed, variables, [state], lambda pairs: pairs,
-                    lambda values: values[0])
+    return _mc_mean(n_samples, seed, {f.variable for f in network.factors},
+                    [_prepared(network, batch)], lambda pairs: pairs, lambda values: values[0])

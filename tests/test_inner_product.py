@@ -887,6 +887,26 @@ def test_mc_web_builds_one_wigner_matrix_per_word_and_spin(monkeypatch):
     assert len(built) == 2 * len(distinct)
 
 
+def test_tensor_engine_alone_sets_the_chunk(monkeypatch):
+    """The chunk length belongs to ``tensor_engine``: patching its
+    ``MC_CHUNK`` alone makes ``mc_inner_product`` prepare both web states
+    for chunks of 256, and the estimate keeps the default chunk's bits."""
+    psi, phi = build_tassel(2).network, build_phi(2, -1).network
+    want = mc_inner_product(psi, phi, MC_CHUNK + 5, seed=12)
+    batches = []
+    real = ip._prepared_state
+
+    def spy(n, tree, batch):
+        batches.append(batch)
+        return real(n, tree, batch)
+
+    monkeypatch.setattr(ip, "_prepared_state", spy)
+    monkeypatch.setattr(te, "MC_CHUNK", 256)
+    got = mc_inner_product(psi, phi, MC_CHUNK + 5, seed=12)
+    assert batches == [256, 256]
+    assert _bits(got) == _bits(want)
+
+
 def _spin_one_bundle():
     """Two vertices joined by the fewest k spin-1 edges with a full chunk of
     3^(k-1) tensors over the budget, with one random explicit tensor, not

@@ -15,7 +15,8 @@ import pytest
 import spinnet
 import spinnet.inner_product as ip
 import spinnet.tensor_engine as te
-from spinnet import evaluate, mc_expectation, mc_inner_product, wigner_entries
+from spinnet import (evaluate, exact_inner_product, mc_expectation, mc_inner_product,
+                     wigner_entries)
 from spinnet.blipweb import build_phi, build_tassel
 from spinnet.tensor_engine import MC_CHUNK, _Scratch
 from helpers import random_holonomies, theta_network
@@ -73,7 +74,6 @@ def test_runs_keep_their_bits_after_other_shapes(fresh_bits, monkeypatch, blocks
     if blocks_per_chunk is not None:
         chunk = blocks_per_chunk * te._MC_BLOCK
         monkeypatch.setattr(te, "MC_CHUNK", chunk)
-        monkeypatch.setattr(ip, "MC_CHUNK", chunk)
     for name in RUNS:
         for other in RUNS:
             RUNS[other]()
@@ -165,26 +165,65 @@ def test_values_handed_over_never_live_in_the_scratch(monkeypatch):
     assert len(seen) > 10 and not any(seen)
 
 
-def test_scratch_pieces_are_disjoint_until_reset():
+def test_evaluate_is_a_one_sample_chunk_in_the_warm_scratch(monkeypatch):
+    """``evaluate`` runs on the scratch like any chunk, its Wigner builds
+    in pieces of the buffer, but a one-sample chunk never grows it: after a
+    warm run, 1000 calls leave its size as it was, and the values handed
+    over live outside it."""
+    _theta()
+    size = te._SCRATCH.buffer.size
+    real_values, real_wigner = te._state_values, te._pair_wigner
+    inside, built = [], []
+
+    def checked_values(*args):
+        out = real_values(*args)
+        inside.extend(np.shares_memory(v, te._SCRATCH.buffer) for v in out)
+        return out
+
+    def checked_wigner(twice_j, a, b, out):
+        built.append(out is not None and np.shares_memory(out, te._SCRATCH.buffer))
+        return real_wigner(twice_j, a, b, out)
+
+    monkeypatch.setattr(ip, "_state_values", checked_values)
+    monkeypatch.setattr(te, "_pair_wigner", checked_wigner)
+    rng = np.random.default_rng(23)
+    a = theta_network((1, 1, 2))
+    for _ in range(1000):
+        evaluate(a, random_holonomies(rng, a))
+    assert te._SCRATCH.buffer.size == size > 0
+    assert len(inside) == 1000 and not any(inside)
+    assert len(built) == 3000 and all(built)  # one per edge and call
+
+
+def test_exact_path_never_touches_the_scratch():
+    te._SCRATCH.reset()
+    a = theta_network((10, 10, 10))
+    exact_inner_product(a, a)
+    assert te._SCRATCH.need == 0
+
+
+def test_scratch_pieces_are_disjoint_until_reset(monkeypatch):
     s, size = _Scratch(), 1000
+    monkeypatch.setattr(te, "_MC_SCRATCH_CAP", 4 * size)
     assert [s.take((size,)) for _ in range(2)] == [None, None]  # nothing kept yet
-    s.reset(cap=4 * size)  # grows to the last chunk's need
+    s.reset()  # grows to the last chunk's need
     assert s.buffer.size == 2 * size
     pieces = [s.take((size,)) for _ in range(3)]
     assert all(np.shares_memory(p, s.buffer) for p in pieces[:2])
     assert not np.shares_memory(pieces[0], pieces[1])
     assert pieces[2] is None  # did not fit: fresh
-    s.reset(cap=4 * size)
+    s.reset()
     assert s.buffer.size == 3 * size
     piece = s.take((size,))
-    s.reset(cap=4 * size)  # reused: a piece is free again
+    s.reset()  # reused: a piece is free again
     assert s.buffer.size == 3 * size
     assert np.shares_memory(s.take((size,)), piece)
     for _ in range(5):
         s.take((size,))
-    s.reset(cap=4 * size)  # a need over the cap keeps the buffer
+    s.reset()  # a need over the cap keeps the buffer
     assert s.buffer.size == 3 * size
-    s.reset(cap=size)  # a buffer over the cap is dropped
+    monkeypatch.setattr(te, "_MC_SCRATCH_CAP", size)
+    s.reset()  # a buffer over the cap is dropped
     assert s.buffer.size == 0
 
 
@@ -200,11 +239,13 @@ def test_warm_chunks_take_no_fresh_pages():
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
 
 
-def test_warm_theta_keeps_only_wigner_builds_and_products():
+def test_warm_theta_keeps_only_wigner_builds_and_products(monkeypatch):
     """The scratch holds a chunk's Wigner builds and the products of all
     plan steps but the last, 4.63 MiB for theta(6,6,12); no reshaped,
     conjugated or multiply-add copy takes a piece."""
-    te._SCRATCH.reset(cap=0)  # drops what other runs left
+    monkeypatch.setattr(te, "_MC_SCRATCH_CAP", 0)
+    te._SCRATCH.reset()  # drops what other runs left
+    monkeypatch.undo()
     _theta()
     _theta()
     assert te._SCRATCH.buffer.size * np.dtype(complex).itemsize < 5 * 2**20

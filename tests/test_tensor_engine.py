@@ -402,7 +402,6 @@ def test_mc_bit_stable_and_chunk_insensitive(monkeypatch):
     for chunk in (256, 512, 2048, 8192):
         assert chunk % te._MC_BLOCK == 0
         monkeypatch.setattr(te, "MC_CHUNK", chunk)
-        monkeypatch.setattr(ip, "MC_CHUNK", chunk)
         results.append([f(a, b, 6001, seed=7) for a, b in pairs
                         for f in (mc_inner_product,
                                   lambda a, b, n, seed: mc_expectation(
