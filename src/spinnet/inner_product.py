@@ -22,10 +22,10 @@ freely reduced; a vertex is invariant when the su(2) generators annihilate
 its tensor (``rep_core._is_invariant``).  It takes the sample mean of
 conj(state_a) * state_b over chunks of samples carried as Cayley-Klein
 pairs (``rep_core._pair``), two complex arrays, from the draw through the
-word products to the engine's one chunk evaluator; the chunk length, the
-sample floor and the chords' stream columns are the engine's
-(``tensor_engine._mc_mean``).  :func:`evaluate` is the one-sample case of
-that evaluator, with no gauge fixed.
+word products to the engine's one chunk evaluator; the engine alone sets
+the chunk length, the sample floor and the chords' stream columns
+(``tensor_engine._mc_batch``, ``_mc_mean``).  :func:`evaluate` is the
+one-sample case of that evaluator, with no gauge fixed.
 """
 
 from __future__ import annotations
@@ -270,15 +270,15 @@ def mc_inner_product(a: SpinNetwork, b: SpinNetwork, n_samples: int, seed: int):
     (``_gauge_forest``) are the identity, and one Haar-uniform element is
     drawn per other (chord) segment under the engine's seed contract
     (``tensor_engine._mc_mean``), bit-stable for a given seed whatever the
-    chunk length.  Each chunk evaluates each state on its own
-    edges, with one holonomy per distinct chord word and one Wigner build
-    per distinct (chord word, spin), shared by bra and ket, and averages
-    conj(state_a) * state_b; a ket equal to the bra is evaluated once, and
-    a state whose words all reduce to nothing is a constant.  Each pair's
-    forest is found once, and each state is prepared and planned once per
-    forest, from bounded caches; a plan over the size budget raises
-    ValueError before any sample is drawn, and so does a sample count below
-    2, before any forest is found or state prepared.
+    chunk length.  Each chunk evaluates each state on its own edges, with
+    one holonomy per distinct chord word and one Wigner build per distinct
+    (chord word, spin), shared by bra and ket, and averages conj(state_a) *
+    state_b; a ket equal to the bra is evaluated once, and a state whose
+    words all reduce to nothing is a constant.  Each pair's forest is found
+    once, and each state is prepared and planned once per forest, from
+    bounded caches; a plan over the size budget raises ValueError before
+    any sample is drawn, and so does a sample count below 2, before any
+    forest is found or state prepared.
     """
     _check_shared_registry(a, b)
     batch = _mc_batch(n_samples)
