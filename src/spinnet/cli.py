@@ -8,8 +8,9 @@ geometry), and ``haar-projector`` (the invariant projector for a spin
 list).  Reports are JSON on stdout with floats at 17 significant digits.
 
 Exit codes: 0 on success, 2 for validation failures (malformed documents,
-bad arguments, impossible networks), 3 when a computation fails one of
-its advertised numerical guarantees.
+bad arguments, impossible networks) and for an output file that cannot be
+written, 3 when a computation fails one of its advertised numerical
+guarantees.
 
 The environment variable SPINNET_SEED supplies the default Monte Carlo
 seed; an explicit --seed wins.
@@ -217,7 +218,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report = args.func(args)
-    except (DocumentError, InvalidNetworkError, ValueError) as exc:
+    except (DocumentError, InvalidNetworkError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ToleranceError as exc:

@@ -1,12 +1,14 @@
 """Golden report bytes: the stdout of ``spinnet.cli.main`` for a fixed set
 of commands, kept in ``tests/golden/`` beside the documents they read
-(``tests/golden/inputs/``: the CI's loop, two-step loop word, theta and
+(``tests/golden/inputs/``: a spin-1/2 loop, a two-step loop word, theta and
 non-invariant theta, theta(6, 6, 12), a figure-eight, and the web pair
-ψ = ``build_tassel(2)``, φ = ``build_phi(2, -1)``).
+ψ = ``build_tassel(2)``, φ = ``build_phi(2, -1)``).  ``CASES`` is the one
+list of report fixtures: a new case is added there and nowhere else.
 
-``tests/test_golden.py`` compares every report with its file.  A change
-that moves report bytes on purpose rewrites the files, commits them and
-names them in CHANGES.md:
+``tests/test_golden.py`` compares every report with its file, and the
+reports of fresh processes under other hash seeds and one BLAS thread
+with each other.  A change that moves report bytes on purpose rewrites
+the files, commits them and names them in CHANGES.md:
 
     PYTHONPATH=src python tests/golden_reports.py --update
 
@@ -39,13 +41,16 @@ CASES = {
     "eval_theta": ["eval", "theta.json", "theta_holonomy.json"],
     "ip_theta": ["ip", "theta.json", "theta.json"],
     "ip_web": ["ip", "psi.json", "phi.json"],
+    "mc_loop": ["ip", "loop.json", "loop.json", "--mc", "4096", "--seed", "3"],
     "mc_theta": ["ip", "theta.json", "theta.json", "--mc", "4096", "--seed", "3"],
     "mc_theta_6_6_12": ["ip", "theta_6_6_12.json", "theta_6_6_12.json",
                         "--mc", "5000", "--seed", "3"],
     "mc_word": ["ip", "word.json", "word.json", "--mc", "4096", "--seed", "3"],
     "mc_xtheta": ["ip", "xtheta.json", "xtheta.json", "--mc", "4096", "--seed", "3"],
     "mc_web": ["ip", "psi.json", "phi.json", "--mc", "5000", "--seed", "3"],
+    "dip_loop": ["dip", "loop.json", "loop.json"],
     "dip_theta": ["dip", "theta.json", "theta.json"],
+    "gram_loop": ["gram", "loop.json", "loop.json"],
     "gram_theta_figure8": ["gram", "theta.json", "figure8.json"],
     "section4_obs1": ["section4", "--which", "obs1", "--truncation", "2", "--i0", "-1"],
     "section4_obs2": ["section4", "--which", "obs2", "--truncation", "2"],

@@ -352,6 +352,18 @@ def test_section4_emit_curves(tmp_path, capsys):
     assert len(rows) == 1 + 4 * (1 + 2 * 16 + 2)
 
 
+def test_section4_unwritable_curves_path_is_exit_2(tmp_path, capsys):
+    """A curves file that cannot be opened is an error line and exit 2, with
+    no traceback and nothing on stdout."""
+    out = tmp_path / "missing" / "c.csv"
+    code, _, cap = run(capsys, ["section4", "--which", "obs2", "--truncation", "2",
+                                "--emit-curves", str(out)])
+    assert code == 2
+    assert cap.out == ""
+    assert cap.err.startswith("error: ") and str(out) in cap.err
+    assert cap.err.count("\n") == 1
+
+
 def test_section4_curve_guards(tmp_path, capsys):
     out = str(tmp_path / "c.csv")
     code, _, cap = run(capsys, ["section4", "--which", "obs2", "--truncation", "1",

@@ -427,6 +427,22 @@ def test_averaged_requires_shared_registry_even_when_every_term_vanishes():
         averaged_gram([[(1.0, a)], [(1.0, b)]])
 
 
+def test_averaged_pairs_to_zero_across_registries_without_correspondences():
+    """A theta and a figure-eight on two registries admit no correspondence,
+    so they pair to 0 with no class, and their Gram entries are 0; the
+    exact pairing still refuses them."""
+    a = theta_network((1, 1, 2))
+    b = figure8_network()
+    assert a.graph.registry is not b.graph.registry
+    assert averaged_inner_product(a, b) == 0j
+    assert diffeo_average._averaged_pairing(a, b, False) == (0j, 0)
+    gm = averaged_gram([[(1.0, a)], [(1.0, b)]])
+    assert gm[0, 1] == 0j and gm[1, 0] == 0j
+    assert gm[0, 0] != 0 and gm[1, 1] != 0
+    with pytest.raises(InvalidNetworkError):
+        exact_inner_product(a, b)
+
+
 def test_averaged_requires_shared_registry():
     a = loop_network(1)
     regb = SegmentRegistry()

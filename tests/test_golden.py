@@ -1,6 +1,14 @@
 """Every golden report (``tests/golden/``) is printed again as recorded:
 byte for byte on the numpy, BLAS and CPU of its header, else to 1e-12 x
-max(1, |v|).  ``golden_reports.py --update`` rewrites them."""
+max(1, |v|), and byte for byte across processes with other hash seeds or
+BLAS thread counts.  ``golden_reports.py --update`` rewrites them."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import spinnet
 
 import golden_reports
 
@@ -9,3 +17,37 @@ def test_reports_match_the_golden_files():
     mode, differ = golden_reports.compare()
     print(f"golden reports compared by {mode}")
     assert not differ, f"reports differ from tests/golden/ ({mode}): {differ}"
+
+
+def test_reports_are_identical_across_hash_seeds_and_blas_threads():
+    """The README's seed promise, for every case: three fresh processes
+    print the same bytes, with hash seeds 1 and 2, and with one BLAS
+    thread.  Each imports this process's spinnet and golden_reports."""
+    src = Path(spinnet.__file__).resolve().parents[1]
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(src), str(here), os.environ.get("PYTHONPATH", "")])
+    script = ("import golden_reports as g\n"
+              "for name in g.CASES:\n"
+              "    print(name)\n"
+              "    print(g.report(name), end='')\n")
+    outputs = {}
+    for extra in ({"PYTHONHASHSEED": "1"}, {"PYTHONHASHSEED": "2"},
+                  {"PYTHONHASHSEED": "1", "OPENBLAS_NUM_THREADS": "1"}):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=path, **extra))
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs[str(extra)] = proc.stdout
+    first = next(iter(outputs.values()))
+    differ = [env for env, out in outputs.items() if out != first]
+    assert not differ, f"golden reports differ from the first process under {differ}"
+
+
+def test_every_golden_file_and_input_belongs_to_a_case():
+    """Each report file has a case, each case reads only files under
+    inputs/, and each file under inputs/ is read by some case."""
+    cases = golden_reports.CASES
+    reports = {p.stem for p in golden_reports.GOLDEN.glob("*.json")} - {"HEADER"}
+    assert reports == set(cases), reports ^ set(cases)
+    read = {a for argv in cases.values() for a in argv if a.endswith(".json")}
+    inputs = {p.name for p in golden_reports.INPUTS.iterdir()}
+    assert read == inputs, read ^ inputs
