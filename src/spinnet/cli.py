@@ -8,9 +8,9 @@ geometry), and ``haar-projector`` (the invariant projector for a spin
 list).  Reports are JSON on stdout with floats at 17 significant digits.
 
 Exit codes: 0 on success, 2 for validation failures (malformed documents,
-bad arguments, impossible networks) and for an output file that cannot be
-written, 3 when a computation fails one of its advertised numerical
-guarantees.
+bad arguments, impossible networks, inputs over a size budget, a result
+that is not finite) and for an output file that cannot be written, 3 when a
+computation fails one of its advertised numerical guarantees.
 
 The environment variable SPINNET_SEED supplies the default Monte Carlo
 seed; an explicit --seed wins.
@@ -217,14 +217,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        report = args.func(args)
+        # rendered here, so a non-finite result is refused like any other
+        text = dumps_document(args.func(args))
     except (DocumentError, InvalidNetworkError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ToleranceError as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)
         return 3
-    sys.stdout.write(dumps_document(report))
+    sys.stdout.write(text)
     return 0
 
 

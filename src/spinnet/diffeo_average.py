@@ -33,12 +33,16 @@ from .network_model import (
     _sort_key,
     _WorkEdge,
     _WorkVertex,
+    _canonical_pieces,
     _check_shared_registry,
     _inverse_word,
     canonicalize,
-    decompose,
 )
 from .rep_core import _dualized
+
+# Most correspondence classes that enumerate_correspondences lists: about a
+# million, each a few hundred bytes and one term of an averaged pairing.
+_MAX_CLASSES = 2**20
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,10 @@ def enumerate_correspondences(
     loop, and a partial assignment is dropped at the first endpoint that
     maps inconsistently or onto an already used point.  The classes are
     listed by interval permutation, then orientation pattern, each in
-    lexicographic order, and then likewise for circles.
+    lexicographic order, and then likewise for circles.  The circle maps are
+    counted first, and ValueError is raised, before any class is built, as
+    soon as the interval assignments found times that count pass
+    ``_MAX_CLASSES``.
     """
     if (len(d1.points), len(d1.intervals), len(d1.circles)) != (
         len(d2.points),
@@ -79,6 +86,7 @@ def enumerate_correspondences(
         return []
     flags = (False,) if orientation_preserving_only else (False, True)
     n_int, n_circ = len(d1.intervals), len(d1.circles)
+    n_circle_maps = math.factorial(n_circ) * len(flags) ** n_circ
     assignments = []
     pmap: dict = {}
     used_points: set = set()
@@ -89,6 +97,10 @@ def enumerate_correspondences(
         if i == n_int:
             if set(pmap) == set(d1.points):
                 assignments.append((tuple(chosen), dict(pmap)))
+                if len(assignments) * n_circle_maps > _MAX_CLASSES:
+                    raise ValueError(
+                        f"the graphs have more than {_MAX_CLASSES} (2^20) correspondence "
+                        f"classes, over the limit of group averaging")
             return
         src = d1.intervals[i]
         src_loop = src.start == src.end
@@ -190,8 +202,7 @@ class _Prepared:
 
 
 def _prepare(n: SpinNetwork) -> _Prepared:
-    cn = canonicalize(n)
-    dec = decompose(cn.graph)
+    cn, dec = _canonical_pieces(n)
     edges = {e.id: e for e in cn.edges}
     piece_edges = tuple(edges[piece.steps[0][0]] for piece in dec.intervals + dec.circles)
     piece_of = {e.id: k for k, e in enumerate(piece_edges)}
@@ -216,8 +227,9 @@ def averaged_inner_product(
 
 def _averaged_pairing(a: SpinNetwork, b: SpinNetwork, orientation_preserving_only: bool):
     """``averaged_inner_product`` and the number of correspondence classes
-    it summed over."""
-    return _prepared_pairing(_prepare(a), _prepare(b), orientation_preserving_only)
+    it summed over; a network paired with itself is prepared once."""
+    pa = _prepare(a)
+    return _prepared_pairing(pa, pa if b is a else _prepare(b), orientation_preserving_only)
 
 
 def _prepared_pairing(pa: _Prepared, pb: _Prepared, orientation_preserving_only: bool):

@@ -13,19 +13,19 @@ is unchanged by the gauge transformation g_e -> h_t(e) g_e h_s(e)^-1.
 :func:`mc_inner_product` estimates it by sampling; both hand each state to
 the engine on its own edges, through one builder (``_state_operands``).
 The exact path gives an edge one group factor per segment step of its word,
-chained by direct pairings, and contracts each segment's Haar projector in
-factored form.  The Monte Carlo path fixes the gauge of the measure: Haar
-measure is invariant too, so a spanning forest of segments avoiding every
-non-invariant vertex is set to the identity (``_gauge_forest``), only the
-other (chord) segments are drawn, and each edge keeps its chord steps,
-freely reduced; a vertex is invariant when the su(2) generators annihilate
-its tensor (``rep_core._is_invariant``).  It takes the sample mean of
-conj(state_a) * state_b over chunks of samples carried as Cayley-Klein
-pairs (``rep_core._pair``), two complex arrays, from the draw through the
-word products to the engine's one chunk evaluator; the engine alone sets
-the chunk length, the sample floor and the chords' stream columns
-(``tensor_engine._mc_batch``, ``_mc_mean``).  :func:`evaluate` is the
-one-sample case of that evaluator, with no gauge fixed.
+chained by direct pairings, and hands the pair to the engine's exact Haar
+integral (``tensor_engine._exact_expectation``).  The Monte Carlo path fixes
+the gauge of the measure: Haar measure is invariant too, so a spanning
+forest of segments avoiding every non-invariant vertex is set to the
+identity (``_gauge_forest``), only the other (chord) segments are drawn, and
+each edge keeps its chord steps, freely reduced; a vertex is invariant when
+the su(2) generators annihilate its tensor (``rep_core._is_invariant``).
+It takes the sample mean of conj(state_a) * state_b over chunks of samples
+carried as Cayley-Klein pairs (``rep_core._pair``), two complex arrays, from
+the draw through the word products to the engine's one chunk evaluator; the
+engine alone sets the chunk length, the sample floor and the chords' stream
+columns (``tensor_engine._mc_batch``, ``_mc_mean``).  :func:`evaluate` is
+the one-sample case of that evaluator, with no gauge fixed.
 """
 
 from __future__ import annotations
@@ -47,12 +47,11 @@ from .tensor_engine import (
     GroupFactor,
     LabeledTensor,
     Leg,
+    _exact_expectation,
     _mc_batch,
     _mc_mean,
     _prepared,
     _state_values,
-    contract,
-    haar_factored,
 )
 
 
@@ -242,25 +241,15 @@ def exact_inner_product(a: SpinNetwork, b: SpinNetwork) -> complex:
     Each state keeps its own edges, an edge contributing one group factor
     per segment step of its word.  Each segment's factors, from either
     state, are integrated by one factored invariant basis (the Haar
-    projector P = B B^dagger as two tensors), and those bases are contracted
-    greedily against each other and the vertex tensors.
+    projector P = B B^dagger as two tensors) in the engine's exact integral,
+    which contracts those bases greedily with the vertex tensors.
     """
     _check_shared_registry(a, b)
     # Every segment that passes structural_zero has a nonzero invariant
-    # space, which haar_factored needs for its multiplicity leg.
+    # space, which the factored projector needs for its multiplicity leg.
     if structural_zero(a, b):
         return 0j
-    paired = _paired_network(a, b)
-    tensors, pairings = list(paired.tensors), list(paired.pairings)
-    by_segment: dict = {}
-    for f in paired.factors:
-        by_segment.setdefault(f.variable, []).append(f)
-    for segment in sorted(by_segment, key=_sort_key):
-        basis, dual, pairing = haar_factored(by_segment[segment], ("H", segment))
-        tensors += [basis, dual]
-        pairings.append(pairing)
-    result = contract(tensors, pairings)
-    return complex(result.data)
+    return _exact_expectation(_paired_network(a, b))
 
 
 def mc_inner_product(a: SpinNetwork, b: SpinNetwork, n_samples: int, seed: int):

@@ -501,6 +501,13 @@ def canonicalize(n: SpinNetwork) -> SpinNetwork:
     the edges are listed by that id.  Webs (words that reuse segments) are
     rejected: they have no canonical network form.
     """
+    return _canonical_pieces(n)[0]
+
+
+def _canonical_pieces(n: SpinNetwork) -> tuple:
+    """(``canonicalize(n)``, ``decompose(n.graph)``): the canonical network
+    and the decomposition of its graph, the same graph, which the canonical
+    pass decomposes once."""
     if not n.is_embedded:
         raise InvalidNetworkError(
             "edge words reuse segments; only embedded networks have a canonical form"
@@ -553,4 +560,4 @@ def canonicalize(n: SpinNetwork) -> SpinNetwork:
     for wv in wverts.values():
         wv.keys = [(tag[1], d) for tag, d in wv.keys]
     ordered = {eid: merged[eid] for eid in sorted(merged, key=_sort_key)}
-    return _assemble(n.graph, ordered, wverts)
+    return _assemble(n.graph, ordered, wverts), dec

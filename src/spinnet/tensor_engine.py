@@ -2,27 +2,27 @@
 
 Two evaluation paths share one bookkeeping scheme:
 
-* exact: group variables are integrated out analytically by projecting the
-  tensor product of their matrix factors onto the invariant subspace
-  (``haar_project``, or as basis and conjugate basis with
-  ``haar_factored``), and the remaining network is contracted;
+* exact: each variable's factors are replaced by the projector onto the
+  invariant subspace of their tensor product (``haar_project``), as basis
+  and conjugate basis (``haar_factored``), and the remaining network is
+  contracted (``_exact_expectation``, which the exact inner product runs);
 * Monte Carlo: group variables are sampled Haar-uniformly and the same
   network is contracted numerically per sample (``mc_expectation``); the
-  Monte Carlo inner product runs the same planner, executor and reduction
-  on each state's own network.
+  Monte Carlo inner product runs the same reduction on each state's own
+  network.
 
-Both contract through one engine.  A planner, which sees only leg ids, dims
-and which operands carry a per-sample batch axis, fixes a greedy pairwise
-order once per shape (one bounded cache serves both paths), picks a kernel
-for each step and rejects a plan whose largest intermediate is over a fixed
-budget before any array is allocated.  An executor then runs each step on
-transposed, reshaped operands, so the number of legs in a step is not
-limited.  Batched operands keep the sample axis last, and a step's kernel
-follows from which operands are batched, whatever its size: a step with
-both batched is a multiply-add over its inner axis across all samples at
-once, because a stacked ``matmul`` pays a dispatch per sample; every other
-step, which includes all the steps of an exact contraction, is one
-``matmul``.  A single-operand trace is a ``diagonal`` and a ``sum``.
+Both, and ``contract``, enter one engine through ``_prepared``.  A planner,
+which sees only leg ids, dims and which operands carry a per-sample batch
+axis, fixes a greedy pairwise order once per shape (in one bounded cache),
+picks a kernel for each step and rejects a plan whose largest intermediate
+is over a fixed budget before any array is allocated.  An executor then
+runs each step on transposed, reshaped operands, so the number of legs in
+a step is not limited.  Batched operands keep the sample axis last, and a
+step's kernel follows from which operands are batched, whatever its size:
+a step with both batched is a multiply-add over its inner axis across all
+samples at once, because a stacked ``matmul`` pays a dispatch per sample;
+every other step, which includes all the steps of an exact contraction, is
+one ``matmul``.  A single-operand trace is a ``diagonal`` and a ``sum``.
 
 The sampled path has one chunk evaluator, ``_state_values``: it resets
 this thread's scratch (``_Scratch``), builds one Wigner matrix per
@@ -338,6 +338,21 @@ def _execute(plan: _Plan, arrays: Sequence[np.ndarray]) -> np.ndarray:
     return slots[-1]
 
 
+def _prepared(network: FactorNetwork, batch: int) -> tuple:
+    """(plan, factors, constant arrays): a factor network ready for
+    ``_execute`` on ``batch`` samples at once, the one way into the planner.
+    The plan takes the factors, per-sample matrices, first and the constant
+    tensors after; it is checked against the size budget before any work."""
+    plan = _plan(
+        tuple((f.row_leg, f.col_leg) for f in network.factors)
+        + tuple(tuple(l.id for l in t.legs) for t in network.tensors),
+        tuple((f.spin.dim,) * 2 for f in network.factors)
+        + tuple(tuple(l.spin.dim for l in t.legs) for t in network.tensors),
+        (True,) * len(network.factors) + (False,) * len(network.tensors),
+        network.pairings, batch=batch)
+    return plan, network.factors, tuple(np.asarray(t.data, complex) for t in network.tensors)
+
+
 def _checked_legs(
     legs: Sequence[Leg], pairings: Sequence[tuple[str, str]]
 ) -> tuple[dict[str, Leg], set[str]]:
@@ -383,10 +398,8 @@ def contract(
     ``_MAX_ELEMENTS`` elements.
     """
     legs_by_id, paired = _checked_legs([l for t in tensors for l in t.legs], pairings)
-    plan = _plan(tuple(tuple(l.id for l in t.legs) for t in tensors),
-                 tuple(tuple(l.spin.dim for l in t.legs) for t in tensors),
-                 (False,) * len(tensors), tuple((a, b) for a, b in pairings))
-    result = _execute(plan, [np.asarray(t.data, complex) for t in tensors])
+    plan, _, arrays = _prepared(FactorNetwork((), tensors, pairings), 1)
+    result = _execute(plan, list(arrays))
     order = [l.id for t in tensors for l in t.legs if l.id not in paired]
     perm = [plan.legs.index(l) for l in order]
     data = np.transpose(result, perm) if perm else result.reshape(())
@@ -458,23 +471,25 @@ def haar_factored(factors: Sequence[GroupFactor], key) -> tuple:
     )
 
 
+def _exact_expectation(network: FactorNetwork) -> complex:
+    """Exact twin of ``mc_expectation``: each variable's factors, taken in
+    ``_sort_key`` order, become their ``haar_factored`` pair, keyed ``("H",
+    variable)`` (so each must admit an invariant), and the constant network
+    that results is planned and contracted once."""
+    by_variable: dict = {}
+    for f in network.factors:
+        by_variable.setdefault(f.variable, []).append(f)
+    tensors, pairings = list(network.tensors), list(network.pairings)
+    for variable in sorted(by_variable, key=_sort_key):
+        basis, dual, pairing = haar_factored(by_variable[variable], ("H", variable))
+        tensors += [basis, dual]
+        pairings.append(pairing)
+    plan, _, arrays = _prepared(FactorNetwork((), tensors, pairings), 1)
+    return complex(_execute(plan, list(arrays)))
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo
-
-def _prepared(network: FactorNetwork, batch: int) -> tuple:
-    """(plan, factors, constant arrays): a factor network ready for
-    ``_state_values`` on ``batch`` samples at once.  The plan takes the
-    factors, per-sample matrices, first and the constant tensors after; it
-    is checked against the size budget here, before any sample exists."""
-    plan = _plan(
-        tuple((f.row_leg, f.col_leg) for f in network.factors)
-        + tuple(tuple(l.id for l in t.legs) for t in network.tensors),
-        tuple((f.spin.dim,) * 2 for f in network.factors)
-        + tuple(tuple(l.spin.dim for l in t.legs) for t in network.tensors),
-        (True,) * len(network.factors) + (False,) * len(network.tensors),
-        network.pairings, batch=batch)
-    return plan, network.factors, tuple(np.asarray(t.data, complex) for t in network.tensors)
-
 
 def _factor_arrays(factors: Sequence[GroupFactor], pairs_by_var: Mapping) -> list[np.ndarray]:
     """Per-sample matrices for each factor, shape (row, col, sample) with

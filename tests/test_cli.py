@@ -157,6 +157,48 @@ def test_non_finite_document_entries_are_exit_2(tmp_path, capsys, literal):
         assert cap.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["ip", "huge", "huge"],
+    ["ip", "huge", "huge", "--mc", "100"],
+    ["dip", "huge", "huge"],
+    ["gram", "huge", "huge"],
+])
+def test_non_finite_result_is_exit_2(tmp_path, capsys, argv):
+    """A spin-1/2 loop whose marker is 1e300 times the identity overflows
+    every pairing.  The report is refused when it is rendered, inside the
+    same error handling as the computation: exit 2, an error line, and
+    nothing on stdout."""
+    huge = dict(LOOP_DOC, intertwiners={"P": {"kind": "explicit", "components": [
+        [[1e300, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e300, 0.0]]]}})
+    path = tmp_path / "huge.json"
+    path.write_text(dumps_document(huge))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, cap = run(capsys, [str(path) if a == "huge" else a for a in argv])
+    assert code == 2
+    assert cap.err.startswith("error: non-finite number")
+    assert cap.out == ""
+
+
+def test_dip_over_the_class_budget_is_exit_2(tmp_path, capsys):
+    """Eight disjoint loops have 8!·2^8 correspondence classes, over the
+    2^20 that group averaging enumerates: dip and gram refuse at once."""
+    doc = {
+        "segments": [{"id": f"s{k}", "source": f"P{k}", "target": f"P{k}"} for k in range(8)],
+        "edges": [{"id": f"l{k}", "word": [f"s{k}"], "source": f"P{k}", "target": f"P{k}",
+                   "twice_j": 1} for k in range(8)],
+        "intertwiners": {f"P{k}": {"kind": "epsilon"} for k in range(8)},
+    }
+    path = tmp_path / "loops.json"
+    path.write_text(dumps_document(doc))
+    for argv in (["dip", str(path), str(path)], ["gram", str(path)]):
+        start = time.perf_counter()
+        code, _, cap = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "correspondence classes" in cap.err
+        assert cap.out == ""
+
+
 def test_ip_exact_theta(docs, capsys):
     code, report, _ = run(capsys, ["ip", docs["theta"], docs["theta"]])
     assert code == 0

@@ -3,13 +3,18 @@ inner product obtained by summing once over each correspondence class."""
 
 import itertools
 import math
+import sys
+import time
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import spinnet.diffeo_average as diffeo_average
+import spinnet.network_model as network_model
 from spinnet import (
+    Edge,
+    Intertwiner,
     Spin,
     InvalidNetworkError,
     structural_zero,
@@ -194,6 +199,77 @@ def test_known_zoo_counts():
     for name, want in counts.items():
         d = zoo[name]
         assert len(enumerate_correspondences(d, d)) == want, name
+
+
+def disjoint_loops(k):
+    """k spin-1/2 loops at k distinct points: k circles, k!·2^k classes."""
+    reg = SegmentRegistry()
+    edges = []
+    for i in range(k):
+        reg.add_segment(f"s{i}", f"P{i}", f"P{i}")
+        edges.append(Edge(f"l{i}", ((f"s{i}", False),), f"P{i}", f"P{i}", Spin(1)))
+    marker = Intertwiner(((Spin(1), "out"), (Spin(1), "in")), np.eye(2))
+    return network(reg, edges, {f"P{i}": marker for i in range(k)})
+
+
+def test_class_budget_refuses_before_building_a_class(monkeypatch):
+    """Eight disjoint loops have 8!·2^8 = 10 321 920 classes, over the budget
+    of 2^20: enumeration and the averaged pairing refuse at the first
+    interval assignment, fast, with no Correspondence built."""
+    built = []
+
+    class Counting(diffeo_average.Correspondence):
+        def __post_init__(self):
+            built.append(self)
+
+    monkeypatch.setattr(diffeo_average, "Correspondence", Counting)
+    assert diffeo_average._MAX_CLASSES == 2**20
+    loops = disjoint_loops(8)
+    d = decompose(loops.graph)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="correspondence classes"):
+        enumerate_correspondences(d, d)
+    with pytest.raises(ValueError, match="correspondence classes"):
+        averaged_inner_product(loops, loops)
+    assert time.perf_counter() - start < 1.0
+    assert built == []
+    # 7!·2^7 = 645 120 classes orientation-free, 8! = 40 320 orientation-preserving
+    assert len(enumerate_correspondences(d, d, True)) == math.factorial(8)
+
+
+@pytest.mark.parametrize("graph, classes", [("3-cycle", 48), ("two circles", 8)])
+def test_class_budget_is_inclusive(monkeypatch, graph, classes):
+    """The budget counts interval assignments (the 3-cycle's loops) and
+    circle maps (two circles) alike: a graph with exactly the budget's
+    classes is listed in full, one more class is refused."""
+    d = _cycle_decomposition(3) if graph == "3-cycle" else dict(_zoo())[graph]
+    monkeypatch.setattr(diffeo_average, "_MAX_CLASSES", classes)
+    assert len(enumerate_correspondences(d, d)) == classes
+    monkeypatch.setattr(diffeo_average, "_MAX_CLASSES", classes - 1)
+    with pytest.raises(ValueError, match="correspondence classes"):
+        enumerate_correspondences(d, d)
+
+
+def test_averaged_pairing_decomposes_each_distinct_network_once(monkeypatch):
+    """The canonical pass hands its decomposition to the pairing, and a
+    network paired with itself is prepared once: one ``decompose`` per
+    distinct network."""
+    calls = []
+    real = network_model.decompose
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("spinnet") and getattr(mod, "decompose", None) is real:
+            monkeypatch.setattr(mod, "decompose", counting)
+    theta = theta_network((1, 1, 2))
+    other = theta_network((2, 2, 2), registry=theta.graph.registry)
+    for a, b, want in ((theta, theta, 1), (theta, other, 2)):
+        calls.clear()
+        diffeo_average._averaged_pairing(a, b, False)
+        assert len(calls) == want
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from spinnet import (
 )
 import spinnet.inner_product as ip
 import spinnet.tensor_engine as te
-from spinnet.rep_core import _pair, wigner_entries
+from spinnet.rep_core import _has_invariant, _pair, wigner_entries
 from spinnet.tensor_engine import MC_CHUNK, _invariant_basis, haar_factored
 from helpers import (cycle_network, haar_element, loop_network, reference_haar_quaternions,
                      theta_network)
@@ -379,6 +379,78 @@ def test_mc_agrees_with_exact_projector():
     net = FactorNetwork(tuple(factors), (tu, tw), tuple(pairings))
     mean, err = mc_expectation(net, 50000, seed=12)
     assert abs(mean - exact) < 4 * err
+
+
+def _random_factor_network(rng):
+    """A fully paired factor network of two variables: g has one factor of
+    each (conjugated, inverted) combination, h two or three factors of
+    random combinations, all of spin 1/2 or 1 admitting an invariant.  Up to
+    two column legs are paired directly with a row leg of equal spin and
+    conjugation, possibly on the same factor (a trace); the other legs close
+    on random constant tensors of at most three legs each."""
+    flags = [(c, i) for c in (False, True) for i in (False, True)]
+    specs = []
+    for variable, n in (("g", 4), ("h", int(rng.integers(2, 4)))):
+        tjs = rng.integers(1, 3, size=n)
+        while not _has_invariant(tjs):
+            tjs = rng.integers(1, 3, size=n)
+        combos = ([flags[k] for k in rng.permutation(4)] if variable == "g"
+                  else [flags[k] for k in rng.integers(0, 4, size=n)])
+        specs += [(variable, int(tj), c, i) for tj, (c, i) in zip(tjs, combos)]
+    factors = [factor(v, tj, f"r{k}", f"c{k}", conjugated=c, inverted=i)
+               for k, (v, tj, c, i) in enumerate(specs)]
+    legs = {}
+    for f in factors:
+        legs.update(zip((f.row_leg, f.col_leg), ((f.spin, v) for v in f.leg_variances())))
+    pairings = []
+    for _ in range(2):
+        direct = [(a.col_leg, b.row_leg) for a in factors for b in factors
+                  if a.spin == b.spin and a.conjugated == b.conjugated
+                  and a.col_leg in legs and b.row_leg in legs]
+        if direct:
+            pair = direct[rng.integers(len(direct))]
+            pairings.append(pair)
+            for leg in pair:
+                del legs[leg]
+    free = list(legs)
+    free = [free[k] for k in rng.permutation(len(free))]
+    flip = {"ket": "bra", "bra": "ket"}
+    tensors = []
+    for t, start in enumerate(range(0, len(free), 3)):
+        ids = free[start:start + 3]
+        t_legs = tuple(Leg(f"t{t}_{k}", legs[l][0], flip[legs[l][1]]) for k, l in enumerate(ids))
+        shape = tuple(l.spin.dim for l in t_legs)
+        tensors.append(LabeledTensor(t_legs, rng.standard_normal(shape)
+                                     + 1j * rng.standard_normal(shape)))
+        pairings += [(l, tl.id) for l, tl in zip(ids, t_legs)]
+    return FactorNetwork(tuple(factors), tuple(tensors), tuple(pairings))
+
+
+def test_exact_expectation_agrees_with_sampling_and_dense_projectors():
+    """On seeded random factor networks the exact integral agrees with the
+    Monte Carlo estimate within 4 standard errors, which checks the
+    projector's conjugation and inversion conventions (``_projector_sides``)
+    against the sampled matrices' (``_factor_arrays``), and with dense
+    projectors (``haar_project``) and ``contract`` to 1e-13."""
+    rng = np.random.default_rng(30)
+    direct = 0
+    for k in range(6):
+        net = _random_factor_network(rng)
+        by_variable = {}
+        for f in net.factors:
+            by_variable.setdefault(f.variable, []).append(f)
+        assert {(f.conjugated, f.inverted) for f in by_variable["g"]} == {
+            (c, i) for c in (False, True) for i in (False, True)}
+        factor_legs = {l for f in net.factors for l in (f.row_leg, f.col_leg)}
+        direct += sum(a in factor_legs and b in factor_legs for a, b in net.pairings)
+
+        exact = te._exact_expectation(net)
+        dense = complex(contract([haar_project(fs) for fs in by_variable.values()]
+                                 + list(net.tensors), net.pairings).data)
+        assert abs(exact - dense) <= 1e-13 * max(1.0, abs(dense)), k
+        mean, err = mc_expectation(net, 20000, seed=k)
+        assert 0 < err and abs(mean - exact) < 4 * err, (k, exact, mean, err)
+    assert direct >= 6
 
 
 def test_mc_bit_stable_and_chunk_insensitive(monkeypatch):
