@@ -558,7 +558,7 @@ def write_curves_csv(path, curves) -> None:
     each curve by one row template over its interleaved xs and ys.  Rows
     end in CRLF, and an id holding a comma, quote or line break is quoted,
     as ``csv.writer`` writes them."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("curve_id,x,y\r\n")
         for curve in curves:
             cell = curve.curve_id

@@ -291,10 +291,13 @@ def averaged_gram(
 
     Each entry of ``combinations`` is a sequence of (weight, SpinNetwork)
     pairs; the pairing extends sesquilinearly, antilinear in the first slot.
-    Each network is prepared once; the entries on and above the diagonal
-    are computed and the rest filled by conjugate symmetry of the pairing.
+    Each distinct network is prepared once, however many entries hold it;
+    the entries on and above the diagonal are computed and the rest filled
+    by conjugate symmetry of the pairing.
     """
-    combos = [[(w, _prepare(n)) for w, n in c] for c in combinations]
+    combos = [list(c) for c in combinations]
+    prepared = {n: _prepare(n) for n in dict.fromkeys(n for c in combos for _, n in c)}
+    combos = [[(w, prepared[n]) for w, n in c] for c in combos]
     size = len(combos)
     gram = np.zeros((size, size), dtype=complex)
     for i in range(size):

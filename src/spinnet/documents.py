@@ -67,7 +67,7 @@ class DocumentError(ValueError):
 def read_document(path):
     """Load a JSON file, turning IO and syntax failures into DocumentError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise DocumentError(str(path), exc.strerror or str(exc)) from exc

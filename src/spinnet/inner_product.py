@@ -11,7 +11,8 @@ is unchanged by the gauge transformation g_e -> h_t(e) g_e h_s(e)^-1.
 
 :func:`exact_inner_product` integrates it exactly and
 :func:`mc_inner_product` estimates it by sampling; both hand each state to
-the engine on its own edges, through one builder (``_state_operands``).
+the engine on its own edges, as group factors and (leg ids, array) pairs,
+through one builder (``_state_operands``).
 The exact path gives an edge one group factor per segment step of its word,
 chained by direct pairings, and hands the pair to the engine's exact Haar
 integral (``tensor_engine._exact_expectation``).  The Monte Carlo path fixes
@@ -43,15 +44,7 @@ from .rep_core import (
     GroupElement, _has_invariant, _is_invariant, _pair, _pair_product,
 )
 from .tensor_engine import (
-    FactorNetwork,
-    GroupFactor,
-    LabeledTensor,
-    Leg,
-    _exact_expectation,
-    _mc_batch,
-    _mc_mean,
-    _prepared,
-    _state_values,
+    GroupFactor, _exact_expectation, _mc_batch, _mc_mean, _prepared, _state_values,
 )
 
 
@@ -161,7 +154,7 @@ def _prepared_state(n: SpinNetwork, tree: frozenset, batch: int) -> tuple:
     budget here, before any sample exists."""
     words = {e.id: _reduced(step for step in e.word if step[0] not in tree) for e in n.edges}
     steps = {eid: ((w, False),) if w else () for eid, w in words.items()}
-    return _prepared(_state_operands(n, "N", False, steps), batch)
+    return _prepared(*_state_operands(n, "N", False, steps), batch)
 
 
 def _word_holonomy(pairs: Mapping, word) -> tuple:
@@ -177,8 +170,10 @@ def _word_holonomy(pairs: Mapping, word) -> tuple:
     return total
 
 
-def _state_operands(n: SpinNetwork, side: str, conjugate: bool, steps: Mapping) -> FactorNetwork:
-    """One state as a factor network: group factors and vertex tensors.
+def _state_operands(n: SpinNetwork, side: str, conjugate: bool, steps: Mapping) -> tuple:
+    """One state as the engine's operands (``tensor_engine._prepared``):
+    group factors, each vertex tensor as its (leg ids, array) pair, and
+    pairings of leg ids.
 
     Edge e carries one factor per entry of ``steps[e.id]``, a tuple of
     (variable, inverted) pairs taken from source to target, chained by
@@ -187,7 +182,7 @@ def _state_operands(n: SpinNetwork, side: str, conjugate: bool, steps: Mapping) 
     factor's column with the "out" slot at the source.  An edge with no step
     pairs its two vertex slots directly.  Leg ids are tagged with ``side``.
     ``conjugate`` marks the bra side: factors and tensor data are
-    conjugated and leg variances flip.
+    conjugated.
     """
     factors, pairings = [], []
     for e in n.edges:
@@ -198,12 +193,10 @@ def _state_operands(n: SpinNetwork, side: str, conjugate: bool, steps: Mapping) 
         chain = ([(side, "V", e.target, e.id, "in")] + [l for rc in reversed(legs) for l in rc]
                  + [(side, "V", e.source, e.id, "out")])
         pairings += zip(chain[0::2], chain[1::2])
-    tensors = [LabeledTensor(tuple(Leg((side, "V", v, eid, d), spin,
-                                       "ket" if (d == "out") != conjugate else "bra")
-                                   for eid, d, spin in n.vertex_slots(v)),
-                             iv.components.conj() if conjugate else iv.components)
+    tensors = [(tuple((side, "V", v, eid, d) for eid, d, _ in n.vertex_slots(v)),
+                iv.components.conj() if conjugate else iv.components)
                for v, iv in n.vertices.items()]
-    return FactorNetwork(factors, tensors, pairings)
+    return factors, tensors, pairings
 
 
 def _segment_spins(a: SpinNetwork, b: SpinNetwork) -> dict:
@@ -226,13 +219,13 @@ def structural_zero(a: SpinNetwork, b: SpinNetwork) -> bool:
     return not all(_has_invariant(tjs) for tjs in _segment_spins(a, b).values())
 
 
-def _paired_network(a: SpinNetwork, b: SpinNetwork) -> FactorNetwork:
-    """conj(state_a) * state_b as one factor network, each state on its own
-    edges with one factor per segment step of its words."""
+def _paired_network(a: SpinNetwork, b: SpinNetwork) -> tuple:
+    """conj(state_a) * state_b as the engine's operands (factors, tensors,
+    pairings), each state on its own edges with one factor per segment step
+    of its words."""
     bra, ket = (_state_operands(n, side, side == "A", {e.id: e.word for e in n.edges})
                 for n, side in ((a, "A"), (b, "B")))
-    return FactorNetwork(bra.factors + ket.factors, bra.tensors + ket.tensors,
-                         bra.pairings + ket.pairings)
+    return tuple(x + y for x, y in zip(bra, ket))
 
 
 def exact_inner_product(a: SpinNetwork, b: SpinNetwork) -> complex:
@@ -249,7 +242,7 @@ def exact_inner_product(a: SpinNetwork, b: SpinNetwork) -> complex:
     # space, which the factored projector needs for its multiplicity leg.
     if structural_zero(a, b):
         return 0j
-    return _exact_expectation(_paired_network(a, b))
+    return _exact_expectation(*_paired_network(a, b))
 
 
 def mc_inner_product(a: SpinNetwork, b: SpinNetwork, n_samples: int, seed: int):

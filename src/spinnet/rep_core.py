@@ -45,9 +45,17 @@ __all__ = [
 ]
 
 # Largest twice_j accepted by the representation builders, a fixed cap.  It
-# bounds the unbounded caches keyed by spins: ``_wigner_terms`` holds at most
-# MAX_TWICE_J + 1 keys and ``_cg_tensor`` at most (MAX_TWICE_J + 1) ** 3.
+# bounds the unbounded cache keyed by one spin: ``_wigner_terms`` holds at
+# most MAX_TWICE_J + 1 keys.
 MAX_TWICE_J = 12
+
+# Distinct leg signatures whose invariant bases are kept.
+_BASIS_CACHE_SIZE = 256
+# Distinct (twice_j, twice_j, twice_j) couplings whose Clebsch-Gordan tensors
+# are kept.  Intermediate couplings of a basis build go above MAX_TWICE_J, so
+# the keys are not bounded by the cap; the bases of every 3- and 4-leg list
+# with twice_j <= 12 need 577 of them.
+_CG_CACHE_SIZE = 1024
 
 # Largest array, in complex elements, the package builds from one input:
 # 2**26 elements of 16 bytes is 1 GiB.
@@ -285,7 +293,7 @@ def _cg_coefficient(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) ->
     return sign * math.sqrt(float(pre * total * total))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CG_CACHE_SIZE)
 def _cg_tensor(tj1: int, tj2: int, tJ: int) -> np.ndarray:
     d1, d2, dJ = tj1 + 1, tj2 + 1, tJ + 1
     out = np.zeros((d1, d2, dJ))
@@ -437,10 +445,6 @@ def _dualized(tensor: np.ndarray, axis: int, twice_j: int) -> np.ndarray:
     shape[axis] = twice_j + 1
     signs = (-1.0) ** np.arange(twice_j + 1)
     return np.flip(tensor, axis) * signs.reshape(shape) + 0.0
-
-
-# Distinct leg signatures whose invariant bases are kept.
-_BASIS_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)

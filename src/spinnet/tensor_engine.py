@@ -3,26 +3,29 @@
 Two evaluation paths share one bookkeeping scheme:
 
 * exact: each variable's factors are replaced by the projector onto the
-  invariant subspace of their tensor product (``haar_project``), as basis
-  and conjugate basis (``haar_factored``), and the remaining network is
-  contracted (``_exact_expectation``, which the exact inner product runs);
+  invariant subspace of their tensor product (``haar_project``) as its
+  basis B on the row-side legs and conj(B) on the column-side legs
+  (``_projector_sides``), and the remaining network is contracted
+  (``_exact_expectation``, which the exact inner product runs);
 * Monte Carlo: group variables are sampled Haar-uniformly and the same
   network is contracted numerically per sample (``mc_expectation``); the
   Monte Carlo inner product runs the same reduction on each state's own
   network.
 
-Both, and ``contract``, enter one engine through ``_prepared``.  A planner,
-which sees only leg ids, dims and which operands carry a per-sample batch
-axis, fixes a greedy pairwise order once per shape (in one bounded cache),
-picks a kernel for each step and rejects a plan whose largest intermediate
-is over a fixed budget before any array is allocated.  An executor then
-runs each step on transposed, reshaped operands, so the number of legs in
-a step is not limited.  Batched operands keep the sample axis last, and a
-step's kernel follows from which operands are batched, whatever its size:
-a step with both batched is a multiply-add over its inner axis across all
-samples at once, because a stacked ``matmul`` pays a dispatch per sample;
-every other step, which includes all the steps of an exact contraction, is
-one ``matmul``.  A single-operand trace is a ``diagonal`` and a ``sum``.
+Both, and ``contract``, enter one engine through ``_prepared``, which takes
+group factors, constant tensors as (leg ids, array) pairs, and pairings of
+leg ids.  A planner, which sees only leg ids, dims and which operands carry
+a per-sample batch axis, fixes a greedy pairwise order once per shape (in
+one bounded cache), picks a kernel for each step and rejects a plan whose
+largest intermediate is over a fixed budget before any array is allocated.
+An executor then runs each step on transposed, reshaped operands, so the
+number of legs in a step is not limited.  Batched operands keep the sample
+axis last, and a step's kernel follows from which operands are batched,
+whatever its size: a step with both batched is a multiply-add over its
+inner axis across all samples at once, because a stacked ``matmul`` pays a
+dispatch per sample; every other step, which includes all the steps of an
+exact contraction, is one ``matmul``.  A single-operand trace is a
+``diagonal`` and a ``sum``.
 
 The sampled path has one chunk evaluator, ``_state_values``: it resets
 this thread's scratch (``_Scratch``), builds one Wigner matrix per
@@ -33,11 +36,15 @@ module alone fixes the Monte Carlo contract: the chunk length and the
 sample floor (``_mc_batch``), the stream's column order and the reduction
 (``_mc_mean``).
 
-Legs carry (id, spin, variance); contraction only joins a ket leg to a bra
-leg of equal spin.  A ``GroupFactor`` names one matrix element
-D^j(g)_{row, col} (possibly conjugated and/or inverted) of the variable it
-references; its row leg is a ket (bra when conjugated) and its column leg
-the opposite.
+The tensor classes are the public boundary.  Legs carry (id, spin,
+variance); ``contract`` and ``mc_expectation`` check that each pairing joins
+a ket leg to a bra leg of equal spin (``_checked_legs``) and hand
+``_prepared`` only leg ids and arrays (``_operands``), and ``haar_project``
+returns a ``LabeledTensor``.  The inner products build their operands
+straight from their networks, with no tensor object.  A ``GroupFactor``
+names one matrix element D^j(g)_{row, col} (possibly conjugated and/or
+inverted) of the variable it references; its row leg is a ket (bra when
+conjugated) and its column leg the opposite.
 """
 
 from __future__ import annotations
@@ -338,19 +345,25 @@ def _execute(plan: _Plan, arrays: Sequence[np.ndarray]) -> np.ndarray:
     return slots[-1]
 
 
-def _prepared(network: FactorNetwork, batch: int) -> tuple:
-    """(plan, factors, constant arrays): a factor network ready for
-    ``_execute`` on ``batch`` samples at once, the one way into the planner.
+def _prepared(factors: Sequence[GroupFactor], tensors: Sequence[tuple],
+              pairings: Sequence[tuple], batch: int) -> tuple:
+    """(plan, factors, constant arrays): operands ready for ``_execute`` on
+    ``batch`` samples at once, the one way into the planner.  ``tensors``
+    are constant (leg ids, array) pairs, each array's shape its legs' dims.
     The plan takes the factors, per-sample matrices, first and the constant
     tensors after; it is checked against the size budget before any work."""
+    factors = tuple(factors)
     plan = _plan(
-        tuple((f.row_leg, f.col_leg) for f in network.factors)
-        + tuple(tuple(l.id for l in t.legs) for t in network.tensors),
-        tuple((f.spin.dim,) * 2 for f in network.factors)
-        + tuple(tuple(l.spin.dim for l in t.legs) for t in network.tensors),
-        (True,) * len(network.factors) + (False,) * len(network.tensors),
-        network.pairings, batch=batch)
-    return plan, network.factors, tuple(np.asarray(t.data, complex) for t in network.tensors)
+        tuple((f.row_leg, f.col_leg) for f in factors) + tuple(tuple(ids) for ids, _ in tensors),
+        tuple((f.spin.dim,) * 2 for f in factors) + tuple(np.shape(data) for _, data in tensors),
+        (True,) * len(factors) + (False,) * len(tensors),
+        tuple((a, b) for a, b in pairings), batch=batch)
+    return plan, factors, tuple(np.asarray(data, complex) for _, data in tensors)
+
+
+def _operands(tensors: Sequence[LabeledTensor]) -> list:
+    """Public tensors as the (leg ids, array) pairs ``_prepared`` takes."""
+    return [(tuple(l.id for l in t.legs), t.data) for t in tensors]
 
 
 def _checked_legs(
@@ -398,7 +411,7 @@ def contract(
     ``_MAX_ELEMENTS`` elements.
     """
     legs_by_id, paired = _checked_legs([l for t in tensors for l in t.legs], pairings)
-    plan, _, arrays = _prepared(FactorNetwork((), tensors, pairings), 1)
+    plan, _, arrays = _prepared((), _operands(tensors), pairings, 1)
     result = _execute(plan, list(arrays))
     order = [l.id for t in tensors for l in t.legs if l.id not in paired]
     perm = [plan.legs.index(l) for l in order]
@@ -411,20 +424,20 @@ def contract(
 # variable's cached stack B = rep_core._invariant_basis(signature).
 
 def _projector_sides(factors: Sequence[GroupFactor]):
-    """Invariant basis of one variable's factors, with its row-side and
-    column-side legs.  Inversion swaps which named leg sits on which side.
-    A conjugated-xor-inverted factor transforms in the dual representation:
-    its axis is an "in" leg, dualized in ``rep_core._invariant_basis``."""
+    """Invariant basis of one variable's factors, with the (id, variance) of
+    each row-side and column-side leg.  Inversion swaps which named leg sits
+    on which side.  A conjugated-xor-inverted factor transforms in the dual
+    representation: its axis is an "in" leg, dualized in
+    ``rep_core._invariant_basis``."""
     signature = tuple((f.spin.twice_j, bool(f.conjugated) != bool(f.inverted)) for f in factors)
-    row_legs, col_legs = [], []
+    rows, cols = [], []
     for f in factors:
-        rv, cv = f.leg_variances()
-        row, col = Leg(f.row_leg, f.spin, rv), Leg(f.col_leg, f.spin, cv)
+        row, col = zip((f.row_leg, f.col_leg), f.leg_variances())
         if f.inverted:
             row, col = col, row
-        row_legs.append(row)
-        col_legs.append(col)
-    return _invariant_basis(signature), tuple(row_legs), tuple(col_legs)
+        rows.append(row)
+        cols.append(col)
+    return _invariant_basis(signature), rows, cols
 
 
 def haar_project(factors: Sequence[GroupFactor]) -> LabeledTensor:
@@ -450,41 +463,31 @@ def haar_project(factors: Sequence[GroupFactor]) -> LabeledTensor:
             f"the projector on spins {[f.spin.twice_j for f in factors]} has {size} "
             f"elements, over the limit of {_MAX_ELEMENTS}"
         )
-    basis, row_legs, col_legs = _projector_sides(factors)
-    return LabeledTensor(row_legs + col_legs, np.tensordot(basis, basis.conj(), (0, 0)))
+    basis, rows, cols = _projector_sides(factors)
+    legs = tuple(Leg(i, f.spin, v) for side in (rows, cols) for f, (i, v) in zip(factors, side))
+    return LabeledTensor(legs, np.tensordot(basis, basis.conj(), (0, 0)))
 
 
-def haar_factored(factors: Sequence[GroupFactor], key) -> tuple:
-    """``haar_project`` in factored form: (B, conj(B), pairing).
-
-    B carries the row-side legs and conj(B) the column-side legs; the pairing
-    joins their multiplicity legs ``(key, "ket")`` and ``(key, "bra")``, of
-    dimension r = number of invariants, which must be at least 1.
-    """
-    basis, row_legs, col_legs = _projector_sides(factors)
-    mult = Spin(basis.shape[0] - 1)
-    ket, bra = Leg((key, "ket"), mult, "ket"), Leg((key, "bra"), mult, "bra")
-    return (
-        LabeledTensor((ket,) + row_legs, basis),
-        LabeledTensor((bra,) + col_legs, basis.conj()),
-        (ket.id, bra.id),
-    )
-
-
-def _exact_expectation(network: FactorNetwork) -> complex:
-    """Exact twin of ``mc_expectation``: each variable's factors, taken in
-    ``_sort_key`` order, become their ``haar_factored`` pair, keyed ``("H",
-    variable)`` (so each must admit an invariant), and the constant network
-    that results is planned and contracted once."""
+def _exact_expectation(factors: Sequence[GroupFactor], tensors: Sequence[tuple],
+                       pairings: Sequence[tuple]) -> complex:
+    """Exact twin of ``mc_expectation``, on ``_prepared``'s operands.  Each
+    variable's factors, taken in ``_sort_key`` order, become its invariant
+    basis B on their row-side ids and conj(B) on their column-side ids
+    (``_projector_sides``), with the multiplicity legs ``(("H", variable),
+    "ket")`` and ``(("H", variable), "bra")`` paired: ``haar_project``'s
+    projector in factored form, so each variable must admit an invariant.
+    The constant network that results is planned and contracted once."""
     by_variable: dict = {}
-    for f in network.factors:
+    for f in factors:
         by_variable.setdefault(f.variable, []).append(f)
-    tensors, pairings = list(network.tensors), list(network.pairings)
+    tensors, pairings = list(tensors), list(pairings)
     for variable in sorted(by_variable, key=_sort_key):
-        basis, dual, pairing = haar_factored(by_variable[variable], ("H", variable))
-        tensors += [basis, dual]
-        pairings.append(pairing)
-    plan, _, arrays = _prepared(FactorNetwork((), tensors, pairings), 1)
+        basis, rows, cols = _projector_sides(by_variable[variable])
+        ket, bra = (("H", variable), "ket"), (("H", variable), "bra")
+        tensors += [((ket,) + tuple(i for i, _ in rows), basis),
+                    ((bra,) + tuple(i for i, _ in cols), basis.conj())]
+        pairings.append((ket, bra))
+    plan, _, arrays = _prepared((), tensors, pairings, 1)
     return complex(_execute(plan, list(arrays)))
 
 
@@ -601,5 +604,6 @@ def mc_expectation(
     if paired != set(legs_by_id):
         raise ValueError("mc_expectation requires a fully paired (scalar) network")
 
-    return _mc_mean(n_samples, seed, {f.variable for f in network.factors},
-                    [_prepared(network, batch)], lambda pairs: pairs, lambda values: values[0])
+    state = _prepared(network.factors, _operands(network.tensors), network.pairings, batch)
+    return _mc_mean(n_samples, seed, {f.variable for f in network.factors}, [state],
+                    lambda pairs: pairs, lambda values: values[0])

@@ -3,14 +3,16 @@
 Oracles here deliberately avoid the library's own contraction paths:
 evaluation by explicit index sums, Monte Carlo by direct quaternion
 sampling, correspondence lists by filtering the full assignment
-product space, and exact inner products over the common refinement
-rather than each state's own edges.  Document text has the
-element-by-element renderer, and the Wigner build, the Haar sampler, the
-word holonomy, the intertwiner basis and the web transfer their earlier
-straightforward forms, as references for bit-identical or nearly identical
-output, and the curve CSV its ``csv.writer`` form.  Group elements multiply
-by the quaternion product, and invariance is checked by the group action at
-two fixed elements.
+product space, and exact inner products over the common refinement,
+with dense Haar projectors, rather than each state's own edges.  The
+public ``FactorNetwork`` route into the engine is the reference for the
+operands and plan keys the inner products build directly.  Document text
+has the element-by-element renderer, and the Wigner build, the Haar
+sampler, the word holonomy, the intertwiner basis and the web transfer
+their earlier straightforward forms, as references for bit-identical or
+nearly identical output, and the curve CSV its ``csv.writer`` form.  Group
+elements multiply by the quaternion product, and invariance is checked by
+the group action at two fixed elements.
 """
 
 import csv
@@ -34,10 +36,10 @@ from spinnet import (
     epsilon,
     common_refinement,
 )
-from spinnet.rep_core import _wigner_terms
+from spinnet.rep_core import _invariant_basis, _sort_key, _wigner_terms
 from spinnet.blipweb import _boundary_weights, _column_basis
 from spinnet.tensor_engine import (
-    GroupFactor, LabeledTensor, Leg, _projector_sides, contract, haar_factored,
+    FactorNetwork, GroupFactor, LabeledTensor, Leg, contract, haar_project,
 )
 
 
@@ -305,9 +307,9 @@ def naive_evaluate(net, holonomies):
 def refinement_inner_product(bra, ket):
     """Exact <bra, ket> over the common refinement of the two networks:
     every edge one segment with identity bivalents at interior points, one
-    group factor per refined edge (bra conjugated), one factored Haar
-    projector per segment, then one ``contract``.  Zero when some segment's
-    factors admit no invariant."""
+    group factor per refined edge (bra conjugated), one dense Haar
+    projector per segment (``haar_project``, the zero tensor when the
+    segment's factors admit no invariant), then one ``contract``."""
     factors, tensors, pairings = [], [], []
     for net, side, conj in zip(common_refinement(bra, ket), "AB", (True, False)):
         for e in net.edges:
@@ -322,13 +324,90 @@ def refinement_inner_product(bra, ket):
     by_segment = {}
     for f in factors:
         by_segment.setdefault(f.variable, []).append(f)
-    for segment, fs in by_segment.items():
-        if not len(_projector_sides(fs)[0]):
-            return 0j
-        basis, dual, pairing = haar_factored(fs, ("H", segment))
-        tensors += [basis, dual]
-        pairings.append(pairing)
-    return complex(contract(tensors, pairings).data)
+    projectors = [haar_project(fs) for fs in by_segment.values()]
+    return complex(contract(projectors + tensors, pairings).data)
+
+
+# ---------------------------------------------------------------------------
+# the public factor-network route into the engine
+
+def state_factor_network(n, side, conjugate, steps):
+    """One state as a public ``FactorNetwork``, with validated legs: the
+    reference for ``inner_product._state_operands``.  Edge e carries one
+    factor per (variable, inverted) entry of ``steps[e.id]``, chained from
+    the "in" slot at its target to the "out" slot at its source; on the bra
+    side (``conjugate``) factors and data are conjugated and the vertex legs'
+    variances flip."""
+    factors, pairings = [], []
+    for e in n.edges:
+        legs = [((side, "E", e.id, k, "r"), (side, "E", e.id, k, "c"))
+                for k in range(len(steps[e.id]))]
+        factors += [GroupFactor(variable, e.spin, conjugate, inverted, row, col)
+                    for (variable, inverted), (row, col) in zip(steps[e.id], legs)]
+        chain = ([(side, "V", e.target, e.id, "in")] + [l for rc in reversed(legs) for l in rc]
+                 + [(side, "V", e.source, e.id, "out")])
+        pairings += zip(chain[0::2], chain[1::2])
+    tensors = []
+    for v, iv in n.vertices.items():
+        legs = tuple(Leg((side, "V", v, eid, d), spin,
+                         "ket" if (d == "out") != conjugate else "bra")
+                     for eid, d, spin in n.vertex_slots(v))
+        tensors.append(LabeledTensor(legs, iv.components.conj() if conjugate else iv.components))
+    return FactorNetwork(factors, tensors, pairings)
+
+
+def paired_factor_network(bra, ket, tree=frozenset()):
+    """conj(state_bra) * state_ket as one ``FactorNetwork``, each state on
+    its own edges with one factor per step of its words outside ``tree``."""
+    a, b = (state_factor_network(n, side, side == "A",
+                                 {e.id: tuple(t for t in e.word if t[0] not in tree)
+                                  for e in n.edges})
+            for n, side in ((bra, "A"), (ket, "B")))
+    return FactorNetwork(a.factors + b.factors, a.tensors + b.tensors, a.pairings + b.pairings)
+
+
+def factored_projector(factors, key):
+    """One variable's Haar projector as (B, conj(B), pairing) of validated
+    tensors: B on the row-side legs, conj(B) on the column-side legs, and
+    their multiplicity legs ``(key, "ket")`` and ``(key, "bra")`` paired.
+    An inverted factor's named legs swap sides."""
+    row_legs, col_legs = [], []
+    for f in factors:
+        rv, cv = f.leg_variances()
+        row, col = Leg(f.row_leg, f.spin, rv), Leg(f.col_leg, f.spin, cv)
+        row_legs.append(col if f.inverted else row)
+        col_legs.append(row if f.inverted else col)
+    basis = _invariant_basis(tuple((f.spin.twice_j, f.conjugated != f.inverted) for f in factors))
+    mult = Spin(basis.shape[0] - 1)
+    ket, bra = Leg((key, "ket"), mult, "ket"), Leg((key, "bra"), mult, "bra")
+    return (LabeledTensor((ket, *row_legs), basis), LabeledTensor((bra, *col_legs), basis.conj()),
+            (ket.id, bra.id))
+
+
+def factor_network_plan(net, exact=False):
+    """The ``tensor_engine._plan`` arguments and constant arrays of ``net``
+    on the factor-network route: factors first, then tensors, with leg ids,
+    dims from the legs' spins, batched flags and pairings.  With ``exact``,
+    those of the constant network that replaces each variable's factors, in
+    ``_sort_key`` order, by its ``factored_projector`` keyed ``("H",
+    variable)``."""
+    if exact:
+        by_variable = {}
+        for f in net.factors:
+            by_variable.setdefault(f.variable, []).append(f)
+        tensors, pairings = list(net.tensors), list(net.pairings)
+        for variable in sorted(by_variable, key=_sort_key):
+            basis, dual, pairing = factored_projector(by_variable[variable], ("H", variable))
+            tensors += [basis, dual]
+            pairings.append(pairing)
+        net = FactorNetwork((), tensors, pairings)
+    args = (tuple((f.row_leg, f.col_leg) for f in net.factors)
+            + tuple(tuple(l.id for l in t.legs) for t in net.tensors),
+            tuple((f.spin.dim,) * 2 for f in net.factors)
+            + tuple(tuple(l.spin.dim for l in t.legs) for t in net.tensors),
+            (True,) * len(net.factors) + (False,) * len(net.tensors),
+            net.pairings)
+    return args, [np.asarray(t.data, complex) for t in net.tensors]
 
 
 def brute_mc_inner_product(bra, ket, n_samples, seed, use_naive=False):

@@ -14,6 +14,7 @@ from spinnet import cli, documents, inner_product, tensor_engine
 from spinnet.cli import _build_parser, main
 from spinnet import (ToleranceError, averaged_inner_product, canonicalize, decompose,
                      dumps_document, enumerate_correspondences, mc_expectation, read_network)
+from helpers import paired_factor_network
 
 
 LOOP_DOC = {
@@ -263,7 +264,7 @@ def test_ip_mc_bad_sample_count_prepares_nothing(docs, capsys):
         assert cap.out == ""
     theta = read_network(docs["theta"])
     with pytest.raises(ValueError, match="at least 2"):
-        mc_expectation(inner_product._paired_network(theta, theta), 1, seed=0)
+        mc_expectation(paired_factor_network(theta, theta), 1, seed=0)
     assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
 
 
@@ -526,6 +527,33 @@ def test_module_entry_point(docs):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"re": 2.0, "im": 0.0}
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    """Documents are read and curve files written as UTF-8, the encoding
+    of JSON (RFC 8259, section 8.1), not the locale's: a segment id "\u03b1"
+    reads under the C locale with UTF-8 mode off, and no command here opens
+    a file with the default encoding."""
+    doc = {"segments": [{"id": "\u03b1", "source": "P", "target": "P"}],
+           "edges": [{"id": "loop", "word": ["\u03b1"], "source": "P", "target": "P",
+                      "twice_j": 1}],
+           "intertwiners": {"P": {"kind": "epsilon"}}}
+    path = tmp_path / "alpha.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    ip = ["ip", str(path), str(path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinnet.cli", *ip], capture_output=True,
+        env=dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["re"] == pytest.approx(1.0, abs=1e-12)
+    curves = ["section4", "--truncation", "2", "--which", "obs2",
+              "--emit-curves", str(tmp_path / "curves.csv")]
+    for argv in (ip, curves):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "spinnet.cli", *argv], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_reports_independent_of_hash_seed(docs, tmp_path):

@@ -582,6 +582,27 @@ def test_gram_diagonal_is_the_averaged_pairing_bit_for_bit():
         assert list(np.diag(gm)) == [averaged_inner_product(n, n) for n in nets]
 
 
+def test_gram_prepares_each_distinct_network_once(rng, monkeypatch):
+    """A network that appears in several entries is prepared once per call,
+    and the Gram keeps the bits of the Gram without the repeat."""
+    a = random_network(rng, motif="theta")
+    b = reintertwine(rng, a)
+    want = averaged_gram([[(1.0, a)], [(1.0, b)]])
+    calls = []
+    real = diffeo_average._prepare
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(diffeo_average, "_prepare", counting)
+    gm = averaged_gram([[(1.0, a)], [(1.0, b)], [(1.0, a)]])
+    assert calls == [a, b]
+    assert np.array_equal(gm[:2, :2], want)
+    assert np.array_equal(gm[2], gm[0]) and np.array_equal(gm[:, 2], gm[:, 0])
+    assert gm[0, 1] != 0
+
+
 def test_gram_psd_on_random_family(rng):
     nets = []
     base = random_network(rng, motif="theta")

@@ -48,6 +48,11 @@ from helpers import (
     reintertwine,
     refinement_inner_product,
     brute_mc_inner_product,
+    cycle_network,
+    factor_network_plan,
+    paired_factor_network,
+    piece_network,
+    state_factor_network,
     wordy_network,
     random_intertwiner,
     fixed_by_guard_elements,
@@ -56,6 +61,7 @@ from helpers import (
     MOTIF_NAMES,
 )
 from test_mc_scratch import _bits
+from test_diffeo_average import _zoo_graphs
 
 
 @pytest.fixture
@@ -357,7 +363,7 @@ def test_mc_paths_share_one_plan_cache():
     te._plan.cache_clear()
     mc_inner_product(a, a, 300, seed=1)
     assert te._plan.cache_info().misses == 1
-    mc_expectation(ip._state_operands(a, "N", False, steps), 300, seed=1)
+    mc_expectation(state_factor_network(a, "N", False, steps), 300, seed=1)
     assert te._plan.cache_info().misses == 1
     assert te._plan.cache_info().hits == 1
 
@@ -583,9 +589,9 @@ def test_state_operands_evaluate_the_state(rng):
         want = naive_evaluate(n, h)
         for side, conjugate in (("A", True), ("B", False)):
             state = ip._state_operands(n, side, conjugate, {e.id: e.word for e in n.edges})
-            plan, _, _ = te._prepared(state, 1)
-            arrays = te._factor_arrays(state.factors, pairs)
-            value, = te._execute(plan, arrays + [t.data for t in state.tensors])
+            plan, factors, constants = te._prepared(*state, 1)
+            arrays = te._factor_arrays(factors, pairs)
+            value, = te._execute(plan, arrays + list(constants))
             npt.assert_allclose(value, np.conj(want) if conjugate else want, atol=1e-12)
 
 
@@ -619,10 +625,116 @@ def test_web_pairing_keeps_each_state_on_its_own_edges():
     """Web psi.phi at N=2: four 4-segment curves per state make 32 factors,
     and the only vertex tensors are the two caps of each state, 64 elements
     in all."""
-    paired = _paired_network(build_tassel(2).network, build_phi(2, -1).network)
-    assert len(paired.factors) == 32
-    assert len(paired.tensors) == 4
-    assert sum(t.data.size for t in paired.tensors) == 64
+    factors, tensors, _ = _paired_network(build_tassel(2).network, build_phi(2, -1).network)
+    assert len(factors) == 32
+    assert len(tensors) == 4
+    assert sum(data.size for _, data in tensors) == 64
+
+
+def _plan_key_pairs():
+    """Seeded pairs for the plan-key checks: one network per zoo graph with
+    an edge along each piece, the motifs, wordy networks, k-cycles with a
+    loop at every point, and web pairs up to N = 4, each paired with itself
+    and with another state on its registry."""
+    rng = np.random.default_rng(3131)
+    nets = [piece_network(rng, graph) for _, graph in _zoo_graphs()]
+    nets += [random_network(rng, motif) for motif in MOTIF_NAMES]
+    nets += [wordy_network(rng), wordy_network(rng, (1, 1, 2), 1)]
+    nets += [cycle_network(rng, k) for k in (3, 4)]
+    pairs = [p for n in nets for p in ((n, n), (n, reintertwine(rng, n)))]
+    for n in range(1, 5):
+        psi = build_tassel(n)
+        pairs += [(psi.network, psi.network), (psi.network, build_phi(n, -1).network),
+                  (swap_signs(psi, 0).network, psi.network)]
+    return pairs
+
+
+def _recorded(monkeypatch, run):
+    """``run()``'s result, with the ``_plan`` arguments and batch of each
+    call, and the constant arrays of each executed unbatched plan."""
+    plans, constants = [], []
+    real_plan, real_execute = te._plan, te._execute
+
+    def plan(*args, batch):
+        plans.append((args, batch))
+        return real_plan(*args, batch=batch)
+
+    def execute(plan, arrays):
+        constants.append(arrays)
+        return real_execute(plan, arrays)
+
+    with monkeypatch.context() as m:
+        m.setattr(te, "_plan", plan)
+        m.setattr(te, "_execute", execute)
+        return run(), plans, constants
+
+
+def _same_arrays(got, want):
+    return len(got) == len(want) and all(
+        x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def test_operands_give_the_factor_network_route_plan_keys(monkeypatch):
+    """The inner products build the engine's operands straight from the
+    networks, and hand ``_plan`` the arguments the public factor-network
+    route gives (``helpers.factor_network_plan``): the same leg ids, dims,
+    batched flags, pairings and batch, and the same constant arrays, bit for
+    bit.  Exact pairs are checked through ``exact_inner_product``, and each
+    state's Monte Carlo preparation for a full chunk on the pair's gauge
+    forest and for ``evaluate``'s one sample with none."""
+    exact = 0
+    for a, b in _plan_key_pairs():
+        value, plans, constants = _recorded(monkeypatch, lambda: exact_inner_product(a, b))
+        if structural_zero(a, b):
+            assert (value, plans) == (0j, [])
+        else:
+            args, arrays = factor_network_plan(paired_factor_network(a, b), exact=True)
+            assert plans == [(args, 1)]
+            assert len(constants) == 1 and _same_arrays(constants[0], arrays)
+            exact += 1
+        for tree, batch in ((ip._gauge_forest(a, b), MC_CHUNK), (frozenset(), 1)):
+            for n in (a, b):
+                steps = {}
+                for e in n.edges:
+                    word = ip._reduced(t for t in e.word if t[0] not in tree)
+                    steps[e.id] = ((word, False),) if word else ()
+                net = state_factor_network(n, "N", False, steps)
+                (_, factors, arrays), plans, _ = _recorded(
+                    monkeypatch, lambda: ip._prepared_state.__wrapped__(n, tree, batch))
+                args, arrays_want = factor_network_plan(net)
+                assert plans == [(args, batch)]
+                assert factors == net.factors
+                assert _same_arrays(list(arrays), arrays_want)
+    assert exact >= 40
+
+
+def test_inner_products_build_no_tensor_object(monkeypatch):
+    """Tensor objects are the public boundary only: with ``Leg``,
+    ``LabeledTensor`` and ``FactorNetwork`` refusing to be built, the exact
+    and Monte Carlo inner products and ``evaluate`` give the same values
+    from cold caches."""
+    rng = np.random.default_rng(3132)
+    wordy = wordy_network(rng)
+    pairs = [(wordy, reintertwine(rng, wordy)), (theta_network((2, 2, 2)),) * 2,
+             (build_tassel(2).network, build_phi(2, -1).network)]
+    h = random_holonomies(rng, wordy)
+
+    def values():
+        for cache in (ip._gauge_forest, ip._prepared_state, te._plan, rep_core._invariant_basis):
+            cache.cache_clear()
+        return ([exact_inner_product(a, b) for a, b in pairs]
+                + [mc_inner_product(a, b, 300, seed=5) for a, b in pairs] + [evaluate(wordy, h)])
+
+    before = values()
+
+    def refused(self):
+        raise AssertionError(f"{type(self).__name__} built on an internal path")
+
+    for cls in (te.Leg, te.LabeledTensor, te.FactorNetwork):
+        monkeypatch.setattr(cls, "__post_init__", refused)
+    with pytest.raises(AssertionError, match="Leg built"):
+        te.Leg("a", Spin(1), "ket")
+    assert values() == before
 
 
 def test_exact_matches_independent_mc_oracle(rng):
@@ -677,14 +789,7 @@ def _joint_estimate(a, b, n_samples, seed):
     """The same estimate from one joint network on the same gauge forest,
     bra factors conjugated: tree steps dropped and one factor per chord
     step, so the chords take the same columns of the same stream."""
-    tree = ip._gauge_forest(a, b)
-    bra, ket = (ip._state_operands(n, side, side == "A",
-                                   {e.id: tuple(t for t in e.word if t[0] not in tree)
-                                    for e in n.edges})
-                for n, side in ((a, "A"), (b, "B")))
-    joint = te.FactorNetwork(bra.factors + ket.factors, bra.tensors + ket.tensors,
-                             bra.pairings + ket.pairings)
-    return mc_expectation(joint, n_samples, seed)
+    return mc_expectation(paired_factor_network(a, b, ip._gauge_forest(a, b)), n_samples, seed)
 
 
 def _reversed_edge(rng, net, edge_id):

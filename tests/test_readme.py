@@ -12,7 +12,7 @@ from pathlib import Path
 
 from spinnet import cli
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
 
 def _fenced_blocks(section: str, language: str) -> list[str]:

@@ -319,6 +319,20 @@ def test_invariant_vectors_pruning_keeps_order_and_bits():
     assert checked > 1000
 
 
+def test_cg_tensor_cache_is_bounded_and_holds_every_theta_coupling():
+    """The Clebsch-Gordan cache has a bound, and the couplings behind the
+    bases of every 3- and 4-leg list of twice_j up to 8, which include every
+    theta vertex up to (8, 8, 8), fit in it: building them all from an
+    empty cache builds no tensor twice."""
+    assert _cg_tensor.cache_info().maxsize is not None
+    _cg_tensor.cache_clear()
+    for n in (3, 4):
+        for tjs in itertools.combinations_with_replacement(range(1, 9), n):
+            invariant_vectors(list(tjs))
+    info = _cg_tensor.cache_info()
+    assert info.misses == info.currsize <= info.maxsize
+
+
 def test_invariant_vectors_odd_total_spin_is_empty():
     assert invariant_vectors((3,) * 7) == []
     assert invariant_vectors((1, 2, 2)) == []

@@ -25,12 +25,11 @@ from spinnet import (
     build_tassel,
     build_phi,
 )
-import spinnet.inner_product as ip
 import spinnet.tensor_engine as te
 from spinnet.rep_core import _has_invariant, _pair, wigner_entries
-from spinnet.tensor_engine import MC_CHUNK, _invariant_basis, haar_factored
-from helpers import (cycle_network, haar_element, loop_network, reference_haar_quaternions,
-                     theta_network)
+from spinnet.tensor_engine import MC_CHUNK, _invariant_basis
+from helpers import (cycle_network, factored_projector, haar_element, loop_network,
+                     paired_factor_network, reference_haar_quaternions, theta_network)
 
 
 def lt(name_prefix, arr, variances):
@@ -317,7 +316,7 @@ def test_haar_project_matches_intertwiner_basis_outer_product(specs):
     got = np.transpose(out.data, [pos[l] for l in row_ids + col_ids])
     npt.assert_allclose(got, want, atol=1e-14)
     # the factored pair contracts back to the same tensor
-    b, bc, pairing = haar_factored(factors, "m")
+    b, bc, pairing = factored_projector(factors, "m")
     joined = contract([b, bc], [pairing])
     assert joined.legs == out.legs
     npt.assert_allclose(joined.data, out.data, atol=1e-14)
@@ -444,7 +443,7 @@ def test_exact_expectation_agrees_with_sampling_and_dense_projectors():
         factor_legs = {l for f in net.factors for l in (f.row_leg, f.col_leg)}
         direct += sum(a in factor_legs and b in factor_legs for a, b in net.pairings)
 
-        exact = te._exact_expectation(net)
+        exact = te._exact_expectation(net.factors, te._operands(net.tensors), net.pairings)
         dense = complex(contract([haar_project(fs) for fs in by_variable.values()]
                                  + list(net.tensors), net.pairings).data)
         assert abs(exact - dense) <= 1e-13 * max(1.0, abs(dense)), k
@@ -477,7 +476,7 @@ def test_mc_bit_stable_and_chunk_insensitive(monkeypatch):
         results.append([f(a, b, 6001, seed=7) for a, b in pairs
                         for f in (mc_inner_product,
                                   lambda a, b, n, seed: mc_expectation(
-                                      ip._paired_network(a, b), n, seed))])
+                                      paired_factor_network(a, b), n, seed))])
     assert all(r == results[0] for r in results[1:])
 
 
@@ -638,7 +637,7 @@ def test_mc_two_kernel_plan_matches_per_sample_oracle():
     """The chunk plan mixes multiply-adds and matmuls; every sample of it
     agrees with a per-sample einsum over the same Philox draws."""
     net = _two_kernel_network()
-    plan, _, _ = te._prepared(net, MC_CHUNK)
+    plan, _, _ = te._prepared(net.factors, te._operands(net.tensors), net.pairings, MC_CHUNK)
     n_in = len(net.factors) + len(net.tensors)
     made_by = {}
     seen = set()
@@ -683,7 +682,7 @@ def test_mc_two_kernel_plan_matches_per_sample_oracle():
     assert abs(mean - want) <= 1e-12 * max(1.0, abs(want))
     npt.assert_allclose(err, np.std(values, ddof=1) / np.sqrt(n), rtol=1e-9)
     # and sample by sample, through the executor
-    batch_plan, _, _ = te._prepared(net, n)
+    batch_plan, _, _ = te._prepared(net.factors, te._operands(net.tensors), net.pairings, n)
     pairs_by_var = {"g": _pair(quats[:, 0].T), "h": _pair(quats[:, 1].T)}
     arrays = te._factor_arrays(net.factors, pairs_by_var)
     got = te._execute(batch_plan, arrays + [t.data for t in net.tensors])
