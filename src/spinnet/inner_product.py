@@ -259,11 +259,12 @@ def mc_inner_product(a: SpinNetwork, b: SpinNetwork, n_samples: int, seed: int):
     words all reduce to nothing is a constant.  Each pair's forest is found
     once, and each state is prepared and planned once per forest, from
     bounded caches; a plan over the size budget raises ValueError before
-    any sample is drawn, and so does a sample count below 2, before any
-    forest is found or state prepared.
+    any sample is drawn, and so do a sample count or seed that
+    ``tensor_engine._mc_batch`` refuses, before any forest is found or
+    state prepared.
     """
     _check_shared_registry(a, b)
-    batch = _mc_batch(n_samples)
+    batch = _mc_batch(n_samples, seed)
     tree = _gauge_forest(a, b)
     chords = (a.graph.segments | b.graph.segments) - tree
     states = [_prepared_state(n, tree, batch) for n in ((a,) if a == b else (a, b))]

@@ -18,7 +18,9 @@ Invariance is defined once: which spins admit one (``_has_invariant``),
 and which tensors are one, by the su(2) generators (``_is_invariant``).
 Basis index ``k`` of a spin-j axis corresponds to weight m = j - k
 (m descending), and all coupling coefficients use the Condon-Shortley
-phase convention.
+phase convention.  They are built a table at a time (``_cg_tensor``), each
+entry Racah's sum in exact integer arithmetic, rounded once; every
+invariant basis is a left comb of these tables (``invariant_vectors``).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Sequence
 
@@ -256,55 +257,44 @@ def wigner_entries(twice_j: int, quats: np.ndarray) -> np.ndarray:
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 
-def _cg_coefficient(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
-    """Single Clebsch-Gordan coefficient <j1 m1; j2 m2 | J M>, doubled args.
-
-    Exact rational arithmetic inside; one square root at the end.
-    """
-    if tm1 + tm2 != tM:
-        return 0.0
-    f = math.factorial
-
-    def g(t: int) -> int:
-        return f(t // 2)
-
-    pre = Fraction(
-        (tJ + 1) * g(tj1 + tj2 - tJ) * g(tj1 - tj2 + tJ) * g(-tj1 + tj2 + tJ),
-        g(tj1 + tj2 + tJ + 2),
-    ) * Fraction(
-        g(tJ + tM) * g(tJ - tM) * g(tj1 - tm1) * g(tj1 + tm1) * g(tj2 - tm2) * g(tj2 + tm2)
-    )
-    kmin = max(0, (tj2 - tJ - tm1) // 2, (tj1 - tJ + tm2) // 2)
-    kmax = min((tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    total = Fraction(0)
-    for k in range(kmin, kmax + 1):
-        den = (
-            f(k)
-            * g(tj1 + tj2 - tJ - 2 * k)
-            * g(tj1 - tm1 - 2 * k)
-            * g(tj2 + tm2 - 2 * k)
-            * g(tJ - tj2 + tm1 + 2 * k)
-            * g(tJ - tj1 - tm2 + 2 * k)
-        )
-        total += Fraction((-1) ** k, den)
-    if total == 0:
-        return 0.0
-    sign = 1.0 if total > 0 else -1.0
-    return sign * math.sqrt(float(pre * total * total))
-
-
 @lru_cache(maxsize=_CG_CACHE_SIZE)
 def _cg_tensor(tj1: int, tj2: int, tJ: int) -> np.ndarray:
-    d1, d2, dJ = tj1 + 1, tj2 + 1, tJ + 1
-    out = np.zeros((d1, d2, dJ))
-    for k1 in range(d1):
+    """Clebsch-Gordan coefficients <j1 m1; j2 m2 | J M> as a read-only
+    (d1, d2, dJ) table, doubled arguments throughout.
+
+    Racah's formula in exact integer arithmetic.  Its factor free of m,
+    a / b, is taken once per table.  For each entry, the alternating sum
+    over k of 1 / den_k is total / lcm, over the lcm of the den_k, and c is
+    the entry's product of factorials of the m's.  The coefficient is the
+    square root of a * c * total**2 / (b * lcm**2), one int division that
+    Python rounds correctly (the value ``float`` gives that rational), with
+    the sign of total.
+    """
+    def g(t: int) -> int:
+        return math.factorial(t // 2)
+
+    a = (tJ + 1) * g(tj1 + tj2 - tJ) * g(tj1 - tj2 + tJ) * g(-tj1 + tj2 + tJ)
+    b = g(tj1 + tj2 + tJ + 2)
+    out = np.zeros((tj1 + 1, tj2 + 1, tJ + 1))
+    for k1 in range(tj1 + 1):
         tm1 = tj1 - 2 * k1
-        for k2 in range(d2):
+        for k2 in range(tj2 + 1):
             tm2 = tj2 - 2 * k2
             tM = tm1 + tm2
             K = (tJ - tM) // 2
-            if 0 <= K < dJ and (tJ - tM) % 2 == 0:
-                out[k1, k2, K] = _cg_coefficient(tj1, tm1, tj2, tm2, tJ, tM)
+            if not (0 <= K <= tJ and (tJ - tM) % 2 == 0):
+                continue
+            kmin = max(0, (tj2 - tJ - tm1) // 2, (tj1 - tJ + tm2) // 2)
+            kmax = min((tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
+            ks = range(kmin, kmax + 1)
+            dens = [math.factorial(k) * g(tj1 + tj2 - tJ - 2 * k) * g(tj1 - tm1 - 2 * k)
+                    * g(tj2 + tm2 - 2 * k) * g(tJ - tj2 + tm1 + 2 * k)
+                    * g(tJ - tj1 - tm2 + 2 * k) for k in ks]
+            lcm = math.lcm(*dens)
+            total = sum((-1) ** k * (lcm // den) for k, den in zip(ks, dens))
+            c = (g(tJ + tM) * g(tJ - tM) * g(tj1 - tm1) * g(tj1 + tm1)
+                 * g(tj2 - tm2) * g(tj2 + tm2))
+            out[k1, k2, K] = math.copysign(math.sqrt(a * c * total**2 / (b * lcm**2)), total)
     out.setflags(write=False)
     return out
 
@@ -341,8 +331,9 @@ def invariant_vectors(twice_js: Sequence[int]) -> list[np.ndarray]:
     """Orthonormal basis of the invariant subspace of a ket tensor product.
 
     Built by left-comb binary coupling: legs are coupled in order through
-    all admissible intermediate spins, keeping the branches that end at
-    total spin zero.  Returns a list of arrays with one axis per leg.
+    all admissible intermediate spins, one cached ``_cg_tensor`` table per
+    coupling, keeping the branches that end at total spin zero.  Returns a
+    list of arrays with one axis per leg.
 
     Raises
     ------

@@ -537,24 +537,36 @@ def _state_values(states, holonomies: Mapping, m: int) -> list[np.ndarray]:
     return values
 
 
-def _mc_batch(n_samples: int) -> int:
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _mc_batch(n_samples: int, seed: int) -> int:
     """The chunk length, and the batch every Monte Carlo plan is made for:
-    ``MC_CHUNK``, or ``n_samples`` when fewer.  Refuses fewer than 2."""
+    ``MC_CHUNK``, or ``n_samples`` when fewer.  Refuses a sample count that
+    is not an integer or is below 2, and a seed that is not a non-negative
+    integer (bools are neither), before any work is prepared."""
+    if not _is_integer(n_samples):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return min(MC_CHUNK, n_samples)
 
 
 def _mc_mean(n_samples: int, seed: int, variables, states, holonomies,
              combine) -> tuple[complex, float]:
     """The Monte Carlo reduction: (mean, standard error) of a per-sample
-    value of prepared states (``_prepared`` for ``_mc_batch(n_samples)``).
+    value of prepared states (``_prepared`` for the batch ``_mc_batch``
+    gives).
 
-    The seed contract: chunks of ``_mc_batch(n_samples)`` samples, the last
-    possibly shorter, are drawn in order from a Philox stream seeded by
-    ``seed``, each an (m, len(variables)) draw of Haar-uniform Cayley-Klein
-    pairs (``rep_core._haar_pairs``) whose k-th column is the k-th drawn
-    variable in ``_sort_key`` order, whatever order ``variables`` has.
+    The seed contract: chunks of ``_mc_batch(n_samples, seed)`` samples,
+    the last possibly shorter, are drawn in order from a Philox stream
+    seeded by ``seed``, each an (m, len(variables)) draw of Haar-uniform
+    Cayley-Klein pairs (``rep_core._haar_pairs``) whose k-th column is the
+    k-th drawn variable in ``_sort_key`` order, whatever order
+    ``variables`` has.
     ``holonomies(pairs)`` maps those to one pair per variable of the
     states, and ``combine(values)`` the states' values to the m sample
     values.  These are summed, with their squared moduli, in blocks of
@@ -563,7 +575,7 @@ def _mc_mean(n_samples: int, seed: int, variables, states, holonomies,
     bit.  Each chunk runs in this thread's ``_Scratch``; the values never
     live in it.
     """
-    batch = _mc_batch(n_samples)
+    batch = _mc_batch(n_samples, seed)
     variables = sorted(variables, key=_sort_key)
     rng = np.random.Generator(np.random.Philox(seed))
     total = 0.0 + 0.0j
@@ -593,10 +605,10 @@ def mc_expectation(
     (mean, standard error), bit-stable for a fixed seed.  The network is
     planned once, for a full chunk (``_mc_batch``), and the plan runs on
     every chunk with the sample axis last; a plan over the size budget
-    raises ValueError before any sample is drawn, and a sample count below
-    2 before any planning.
+    raises ValueError before any sample is drawn, and a sample count or
+    seed that ``_mc_batch`` refuses before any planning.
     """
-    batch = _mc_batch(n_samples)
+    batch = _mc_batch(n_samples, seed)
     factor_legs = [Leg(leg, f.spin, v) for f in network.factors
                    for leg, v in zip((f.row_leg, f.col_leg), f.leg_variances())]
     legs_by_id, paired = _checked_legs(

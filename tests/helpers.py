@@ -10,15 +10,19 @@ operands and plan keys the inner products build directly.  Document text
 has the element-by-element renderer, and the Wigner build, the Haar
 sampler, the word holonomy, the intertwiner basis and the web transfer
 their earlier straightforward forms, as references for bit-identical or
-nearly identical output, and the curve CSV its ``csv.writer`` form.  Group
-elements multiply by the quaternion product, and invariance is checked by
-the group action at two fixed elements.
+nearly identical output, and the curve CSV its ``csv.writer`` form.
+Clebsch-Gordan tables have their exact rational form, one coefficient at
+a time in ``fractions.Fraction``.  Group elements multiply by the
+quaternion product, and invariance is checked by the group action at two
+fixed elements.
 """
 
 import csv
 import functools
 import itertools
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -583,6 +587,53 @@ def reference_intertwiner_basis(legs):
                 moved = np.tensordot(epsilon(s), np.moveaxis(v, axis, 0), axes=(1, 0))
                 v = np.moveaxis(moved, 0, axis)
         out.append(v)
+    return out
+
+
+def _reference_cg_coefficient(tj1, tm1, tj2, tm2, tJ, tM):
+    """<j1 m1; j2 m2 | J M>, doubled arguments, by Racah's formula summed in
+    ``fractions.Fraction``s, with one square root of ``float(pre * S^2)`` at
+    the end."""
+    f = math.factorial
+
+    def g(t):
+        return f(t // 2)
+
+    pre = Fraction(
+        (tJ + 1) * g(tj1 + tj2 - tJ) * g(tj1 - tj2 + tJ) * g(-tj1 + tj2 + tJ),
+        g(tj1 + tj2 + tJ + 2),
+    ) * Fraction(
+        g(tJ + tM) * g(tJ - tM) * g(tj1 - tm1) * g(tj1 + tm1) * g(tj2 - tm2) * g(tj2 + tm2)
+    )
+    kmin = max(0, (tj2 - tJ - tm1) // 2, (tj1 - tJ + tm2) // 2)
+    kmax = min((tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
+    total = Fraction(0)
+    for k in range(kmin, kmax + 1):
+        den = (
+            f(k)
+            * g(tj1 + tj2 - tJ - 2 * k)
+            * g(tj1 - tm1 - 2 * k)
+            * g(tj2 + tm2 - 2 * k)
+            * g(tJ - tj2 + tm1 + 2 * k)
+            * g(tJ - tj1 - tm2 + 2 * k)
+        )
+        total += Fraction((-1) ** k, den)
+    if total == 0:
+        return 0.0
+    sign = 1.0 if total > 0 else -1.0
+    return sign * math.sqrt(float(pre * total * total))
+
+
+def reference_cg_tensor(tj1, tj2, tJ):
+    """The Clebsch-Gordan table, shape (tj1 + 1, tj2 + 1, tJ + 1), one
+    exact rational coefficient per entry: the reference for the library's
+    integer form, bit for bit."""
+    out = np.zeros((tj1 + 1, tj2 + 1, tJ + 1))
+    for k1, k2 in itertools.product(range(tj1 + 1), range(tj2 + 1)):
+        tm1, tm2 = tj1 - 2 * k1, tj2 - 2 * k2
+        K = (tJ - tm1 - tm2) // 2
+        if 0 <= K <= tJ and (tJ - tm1 - tm2) % 2 == 0:
+            out[k1, k2, K] = _reference_cg_coefficient(tj1, tm1, tj2, tm2, tJ, tm1 + tm2)
     return out
 
 

@@ -124,6 +124,39 @@ def test_oversized_basis_vertex_is_exit_2(tmp_path, capsys):
     assert cap.out == ""
 
 
+def test_deeply_nested_document_is_exit_2(docs, tmp_path, capsys):
+    """A document nested deeper than the JSON decoder's recursion limit, a
+    network's "segments" or a whole holonomy document, is invalid JSON to
+    every subcommand that reads one: exit 2, nothing on stdout."""
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"segments": ' + "[" * 5000 + "]" * 5000
+                    + ', "edges": [], "intertwiners": {}}')
+    holonomies = tmp_path / "deep_h.json"
+    holonomies.write_text("[" * 5000 + "]" * 5000)
+    d = str(deep)
+    for argv in (["ip", d, d], ["ip", d, d, "--mc", "10"], ["dip", d, d], ["gram", d],
+                 ["eval", d, docs["ident"]], ["eval", docs["loop"], str(holonomies)]):
+        code, _, cap = run(capsys, argv)
+        assert code == 2, argv
+        assert cap.err.startswith("error: ") and ": invalid JSON: maximum recursion" in cap.err
+        assert cap.out == ""
+
+
+def test_built_vertex_over_the_spin_cap_is_exit_2(tmp_path, capsys):
+    """An epsilon marker between an "out" and an "in" slot is built like
+    any other: at twice_j = 13 dip and ip refuse it at the vertex, as they
+    do a same-direction epsilon or a basis vertex, instead of computing."""
+    loop13 = dict(LOOP_DOC, edges=[dict(LOOP_DOC["edges"][0], twice_j=13)])
+    path = tmp_path / "loop13.json"
+    path.write_text(dumps_document(loop13))
+    for argv in (["dip", str(path), str(path)], ["ip", str(path), str(path)]):
+        code, _, cap = run(capsys, argv)
+        assert code == 2
+        assert cap.err == ("error: intertwiners['P']: twice_j=13 exceeds the configured cap "
+                           "MAX_TWICE_J=12\n")
+        assert cap.out == ""
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_document_entries_are_exit_2(tmp_path, capsys, literal):
     """Python's json reads NaN and Infinity; each subcommand that reads a
@@ -265,6 +298,36 @@ def test_ip_mc_bad_sample_count_prepares_nothing(docs, capsys):
     theta = read_network(docs["theta"])
     with pytest.raises(ValueError, match="at least 2"):
         mc_expectation(paired_factor_network(theta, theta), 1, seed=0)
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+
+
+def test_ip_mc_bad_seed_or_sample_type_prepares_nothing(docs, capsys, monkeypatch):
+    """A negative seed, from --seed or SPINNET_SEED, and a sample count or
+    seed that is not an integer are refused by name before any forest is
+    found or state prepared or planned: no bounded cache gains an entry."""
+    caches = (inner_product._gauge_forest, inner_product._prepared_state, tensor_engine._plan)
+    for cache in caches:
+        cache.cache_clear()
+    seed_error = "error: seed must be a non-negative integer, got {}\n"
+    code, _, cap = run(capsys, ["ip", docs["theta"], docs["theta"], "--mc", "100", "--seed", "-5"])
+    assert (code, cap.err, cap.out) == (2, seed_error.format(-5), "")
+    monkeypatch.setenv("SPINNET_SEED", "-4")
+    code, _, cap = run(capsys, ["ip", docs["theta"], docs["theta"], "--mc", "100"])
+    assert (code, cap.err, cap.out) == (2, seed_error.format(-4), "")
+    theta = read_network(docs["theta"])
+    for n_samples, seed, message in (
+        (100, -5, "seed must be a non-negative integer, got -5"),
+        (100, 1.0, "seed must be a non-negative integer, got 1.0"),
+        (100, True, "seed must be a non-negative integer, got True"),
+        (2.5, 0, "n_samples must be an integer, got 2.5"),
+        (True, 0, "n_samples must be an integer, got True"),
+    ):
+        with pytest.raises(ValueError) as info:
+            inner_product.mc_inner_product(theta, theta, n_samples, seed)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            mc_expectation(paired_factor_network(theta, theta), n_samples, seed)
+        assert str(info.value) == message
     assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
 
 
@@ -527,6 +590,18 @@ def test_module_entry_point(docs):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"re": 2.0, "im": 0.0}
+
+
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    """Clebsch-Gordan coefficients are summed in Python ints, so a fresh
+    ``import spinnet.cli`` loads no rational or decimal arithmetic."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spinnet.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_files_are_utf8_whatever_the_locale(tmp_path):

@@ -20,9 +20,9 @@ from spinnet import (
 )
 from spinnet.rep_core import (MAX_TWICE_J, _MAX_ELEMENTS, _cg_tensor, _haar_pairs,
                               _has_invariant, _pair, _pair_product, _pair_wigner)
-from helpers import (character, haar_element, inverse, multiply, reference_haar_quaternions,
-                     reference_intertwiner_basis, reference_wigner_entries,
-                     transform_intertwiner)
+from helpers import (character, haar_element, inverse, multiply, reference_cg_tensor,
+                     reference_haar_quaternions, reference_intertwiner_basis,
+                     reference_wigner_entries, transform_intertwiner)
 
 
 @pytest.fixture
@@ -331,6 +331,22 @@ def test_cg_tensor_cache_is_bounded_and_holds_every_theta_coupling():
             invariant_vectors(list(tjs))
     info = _cg_tensor.cache_info()
     assert info.misses == info.currsize <= info.maxsize
+
+
+def test_cg_tensor_is_the_rational_formula_bit_for_bit():
+    """Every Clebsch-Gordan table that a basis of at most four legs of twice_j
+    <= 12 can use is byte-equal to the rational form, one ``Fraction`` sum
+    per entry (``helpers.reference_cg_tensor``).  In such a left comb every
+    coupling (tj1, tj2, tJ) has a leg as tj2, and either legs only (the
+    first) or a leg still to come to close with (the others, so tJ <= 12);
+    this covers every table with tj1, tj2 <= 12, and intermediates tj1 up
+    to 24."""
+    keys = [(tj1, tj2, tJ) for tj1 in range(25) for tj2 in range(13)
+            for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2) if tj1 <= 12 or tJ <= 12]
+    assert len(keys) == 1022
+    for key in keys:
+        got, want = _cg_tensor(*key), reference_cg_tensor(*key)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
 
 
 def test_invariant_vectors_odd_total_spin_is_empty():
