@@ -32,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .rep_core import Spin, Intertwiner, _invariant_basis, epsilon
+from .rep_core import Spin, Intertwiner, _invariant_basis, _is_integer, epsilon
 from .network_model import SegmentRegistry, Edge, SpinNetwork, network
 
 __all__ = [
@@ -65,6 +65,14 @@ class ToleranceError(RuntimeError):
     """A computed quantity failed one of the advertised numerical guarantees."""
 
 
+def _check_column(i, truncation: int) -> None:
+    """Refuse a column index that is not an integer in [-truncation, truncation)."""
+    if not _is_integer(i):
+        raise ValueError(f"column must be an integer, got {i!r}")
+    if not -truncation <= i < truncation:
+        raise ValueError(f"column {i} outside [-{truncation}, {truncation})")
+
+
 @dataclass(frozen=True)
 class BlipAlphabet:
     """The 4N arc segments of a width-2N ladder.
@@ -77,8 +85,9 @@ class BlipAlphabet:
     truncation: int
 
     def __post_init__(self) -> None:
-        if self.truncation < 1:
-            raise ValueError(f"truncation must be at least 1, got {self.truncation}")
+        if not _is_integer(self.truncation) or self.truncation < 1:
+            raise ValueError(
+                f"truncation must be an integer of at least 1, got {self.truncation!r}")
 
     @property
     def indices(self) -> range:
@@ -90,8 +99,7 @@ class BlipAlphabet:
     def segment_id(self, i: int, sign: str) -> str:
         if sign not in (PLUS, MINUS):
             raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-        if i not in self.indices:
-            raise ValueError(f"column {i} outside [-{self.truncation}, {self.truncation})")
+        _check_column(i, self.truncation)
         return f"b{i}{sign}"
 
     def registry(self) -> SegmentRegistry:
@@ -114,6 +122,8 @@ class CurveWord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "signs", tuple(self.signs))
+        if not _is_integer(self.truncation):
+            raise ValueError(f"truncation must be an integer, got {self.truncation!r}")
         if len(self.signs) != 2 * self.truncation:
             raise ValueError(
                 f"expected {2 * self.truncation} signs, got {len(self.signs)}")
@@ -122,11 +132,11 @@ class CurveWord:
                 raise ValueError(f"signs must be '+' or '-', got {s!r}")
 
     def sign(self, i: int) -> str:
-        if not -self.truncation <= i < self.truncation:
-            raise ValueError(f"column {i} outside [-{self.truncation}, {self.truncation})")
+        _check_column(i, self.truncation)
         return self.signs[i + self.truncation]
 
     def with_sign(self, i: int, sign: str) -> "CurveWord":
+        _check_column(i, self.truncation)
         new = list(self.signs)
         new[i + self.truncation] = sign
         return CurveWord(self.truncation, tuple(new))
@@ -197,11 +207,9 @@ def build_tassel(truncation: int) -> TasselState:
 
 
 def _phi_words(alphabet: BlipAlphabet, i0: int):
-    truncation = alphabet.truncation
-    if i0 % 2 == 0:
-        raise ValueError(f"reroute column must be odd, got {i0}")
-    if not -truncation <= i0 < truncation:
-        raise ValueError(f"reroute column {i0} outside [-{truncation}, {truncation})")
+    if not _is_integer(i0) or i0 % 2 == 0:
+        raise ValueError(f"reroute column must be an odd integer, got {i0!r}")
+    _check_column(i0, alphabet.truncation)
     c1, c2, c3, c4 = _psi_words(alphabet)
     return (c1, c2.with_sign(i0, PLUS), c3.with_sign(i0, PLUS), c4)
 
@@ -348,9 +356,9 @@ _ENVIRONMENT_TRUNCATIONS = 16
 
 
 def _check_truncation(truncation: int) -> None:
-    if not 1 <= truncation <= _MAX_TRUNCATION:
+    if not _is_integer(truncation) or not 1 <= truncation <= _MAX_TRUNCATION:
         raise ValueError(
-            f"truncation must be between 1 and {_MAX_TRUNCATION}, got {truncation}")
+            f"truncation must be an integer between 1 and {_MAX_TRUNCATION}, got {truncation!r}")
 
 
 @dataclass(frozen=True)
@@ -519,8 +527,9 @@ def emit_geometry(truncation: int, resolution: int = 64) -> list[BumpCurve]:
     taking different arcs of a column stay strictly apart away from the
     junctions.
     """
-    if resolution < 16:
-        raise ValueError(f"resolution must be at least 16 samples per arc, got {resolution}")
+    if not _is_integer(resolution) or resolution < 16:
+        raise ValueError(
+            f"resolution must be an integer of at least 16 samples per arc, got {resolution!r}")
     if truncation > 5:
         raise ValueError(
             "arc amplitudes 2^(-4^|i|) underflow double precision beyond truncation 5")

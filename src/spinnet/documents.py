@@ -15,8 +15,9 @@ is a list of segment ids, a trailing "~" marking reversed traversal.
                                               the signed pairing for a
                                               same-direction pair
 
-The package builds "basis" and "epsilon" vertices only for spins up to
-``rep_core.MAX_TWICE_J``, and refuses a larger one before building it.
+An edge's twice_j is held to the ``Spin`` rule, at most
+``rep_core.MAX_TWICE_J``, so a document with a larger one is refused at that
+edge, before any vertex is parsed or built.
 
 Vertex component axes follow the network slot order: scanning edges in
 listed order, an edge contributes an "out" slot at its source, then an
@@ -41,8 +42,7 @@ from itertools import chain
 
 import numpy as np
 
-from .rep_core import (Spin, GroupElement, Intertwiner, _check_spin_cap, epsilon,
-                       intertwiner_basis)
+from .rep_core import Spin, GroupElement, Intertwiner, epsilon, intertwiner_basis
 from .network_model import (SegmentRegistry, Edge, SpinNetwork, InvalidNetworkError, _sort_key,
                             network, slot_order)
 from .inner_product import HolonomyAssignment
@@ -146,21 +146,10 @@ def _parse_complex_array(node, dims, loc: str) -> np.ndarray:
     return np.array(rec(node, dims, loc), dtype=complex).reshape(dims)
 
 
-def _check_built_spins(legs, loc: str) -> None:
-    """A "basis" or "epsilon" vertex is built here, so its spins are held to
-    the builders' cap before anything is built."""
-    try:
-        for s, _ in legs:
-            _check_spin_cap(s.twice_j)
-    except ValueError as exc:
-        raise DocumentError(loc, str(exc)) from exc
-
-
 def _bivalent_element(legs, loc: str) -> np.ndarray:
     (s1, d1), (s2, d2) = legs
     if s1 != s2:
         raise DocumentError(loc, "an epsilon intertwiner needs equal spins on both legs")
-    _check_built_spins(legs, loc)
     if d1 != d2:
         return np.eye(s1.dim, dtype=complex)
     return epsilon(s1)
@@ -211,7 +200,6 @@ def network_from_document(doc) -> SpinNetwork:
             comps = _parse_complex_array(spec.get("components"), dims, f"{loc}.components")
         elif kind == "basis":
             index = _expect(spec, "index", int, loc)
-            _check_built_spins(legs, loc)
             basis = intertwiner_basis(legs)
             if isinstance(index, bool) or not 0 <= index < len(basis):
                 raise DocumentError(f"{loc}.index",

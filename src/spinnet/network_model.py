@@ -127,7 +127,7 @@ class EmbeddedGraph:
 def _check_shared_registry(a: "SpinNetwork", b: "SpinNetwork") -> None:
     """Raise InvalidNetworkError unless the networks share one registry."""
     if a.graph.registry != b.graph.registry:
-        raise InvalidNetworkError("inner products require a shared segment registry")
+        raise InvalidNetworkError("networks must share a segment registry")
 
 
 def _inverse_word(word) -> tuple:
@@ -446,8 +446,7 @@ def common_refinement(a: SpinNetwork, b: SpinNetwork) -> tuple:
     unchanged while the two networks now name their group variables by the
     same segments.
     """
-    if a.graph.registry != b.graph.registry:
-        raise InvalidNetworkError("networks must share a segment registry")
+    _check_shared_registry(a, b)
     return tuple(_assemble(n.graph, *_split_working(n)) for n in (a, b))
 
 

@@ -45,9 +45,9 @@ __all__ = [
     "intertwiner_basis",
 ]
 
-# Largest twice_j accepted by the representation builders, a fixed cap.  It
-# bounds the unbounded cache keyed by one spin: ``_wigner_terms`` holds at
-# most MAX_TWICE_J + 1 keys.
+# Largest twice_j of any ``Spin``, a fixed cap, so of every edge label and
+# every builder argument.  It bounds the unbounded cache keyed by one spin:
+# ``_wigner_terms`` holds at most MAX_TWICE_J + 1 keys.
 MAX_TWICE_J = 12
 
 # Distinct leg signatures whose invariant bases are kept.
@@ -75,24 +75,27 @@ def _has_invariant(twice_js: Sequence[int]) -> bool:
     return sum(twice_js) % 2 == 0 and 2 * max(twice_js, default=0) <= sum(twice_js)
 
 
-def _check_spin_cap(twice_j: int) -> None:
-    if not isinstance(twice_j, (int, np.integer)) or twice_j < 0:
-        raise ValueError(f"twice_j must be a nonnegative integer, got {twice_j!r}")
-    if twice_j > MAX_TWICE_J:
-        raise ValueError(
-            f"twice_j={twice_j} exceeds the configured cap MAX_TWICE_J={MAX_TWICE_J}"
-        )
+def _is_integer(value) -> bool:
+    """An ``int`` or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, order=True)
 class Spin:
-    """Half-integer irrep label, stored doubled: j = twice_j / 2."""
+    """Half-integer irrep label, stored doubled: j = twice_j / 2.
+
+    The one spin rule: twice_j is an integer (not a bool) in 0..MAX_TWICE_J,
+    stored as a Python int.  Every builder takes its spins through here.
+    """
 
     twice_j: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.twice_j, (int, np.integer)) or self.twice_j < 0:
+        if not _is_integer(self.twice_j) or self.twice_j < 0:
             raise ValueError(f"twice_j must be a nonnegative integer, got {self.twice_j!r}")
+        if self.twice_j > MAX_TWICE_J:
+            raise ValueError(
+                f"twice_j={self.twice_j} exceeds the configured cap MAX_TWICE_J={MAX_TWICE_J}")
         object.__setattr__(self, "twice_j", int(self.twice_j))
 
     @property
@@ -211,8 +214,8 @@ def _pair_wigner(twice_j: int, a, b, out: np.ndarray | None = None) -> np.ndarra
     a.shape: the matrix axes first, the sample axes last, so that each entry
     is written contiguously.  The result is written to ``out``, which is
     zeroed first, when one is given (numpy-style: of exactly that shape), and
-    to a fresh array otherwise, with the same bits."""
-    _check_spin_cap(twice_j)
+    to a fresh array otherwise, with the same bits.  ``twice_j`` is a
+    ``Spin``'s."""
     n = twice_j
     pows = []
     for base in (a, b, -b.conjugate(), a.conjugate()):
@@ -242,7 +245,7 @@ def wigner_entries(twice_j: int, quats: np.ndarray) -> np.ndarray:
 
     Parameters
     ----------
-    twice_j : int
+    twice_j : int, held to the ``Spin`` rule
     quats : array with shape (..., 4)
 
     Returns
@@ -252,6 +255,7 @@ def wigner_entries(twice_j: int, quats: np.ndarray) -> np.ndarray:
     entry is written contiguously; moving the axes back to (row, col, ...)
     needs no copy.
     """
+    twice_j = Spin(twice_j).twice_j
     quats = np.asarray(quats, dtype=float)
     out = _pair_wigner(twice_j, *_pair(np.moveaxis(quats, -1, 0)))
     return np.moveaxis(out, (0, 1), (-2, -1))
@@ -310,8 +314,6 @@ def clebsch_gordan(j1: Spin, j2: Spin, J: Spin) -> np.ndarray:
     ValueError
         If (j1, j2, J) violates the triangle inequality or parity.
     """
-    for s in (j1, j2, J):
-        _check_spin_cap(s.twice_j)
     if not _has_invariant((j1.twice_j, j2.twice_j, J.twice_j)):
         raise ValueError(f"inadmissible coupling ({j1.twice_j}, {j2.twice_j}, {J.twice_j})/2")
     return _cg_tensor(j1.twice_j, j2.twice_j, J.twice_j).astype(complex)
@@ -323,7 +325,6 @@ def epsilon(spin: Spin) -> np.ndarray:
     Real signed antidiagonal; unitary; C conj(C) = (-1)^(2j) I.  For spin
     1/2 it is [[0, 1], [-1, 0]].
     """
-    _check_spin_cap(spin.twice_j)
     return _dualized(np.eye(spin.dim, dtype=complex), 0, spin.twice_j)
 
 
@@ -338,12 +339,11 @@ def invariant_vectors(twice_js: Sequence[int]) -> list[np.ndarray]:
     Raises
     ------
     ValueError
-        If the basis would hold more than ``_MAX_ELEMENTS`` elements; the
-        vectors are counted before any is built.
+        If a twice_j breaks the ``Spin`` rule, or if the basis would hold
+        more than ``_MAX_ELEMENTS`` elements; the vectors are counted before
+        any is built.
     """
-    tjs = tuple(int(t) for t in twice_js)
-    for t in tjs:
-        _check_spin_cap(t)
+    tjs = tuple(Spin(t).twice_j for t in twice_js)
     if len(tjs) == 0:
         return [np.ones((), dtype=complex)]
     if not _has_invariant(tjs):

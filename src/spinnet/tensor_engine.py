@@ -57,7 +57,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .rep_core import _MAX_ELEMENTS, Spin, _haar_pairs, _invariant_basis, _pair_wigner, _sort_key
+from .rep_core import (_MAX_ELEMENTS, Spin, _haar_pairs, _invariant_basis, _is_integer,
+                       _pair_wigner, _sort_key)
 
 __all__ = [
     "Leg",
@@ -535,10 +536,6 @@ def _state_values(states, holonomies: Mapping, m: int) -> list[np.ndarray]:
         values.append(value if fs else np.full(m, complex(value)))
         arrays = arrays[len(fs):]
     return values
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _mc_batch(n_samples: int, seed: int) -> int:

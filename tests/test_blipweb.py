@@ -481,6 +481,26 @@ def test_observations_refuse_a_truncation_over_the_limit():
     npt.assert_allclose(observation_two(limit, -limit), frac(1, 128), atol=1e-12)
 
 
+@pytest.mark.parametrize("call, named", [
+    (lambda: observation_one(2.0, 1), "got 2.0"),
+    (lambda: build_tassel(2.0), "got 2.0"),
+    (lambda: CurveWord(2.0, (PLUS,) * 4), "got 2.0"),
+    (lambda: observation_two(2, 1.0), "got 1.0"),
+    (lambda: observation_one(2, 1.0), "got 1.0"),
+    (lambda: observation_one(True, -1), "got True"),
+    (lambda: BlipAlphabet(2).segment_id(1.0, PLUS), "got 1.0"),
+    (lambda: build_tassel(1).curves[0].with_sign(0.0, MINUS), "got 0.0"),
+    (lambda: emit_geometry(2, 16.5), "got 16.5"),
+], ids=["obs1-truncation", "tassel-truncation", "word-truncation", "obs2-column",
+        "obs1-column", "obs1-bool", "segment-column", "with-sign-column", "resolution"])
+def test_web_arguments_must_be_integers(call, named):
+    """A float or a bool is no truncation, column or resolution: each is
+    refused with a ValueError naming it, never computed with or passed on
+    to fail as a TypeError."""
+    with pytest.raises(ValueError, match=named):
+        call()
+
+
 def test_environment_cache_is_bounded():
     """16 KiB per unit of truncation; the bounded cache of the widest windows
     (observation_one reads N + 2) stays under 17.5 MB."""

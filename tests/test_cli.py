@@ -143,18 +143,38 @@ def test_deeply_nested_document_is_exit_2(docs, tmp_path, capsys):
 
 
 def test_built_vertex_over_the_spin_cap_is_exit_2(tmp_path, capsys):
-    """An epsilon marker between an "out" and an "in" slot is built like
-    any other: at twice_j = 13 dip and ip refuse it at the vertex, as they
-    do a same-direction epsilon or a basis vertex, instead of computing."""
+    """An epsilon marker between an "out" and an "in" slot is never built
+    over the cap: at twice_j = 13 dip and ip refuse the document at its
+    edge, before any vertex is read, instead of computing."""
     loop13 = dict(LOOP_DOC, edges=[dict(LOOP_DOC["edges"][0], twice_j=13)])
     path = tmp_path / "loop13.json"
     path.write_text(dumps_document(loop13))
     for argv in (["dip", str(path), str(path)], ["ip", str(path), str(path)]):
         code, _, cap = run(capsys, argv)
         assert code == 2
-        assert cap.err == ("error: intertwiners['P']: twice_j=13 exceeds the configured cap "
+        assert cap.err == ("error: edges[0]: twice_j=13 exceeds the configured cap "
                            "MAX_TWICE_J=12\n")
         assert cap.out == ""
+
+
+@pytest.mark.parametrize("command", [["eval", "{loop}", "{ident}"], ["ip", "{loop}", "{loop}"],
+                                     ["ip", "{loop}", "{loop}", "--mc", "10"],
+                                     ["dip", "{loop}", "{loop}"], ["gram", "{loop}"]],
+                         ids=["eval", "ip", "ip-mc", "dip", "gram"])
+def test_every_subcommand_refuses_an_edge_over_the_spin_cap(tmp_path, capsys, command):
+    """The cap is the ``Spin`` rule, so it holds whatever the vertex kind:
+    a twice_j = 13 loop with an explicit 14 x 14 identity marker, which no
+    builder would make, is refused at its edge by every subcommand that
+    reads a network document."""
+    loop13 = dict(LOOP_DOC, edges=[dict(LOOP_DOC["edges"][0], twice_j=13)],
+                  intertwiners={"P": {"kind": "explicit",
+                                      "components": documents._complex_nested(np.eye(14))}})
+    paths = {"loop": tmp_path / "loop13.json", "ident": tmp_path / "ident.json"}
+    paths["loop"].write_text(dumps_document(loop13))
+    paths["ident"].write_text(dumps_document(IDENTITY_H))
+    code, _, cap = run(capsys, [a.format(**paths) for a in command])
+    assert (code, cap.out) == (2, "")
+    assert cap.err == "error: edges[0]: twice_j=13 exceeds the configured cap MAX_TWICE_J=12\n"
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])

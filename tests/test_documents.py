@@ -284,10 +284,11 @@ def test_error_epsilon_on_trivalent_vertex():
 
 
 def test_built_vertex_over_the_spin_cap_is_refused(tmp_path):
-    """A "basis" or "epsilon" vertex is built by the package, so its spins
-    are held to MAX_TWICE_J before anything is built, and the refusal names
-    the vertex.  That includes an epsilon between an "out" and an "in" slot
-    (a loop's marker), an identity matrix of the spin's dimension."""
+    """An edge's twice_j is held to MAX_TWICE_J by ``Spin``, so a "basis" or
+    "epsilon" vertex over the cap is never built: the refusal names the
+    first edge, before any vertex is read.  That includes an epsilon between
+    an "out" and an "in" slot (a loop's marker), an identity matrix of the
+    spin's dimension."""
     same_direction = {
         "segments": [{"id": "g1", "source": "A", "target": "B"},
                      {"id": "g2", "source": "A", "target": "B"}],
@@ -295,14 +296,12 @@ def test_built_vertex_over_the_spin_cap_is_refused(tmp_path):
                   for e, g in (("p", "g1"), ("q", "g2"))],
         "intertwiners": {"A": {"kind": "epsilon"}, "B": {"kind": "epsilon"}},
     }
-    cases = [(loop_doc(13), "'P'"), (loop_doc(13, {"kind": "basis", "index": 0}), "'P'"),
-             (same_direction, "'A'")]
-    for doc, vertex in cases:
+    for doc in (loop_doc(13), loop_doc(13, {"kind": "basis", "index": 0}), same_direction):
         path = tmp_path / "capped.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(DocumentError) as info:
             read_network(path)
-        assert str(info.value) == (f"intertwiners[{vertex}]: twice_j=13 exceeds the "
+        assert str(info.value) == ("edges[0]: twice_j=13 exceeds the "
                                    "configured cap MAX_TWICE_J=12")
     npt.assert_array_equal(network_from_document(loop_doc(12)).vertices["P"].components,
                            np.eye(13))

@@ -55,6 +55,27 @@ def test_spin_cap_enforced():
         epsilon(Spin(14))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Spin(True), "twice_j must be a nonnegative integer, got True"),
+    (lambda: Spin(np.int64(13)), "twice_j=13 exceeds the configured cap MAX_TWICE_J=12"),
+    (lambda: invariant_vectors([1.5, 1.5]), "twice_j must be a nonnegative integer, got 1.5"),
+    (lambda: wigner_entries(True, GroupElement.identity().as_array()),
+     "twice_j must be a nonnegative integer, got True"),
+], ids=["bool", "numpy-over-cap", "invariant-vectors-float", "wigner-bool"])
+def test_spin_is_the_one_spin_rule(call, message):
+    """``Spin`` refuses a bool and a label over the cap, numpy integers
+    included, and the raw-integer builders take each value through it: a
+    float is refused, never truncated, and a bool is no spin 1/2."""
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_spin_stores_a_python_int():
+    twelve = Spin(np.int64(MAX_TWICE_J)).twice_j
+    assert type(twelve) is int and twelve == 12
+
+
 def test_group_element_unit_norm():
     GroupElement(1.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
