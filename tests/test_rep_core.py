@@ -40,6 +40,8 @@ def wig(tj, g):
 def test_spin_validation():
     assert Spin(0).dim == 1
     assert Spin(3).dim == 4
+    twelve = Spin(np.int64(MAX_TWICE_J)).twice_j  # stored as a Python int
+    assert type(twelve) is int and twelve == 12
     with pytest.raises(ValueError):
         Spin(-1)
     with pytest.raises(ValueError):
@@ -69,11 +71,6 @@ def test_spin_is_the_one_spin_rule(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
-
-
-def test_spin_stores_a_python_int():
-    twelve = Spin(np.int64(MAX_TWICE_J)).twice_j
-    assert type(twelve) is int and twelve == 12
 
 
 def test_group_element_unit_norm():
