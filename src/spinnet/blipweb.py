@@ -65,12 +65,23 @@ class ToleranceError(RuntimeError):
     """A computed quantity failed one of the advertised numerical guarantees."""
 
 
-def _check_column(i, truncation: int) -> None:
-    """Refuse a column index that is not an integer in [-truncation, truncation)."""
+def _check_integer_column(i) -> None:
+    """Refuse a column index that is not an integer (a bool is not one)."""
     if not _is_integer(i):
         raise ValueError(f"column must be an integer, got {i!r}")
+
+
+def _check_column(i, truncation: int) -> None:
+    """Refuse a column index that is not an integer in [-truncation, truncation)."""
+    _check_integer_column(i)
     if not -truncation <= i < truncation:
         raise ValueError(f"column {i} outside [-{truncation}, {truncation})")
+
+
+def _check_width(truncation) -> None:
+    """Refuse a ladder half-width that is not an integer of at least 1."""
+    if not _is_integer(truncation) or truncation < 1:
+        raise ValueError(f"truncation must be an integer of at least 1, got {truncation!r}")
 
 
 @dataclass(frozen=True)
@@ -85,9 +96,7 @@ class BlipAlphabet:
     truncation: int
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.truncation) or self.truncation < 1:
-            raise ValueError(
-                f"truncation must be an integer of at least 1, got {self.truncation!r}")
+        _check_width(self.truncation)
 
     @property
     def indices(self) -> range:
@@ -122,8 +131,7 @@ class CurveWord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "signs", tuple(self.signs))
-        if not _is_integer(self.truncation):
-            raise ValueError(f"truncation must be an integer, got {self.truncation!r}")
+        _check_width(self.truncation)
         if len(self.signs) != 2 * self.truncation:
             raise ValueError(
                 f"expected {2 * self.truncation} signs, got {len(self.signs)}")
@@ -452,7 +460,9 @@ def observation_two(truncation: int, i: int) -> complex:
 # geometry
 
 def junction(i: int) -> float:
-    """x-coordinate of junction i: 1/2 at the center, accumulating at 0 and 1."""
+    """x-coordinate of junction i: 1/2 at the center, accumulating at 0 and 1.
+    Raises ValueError unless i is an integer."""
+    _check_integer_column(i)
     if i == 0:
         return 0.5
     s = 1.0 if i > 0 else -1.0
@@ -471,7 +481,9 @@ def bump(t):
 
 
 def blip_amplitude(i: int) -> float:
-    """Height 2^(-4^|i|) of the column-i arcs."""
+    """Height 2^(-4^|i|) of the column-i arcs.  Raises ValueError unless i
+    is an integer."""
+    _check_integer_column(i)
     return 2.0 ** (-(4 ** abs(i)))
 
 

@@ -39,9 +39,10 @@ from .documents import (DocumentError, read_network, read_holonomies,
 
 __all__ = ["main"]
 
-# haar-projector prints every entry of its projector, so it refuses, from the
-# spins alone, a report beyond this many entries (about 140 MB of text for ten
-# spin-1/2 legs), well inside the library's budget for the projector itself.
+# haar-projector prints every entry of its projector, and gram every entry of
+# its matrix, so each refuses, from its arguments alone, a report beyond this
+# many entries (about 140 MB of text for ten spin-1/2 legs, or 1025
+# documents), well inside the library's budget for the projector itself.
 _MAX_REPORT_ENTRIES = 2**20
 
 
@@ -94,6 +95,11 @@ def _cmd_dip(args) -> dict:
 
 
 def _cmd_gram(args) -> dict:
+    size = len(args.networks)
+    if size * size > _MAX_REPORT_ENTRIES:
+        raise ValueError(
+            f"a Gram matrix of {size} documents has {size * size} entries, over the limit "
+            f"of {_MAX_REPORT_ENTRIES} (2^20) that gram prints")
     read = {p: read_network(p) for p in dict.fromkeys(args.networks)}
     nets = [read[p] for p in args.networks]
     families = [[(1.0, n)] for n in nets]

@@ -21,6 +21,10 @@ forest of segments avoiding every non-invariant vertex is set to the
 identity (``_gauge_forest``), only the other (chord) segments are drawn, and
 each edge keeps its chord steps, freely reduced; a vertex is invariant when
 the su(2) generators annihilate its tensor (``rep_core._is_invariant``).
+At most one chord, one that each state crosses once along a whole edge,
+is integrated exactly in each sample by Schur orthogonality
+(``_schur_chord``): each state leaves that edge's slots open, and the
+sample value pairs the two states' open values.
 It takes the sample mean of conj(state_a) * state_b over chunks of samples
 carried as Cayley-Klein pairs (``rep_core._pair``), two complex arrays, from
 the draw through the word products to the engine's one chunk evaluator; the
@@ -31,6 +35,7 @@ the one-sample case of that evaluator, with no gauge fixed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -46,6 +51,11 @@ from .rep_core import (
 from .tensor_engine import (
     GroupFactor, _exact_expectation, _mc_batch, _mc_mean, _prepared, _state_values,
 )
+
+# Largest d_j^2 of a chord integrated in each Monte Carlo sample
+# (``_schur_chord``): a full chunk's open values are then at most 2 MiB a
+# state.
+_MAX_OPEN = 64
 
 
 @dataclass(frozen=True)
@@ -143,18 +153,61 @@ def _gauge_forest(a: SpinNetwork, b: SpinNetwork) -> frozenset:
     return frozenset(tree)
 
 
-# Distinct (network, forest, batch) triples whose prepared states are kept.
+# Distinct (network, forest, batch, chord) keys whose prepared states are kept.
 @lru_cache(maxsize=256)
-def _prepared_state(n: SpinNetwork, tree: frozenset, batch: int) -> tuple:
+def _prepared_state(n: SpinNetwork, tree: frozenset, batch: int, chord=None) -> tuple:
     """(plan, edge factors, vertex arrays) evaluating ``n`` on ``batch``
     samples at once with the segments of ``tree`` set to the identity, kept
     in a bounded cache.  Each edge is one factor whose variable is its word
-    without tree steps, freely reduced; an empty word pairs the edge's out
-    slot with its in slot directly.  The plan is checked against the size
-    budget here, before any sample exists."""
-    words = {e.id: _reduced(step for step in e.word if step[0] not in tree) for e in n.edges}
-    steps = {eid: ((w, False),) if w else () for eid, w in words.items()}
+    without tree steps, freely reduced (``_chord_words``); an empty word
+    pairs the edge's out slot with its in slot directly.  The edge whose
+    word is the one step of the integrated ``chord`` (``_schur_chord``) has
+    no factor and no pairing: its in slot and out slot are the plan's
+    output legs, so the state's value is a (d, d) array per sample.  The
+    plan is checked against the size budget here, before any sample
+    exists."""
+    steps = {eid: ((w, False),) if w else ()
+             for eid, w in _chord_words(n, tree).items() if [s for s, _ in w] != [chord]}
     return _prepared(*_state_operands(n, "N", False, steps), batch)
+
+
+def _chord_words(n: SpinNetwork, tree: frozenset) -> dict:
+    """Each edge's word without the steps along ``tree``, freely reduced, by
+    edge id."""
+    return {e.id: _reduced(step for step in e.word if step[0] not in tree) for e in n.edges}
+
+
+def _schur_chord(a: SpinNetwork, b: SpinNetwork, tree: frozenset, chords) -> object:
+    """The chord that each Monte Carlo sample of <a, b> integrates exactly,
+    or None.
+
+    Chord s qualifies when, in each state, it is the whole reduced chord
+    word (``_chord_words``) of exactly one edge and occurs in no other, and
+    that edge takes the same step (s or s^-1) with the same spin in both
+    states.  Given the other chords, each state is then sum_rc A[r, c]
+    D^j(h)_rc over the edge's in slot r and out slot c, with h = g_s or
+    g_s^-1 alike in both, and Schur orthogonality, integral of
+    conj(D^j(h)_rc) D^j(h)_r'c' dh = delta_rr' delta_cc' / d_j, integrates
+    conj(state_a) * state_b to sum_rc conj(A[r, c]) B[r, c] / d_j: a
+    conditional expectation, so the mean is unchanged and the variance
+    cannot rise.  Opposite steps would need epsilon, not this pairing.
+    Only chords with d_j^2 <= ``_MAX_OPEN`` qualify, and none when it is
+    the only chord, so that another stays drawn; the largest d_j wins, ties
+    by ``_sort_key``.
+    """
+    if len(chords) < 2:
+        return None
+    singles = []
+    for n in (a, b):
+        words = _chord_words(n, tree)
+        uses = Counter(s for w in words.values() for s, _ in w)
+        singles.append({words[e.id][0]: e.spin for e in n.edges
+                        if len(words[e.id]) == 1 and uses[words[e.id][0][0]] == 1})
+    found = [(spin.dim, step[0]) for step, spin in singles[0].items()
+             if singles[1].get(step) == spin and spin.dim ** 2 <= _MAX_OPEN]
+    if not found:
+        return None
+    return min(found, key=lambda ds: (-ds[0], _sort_key(ds[1])))[1]
 
 
 def _word_holonomy(pairs: Mapping, word) -> tuple:
@@ -180,12 +233,13 @@ def _state_operands(n: SpinNetwork, side: str, conjugate: bool, steps: Mapping) 
     direct pairings: the "in" slot at the target with the last factor's row,
     each factor's column with the next-earlier factor's row, and the first
     factor's column with the "out" slot at the source.  An edge with no step
-    pairs its two vertex slots directly.  Leg ids are tagged with ``side``.
+    pairs its two vertex slots directly, and an edge missing from ``steps``
+    leaves them open.  Leg ids are tagged with ``side``.
     ``conjugate`` marks the bra side: factors and tensor data are
     conjugated.
     """
     factors, pairings = [], []
-    for e in n.edges:
+    for e in (e for e in n.edges if e.id in steps):
         legs = [((side, "E", e.id, k, "r"), (side, "E", e.id, k, "c"))
                 for k in range(len(steps[e.id]))]
         factors += [GroupFactor(variable, e.spin, conjugate, inverted, row, col)
@@ -245,30 +299,58 @@ def exact_inner_product(a: SpinNetwork, b: SpinNetwork) -> complex:
     return _exact_expectation(*_paired_network(a, b))
 
 
+def _schur_pairing(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """sum_rc conj(bra[r, c]) * ket[r, c] / d over two (d, d, m) arrays of
+    open values: one (m,) product per (r, c), added in row-major order, so
+    each sample's bits do not depend on the chunk it is in."""
+    d = bra.shape[0]
+    out = np.conj(bra[0, 0]) * ket[0, 0]
+    for r, c in list(np.ndindex(d, d))[1:]:
+        out += np.conj(bra[r, c]) * ket[r, c]
+    out /= d
+    return out
+
+
 def mc_inner_product(a: SpinNetwork, b: SpinNetwork, n_samples: int, seed: int):
     """Monte Carlo estimate of <a, b>; returns (mean, standard error).
 
     The segments of a spanning forest of the two supports
-    (``_gauge_forest``) are the identity, and one Haar-uniform element is
-    drawn per other (chord) segment under the engine's seed contract
-    (``tensor_engine._mc_mean``), bit-stable for a given seed whatever the
-    chunk length.  Each chunk evaluates each state on its own edges, with
-    one holonomy per distinct chord word and one Wigner build per distinct
-    (chord word, spin), shared by bra and ket, and averages conj(state_a) *
-    state_b; a ket equal to the bra is evaluated once, and a state whose
-    words all reduce to nothing is a constant.  Each pair's forest is found
-    once, and each state is prepared and planned once per forest, from
-    bounded caches; a plan over the size budget raises ValueError before
-    any sample is drawn, and so do a sample count or seed that
-    ``tensor_engine._mc_batch`` refuses, before any forest is found or
-    state prepared.
+    (``_gauge_forest``) are the identity.  At most one other (chord)
+    segment, one that each state crosses once along a whole edge, with the
+    same step and spin (``_schur_chord``), is integrated exactly in each
+    sample: each state leaves that edge's slots open, and the sample value
+    is the Schur pairing sum_rc conj(A[r, c]) B[r, c] / d_j of the two
+    states' open values.  One Haar-uniform element is drawn per remaining
+    chord under the engine's seed contract (``tensor_engine._mc_mean``),
+    bit-stable for a given seed whatever the chunk length.  Each chunk
+    evaluates each state on its own edges, with one holonomy per distinct
+    chord word and one Wigner build per distinct (chord word, spin), shared
+    by bra and ket, and averages the sample values; a ket equal to the bra
+    is evaluated once, and a state whose words all reduce to nothing is a
+    constant.  When the drawn chords leave the sample value constant the
+    estimate is exact up to rounding and its standard error may read 0.0.
+    Each pair's forest is found once, and each state is prepared and
+    planned once per forest and chord, from bounded caches; a plan over the
+    size budget raises ValueError before any sample is drawn, and so do a
+    sample count or seed that ``tensor_engine._mc_batch`` refuses, before
+    any forest is found or state prepared.
     """
     _check_shared_registry(a, b)
     batch = _mc_batch(n_samples, seed)
     tree = _gauge_forest(a, b)
     chords = (a.graph.segments | b.graph.segments) - tree
-    states = [_prepared_state(n, tree, batch) for n in ((a,) if a == b else (a, b))]
+    chord = _schur_chord(a, b, tree, chords)
+    states = [_prepared_state(n, tree, batch, chord) for n in ((a,) if a == b else (a, b))]
     words = {f.variable for _, fs, _ in states for f in fs}
-    return _mc_mean(n_samples, seed, chords, states,
+    if chord is None:
+        combine = lambda values: np.conj(values[0]) * values[-1]
+    else:
+        # each state's open legs as (in slot, out slot), as strided views
+        swapped = [plan.legs[0][-1] == "out" for plan, _, _ in states]
+
+        def combine(values):
+            opened = [v.swapaxes(0, 1) if s else v for v, s in zip(values, swapped)]
+            return _schur_pairing(opened[0], opened[-1])
+    return _mc_mean(n_samples, seed, chords - {chord}, states,
                     lambda pairs: {w: _word_holonomy(pairs, w) for w in words},
-                    lambda values: np.conj(values[0]) * values[-1])
+                    combine)

@@ -31,7 +31,9 @@ The sampled path has one chunk evaluator, ``_state_values``: it resets
 this thread's scratch (``_Scratch``), builds one Wigner matrix per
 (variable, spin) there, from Cayley-Klein pairs, and runs each prepared
 state's plan, whose sampled matrix products but the last reuse it too, so
-a warm chunk takes no fresh page; an unbatched plan never touches it.  This
+a warm chunk takes no fresh page; an unbatched plan never touches it.  A
+plan with open legs, a state whose value is an array per sample, writes
+its last product there as well, for the caller's reduction.  This
 module alone fixes the Monte Carlo contract: the chunk length and the
 sample floor (``_mc_batch``), the stream's column order and the reduction
 (``_mc_mean``).
@@ -147,14 +149,17 @@ class _Scratch(threading.local):
     the next, so that a warm chunk touches no fresh page.  ``_state_values``
     resets it for each chunk, ``evaluate``'s one sample included; the
     chunk's Wigner builds (``_factor_arrays``) and its sampled matrix
-    products but the last (``_execute``) take pieces of it.
+    products (``_execute``) take pieces of it, all but the last of a plan
+    with no open leg.
 
     ``take`` hands out the next unused piece of the buffer, or None, for a
     fresh array, when the request does not fit.  ``reset`` starts a chunk:
     every piece is free again, and the buffer grows to the previous chunk's
     need when that is at most ``_MC_SCRATCH_CAP`` elements; a larger buffer
     is dropped, so at most that many are retained.  Pieces live until the
-    next reset and are never handed to callers.
+    next reset and are handed to callers only as the open-leg values of
+    ``_state_values``, which the Monte Carlo reduction combines before the
+    next reset.
     """
 
     def __init__(self) -> None:
@@ -312,12 +317,15 @@ def _execute(plan: _Plan, arrays: Sequence[np.ndarray]) -> np.ndarray:
     ``diagonal`` and a ``sum``.
 
     A matrix product that carries samples is written to ``_SCRATCH``,
-    unless its step is the last, whose result goes to the caller; the same
-    ufuncs run on the same operands in the same order, so the bits are
-    those of fresh arrays.  An unbatched plan never touches the scratch.
+    unless its step is the last of a plan with no open leg, whose result
+    goes to the caller; the last product of a plan with open legs, per
+    sample values that the caller reduces within the chunk, is written
+    there too.  The same ufuncs run on the same operands in the same order,
+    so the bits are those of fresh arrays.  An unbatched plan never touches
+    the scratch.
     """
     slots = list(arrays)
-    last = len(plan.steps) - 1
+    last = len(plan.steps) - (not plan.legs)
     for k, st in enumerate(plan.steps):
         scratch = k < last and (st.batched_a or st.batched_b)
         a, slots[st.a] = slots[st.a], None
@@ -522,18 +530,21 @@ def _factor_arrays(factors: Sequence[GroupFactor], pairs_by_var: Mapping) -> lis
 
 def _state_values(states, holonomies: Mapping, m: int) -> list[np.ndarray]:
     """Values of prepared states (``_prepared``) on one batch of m samples,
-    given as a Cayley-Klein pair of (m,) arrays per variable, one (m,) array
-    per state.  Each distinct (variable, spin) Wigner matrix is built once,
-    for all states; a state with no factor is a constant.  The batch starts
-    by resetting ``_SCRATCH``, which then holds the Wigner matrices and the
-    sampled matrix products of non-final steps, never the values."""
+    given as a Cayley-Klein pair of (m,) arrays per variable: per state, an
+    (m,) array, or an (open..., m) array, its plan's open legs first, for a
+    state whose plan has open legs.  Each distinct (variable, spin) Wigner
+    matrix is built once, for all states; a state with no factor is a
+    constant.  The batch starts by resetting ``_SCRATCH``, which then holds
+    the Wigner matrices and the sampled matrix products of non-final steps;
+    it holds the open-leg values of a sampled plan too, valid until the
+    next reset, but never an (m,) value."""
     _SCRATCH.reset()
     factors = [f for _, fs, _ in states for f in fs]
     arrays = _factor_arrays(factors, holonomies)
     values = []
     for plan, fs, constants in states:
         value = _execute(plan, arrays[:len(fs)] + list(constants))
-        values.append(value if fs else np.full(m, complex(value)))
+        values.append(value if fs else np.full(value.shape + (m,), value[..., None]))
         arrays = arrays[len(fs):]
     return values
 
@@ -563,14 +574,17 @@ def _mc_mean(n_samples: int, seed: int, variables, states, holonomies,
     seeded by ``seed``, each an (m, len(variables)) draw of Haar-uniform
     Cayley-Klein pairs (``rep_core._haar_pairs``) whose k-th column is the
     k-th drawn variable in ``_sort_key`` order, whatever order
-    ``variables`` has.
+    ``variables`` has.  Only the drawn variables are columns: the Monte
+    Carlo inner product passes its chords but the one it integrates
+    exactly.
     ``holonomies(pairs)`` maps those to one pair per variable of the
-    states, and ``combine(values)`` the states' values to the m sample
-    values.  These are summed, with their squared moduli, in blocks of
+    states, and ``combine(values)`` the states' values (``_state_values``)
+    to the m sample values, reducing any open legs within the chunk.
+    These are summed, with their squared moduli, in blocks of
     ``_MC_BLOCK`` samples (the last may be shorter), and the block sums are
     added to running totals in block order, so no chunk length moves a
-    bit.  Each chunk runs in this thread's ``_Scratch``; the values never
-    live in it.
+    bit.  Each chunk runs in this thread's ``_Scratch``; the sample values
+    never live in it.
     """
     batch = _mc_batch(n_samples, seed)
     variables = sorted(variables, key=_sort_key)

@@ -341,9 +341,10 @@ def state_factor_network(n, side, conjugate, steps):
     factor per (variable, inverted) entry of ``steps[e.id]``, chained from
     the "in" slot at its target to the "out" slot at its source; on the bra
     side (``conjugate``) factors and data are conjugated and the vertex legs'
-    variances flip."""
+    variances flip.  An edge missing from ``steps`` has no factor and no
+    pairing, so its two vertex slots stay open."""
     factors, pairings = [], []
-    for e in n.edges:
+    for e in (e for e in n.edges if e.id in steps):
         legs = [((side, "E", e.id, k, "r"), (side, "E", e.id, k, "c"))
                 for k in range(len(steps[e.id]))]
         factors += [GroupFactor(variable, e.spin, conjugate, inverted, row, col)
@@ -360,14 +361,30 @@ def state_factor_network(n, side, conjugate, steps):
     return FactorNetwork(factors, tensors, pairings)
 
 
-def paired_factor_network(bra, ket, tree=frozenset()):
+def paired_factor_network(bra, ket, tree=frozenset(), chord=None):
     """conj(state_bra) * state_ket as one ``FactorNetwork``, each state on
-    its own edges with one factor per step of its words outside ``tree``."""
-    a, b = (state_factor_network(n, side, side == "A",
-                                 {e.id: tuple(t for t in e.word if t[0] not in tree)
-                                  for e in n.edges})
-            for n, side in ((bra, "A"), (ket, "B")))
-    return FactorNetwork(a.factors + b.factors, a.tensors + b.tensors, a.pairings + b.pairings)
+    its own edges with one factor per step of its words outside ``tree``.
+    With ``chord``, Schur orthogonality stands in for that segment's
+    factors: the edge of each state whose one step outside ``tree`` is along
+    ``chord`` has no factor, the two states' in slots of those edges are
+    paired, and their out slots, and a leg-less tensor 1/d joins."""
+    nets, opened = [], []
+    for n, side in ((bra, "A"), (ket, "B")):
+        steps = {e.id: tuple(t for t in e.word if t[0] not in tree) for e in n.edges}
+        edge, = [e for e in n.edges if [s for s, _ in steps[e.id]] == [chord]] or [None]
+        if edge is not None:
+            del steps[edge.id]
+            opened.append(edge)
+        nets.append(state_factor_network(n, side, side == "A", steps))
+    a, b = nets
+    tensors, pairings = a.tensors + b.tensors, a.pairings + b.pairings
+    if opened:
+        ea, eb = opened
+        assert all(f.variable != chord for f in a.factors + b.factors)
+        pairings += (((("A", "V", ea.target, ea.id, "in"), ("B", "V", eb.target, eb.id, "in")),
+                      (("A", "V", ea.source, ea.id, "out"), ("B", "V", eb.source, eb.id, "out"))))
+        tensors += (LabeledTensor((), np.array(1 / ea.spin.dim, complex)),)
+    return FactorNetwork(a.factors + b.factors, tensors, pairings)
 
 
 def factored_projector(factors, key):

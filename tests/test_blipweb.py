@@ -491,12 +491,20 @@ def test_observations_refuse_a_truncation_over_the_limit():
     (lambda: BlipAlphabet(2).segment_id(1.0, PLUS), "got 1.0"),
     (lambda: build_tassel(1).curves[0].with_sign(0.0, MINUS), "got 0.0"),
     (lambda: emit_geometry(2, 16.5), "got 16.5"),
+    (lambda: junction(0.5), "got 0.5"),
+    (lambda: junction(True), "got True"),
+    (lambda: blip_amplitude(1.5), "got 1.5"),
+    (lambda: BlipAlphabet(0), "integer of at least 1, got 0"),
+    (lambda: CurveWord(0, ()), "integer of at least 1, got 0"),
 ], ids=["obs1-truncation", "tassel-truncation", "word-truncation", "obs2-column",
-        "obs1-column", "obs1-bool", "segment-column", "with-sign-column", "resolution"])
+        "obs1-column", "obs1-bool", "segment-column", "with-sign-column", "resolution",
+        "junction-column", "junction-bool", "amplitude-column", "alphabet-zero", "word-zero"])
 def test_web_arguments_must_be_integers(call, named):
-    """A float or a bool is no truncation, column or resolution: each is
-    refused with a ValueError naming it, never computed with or passed on
-    to fail as a TypeError."""
+    """A float or a bool is no truncation, column or resolution, and a web
+    has at least one column a side: each bad value is refused with a
+    ValueError naming it, never computed with or passed on to fail as a
+    TypeError; a curve word takes its truncation under the alphabet's
+    rule."""
     with pytest.raises(ValueError, match=named):
         call()
 

@@ -407,6 +407,23 @@ def test_gram_two_loops(docs, capsys):
     assert report["min_eigenvalue"] >= -1e-9
 
 
+def test_gram_report_limit_refuses_before_reading(capsys, monkeypatch):
+    """A Gram matrix of 1025 documents would print over 2^20 entries: gram
+    exits 2 at once, with nothing on stdout and no document read, as
+    haar-projector refuses its report; 1024 documents go on to be read."""
+    def no_read(path):
+        raise ValueError(f"read {path}")
+
+    monkeypatch.setattr(cli, "read_network", no_read)
+    start = time.perf_counter()
+    code, _, cap = run(capsys, ["gram"] + ["a.json"] * 1025)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and cap.out == ""
+    assert "1050625 entries, over the limit of 1048576 (2^20) that gram prints" in cap.err
+    code, _, cap = run(capsys, ["gram"] + ["a.json"] * 1024)
+    assert code == 2 and cap.out == "" and "read a.json" in cap.err
+
+
 @pytest.mark.parametrize("argv,reads", [
     (["ip", "loop", "loop"], 1),
     (["ip", "loop", "loop", "--mc", "64"], 1),

@@ -232,6 +232,13 @@ def _chord_words(n, tree):
     return [f.variable for f in ip._prepared_state(n, tree, 7)[1]]
 
 
+def _schur_chord(a, b):
+    """The chord that Monte Carlo integrates exactly for the pair, on its
+    gauge forest, or None."""
+    tree = ip._gauge_forest(a, b)
+    return ip._schur_chord(a, b, tree, (a.graph.segments | b.graph.segments) - tree)
+
+
 def test_gauge_fixing_drops_tree_edges_and_reduces_words(rng):
     """The forest takes the heaviest segments, never a loop: theta's spin-1
     segment, one arc per column of the web pair at N=2, the dumbbell's
@@ -356,7 +363,7 @@ def test_evaluate_prepares_each_network_once(rng, monkeypatch):
 def test_mc_paths_share_one_plan_cache():
     """A prepared state and ``mc_expectation`` on the same operands and batch
     take one plan from the engine's one cache."""
-    a = theta_network((1, 1, 2))
+    a = theta_network((8, 8, 8))  # spin-4 chords: none is integrated
     tree = ip._gauge_forest(a, a)
     steps = {e.id: () if e.word[0][0] in tree else ((e.word, False),) for e in a.edges}
     ip._prepared_state.cache_clear()
@@ -681,8 +688,9 @@ def test_operands_give_the_factor_network_route_plan_keys(monkeypatch):
     batched flags, pairings and batch, and the same constant arrays, bit for
     bit.  Exact pairs are checked through ``exact_inner_product``, and each
     state's Monte Carlo preparation for a full chunk on the pair's gauge
-    forest and for ``evaluate``'s one sample with none."""
-    exact = 0
+    forest, with the integrated chord's edge left open, and for
+    ``evaluate``'s one sample with neither."""
+    exact = opened = 0
     for a, b in _plan_key_pairs():
         value, plans, constants = _recorded(monkeypatch, lambda: exact_inner_product(a, b))
         if structural_zero(a, b):
@@ -692,20 +700,23 @@ def test_operands_give_the_factor_network_route_plan_keys(monkeypatch):
             assert plans == [(args, 1)]
             assert len(constants) == 1 and _same_arrays(constants[0], arrays)
             exact += 1
-        for tree, batch in ((ip._gauge_forest(a, b), MC_CHUNK), (frozenset(), 1)):
+        chord = _schur_chord(a, b)
+        opened += chord is not None
+        for tree, batch, chord in ((ip._gauge_forest(a, b), MC_CHUNK, chord), (frozenset(), 1, None)):
             for n in (a, b):
                 steps = {}
                 for e in n.edges:
                     word = ip._reduced(t for t in e.word if t[0] not in tree)
-                    steps[e.id] = ((word, False),) if word else ()
+                    if chord is None or [s for s, _ in word] != [chord]:
+                        steps[e.id] = ((word, False),) if word else ()
                 net = state_factor_network(n, "N", False, steps)
                 (_, factors, arrays), plans, _ = _recorded(
-                    monkeypatch, lambda: ip._prepared_state.__wrapped__(n, tree, batch))
+                    monkeypatch, lambda: ip._prepared_state.__wrapped__(n, tree, batch, chord))
                 args, arrays_want = factor_network_plan(net)
                 assert plans == [(args, batch)]
                 assert factors == net.factors
                 assert _same_arrays(list(arrays), arrays_want)
-    assert exact >= 40
+    assert exact >= 40 and opened >= 10
 
 
 def test_inner_products_build_no_tensor_object(monkeypatch):
@@ -787,9 +798,12 @@ def test_mc_inner_product_with_mixed_segment_id_types():
 
 def _joint_estimate(a, b, n_samples, seed):
     """The same estimate from one joint network on the same gauge forest,
-    bra factors conjugated: tree steps dropped and one factor per chord
-    step, so the chords take the same columns of the same stream."""
-    return mc_expectation(paired_factor_network(a, b, ip._gauge_forest(a, b)), n_samples, seed)
+    bra factors conjugated: tree steps dropped, one factor per chord step,
+    and the Schur pairing of ``helpers.paired_factor_network`` in place of
+    the integrated chord's two factors, so the drawn chords take the same
+    columns of the same stream."""
+    tree = ip._gauge_forest(a, b)
+    return mc_expectation(paired_factor_network(a, b, tree, _schur_chord(a, b)), n_samples, seed)
 
 
 def _reversed_edge(rng, net, edge_id):
@@ -821,39 +835,57 @@ def _oracle_pairs():
     return pairs
 
 
-def test_mc_inner_product_matches_joint_network_estimate():
+def test_mc_inner_product_matches_joint_network_estimate(monkeypatch):
     """Evaluating each state on its own edges, with the forest's segments
-    set to the identity, gives the estimate of the joint network on the
-    same forest, sample for sample: within 1e-13 in mean and standard
-    error, and bit for bit on self-pairings of single-vertex motifs, whose
-    segments are all loops, so that nothing is in the forest and the
-    per-state plans are the joint plan's two halves."""
+    set to the identity and the chord ``_schur_chord`` picks left open for
+    the Schur pairing, gives the estimate of the joint network on the same
+    forest with the same pairing, sample for sample: within 1e-13 in mean
+    and standard error.  With no chord integrated, self-pairings of
+    single-vertex motifs, whose segments are all loops, so that nothing is
+    in the forest and the per-state plans are the joint plan's two halves,
+    give its bits."""
+    integrated = 0
     for a, b, exact_bits in _oracle_pairs():
+        integrated += _schur_chord(a, b) is not None
         for n_samples, seed in ((MC_CHUNK + 37, 61), (300, 62)):
             got = mc_inner_product(a, b, n_samples, seed)
             want = _joint_estimate(a, b, n_samples, seed)
-            if exact_bits:
-                assert got == want
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), (got, want)
+            if exact_bits:
+                with monkeypatch.context() as m:
+                    m.setattr(ip, "_schur_chord", lambda *args: None)
+                    assert mc_inner_product(a, b, n_samples, seed) == _joint_estimate(
+                        a, b, n_samples, seed)
+    assert integrated >= 10
 
 
-def test_mc_ungauged_states_match_joint_estimate_bit_for_bit():
+def test_mc_ungauged_states_match_joint_estimate_bit_for_bit(monkeypatch):
     """With an explicit tensor at every vertex the forest is empty, and
-    self-pairings of single-segment edges keep the joint network's bits."""
+    self-pairings of single-segment edges keep the joint network's bits
+    when no chord is integrated; with the one chord each integrates, they
+    match its Schur-paired estimate to 1e-13."""
     rng = np.random.default_rng(809)
     for motif in ("theta", "twogon", "dumbbell"):
         a = random_network(rng, motif)
         a = _explicit(rng, a, a.vertices)
         assert ip._gauge_forest(a, a) == frozenset()
         assert _chord_words(a, frozenset()) == [e.word for e in a.edges]
+        assert _schur_chord(a, a) is not None
         for n_samples, seed in ((MC_CHUNK + 37, 61), (300, 62)):
-            assert mc_inner_product(a, a, n_samples, seed) == _joint_estimate(a, a, n_samples, seed)
+            got, want = mc_inner_product(a, a, n_samples, seed), _joint_estimate(a, a, n_samples, seed)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), (got, want)
+            with monkeypatch.context() as m:
+                m.setattr(ip, "_schur_chord", lambda *args: None)
+                assert mc_inner_product(a, a, n_samples, seed) == _joint_estimate(
+                    a, a, n_samples, seed)
 
 
 def test_mc_theta_builds_only_the_small_spins(monkeypatch):
-    """theta(6,6,12): the spin-6 segment is the forest, so each chunk builds
-    two spin-3 matrices and no spin-6 one."""
+    """theta(6,6,12): the spin-6 segment is the forest and one spin-3 chord
+    is integrated, so each chunk builds one spin-3 matrix and no spin-6
+    one."""
     built = []
     real = te._pair_wigner
 
@@ -864,12 +896,13 @@ def test_mc_theta_builds_only_the_small_spins(monkeypatch):
     monkeypatch.setattr(te, "_pair_wigner", counting)
     a = theta_network((6, 6, 12))
     mc_inner_product(a, a, 2 * MC_CHUNK, seed=5)
-    assert built == [6, 6, 6, 6]
+    assert built == [6, 6]
 
 
 def test_mc_draws_only_chord_segments(monkeypatch):
-    """One element is drawn per segment outside the forest: 2 of theta's 3
-    segments, and 4 of the 8 that the web pair psi.phi at N=2 touches."""
+    """One element is drawn per segment outside the forest but the
+    integrated chord: 1 of theta's 3 segments, and 4 of the 8 that the web
+    pair psi.phi at N=2 touches, which integrates none."""
     drawn = []
     real = te._haar_pairs
 
@@ -881,7 +914,70 @@ def test_mc_draws_only_chord_segments(monkeypatch):
     theta = theta_network((1, 1, 2))
     mc_inner_product(theta, theta, 300, seed=1)
     mc_inner_product(build_tassel(2).network, build_phi(2, -1).network, 300, seed=1)
-    assert drawn == [2, 4]
+    assert drawn == [1, 4]
+
+
+def _twice_crossed_pair():
+    """A figure-eight of two spin-1 loops, f1 and f2, and a ket on the same
+    loops with a third spin-1 edge along the word f1 f2: each loop is the
+    whole word of one edge in both states, but crossed twice in the ket."""
+    bra = figure8_network(2, 2)
+    one = Spin(2)
+    edges = [Edge("a", (("f1", False),), "O", "O", one), Edge("b", (("f2", False),), "O", "O", one),
+             Edge("c", (("f1", False), ("f2", False)), "O", "O", one)]
+    rng = np.random.default_rng(4)
+    verts = {v: random_intertwiner(rng, tuple(legs)) for v, legs in _slot_legs(edges).items()}
+    return bra, network(bra.graph.registry, edges, verts)
+
+
+def test_mc_integrates_at_most_one_chord_by_its_rule(monkeypatch):
+    """The drawn columns are the chords but the integrated one.  theta
+    (1,1,2) integrates u1, the first of its two spin-1/2 chords, theta
+    (6,6,12) a spin-3 chord, and the wordy self-pair its largest candidate,
+    the spin-3/2 circle chord k3.  Nothing is integrated, so every chord is
+    drawn, when the chord edges run in opposite directions in the two
+    states (theta(1,1,2) against itself with both chord edges reversed), when
+    each chord is crossed twice in one state, when d^2 > 64 (theta(8,8,8))
+    or when one chord is all there is (the loop)."""
+    drawn = []
+    real = te._haar_pairs
+
+    def counting(rng, m, n_vars):
+        drawn.append(n_vars)
+        return real(rng, m, n_vars)
+
+    monkeypatch.setattr(te, "_haar_pairs", counting)
+    rng = np.random.default_rng(812)
+    theta, wordy = theta_network((1, 1, 2)), wordy_network(rng)
+    reversed_pair = _reversed_edge(rng, _reversed_edge(rng, theta, "e0"), "e1")
+    for a, b, chord in [(theta, theta, "u1"), (theta_network((6, 6, 12)),) * 2 + ("u1",),
+                        (wordy, wordy, "k3"), (theta, reversed_pair, None),
+                        _twice_crossed_pair() + (None,), (theta_network((8, 8, 8)),) * 2 + (None,),
+                        (loop_network(2),) * 2 + (None,)]:
+        tree = ip._gauge_forest(a, b)
+        chords = (a.graph.segments | b.graph.segments) - tree
+        assert ip._schur_chord(a, b, tree, chords) == chord
+        drawn.clear()
+        mc_inner_product(a, b, 300, seed=1)
+        assert drawn == [len(chords) - (chord is not None)]
+
+
+def test_mc_standard_errors_are_calibrated():
+    """300 seeds x 2000 samples on theta(6,6,12), theta(1,1,2), the web
+    pair at N=2 and the twice-crossed pair: for each, at most 3 readings lie
+    beyond 3 standard errors of the exact pairing and none beyond 4.  The
+    bound was fixed before the integrated chord was measured.  Drawing both
+    theta(6,6,12) chords gives 5 readings beyond 3; integrating a chord
+    that the ket also crosses inside another word puts all 300 beyond 4."""
+    pairs = [(theta_network((6, 6, 12)),) * 2, (theta_network((1, 1, 2)),) * 2,
+             (build_tassel(2).network, build_phi(2, -1).network), _twice_crossed_pair()]
+    for a, b in pairs:
+        exact = exact_inner_product(a, b)
+        z = []
+        for seed in range(300):
+            mean, err = mc_inner_product(a, b, 2000, seed)
+            z.append(abs(mean - exact) / err)
+        assert sum(x > 3 for x in z) <= 3 and max(z) <= 4, (a, sorted(z)[-4:])
 
 
 def _non_invariant_pairs(rng):
@@ -902,14 +998,17 @@ def _non_invariant_pairs(rng):
 
 def test_mc_forest_avoids_non_invariant_vertices():
     """No forest segment ends at a vertex with an explicit tensor, and the
-    estimate stays within 4 standard errors of the exact pairing."""
+    estimate stays within 4 standard errors of the exact pairing.  Where the
+    integrated chord leaves the sample value constant, so that the
+    standard error reads 0, the mean is the exact pairing to 1e-12."""
     rng = np.random.default_rng(811)
     for k, (a, b, explicit) in enumerate(_non_invariant_pairs(rng)):
         registry = a.graph.registry
         assert not any(explicit & set(registry.endpoints(s)) for s in ip._gauge_forest(a, b))
         exact = exact_inner_product(a, b)
         mean, err = mc_inner_product(a, b, 4000, seed=70 + k)
-        assert abs(mean - exact) <= 4 * err, (k, mean, exact, err)
+        bound = 4 * err if err else 1e-12 * max(1.0, abs(exact))
+        assert abs(mean - exact) <= bound, (k, mean, exact, err)
 
 
 def test_word_holonomy_batches_edge_holonomy(rng):
@@ -1001,9 +1100,9 @@ def test_tensor_engine_alone_sets_the_chunk(monkeypatch):
     batches = []
     real = ip._prepared_state
 
-    def spy(n, tree, batch):
+    def spy(n, tree, batch, chord):
         batches.append(batch)
-        return real(n, tree, batch)
+        return real(n, tree, batch, chord)
 
     monkeypatch.setattr(ip, "_prepared_state", spy)
     monkeypatch.setattr(te, "MC_CHUNK", 256)
