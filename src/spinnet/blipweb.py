@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -113,8 +112,6 @@ class BlipAlphabet:
 
     def registry(self) -> SegmentRegistry:
         reg = SegmentRegistry()
-        for i in range(-self.truncation, self.truncation + 1):
-            reg.add_point(self.point_id(i))
         for i in self.indices:
             for sign in (PLUS, MINUS):
                 reg.add_segment(self.segment_id(i, sign),
@@ -504,9 +501,9 @@ class BumpCurve:
         object.__setattr__(self, "ys", ys)
 
 
-# Interior fraction of each arc inspected by the disjointness scan; within
-# it the smallest admissible sample height, 2^(-4^5) * bump(1/16), still
-# clears double-precision underflow.
+# Interior fraction of each arc that must clear 0; within it the smallest
+# admissible sample height, 2^(-4^5) * bump(1/16), still clears
+# double-precision underflow.
 _JUNCTION_MARGIN = 1.0 / 16.0
 
 # Largest number of sampled points emit_geometry returns over its four
@@ -514,31 +511,18 @@ _JUNCTION_MARGIN = 1.0 / 16.0
 _MAX_CURVE_POINTS = 2**20
 
 
-def _check_disjoint(words, samples, truncation: int) -> None:
-    """Differing-sign arcs must separate the sampled curves away from
-    junctions; a failure here means amplitude underflow."""
-    for k1, k2 in combinations(range(4), 2):
-        for i in range(-truncation, truncation):
-            if words[k1].sign(i) == words[k2].sign(i):
-                continue
-            t, y1 = samples[k1][i]
-            _, y2 = samples[k2][i]
-            away = (t >= _JUNCTION_MARGIN) & (t <= 1.0 - _JUNCTION_MARGIN)
-            if np.any(np.abs(y1[away] - y2[away]) == 0.0):
-                raise RuntimeError(
-                    f"sampled curves {k1 + 1} and {k2 + 1} touch away from the "
-                    f"junctions of column {i}")
-
-
 def emit_geometry(truncation: int, resolution: int = 64) -> list[BumpCurve]:
     """Sampled polylines for the four reference curves.
 
     Each column contributes `resolution` points per curve (left junction
     included, right excluded); flat tails connect the ladder to (0, 0)
-    and (1, 0).  Refuses more than 2^20 points in all.  Checks that curves
-    taking different arcs of a column stay strictly apart away from the
+    and (1, 0).  Refuses more than 2^20 points in all.  Every curve takes
+    each column's arc heights y or their mirror -y on one shared x grid,
+    so two curves on a column's two arcs are 2|y| apart: a RuntimeError
+    names any column whose heights reach 0 (underflow) away from its
     junctions.
     """
+    _check_width(truncation)
     if not _is_integer(resolution) or resolution < 16:
         raise ValueError(
             f"resolution must be an integer of at least 16 samples per arc, got {resolution!r}")
@@ -550,27 +534,25 @@ def emit_geometry(truncation: int, resolution: int = 64) -> list[BumpCurve]:
         raise ValueError(
             f"{points} curve points at truncation {truncation} and resolution "
             f"{resolution}, over the limit of {_MAX_CURVE_POINTS} (2^20)")
-    alphabet = BlipAlphabet(truncation)
-    words = _psi_words(alphabet)
     t = np.arange(resolution) / resolution
     heights = bump(t)
-    samples = [dict() for _ in range(4)]
+    away = (t >= _JUNCTION_MARGIN) & (t <= 1.0 - _JUNCTION_MARGIN)
+    grid, arcs = [np.array([0.0])], []
+    for i in range(-truncation, truncation):
+        arc = blip_amplitude(i) * heights
+        if not np.all(arc[away]):
+            raise RuntimeError(
+                f"the arcs of column {i} reach 0 away from its junctions, so the "
+                f"curves taking them touch there")
+        a, b = junction(i), junction(i + 1)
+        grid.append(a + (b - a) * t)
+        arcs.append(arc)
+    grid.append(np.array([junction(truncation), 1.0]))
+    xs = np.concatenate(grid)
     curves = []
-    for k, w in enumerate(words):
-        xs = [np.array([0.0])]
-        ys = [np.array([0.0])]
-        for i in alphabet.indices:
-            a, b = junction(i), junction(i + 1)
-            y = blip_amplitude(i) * heights
-            if w.sign(i) == MINUS:
-                y = -y
-            samples[k][i] = (t, y)
-            xs.append(a + (b - a) * t)
-            ys.append(y)
-        xs.append(np.array([junction(truncation), 1.0]))
-        ys.append(np.array([0.0, 0.0]))
-        curves.append(BumpCurve(f"c{k + 1}", np.concatenate(xs), np.concatenate(ys)))
-    _check_disjoint(words, samples, truncation)
+    for k, w in enumerate(_psi_words(BlipAlphabet(truncation))):
+        ys = [arc if s == PLUS else -arc for s, arc in zip(w.signs, arcs)]
+        curves.append(BumpCurve(f"c{k + 1}", xs.copy(), np.concatenate([[0.0], *ys, [0.0, 0.0]])))
     return curves
 
 

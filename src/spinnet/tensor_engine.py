@@ -550,16 +550,20 @@ def _state_values(states, holonomies: Mapping, m: int) -> list[np.ndarray]:
 
 
 def _mc_batch(n_samples: int, seed: int) -> int:
-    """The chunk length, and the batch every Monte Carlo plan is made for:
-    ``MC_CHUNK``, or ``n_samples`` when fewer.  Refuses a sample count that
-    is not an integer or is below 2, and a seed that is not a non-negative
-    integer (bools are neither), before any work is prepared."""
+    """The longest chunk, and the batch every Monte Carlo plan is made for:
+    ``MC_CHUNK``, or ``n_samples`` when fewer, or ``MC_CHUNK + 1`` when a
+    lone last sample joins the chunk before it (``_mc_mean``).  Refuses a
+    sample count that is not an integer or is below 2, and a seed that is
+    not a non-negative integer (bools are neither), before any work is
+    prepared."""
     if not _is_integer(n_samples):
         raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     if not _is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if n_samples % MC_CHUNK == 1:
+        return MC_CHUNK + 1
     return min(MC_CHUNK, n_samples)
 
 
@@ -569,30 +573,32 @@ def _mc_mean(n_samples: int, seed: int, variables, states, holonomies,
     value of prepared states (``_prepared`` for the batch ``_mc_batch``
     gives).
 
-    The seed contract: chunks of ``_mc_batch(n_samples, seed)`` samples,
-    the last possibly shorter, are drawn in order from a Philox stream
-    seeded by ``seed``, each an (m, len(variables)) draw of Haar-uniform
-    Cayley-Klein pairs (``rep_core._haar_pairs``) whose k-th column is the
-    k-th drawn variable in ``_sort_key`` order, whatever order
-    ``variables`` has.  Only the drawn variables are columns: the Monte
-    Carlo inner product passes its chords but the one it integrates
-    exactly.
+    The seed contract: a chunk starts every ``MC_CHUNK`` samples but at the
+    last one, so the last chunk may be shorter or one sample longer (at
+    most ``_mc_batch(n_samples, seed)``), and a chunk of one sample, whose
+    products BLAS rounds in another order, never runs.  The chunks are
+    drawn in order from a Philox stream seeded by ``seed``, each an (m,
+    len(variables)) draw of Haar-uniform Cayley-Klein pairs
+    (``rep_core._haar_pairs``) whose k-th column is the k-th drawn variable
+    in ``_sort_key`` order, whatever order ``variables`` has.  Only the
+    drawn variables are columns: the Monte Carlo inner product passes its
+    chords but the one it integrates exactly.
     ``holonomies(pairs)`` maps those to one pair per variable of the
     states, and ``combine(values)`` the states' values (``_state_values``)
     to the m sample values, reducing any open legs within the chunk.
     These are summed, with their squared moduli, in blocks of
     ``_MC_BLOCK`` samples (the last may be shorter), and the block sums are
-    added to running totals in block order, so no chunk length moves a
-    bit.  Each chunk runs in this thread's ``_Scratch``; the sample values
-    never live in it.
+    added to running totals in block order, so no chunk length that is a
+    multiple of ``_MC_BLOCK`` moves a bit.  Each chunk runs in this
+    thread's ``_Scratch``; the sample values never live in it.
     """
-    batch = _mc_batch(n_samples, seed)
     variables = sorted(variables, key=_sort_key)
     rng = np.random.Generator(np.random.Philox(seed))
     total = 0.0 + 0.0j
     total_sq = 0.0
-    for start in range(0, n_samples, batch):
-        m = min(batch, n_samples - start)
+    starts = range(0, n_samples - 1, MC_CHUNK)
+    for start, stop in zip(starts, [*starts[1:], n_samples]):
+        m = stop - start
         draw = _haar_pairs(rng, m, len(variables))
         pairs = holonomies(dict(zip(variables, zip(*draw))))
         values = combine(_state_values(states, pairs, m))

@@ -10,7 +10,8 @@ operands and plan keys the inner products build directly.  Document text
 has the element-by-element renderer, and the Wigner build, the Haar
 sampler, the word holonomy, the intertwiner basis and the web transfer
 their earlier straightforward forms, as references for bit-identical or
-nearly identical output, and the curve CSV its ``csv.writer`` form.
+nearly identical output, the four reference curves their one-curve-at-a-time
+construction, and the curve CSV its ``csv.writer`` form.
 Clebsch-Gordan tables have their exact rational form, one coefficient at
 a time in ``fractions.Fraction``.  Group elements multiply by the
 quaternion product, and invariance is checked by the group action at two
@@ -41,7 +42,9 @@ from spinnet import (
     common_refinement,
 )
 from spinnet.rep_core import _invariant_basis, _sort_key, _wigner_terms
-from spinnet.blipweb import _boundary_weights, _column_basis
+from spinnet.blipweb import (
+    BumpCurve, _boundary_weights, _column_basis, blip_amplitude, build_tassel, bump, junction,
+)
 from spinnet.tensor_engine import (
     FactorNetwork, GroupFactor, LabeledTensor, Leg, contract, haar_project,
 )
@@ -773,3 +776,26 @@ def csv_writer_curves(path, curves):
         for curve in curves:
             for x, y in zip(curve.xs, curve.ys):
                 writer.writerow([curve.curve_id, format(x, ".17g"), format(y, ".17g")])
+
+
+def per_curve_geometry(truncation, resolution):
+    """``blipweb.emit_geometry`` built one curve at a time, each on its own
+    x grid and arc heights, the byte-for-byte reference for its shared arc
+    grid."""
+    t = np.arange(resolution) / resolution
+    heights = bump(t)
+    curves = []
+    for k, w in enumerate(build_tassel(truncation).curves):
+        xs = [np.array([0.0])]
+        ys = [np.array([0.0])]
+        for i in range(-truncation, truncation):
+            a, b = junction(i), junction(i + 1)
+            y = blip_amplitude(i) * heights
+            if w.sign(i) == "-":
+                y = -y
+            xs.append(a + (b - a) * t)
+            ys.append(y)
+        xs.append(np.array([junction(truncation), 1.0]))
+        ys.append(np.array([0.0, 0.0]))
+        curves.append(BumpCurve(f"c{k + 1}", np.concatenate(xs), np.concatenate(ys)))
+    return curves

@@ -32,7 +32,7 @@ from spinnet.blipweb import (junction, bump, blip_amplitude, BumpCurve, PLUS, MI
                              _HALF, _boundary_weights, _column_basis)
 from spinnet.tensor_engine import GroupFactor, haar_project
 
-from helpers import csv_writer_curves, reference_transfer_value
+from helpers import csv_writer_curves, per_curve_geometry, reference_transfer_value
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +46,8 @@ def test_alphabet_layout():
     reg = a.registry()
     assert "b1-" in reg and "b-2+" in reg
     assert reg.endpoints("b0+") == ("x0", "x1")
+    # the arcs register every junction point
+    assert reg.points == {f"x{i}" for i in range(-2, 3)}
     with pytest.raises(ValueError):
         a.segment_id(2, "+")
     with pytest.raises(ValueError):
@@ -491,6 +493,8 @@ def test_observations_refuse_a_truncation_over_the_limit():
     (lambda: BlipAlphabet(2).segment_id(1.0, PLUS), "got 1.0"),
     (lambda: build_tassel(1).curves[0].with_sign(0.0, MINUS), "got 0.0"),
     (lambda: emit_geometry(2, 16.5), "got 16.5"),
+    (lambda: emit_geometry("3"), "got '3'"),
+    (lambda: emit_geometry(None), "got None"),
     (lambda: junction(0.5), "got 0.5"),
     (lambda: junction(True), "got True"),
     (lambda: blip_amplitude(1.5), "got 1.5"),
@@ -498,6 +502,7 @@ def test_observations_refuse_a_truncation_over_the_limit():
     (lambda: CurveWord(0, ()), "integer of at least 1, got 0"),
 ], ids=["obs1-truncation", "tassel-truncation", "word-truncation", "obs2-column",
         "obs1-column", "obs1-bool", "segment-column", "with-sign-column", "resolution",
+        "geometry-str-truncation", "geometry-none-truncation",
         "junction-column", "junction-bool", "amplitude-column", "alphabet-zero", "word-zero"])
 def test_web_arguments_must_be_integers(call, named):
     """A float or a bool is no truncation, column or resolution, and a web
@@ -614,6 +619,36 @@ def test_emit_geometry_point_budget(monkeypatch):
     assert sum(len(c.xs) for c in emit_geometry(1, resolution=16)) == 140
     with pytest.raises(ValueError, match="over the limit of 140"):
         emit_geometry(1, resolution=17)
+
+
+@pytest.mark.parametrize("resolution", [16, 17, 64, 100])
+def test_emit_geometry_matches_the_per_curve_construction(resolution):
+    """One shared x grid and one set of arcs per column give the bytes of
+    building each curve on its own, at every supported window."""
+    for n in range(1, 6):
+        got, want = emit_geometry(n, resolution), per_curve_geometry(n, resolution)
+        assert [c.curve_id for c in got] == [c.curve_id for c in want]
+        for g, w in zip(got, want):
+            for name in ("xs", "ys"):
+                a, b = getattr(g, name), getattr(w, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def test_emit_geometry_curves_share_no_array():
+    arrays = [arr for c in emit_geometry(2, resolution=16) for arr in (c.xs, c.ys)]
+    for a, b in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("column", [-2, 0, 1])
+def test_emit_geometry_names_a_column_whose_arcs_touch(monkeypatch, column):
+    """Arcs of height 0 put the curves on a column's two arcs on top of
+    each other; the RuntimeError names that column."""
+    real = blipweb.blip_amplitude
+    monkeypatch.setattr(blipweb, "blip_amplitude",
+                        lambda i: 0.0 if i == column else real(i))
+    with pytest.raises(RuntimeError, match=f"column {column} "):
+        emit_geometry(2, resolution=16)
 
 
 def test_bump_curve_validation():

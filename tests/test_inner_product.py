@@ -1093,22 +1093,30 @@ def test_mc_web_builds_one_wigner_matrix_per_word_and_spin(monkeypatch):
 
 def test_tensor_engine_alone_sets_the_chunk(monkeypatch):
     """The chunk length belongs to ``tensor_engine``: patching its
-    ``MC_CHUNK`` alone makes ``mc_inner_product`` prepare both web states
-    for chunks of 256, and the estimate keeps the default chunk's bits."""
-    psi, phi = build_tassel(2).network, build_phi(2, -1).network
-    want = mc_inner_product(psi, phi, MC_CHUNK + 5, seed=12)
-    batches = []
+    ``MC_CHUNK`` alone makes ``mc_inner_product`` prepare each state for
+    chunks of 256, and the estimate keeps the default chunk's bits.  A lone
+    last sample joins the chunk before it, so the self-pairs of
+    theta(6,6,12) and of the spin-1 figure-eight at 257 and 513 samples
+    prepare for 257: a one-sample chunk, whose products BLAS rounds in
+    another order, would move their bits."""
+    theta, eight = theta_network((6, 6, 12)), figure8_network(2, 2)
+    cases = [(build_tassel(2).network, build_phi(2, -1).network, MC_CHUNK + 5, (12,), 256)]
+    cases += [(n, n, n_samples, range(5), 257) for n in (theta, eight) for n_samples in (257, 513)]
     real = ip._prepared_state
+    for a, b, n_samples, seeds, planned in cases:
+        want = [mc_inner_product(a, b, n_samples, seed=seed) for seed in seeds]
+        batches = []
 
-    def spy(n, tree, batch, chord):
-        batches.append(batch)
-        return real(n, tree, batch, chord)
+        def spy(n, tree, batch, chord):
+            batches.append(batch)
+            return real(n, tree, batch, chord)
 
-    monkeypatch.setattr(ip, "_prepared_state", spy)
-    monkeypatch.setattr(te, "MC_CHUNK", 256)
-    got = mc_inner_product(psi, phi, MC_CHUNK + 5, seed=12)
-    assert batches == [256, 256]
-    assert _bits(got) == _bits(want)
+        with monkeypatch.context() as m:
+            m.setattr(ip, "_prepared_state", spy)
+            m.setattr(te, "MC_CHUNK", 256)
+            got = [mc_inner_product(a, b, n_samples, seed=seed) for seed in seeds]
+        assert batches == [planned] * len(seeds) * (1 if a is b else 2)
+        assert [_bits(g) for g in got] == [_bits(w) for w in want], (n_samples, planned)
 
 
 def _spin_one_bundle():
