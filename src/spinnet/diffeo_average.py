@@ -291,28 +291,23 @@ def averaged_gram(
 
     Each entry of ``combinations`` is a sequence of (weight, SpinNetwork)
     pairs; the pairing extends sesquilinearly, antilinear in the first slot.
-    Each distinct network is prepared once, and each ordered pair of
-    distinct networks paired once, however many entries hold them; the
-    entries on and above the diagonal are computed and the rest filled by
-    conjugate symmetry of the pairing.
+    Each distinct network is prepared once, however many entries hold it;
+    the entries on and above the diagonal are computed and the rest filled
+    by conjugate symmetry of the pairing.
     """
     combos = [list(c) for c in combinations]
-    index = {n: k for k, n in enumerate(dict.fromkeys(n for c in combos for _, n in c))}
-    prepared = [_prepare(n) for n in index]
-    combos = [[(w, index[n]) for w, n in c] for c in combos]
-    pairings: dict = {}
+    prepared = {n: _prepare(n) for n in dict.fromkeys(n for c in combos for _, n in c)}
+    combos = [[(w, prepared[n]) for w, n in c] for c in combos]
     size = len(combos)
     gram = np.zeros((size, size), dtype=complex)
     for i in range(size):
         for j in range(i, size):
             total = 0j
-            for wa, ka in combos[i]:
-                for wb, kb in combos[j]:
-                    if (ka, kb) not in pairings:
-                        pairings[ka, kb] = _prepared_pairing(
-                            prepared[ka], prepared[kb], orientation_preserving_only
-                        )[0]
-                    total += np.conj(wa) * wb * pairings[ka, kb]
+            for wa, na in combos[i]:
+                for wb, nb in combos[j]:
+                    total += np.conj(wa) * wb * _prepared_pairing(
+                        na, nb, orientation_preserving_only
+                    )[0]
             gram[i, j] = total
             if j != i:
                 gram[j, i] = np.conj(total)

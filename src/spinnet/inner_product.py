@@ -53,8 +53,8 @@ from .tensor_engine import (
 )
 
 # Largest d_j^2 of a chord integrated in each Monte Carlo sample
-# (``_schur_chord``): a chunk's open values are then at most
-# 64 x (MC_CHUNK + 1) complex numbers, about 2 MiB a state.
+# (``_schur_chord``): a full chunk's open values are then at most 2 MiB a
+# state.
 _MAX_OPEN = 64
 
 

@@ -54,6 +54,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, repeat
 from math import prod
 from typing import Mapping, Sequence
 
@@ -550,9 +551,9 @@ def _state_values(states, holonomies: Mapping, m: int) -> list[np.ndarray]:
 
 
 def _mc_batch(n_samples: int, seed: int) -> int:
-    """The longest chunk, and the batch every Monte Carlo plan is made for:
-    ``MC_CHUNK``, or ``n_samples`` when fewer, or ``MC_CHUNK + 1`` when a
-    lone last sample joins the chunk before it (``_mc_mean``).  Refuses a
+    """The batch every Monte Carlo plan is made for: ``MC_CHUNK``, or
+    ``n_samples`` when fewer, or the longest chunk of ``_mc_chunks`` when
+    that is longer (only when ``MC_CHUNK`` is one block).  Refuses a
     sample count that is not an integer or is below 2, and a seed that is
     not a non-negative integer (bools are neither), before any work is
     prepared."""
@@ -562,9 +563,22 @@ def _mc_batch(n_samples: int, seed: int) -> int:
         raise ValueError("n_samples must be at least 2")
     if not _is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if n_samples % MC_CHUNK == 1:
-        return MC_CHUNK + 1
-    return min(MC_CHUNK, n_samples)
+    return max([min(MC_CHUNK, n_samples), *_mc_chunks(n_samples)[1]])
+
+
+def _mc_chunks(n_samples: int) -> tuple[int, list[int]]:
+    """The chunks ``_mc_mean`` runs, in order: ``full`` chunks of
+    ``MC_CHUNK`` samples, then one of each length in ``tail``, the
+    remainder.  A remainder of one sample, whose products BLAS would
+    compute as matrix-vector products that round in another order, takes
+    the last ``_MC_BLOCK`` samples of the chunk before it (the whole chunk
+    when ``MC_CHUNK`` is one block), so every chunk starts on the block
+    grid and none holds a single sample."""
+    full, rest = divmod(n_samples, MC_CHUNK)
+    if rest != 1 or not full:
+        return full, [rest] * (rest > 0)
+    moved = min(_MC_BLOCK, MC_CHUNK)
+    return full - 1, [m for m in (MC_CHUNK - moved, moved + 1) if m]
 
 
 def _mc_mean(n_samples: int, seed: int, variables, states, holonomies,
@@ -573,11 +587,8 @@ def _mc_mean(n_samples: int, seed: int, variables, states, holonomies,
     value of prepared states (``_prepared`` for the batch ``_mc_batch``
     gives).
 
-    The seed contract: a chunk starts every ``MC_CHUNK`` samples but at the
-    last one, so the last chunk may be shorter or one sample longer (at
-    most ``_mc_batch(n_samples, seed)``), and a chunk of one sample, whose
-    products BLAS rounds in another order, never runs.  The chunks are
-    drawn in order from a Philox stream seeded by ``seed``, each an (m,
+    The seed contract: the chunks of ``_mc_chunks(n_samples)`` are drawn
+    in order from a Philox stream seeded by ``seed``, each an (m,
     len(variables)) draw of Haar-uniform Cayley-Klein pairs
     (``rep_core._haar_pairs``) whose k-th column is the k-th drawn variable
     in ``_sort_key`` order, whatever order ``variables`` has.  Only the
@@ -596,9 +607,8 @@ def _mc_mean(n_samples: int, seed: int, variables, states, holonomies,
     rng = np.random.Generator(np.random.Philox(seed))
     total = 0.0 + 0.0j
     total_sq = 0.0
-    starts = range(0, n_samples - 1, MC_CHUNK)
-    for start, stop in zip(starts, [*starts[1:], n_samples]):
-        m = stop - start
+    full, tail = _mc_chunks(n_samples)
+    for m in chain(repeat(MC_CHUNK, full), tail):
         draw = _haar_pairs(rng, m, len(variables))
         pairs = holonomies(dict(zip(variables, zip(*draw))))
         values = combine(_state_values(states, pairs, m))

@@ -603,39 +603,6 @@ def test_gram_prepares_each_distinct_network_once(rng, monkeypatch):
     assert gm[0, 1] != 0
 
 
-def test_gram_pairs_each_distinct_pair_once(rng, monkeypatch):
-    """Entries that hold the same networks share their pairings: k copies
-    of one network cost one pairing, not k(k+1)/2, and a Gram over
-    combinations of a and b one pairing per ordered pair of (a, b).  The
-    matrix keeps the bits of pairing entry by entry."""
-    a = random_network(rng, motif="theta")
-    b = reintertwine(rng, a)
-    copies = [[(1.0, a)]] * 6
-    mixed = [[(1.0, a)], [(2.0 - 1.0j, a), (0.5j, b)], [(1.0, b)], [(-1.0, a)]]
-    calls = []
-    real = diffeo_average._prepared_pairing
-
-    def counting(pa, pb, orientation_preserving_only):
-        calls.append((pa, pb))
-        return real(pa, pb, orientation_preserving_only)
-
-    for combos, pairings in ((copies, 1), (mixed, 4)):
-        want = np.zeros((len(combos), len(combos)), dtype=complex)
-        for i, j in itertools.combinations_with_replacement(range(len(combos)), 2):
-            total = 0j
-            for wa, na in combos[i]:
-                for wb, nb in combos[j]:
-                    total += np.conj(wa) * wb * averaged_inner_product(na, nb)
-            want[j, i] = np.conj(total)
-            want[i, j] = total
-        calls.clear()
-        monkeypatch.setattr(diffeo_average, "_prepared_pairing", counting)
-        gm = averaged_gram(combos)
-        monkeypatch.undo()
-        assert len(calls) == pairings
-        assert gm.tobytes() == want.tobytes()
-
-
 def test_gram_psd_on_random_family(rng):
     nets = []
     base = random_network(rng, motif="theta")

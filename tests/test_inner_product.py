@@ -1094,16 +1094,21 @@ def test_mc_web_builds_one_wigner_matrix_per_word_and_spin(monkeypatch):
 def test_tensor_engine_alone_sets_the_chunk(monkeypatch):
     """The chunk length belongs to ``tensor_engine``: patching its
     ``MC_CHUNK`` alone makes ``mc_inner_product`` prepare each state for
-    chunks of 256, and the estimate keeps the default chunk's bits.  A lone
-    last sample joins the chunk before it, so the self-pairs of
-    theta(6,6,12) and of the spin-1 figure-eight at 257 and 513 samples
-    prepare for 257: a one-sample chunk, whose products BLAS rounds in
-    another order, would move their bits."""
+    that chunk, and the estimate keeps the default chunk's bits.  A lone
+    last sample would make a one-sample chunk, whose products BLAS rounds
+    in another order: with chunks of 512 it takes the last block of the
+    chunk before it (513 samples run as 256 + 257, 1025 as 512 + 256 +
+    257) and the plans stay at 512; with chunks of one block, 256, it
+    joins the chunk before it, which the plans then cover (257).  The
+    self-pairs of theta(6,6,12) and of the spin-1 figure-eight move their
+    bits at every seed without this."""
     theta, eight = theta_network((6, 6, 12)), figure8_network(2, 2)
-    cases = [(build_tassel(2).network, build_phi(2, -1).network, MC_CHUNK + 5, (12,), 256)]
-    cases += [(n, n, n_samples, range(5), 257) for n in (theta, eight) for n_samples in (257, 513)]
+    cases = [(build_tassel(2).network, build_phi(2, -1).network, MC_CHUNK + 5, (12,), 256, 256)]
+    cases += [(n, n, n_samples, range(5), chunk, planned) for n in (theta, eight)
+              for n_samples, chunk, planned in ((257, 256, 257), (513, 256, 257),
+                                                (513, 512, 512), (1025, 512, 512))]
     real = ip._prepared_state
-    for a, b, n_samples, seeds, planned in cases:
+    for a, b, n_samples, seeds, chunk, planned in cases:
         want = [mc_inner_product(a, b, n_samples, seed=seed) for seed in seeds]
         batches = []
 
@@ -1113,10 +1118,10 @@ def test_tensor_engine_alone_sets_the_chunk(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(ip, "_prepared_state", spy)
-            m.setattr(te, "MC_CHUNK", 256)
+            m.setattr(te, "MC_CHUNK", chunk)
             got = [mc_inner_product(a, b, n_samples, seed=seed) for seed in seeds]
         assert batches == [planned] * len(seeds) * (1 if a is b else 2)
-        assert [_bits(g) for g in got] == [_bits(w) for w in want], (n_samples, planned)
+        assert [_bits(g) for g in got] == [_bits(w) for w in want], (n_samples, chunk)
 
 
 def _spin_one_bundle():

@@ -457,7 +457,10 @@ def test_mc_bit_stable_and_chunk_insensitive(monkeypatch):
     size: samples are summed in fixed blocks of ``_MC_BLOCK``, so chunks of
     256 to 8192 samples, with a partial last chunk and a partial last block
     at 6001 samples, reduce to the same bits, for a joint network and for
-    each state on its own edges alike."""
+    each state on its own edges alike.  Every chunk ``_mc_chunks`` gives
+    starts on the block grid, holds more than one sample and fits the
+    batch of ``_mc_batch``, which is ``min(MC_CHUNK, n)`` except when
+    ``MC_CHUNK`` is one block."""
     net = character_network(1)
     first = mc_expectation(net, MC_CHUNK + 7, seed=42)
     second = mc_expectation(net, MC_CHUNK + 7, seed=42)
@@ -473,6 +476,12 @@ def test_mc_bit_stable_and_chunk_insensitive(monkeypatch):
     for chunk in (256, 512, 2048, 8192):
         assert chunk % te._MC_BLOCK == 0
         monkeypatch.setattr(te, "MC_CHUNK", chunk)
+        for n in range(2, 3 * chunk + 3):
+            full, tail = te._mc_chunks(n)
+            chunks, batch = [chunk] * full + tail, te._mc_batch(n, 0)
+            assert sum(chunks) == n and min(chunks) > 1 and max(chunks) <= batch
+            assert all(sum(chunks[:k]) % te._MC_BLOCK == 0 for k in range(len(chunks)))
+            assert batch == min(chunk, n) or (chunk, batch) == (te._MC_BLOCK, te._MC_BLOCK + 1)
         results.append([f(a, b, 6001, seed=7) for a, b in pairs
                         for f in (mc_inner_product,
                                   lambda a, b, n, seed: mc_expectation(
