@@ -54,6 +54,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import chain, repeat
 from math import prod
 from typing import Mapping, Sequence
@@ -235,34 +236,67 @@ def _plan(
     whether they carry a per-sample batch axis of length ``batch``.
 
     Each round takes the step with the smallest result, counting a batched
-    result of n elements as ``batch`` * n; disconnected remainders are then
-    joined by outer products, in order.  Raises ValueError, before any array
-    exists, when an intermediate would exceed ``_MAX_ELEMENTS`` elements.
+    result of n elements as ``batch`` * n, ties going to the smallest pair
+    of slots; disconnected remainders are then joined by outer products, in
+    order.  The pairings are grouped once by the two slots that own their
+    legs, each group keeping its pairings in their given order, and each
+    group's score (the size of its result, from the slots' products of
+    dims) goes on a heap; a step moves only the groups of the two slots it
+    consumes onto its new slot, merging those that meet, so planning costs
+    about O(P log P) over P pairings, not O(steps x P) as when every
+    pairing is regrouped at every step.  Dims are positive.  Raises
+    ValueError for no operand, and, before any array exists, when an
+    intermediate would exceed ``_MAX_ELEMENTS`` elements.
     Plans are kept in one bounded cache keyed on the (tuple) arguments, so
     networks that differ only in their data share one; a refusal is not
     cached and recurs on every call.
     """
+    if not legs:
+        raise ValueError("a contraction needs at least one operand")
     live = {i: (list(l), list(d), bool(b)) for i, (l, d, b) in enumerate(zip(legs, dims, batched))}
+    volume = [prod(d) for d in dims]
     pairs = [tuple(p) for p in pairs]
+    owner = {leg: i for i, ls in enumerate(legs) for leg in ls}
+    dim = {leg: d for ls, ds in zip(legs, dims) for leg, d in zip(ls, ds)}
+    # groups[ia][ib], the same object as groups[ib][ia]: the pairings between
+    # slots ia and ib (a trace when equal), as their indices in the given
+    # order and the product of their legs' dims
+    groups: dict[int, dict[int, tuple[list[int], int]]] = {i: {} for i in live}
+    for k, (x, y) in enumerate(pairs):
+        ia, ib = owner[x], owner[y]
+        ks, inner = groups[ia].get(ib, ([], 1))
+        ks.append(k)
+        groups[ia][ib] = groups[ib][ia] = ks, inner * dim[x] * dim[y]
+    heap = []
+
+    def push(ia, ib, group):
+        size = volume[ia] * (volume[ib] if ib != ia else 1) // group[1]
+        heappush(heap, (size * (batch if live[ia][2] or live[ib][2] else 1), ia, ib))
+
+    for ia, row in groups.items():
+        for ib, group in row.items():
+            if ia <= ib:
+                push(ia, ib, group)
     steps = []
 
     def add_step(ia, ib, plist):
         la, da, ba = live.pop(ia)
+        at_a = {leg: k for k, leg in enumerate(la)}
         if ia == ib:
             lb, db, bb = [], [], False
-            con_a = [la.index(x) for x, _ in plist] + [la.index(y) for _, y in plist]
+            con_a = [at_a[x] for x, _ in plist] + [at_a[y] for _, y in plist]
             con_b = []
         else:
             lb, db, bb = live.pop(ib)
-            in_a = set(la)
-            con_a = [la.index(x if x in in_a else y) for x, y in plist]
-            con_b = [lb.index(y if x in in_a else x) for x, y in plist]
-        free_a = [k for k in range(len(la)) if k not in con_a]
-        free_b = [k for k in range(len(lb)) if k not in con_b]
+            at_b = {leg: k for k, leg in enumerate(lb)}
+            con_a = [at_a[x] if x in at_a else at_a[y] for x, y in plist]
+            con_b = [at_b[y] if x in at_a else at_b[x] for x, y in plist]
+        paired_a, paired_b = set(con_a), set(con_b)
+        free_a = [k for k in range(len(la)) if k not in paired_a]
+        free_b = [k for k in range(len(lb)) if k not in paired_b]
         out_dims = [da[k] for k in free_a] + [db[k] for k in free_b]
-        rows = prod(da[k] for k in free_a)
-        inner = prod(da[k] for k in con_a[: len(plist)])
-        cols = prod(db[k] for k in free_b)
+        rows, cols = prod(out_dims[: len(free_a)]), prod(out_dims[len(free_a):])
+        inner = prod([da[k] for k in con_a[: len(plist)]])
         size = rows * cols * (batch if ba or bb else 1)
         if size > _MAX_ELEMENTS:
             raise ValueError(
@@ -276,32 +310,39 @@ def _plan(
             rows, inner, cols, tuple(out_dims), kernel,
         ))
         out_legs = [la[k] for k in free_a] + [lb[k] for k in free_b]
-        live[len(legs) + len(steps) - 1] = (out_legs, out_dims, ba or bb)
+        new = len(volume)
+        live[new] = (out_legs, out_dims, ba or bb)
+        volume.append(rows * cols)
+        return new
 
-    while pairs:
-        owner = {leg: i for i, (ls, _, _) in live.items() for leg in ls}
-        groups: dict[tuple[int, int], list[tuple]] = {}
-        for la, lb in pairs:
-            ia, ib = owner[la], owner[lb]
-            groups.setdefault((min(ia, ib), max(ia, ib)), []).append((la, lb))
-        best = None
-        for (ia, ib), plist in sorted(groups.items()):
-            paired = {l for p in plist for l in p}
-            size = batch if live[ia][2] or live[ib][2] else 1
-            for i in {ia, ib}:
-                for leg, d in zip(live[i][0], live[i][1]):
-                    if leg not in paired:
-                        size *= d
-            if best is None or size < best[0]:
-                best = (size, ia, ib, plist)
-        _, ia, ib, plist = best
-        add_step(ia, ib, plist)
-        done = set(plist)
-        pairs = [p for p in pairs if p not in done]
+    while heap:
+        _, ia, ib = heappop(heap)
+        if ib not in groups.get(ia, ()):  # a slot of this key is consumed
+            continue
+        new = add_step(ia, ib, [pairs[k] for k in groups[ia][ib][0]])
+        # the other groups of the consumed slots move to the new slot, a
+        # group within them becoming its trace; two that meet merge
+        moved: dict[int, tuple[list[int], int]] = {}
+        for s in {ia, ib}:
+            for p, group in groups.pop(s).items():
+                if p in (ia, ib):
+                    if p != s or ia == ib:
+                        continue  # the group this step contracted
+                    q = new
+                else:
+                    del groups[p][s]
+                    q = p
+                if q in moved:
+                    (ks, inner), (ks2, inner2) = moved[q], group
+                    group = sorted(ks + ks2), inner * inner2
+                moved[q] = group
+        groups[new] = moved
+        for q, group in moved.items():
+            groups[q][new] = group
+            push(q, new, group)
     acc, *rest = sorted(live)
     for ib in rest:
-        add_step(acc, ib, [])
-        acc = len(legs) + len(steps) - 1
+        acc = add_step(acc, ib, [])
     (out_legs, _, _), = live.values()
     return _Plan(tuple(steps), tuple(out_legs))
 

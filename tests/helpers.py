@@ -6,7 +6,9 @@ sampling, correspondence lists by filtering the full assignment
 product space, and exact inner products over the common refinement,
 with dense Haar projectors, rather than each state's own edges.  The
 public ``FactorNetwork`` route into the engine is the reference for the
-operands and plan keys the inner products build directly.  Document text
+operands and plan keys the inner products build directly, and the greedy
+planner's one-full-regrouping-per-step form the reference for its
+incremental one.  Document text
 has the element-by-element renderer, and the Wigner build, the Haar
 sampler, the word holonomy, the intertwiner basis and the web transfer
 their earlier straightforward forms, as references for bit-identical or
@@ -18,6 +20,7 @@ quaternion product, and invariance is checked by the group action at two
 fixed elements.
 """
 
+import contextlib
 import csv
 import functools
 import itertools
@@ -41,12 +44,13 @@ from spinnet import (
     epsilon,
     common_refinement,
 )
-from spinnet.rep_core import _invariant_basis, _sort_key, _wigner_terms
+import spinnet.tensor_engine as te
+from spinnet.rep_core import _MAX_ELEMENTS, _invariant_basis, _sort_key, _wigner_terms
 from spinnet.blipweb import (
     BumpCurve, _boundary_weights, _column_basis, blip_amplitude, build_tassel, bump, junction,
 )
 from spinnet.tensor_engine import (
-    FactorNetwork, GroupFactor, LabeledTensor, Leg, contract, haar_project,
+    FactorNetwork, GroupFactor, LabeledTensor, Leg, _Plan, _Step, contract, haar_project,
 )
 
 
@@ -432,6 +436,102 @@ def factor_network_plan(net, exact=False):
             (True,) * len(net.factors) + (False,) * len(net.tensors),
             net.pairings)
     return args, [np.asarray(t.data, complex) for t in net.tensors]
+
+
+def reference_plan(legs, dims, batched, pairs, batch=1):
+    """``tensor_engine._plan`` as one full regrouping per step, uncached:
+    each round groups every remaining pairing by the slots that own its
+    legs and scores every group from its slots' legs, the reference for
+    the engine's incremental planner, plan for plan and refusal for
+    refusal."""
+    live = {i: (list(l), list(d), bool(b)) for i, (l, d, b) in enumerate(zip(legs, dims, batched))}
+    pairs = [tuple(p) for p in pairs]
+    steps = []
+
+    def add_step(ia, ib, plist):
+        la, da, ba = live.pop(ia)
+        if ia == ib:
+            lb, db, bb = [], [], False
+            con_a = [la.index(x) for x, _ in plist] + [la.index(y) for _, y in plist]
+            con_b = []
+        else:
+            lb, db, bb = live.pop(ib)
+            in_a = set(la)
+            con_a = [la.index(x if x in in_a else y) for x, y in plist]
+            con_b = [lb.index(y if x in in_a else x) for x, y in plist]
+        free_a = [k for k in range(len(la)) if k not in con_a]
+        free_b = [k for k in range(len(lb)) if k not in con_b]
+        out_dims = [da[k] for k in free_a] + [db[k] for k in free_b]
+        rows = math.prod(da[k] for k in free_a)
+        inner = math.prod(da[k] for k in con_a[: len(plist)])
+        cols = math.prod(db[k] for k in free_b)
+        size = rows * cols * (batch if ba or bb else 1)
+        if size > _MAX_ELEMENTS:
+            raise ValueError(
+                f"contraction needs an intermediate of {size} elements, over the "
+                f"limit of {_MAX_ELEMENTS} ({_MAX_ELEMENTS * 16 >> 20} MiB)"
+            )
+        kernel = "trace" if ia == ib else "madd" if ba and bb else "matmul"
+        steps.append(_Step(
+            ia, None if ia == ib else ib, ba, bb,
+            tuple(free_a + con_a + [len(la)] * ba), tuple(con_b + free_b + [len(lb)] * bb),
+            rows, inner, cols, tuple(out_dims), kernel,
+        ))
+        out_legs = [la[k] for k in free_a] + [lb[k] for k in free_b]
+        live[len(legs) + len(steps) - 1] = (out_legs, out_dims, ba or bb)
+
+    while pairs:
+        owner = {leg: i for i, (ls, _, _) in live.items() for leg in ls}
+        groups = {}
+        for la, lb in pairs:
+            ia, ib = owner[la], owner[lb]
+            groups.setdefault((min(ia, ib), max(ia, ib)), []).append((la, lb))
+        best = None
+        for (ia, ib), plist in sorted(groups.items()):
+            paired = {l for p in plist for l in p}
+            size = batch if live[ia][2] or live[ib][2] else 1
+            for i in {ia, ib}:
+                for leg, d in zip(live[i][0], live[i][1]):
+                    if leg not in paired:
+                        size *= d
+            if best is None or size < best[0]:
+                best = (size, ia, ib, plist)
+        _, ia, ib, plist = best
+        add_step(ia, ib, plist)
+        done = set(plist)
+        pairs = [p for p in pairs if p not in done]
+    acc, *rest = sorted(live)
+    for ib in rest:
+        add_step(acc, ib, [])
+        acc = len(legs) + len(steps) - 1
+    (out_legs, _, _), = live.values()
+    return _Plan(tuple(steps), tuple(out_legs))
+
+
+@contextlib.contextmanager
+def recorded_plan_calls():
+    """The (args, kwargs) of every ``tensor_engine._plan`` call made in the
+    block, in order, whether the engine's cache answers it or not."""
+    calls = []
+    real = te._plan
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    te._plan = recording
+    try:
+        yield calls
+    finally:
+        te._plan = real
+
+
+def plan_or_refusal(planner, args, kwargs):
+    """``planner(*args, **kwargs)``, or the message of its ValueError."""
+    try:
+        return planner(*args, **kwargs)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
 
 
 def brute_mc_inner_product(bra, ket, n_samples, seed, use_naive=False):

@@ -27,7 +27,7 @@ from spinnet import (
     emit_geometry,
     write_curves_csv,
 )
-from spinnet import blipweb, tensor_engine
+from spinnet import blipweb, inner_product, tensor_engine
 from spinnet.blipweb import (junction, bump, blip_amplitude, BumpCurve, PLUS, MINUS,
                              _HALF, _boundary_weights, _column_basis)
 from spinnet.tensor_engine import GroupFactor, haar_project
@@ -328,7 +328,12 @@ def test_window_widening_extrapolates_to_stabilized_value():
 
 
 def test_transfer_agrees_with_generic_engine():
-    for n in (1, 2):
+    """The exact inner product agrees with the transfer on ψ·ψ and ψ·φ,
+    from cold plan and state caches at each window, up to the large web
+    pair at N = 64."""
+    for n in (1, 2, 16, 32, 64):
+        tensor_engine._plan.cache_clear()
+        inner_product._prepared_state.cache_clear()
         psi = build_tassel(n)
         phi = build_phi(n, -1)
         npt.assert_allclose(

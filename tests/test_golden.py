@@ -9,8 +9,11 @@ import sys
 from pathlib import Path
 
 import spinnet
+import spinnet.inner_product as ip
+import spinnet.tensor_engine as te
 
 import golden_reports
+from helpers import recorded_plan_calls, reference_plan
 
 
 def test_reports_match_the_golden_files():
@@ -40,6 +43,21 @@ def test_reports_are_identical_across_hash_seeds_and_blas_threads():
     first = next(iter(outputs.values()))
     differ = [env for env, out in outputs.items() if out != first]
     assert not differ, f"golden reports differ from the first process under {differ}"
+
+
+def test_golden_commands_plan_as_the_reference_planner():
+    """Every ``tensor_engine._plan`` call that the golden commands make
+    gets the plan of the planner that regroups every pairing at every step
+    (``helpers.reference_plan``), ``==`` as ``_Plan``s.  The cache of
+    prepared states is cleared first, so that the commands' states are
+    planned here, not found warm from an earlier test."""
+    ip._prepared_state.cache_clear()
+    with recorded_plan_calls() as calls:
+        for name in golden_reports.CASES:
+            golden_reports.report(name)
+    assert len(calls) >= 10
+    for args, kwargs in calls:
+        assert te._plan.__wrapped__(*args, **kwargs) == reference_plan(*args, **kwargs)
 
 
 def test_every_golden_file_and_input_belongs_to_a_case():

@@ -9,6 +9,7 @@ import pytest
 
 from spinnet import (
     Spin,
+    contract,
     Intertwiner,
     InvalidNetworkError,
     SegmentRegistry,
@@ -51,6 +52,9 @@ from helpers import (
     cycle_network,
     factor_network_plan,
     paired_factor_network,
+    plan_or_refusal,
+    recorded_plan_calls,
+    reference_plan,
     piece_network,
     state_factor_network,
     wordy_network,
@@ -62,6 +66,7 @@ from helpers import (
 )
 from test_mc_scratch import _bits
 from test_diffeo_average import _zoo_graphs
+from test_tensor_engine import _oversized_chunk_network, lt
 
 
 @pytest.fixture
@@ -719,6 +724,47 @@ def test_operands_give_the_factor_network_route_plan_keys(monkeypatch):
     assert exact >= 40 and opened >= 10
 
 
+def _planner_corpus():
+    """Seeded pairs for the planner checks: one network per zoo graph with
+    an edge along each piece, the motifs, wordy networks and the 3- to
+    6-cycles with a loop at every point, each paired with itself and with
+    another state on its registry, and the web pairs ψ·ψ and ψ·φ at N = 1,
+    2, 4, 8, 16 and 32."""
+    rng = np.random.default_rng(3133)
+    nets = [piece_network(rng, graph) for _, graph in _zoo_graphs()]
+    nets += [random_network(rng, motif) for motif in MOTIF_NAMES]
+    nets += [wordy_network(rng), wordy_network(rng, (1, 1, 2), 1)]
+    nets += [cycle_network(rng, k) for k in (3, 4, 5, 6)]
+    pairs = [p for n in nets for p in ((n, n), (n, reintertwine(rng, n)))]
+    for n in (1, 2, 4, 8, 16, 32):
+        psi = build_tassel(n).network
+        pairs += [(psi, psi), (psi, build_phi(n, -1).network)]
+    return pairs
+
+
+def test_incremental_planner_gives_the_reference_plans():
+    """``tensor_engine._plan`` regroups only the groups of the slots each
+    step consumes, and gives the plans of the planner that regroups every
+    pairing at every step (``helpers.reference_plan``), ``==`` as
+    ``_Plan``s, on every distinct plan of the corpus: each pair's exact
+    plan, and each state's Monte Carlo plan for a full chunk on the pair's
+    gauge forest, with the integrated chord's edge open and without, and
+    for ``evaluate``'s one sample."""
+    calls, opened = {}, 0
+    for a, b in _planner_corpus():
+        tree, chord = ip._gauge_forest(a, b), _schur_chord(a, b)
+        opened += chord is not None
+        with recorded_plan_calls() as made:
+            exact_inner_product(a, b)
+            for n in (a, b):
+                for key in ((tree, MC_CHUNK, chord), (tree, MC_CHUNK, None), (frozenset(), 1, None)):
+                    ip._prepared_state.__wrapped__(n, *key)
+        calls.update(((args, tuple(kwargs.items())), None) for args, kwargs in made)
+    assert opened >= 10 and len(calls) >= 90
+    for args, kwargs in calls:
+        assert te._plan.__wrapped__(*args, **dict(kwargs)) == reference_plan(*args, **dict(kwargs))
+
+
 def test_inner_products_build_no_tensor_object(monkeypatch):
     """Tensor objects are the public boundary only: with ``Leg``,
     ``LabeledTensor`` and ``FactorNetwork`` refusing to be built, the exact
@@ -1155,6 +1201,40 @@ def test_mc_oversized_state_fails_before_sampling(monkeypatch):
     for _ in range(2):
         with pytest.raises(ValueError, match="intermediate"):
             mc_inner_product(big, big, MC_CHUNK, seed=0)
+
+
+@pytest.mark.parametrize("case", ["state", "network", "contract"])
+def test_refusal_matches_the_reference_planner(case, monkeypatch):
+    """An oversized Monte Carlo chunk (of ``mc_inner_product`` on the spin-1
+    bundle and of ``mc_expectation``) and an oversized ``contract`` are
+    refused with the message of the planner that regroups every pairing at
+    every step (``helpers.reference_plan``), before any sample is drawn or
+    any plan runs, and the refusal is not cached: planning the same
+    arguments again is a new miss that is refused again."""
+    if case == "state":
+        big = _spin_one_bundle()
+        run = lambda: mc_inner_product(big, big, MC_CHUNK, seed=0)
+    elif case == "network":
+        net = _oversized_chunk_network()
+        run = lambda: mc_expectation(net, MC_CHUNK, seed=0)
+    else:
+        shape = (13, 13, 13, 13)
+        big = [lt("a", np.ones(shape), ("ket",) * 4), lt("b", np.ones(shape), ("bra",) * 4)]
+        run = lambda: contract(big, [])
+
+    def refused(*args, **kwargs):
+        raise AssertionError("sampled or contracted after a refusal")
+
+    monkeypatch.setattr(te, "_haar_pairs", refused)
+    monkeypatch.setattr(te, "_execute", refused)
+    with recorded_plan_calls() as calls, pytest.raises(ValueError, match="intermediate") as exc:
+        run()
+    args, kwargs = calls[-1]
+    assert plan_or_refusal(reference_plan, args, kwargs) == f"ValueError: {exc.value}"
+    before = te._plan.cache_info()
+    assert plan_or_refusal(te._plan, args, kwargs) == f"ValueError: {exc.value}"
+    after = te._plan.cache_info()
+    assert (after.misses, after.currsize) == (before.misses + 1, before.currsize)
 
 
 def test_mc_inner_product_needs_two_samples():

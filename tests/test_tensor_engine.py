@@ -526,9 +526,9 @@ def test_mc_rejects_pairings_contract_rejects(case, message):
             contract(list(net.tensors), net.pairings)
 
 
-def test_mc_oversized_chunk_fails_before_sampling(monkeypatch):
-    """Every step of this network yields a 3^k tensor per sample; a full
-    chunk of those is over the budget, two samples are not."""
+def _oversized_chunk_network():
+    """k spin-1 factors between two random 3^k tensors, with k the fewest
+    for which a full chunk of 3^k tensors is over the budget."""
     k = 1
     while MC_CHUNK * 3**k <= te._MAX_ELEMENTS:
         k += 1
@@ -539,7 +539,13 @@ def test_mc_oversized_chunk_fails_before_sampling(monkeypatch):
     pairings = tuple((f"r{i}", f"s{i}") for i in range(k)) + tuple(
         (f"c{i}", f"t{i}") for i in range(k)
     )
-    net = FactorNetwork(factors, (t1, t2), pairings)
+    return FactorNetwork(factors, (t1, t2), pairings)
+
+
+def test_mc_oversized_chunk_fails_before_sampling(monkeypatch):
+    """Every step of this network yields a 3^k tensor per sample; a full
+    chunk of those is over the budget, two samples are not."""
+    net = _oversized_chunk_network()
     mc_expectation(net, 2, seed=0)
 
     def no_draws(*args, **kwargs):
@@ -548,6 +554,17 @@ def test_mc_oversized_chunk_fails_before_sampling(monkeypatch):
     monkeypatch.setattr(te, "_haar_pairs", no_draws)
     with pytest.raises(ValueError, match="intermediate"):
         mc_expectation(net, MC_CHUNK, seed=0)
+
+
+def test_empty_contraction_is_refused_by_name():
+    """No operand at all is refused with a clear message, by ``contract``
+    and by ``mc_expectation``, before any plan is made."""
+    te._plan.cache_clear()
+    with pytest.raises(ValueError, match="^a contraction needs at least one operand$"):
+        contract([], [])
+    with pytest.raises(ValueError, match="^a contraction needs at least one operand$"):
+        mc_expectation(FactorNetwork((), (), ()), 10, 0)
+    assert te._plan.cache_info().currsize == 0
 
 
 def _oracle_network():
