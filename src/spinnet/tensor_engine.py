@@ -281,22 +281,21 @@ def _plan(
 
     def add_step(ia, ib, plist):
         la, da, ba = live.pop(ia)
-        at_a = {leg: k for k, leg in enumerate(la)}
         if ia == ib:
             lb, db, bb = [], [], False
-            con_a = [at_a[x] for x, _ in plist] + [at_a[y] for _, y in plist]
+            con_a = [la.index(x) for x, _ in plist] + [la.index(y) for _, y in plist]
             con_b = []
         else:
             lb, db, bb = live.pop(ib)
-            at_b = {leg: k for k, leg in enumerate(lb)}
-            con_a = [at_a[x] if x in at_a else at_a[y] for x, y in plist]
-            con_b = [at_b[y] if x in at_a else at_b[x] for x, y in plist]
-        paired_a, paired_b = set(con_a), set(con_b)
-        free_a = [k for k in range(len(la)) if k not in paired_a]
-        free_b = [k for k in range(len(lb)) if k not in paired_b]
+            in_a = set(la)
+            con_a = [la.index(x if x in in_a else y) for x, y in plist]
+            con_b = [lb.index(y if x in in_a else x) for x, y in plist]
+        free_a = [k for k in range(len(la)) if k not in con_a]
+        free_b = [k for k in range(len(lb)) if k not in con_b]
         out_dims = [da[k] for k in free_a] + [db[k] for k in free_b]
-        rows, cols = prod(out_dims[: len(free_a)]), prod(out_dims[len(free_a):])
-        inner = prod([da[k] for k in con_a[: len(plist)]])
+        rows = prod(da[k] for k in free_a)
+        inner = prod(da[k] for k in con_a[: len(plist)])
+        cols = prod(db[k] for k in free_b)
         size = rows * cols * (batch if ba or bb else 1)
         if size > _MAX_ELEMENTS:
             raise ValueError(

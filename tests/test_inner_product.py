@@ -725,18 +725,14 @@ def test_operands_give_the_factor_network_route_plan_keys(monkeypatch):
 
 
 def _planner_corpus():
-    """Seeded pairs for the planner checks: one network per zoo graph with
-    an edge along each piece, the motifs, wordy networks and the 3- to
-    6-cycles with a loop at every point, each paired with itself and with
-    another state on its registry, and the web pairs ψ·ψ and ψ·φ at N = 1,
-    2, 4, 8, 16 and 32."""
+    """The plan-key pairs, with the 5- and 6-cycles, each paired with
+    itself and with another state on its registry, and the web pairs ψ·ψ
+    and ψ·φ at N = 8, 16 and 32 added."""
     rng = np.random.default_rng(3133)
-    nets = [piece_network(rng, graph) for _, graph in _zoo_graphs()]
-    nets += [random_network(rng, motif) for motif in MOTIF_NAMES]
-    nets += [wordy_network(rng), wordy_network(rng, (1, 1, 2), 1)]
-    nets += [cycle_network(rng, k) for k in (3, 4, 5, 6)]
-    pairs = [p for n in nets for p in ((n, n), (n, reintertwine(rng, n)))]
-    for n in (1, 2, 4, 8, 16, 32):
+    pairs = _plan_key_pairs()
+    for n in (cycle_network(rng, k) for k in (5, 6)):
+        pairs += [(n, n), (n, reintertwine(rng, n))]
+    for n in (8, 16, 32):
         psi = build_tassel(n).network
         pairs += [(psi, psi), (psi, build_phi(n, -1).network)]
     return pairs
