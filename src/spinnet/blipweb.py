@@ -192,13 +192,15 @@ def _assemble_state(alphabet: BlipAlphabet, words) -> TasselState:
                        network(alphabet.registry(), edges, vertices))
 
 
+def _psi_signs(i: int) -> tuple:
+    """The reference state's four signs at column i."""
+    even = i % 2 == 0
+    return (PLUS, MINUS, PLUS if even else MINUS, MINUS if even else PLUS)
+
+
 def _psi_words(alphabet: BlipAlphabet):
-    n = alphabet.truncation
-    all_plus = CurveWord(n, (PLUS,) * (2 * n))
-    all_minus = CurveWord(n, (MINUS,) * (2 * n))
-    even_plus = CurveWord(n, tuple(PLUS if i % 2 == 0 else MINUS for i in alphabet.indices))
-    odd_plus = CurveWord(n, tuple(PLUS if i % 2 != 0 else MINUS for i in alphabet.indices))
-    return (all_plus, all_minus, even_plus, odd_plus)
+    columns = [_psi_signs(i) for i in alphabet.indices]
+    return tuple(CurveWord(alphabet.truncation, signs) for signs in zip(*columns))
 
 
 def build_tassel(truncation: int) -> TasselState:
@@ -287,41 +289,37 @@ def _forward(v: np.ndarray, q: np.ndarray) -> np.ndarray:
     return q.T @ (q.conj() @ v)
 
 
-def _backward(u: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """One column of a backward sweep: row vector u times the column operator."""
-    return (q @ u) @ q.conj()
-
-
-def _meet(q: np.ndarray, v: np.ndarray, u: np.ndarray) -> complex:
-    """The value where a forward vector v and a backward row vector u meet
-    at column q; bra conjugation is already inside the factors and weights."""
-    return complex(np.dot(u, _forward(v, q)))
-
-
 def _column_signs(curves, i: int) -> tuple:
     return tuple(w.sign(i) for w in curves)
+
+
+def _sweep(columns, stabilized: bool) -> complex:
+    """The boundary weights swept forward through these (bra signs, ket
+    signs) columns and closed against the boundary weights; bra conjugation
+    is already inside the factors and weights."""
+    boundary = _boundary_weights(stabilized)
+    v = boundary
+    for pair in columns:
+        v = _forward(v, _column_basis(*pair))
+    return complex(np.dot(boundary, v))
 
 
 def _transfer_value(alphabet: BlipAlphabet, bra_curves, ket_curves, stabilized: bool) -> complex:
     """The transfer contraction of two four-curve words over one alphabet;
     it reads only the curves' signs, never a network.
 
-    A forward sweep from the left boundary and a backward sweep from the
-    right one meet at the first column where bra and ket signs differ, or
-    at the last column if there is none.  A pair that differs from psi.psi
-    at one column alone therefore meets there on psi.psi's own sweeps,
-    which ``_reference_environments`` keeps.
+    A truncated pairing sweeps every column.  A stabilized one sweeps only
+    from its first to its last differing column: a column whose bra and ket
+    signs agree fixes the stabilized boundary weights, so the columns
+    outside that span leave them as they are.  A pair that differs nowhere
+    sweeps no column.
     """
     columns = [(_column_signs(bra_curves, i), _column_signs(ket_curves, i))
                for i in alphabet.indices]
-    meet = next((k for k, (b, c) in enumerate(columns) if b != c), len(columns) - 1)
-    boundary = _boundary_weights(stabilized)
-    v = u = boundary
-    for pair in columns[:meet]:
-        v = _forward(v, _column_basis(*pair))
-    for pair in reversed(columns[meet + 1:]):
-        u = _backward(u, _column_basis(*pair))
-    return _meet(_column_basis(*columns[meet]), v, u)
+    if stabilized:
+        differ = [k for k, (b, c) in enumerate(columns) if b != c]
+        columns = columns[differ[0]:differ[-1] + 1] if differ else []
+    return _sweep(columns, stabilized)
 
 
 def _state_value(bra: TasselState, ket: TasselState, stabilized: bool) -> complex:
@@ -343,21 +341,18 @@ def truncated_inner_product(bra: TasselState, ket: TasselState) -> complex:
 def stabilized_inner_product(bra: TasselState, ket: TasselState) -> complex:
     """Inner product of the doubly infinite extensions of the two states.
 
-    Columns outside the window extend each curve by its parity pattern,
-    and on any column where bra and ket signs agree the transfer operator
-    fixes the projected boundary weights exactly, so the value does not
-    depend on the window size.
+    Columns outside the window extend each curve by its parity pattern.
+    The boundary weights are projected onto the joint fixed space of the
+    agreeing-column transfer operators, so only the columns from the first
+    to the last where bra and ket signs differ are swept, and the value
+    depends neither on the window size nor on where that span sits.
     """
     return _state_value(bra, ket, stabilized=True)
 
 
-# Largest truncation the observations accept.  Each cached truncation N
-# holds a forward and a backward vector of 256 complex entries (4 KiB each)
-# per column, 16 KiB x N, so the cache of _ENVIRONMENT_TRUNCATIONS windows of
-# at most _MAX_TRUNCATION + 2 columns a side (the wide window of
-# observation_one) stays under 16 x 66 x 16 KiB, about 17.3 MB.
+# Largest truncation the observations accept: the CLI documents its
+# --truncation range as 1..64.
 _MAX_TRUNCATION = 64
-_ENVIRONMENT_TRUNCATIONS = 16
 
 
 def _check_truncation(truncation: int) -> None:
@@ -366,68 +361,21 @@ def _check_truncation(truncation: int) -> None:
             f"truncation must be an integer between 1 and {_MAX_TRUNCATION}, got {truncation!r}")
 
 
-@dataclass(frozen=True)
-class _Environments:
-    """The reference words and, for psi.psi (stabilized), the sweep vectors
-    around each column k: ``forward[k]`` has crossed the columns before k,
-    ``backward[k]`` those after it."""
-
-    words: tuple
-    forward: tuple
-    backward: tuple
-    norm: float
-
-    def value(self, i: int, bra_signs: tuple, ket_signs: tuple) -> complex:
-        """The stabilized value of a pair that agrees with psi.psi on every
-        column but i, where it has these signs: one column step."""
-        k = i + self.words[0].truncation
-        return _meet(_column_basis(bra_signs, ket_signs), self.forward[k], self.backward[k])
-
-
-@lru_cache(maxsize=_ENVIRONMENT_TRUNCATIONS)
-def _reference_environments(truncation: int) -> _Environments:
-    """One forward and one backward sweep of psi.psi; entry k is what
-    ``_transfer_value`` holds when it meets at column k on such a pair."""
-    psi = _psi_words(BlipAlphabet(truncation))
-    columns = [_column_basis(signs, signs) for signs in zip(*(w.signs for w in psi))]
-    boundary = _boundary_weights(True)
-    forward, backward = [boundary], [boundary]
-    for q in columns[:-1]:
-        forward.append(_forward(forward[-1], q))
-    for q in reversed(columns[1:]):
-        backward.append(_backward(backward[-1], q))
-    backward.reverse()
-    for vec in forward + backward:
-        vec.setflags(write=False)
-    # <psi, psi> meets at the last column
-    norm = _meet(columns[-1], forward[-1], backward[-1]).real
-    return _Environments(psi, tuple(forward), tuple(backward), norm)
-
-
-def _reroute_overlap(truncation: int, i0: int) -> complex:
-    """<psi, phi_i0> (stabilized) on one window: one column step."""
-    phi = _phi_words(BlipAlphabet(truncation), i0)
-    env = _reference_environments(truncation)
-    return env.value(i0, _column_signs(env.words, i0), _column_signs(phi, i0))
-
-
 def observation_one(truncation: int, i0: int) -> complex:
     """Overlap of the reference state with its reroute at odd column i0.
 
     The two states share no common support refinement in the classical
     sense (the reroute misses one arc entirely), yet the overlap is not
-    zero.  Raises ToleranceError if the value is degenerate or fails to
-    be window-independent to 1e-9 against a window wider by two.
+    zero.  They differ at column i0 alone, so the stabilized value is one
+    column step, the same for every window and every odd i0.  Raises
+    ToleranceError if the value is degenerate.
     """
     _check_truncation(truncation)
-    value, wide = (_reroute_overlap(n, i0) for n in (truncation, truncation + 2))
+    phi = _phi_words(BlipAlphabet(truncation), i0)
+    value = _sweep([(_psi_signs(i0), _column_signs(phi, i0))], stabilized=True)
     if abs(value) <= 1e-6:
         raise ToleranceError(
             f"overlap {value} at truncation {truncation} is numerically degenerate")
-    if abs(value - wide) > 1e-9:
-        raise ToleranceError(
-            f"overlap drifts with the window: {value} vs {wide} at truncation "
-            f"{truncation} vs {truncation + 2}")
     return value
 
 
@@ -436,14 +384,14 @@ def observation_two(truncation: int, i: int) -> complex:
 
     The swapped state is a genuinely different state (positive squared
     distance) with nonzero overlap against the reference, for every
-    column; ToleranceError if either part fails numerically.
+    column; ToleranceError if either part fails numerically.  The overlap
+    is one column step, and both norms sweep no column.
     """
     _check_truncation(truncation)
-    env = _reference_environments(truncation)
-    signs = _column_signs(env.words, i)
-    moved = tuple(_FLIPPED[s] for s in signs)
-    value = env.value(i, signs, moved)
-    norm2 = env.norm + env.value(i, moved, moved).real - 2.0 * value.real
+    _check_column(i, truncation)
+    signs = _psi_signs(i)
+    value = _sweep([(signs, tuple(_FLIPPED[s] for s in signs))], stabilized=True)
+    norm2 = 2.0 * _sweep([], stabilized=True).real - 2.0 * value.real
     if abs(value) <= 1e-6:
         raise ToleranceError(f"swap overlap at column {i} is numerically degenerate")
     if norm2 <= 1e-6:

@@ -113,25 +113,27 @@ def _cmd_gram(args) -> dict:
 
 
 def _cmd_section4(args) -> dict:
-    _check_truncation(args.truncation)
+    n = args.truncation
+    _check_truncation(n)
+    if args.which == "obs1" and (args.i0 is None or args.i0 % 2 == 0 or not -n <= args.i0 < n):
+        raise ValueError(
+            f"obs1 needs --i0, an odd column index from {-n} to {n - 1}, got {args.i0}")
     # the geometry checks its own limits before it samples, so an oversized
     # request fails before the observables are computed
     curves = None
     if args.emit_curves is not None:
-        curves = emit_geometry(args.truncation, args.resolution)
-    report = {"which": args.which, "truncation": args.truncation}
+        curves = emit_geometry(n, args.resolution)
+    report = {"which": args.which, "truncation": n}
     if args.which == "obs1":
-        if args.i0 is None:
-            raise ValueError("--i0 is required for obs1 (an odd column index)")
-        value = observation_one(args.truncation, args.i0)
+        value = observation_one(n, args.i0)
         report["i0"] = args.i0
         report.update(_scalar(value))
         report["stable"] = True
     else:
         values = []
-        for i in range(-args.truncation, args.truncation):
+        for i in range(-n, n):
             entry = {"i": i}
-            entry.update(_scalar(observation_two(args.truncation, i)))
+            entry.update(_scalar(observation_two(n, i)))
             values.append(entry)
         report["values"] = values
     if curves is not None:

@@ -273,7 +273,8 @@ def test_column_basis_matches_dense_operator():
 def test_stabilized_boundary_spans_joint_fixed_space():
     """The agreeing-column operators of the reference state alternate between
     two patterns.  Each fixes a 4-dimensional space; jointly they fix one
-    direction, and the stabilized boundary vector spans it."""
+    direction, and the stabilized boundary vector spans it.  Every agreeing
+    column fixes that vector."""
     patterns = ((PLUS, MINUS, PLUS, MINUS), (PLUS, MINUS, MINUS, PLUS))
     ops = [_column_operator(s, s) for s in patterns]
     eye = np.eye(256)
@@ -285,8 +286,9 @@ def test_stabilized_boundary_spans_joint_fixed_space():
     assert fixed_dim(np.vstack([op - eye for op in ops])) == 1
     v = _boundary_weights(True)
     assert np.linalg.norm(v) > 0.1
-    for op in ops:
-        npt.assert_allclose(op @ v, v, atol=1e-12)
+    # every column whose bra and ket signs agree fixes it, not only these two
+    for signs in SIGN_PATTERNS:
+        npt.assert_allclose(_column_operator(signs, signs) @ v, v, atol=1e-15)
 
 
 def test_observations_use_no_dense_projector(monkeypatch):
@@ -359,9 +361,9 @@ def _random_words(rng, n):
 
 
 def test_transfer_value_matches_the_forward_sweep():
-    """The sweeps that meet at the first differing column agree with one
-    forward sweep over the whole window to 1e-15, and equal it exactly when
-    bra and ket agree on every column (they then meet at the last one)."""
+    """The truncated value is one forward sweep over the whole window, bit
+    for bit.  The stabilized value sweeps only the span of differing
+    columns and agrees with the whole-window sweep to 1e-15."""
     rng = np.random.default_rng(15)
     nonzero = 0
     for n in (1, 2, 3, 4):
@@ -378,9 +380,10 @@ def test_transfer_value_matches_the_forward_sweep():
                 for ket in (bra, paired, _random_words(rng, n)):
                     got = blipweb._transfer_value(alphabet, bra, ket, stabilized)
                     want = reference_transfer_value(alphabet, bra, ket, stabilized)
-                    if ket is bra:
-                        assert got == want
-                    assert abs(got - want) <= 1e-15, (n, stabilized, got, want)
+                    if stabilized:
+                        assert abs(got - want) <= 1e-15, (n, got, want)
+                    else:
+                        assert got == want, (n, got, want)
                     nonzero += abs(want) > 1e-6
     assert nonzero >= 100
 
@@ -398,8 +401,8 @@ def test_truncated_value_confirmed_by_sampling():
 
 
 def test_transfer_values_confirmed_by_sampling_at_scale():
-    # one slow full-scale run per inner product kind (norm, reroute
-    # overlap, swap overlap); several minutes of sampling
+    # one full-scale run per inner product kind (norm, reroute overlap,
+    # swap overlap): three million samples, about 2 s
     cases = [
         (build_tassel(1), build_tassel(1), 31),
         (build_tassel(3), build_phi(3, -1), 32),
@@ -437,44 +440,58 @@ def test_observation_two_values():
 
 
 def test_observations_equal_the_built_states_bit_for_bit():
-    """Each observation is one column step on psi.psi's cached sweeps, which
-    are the very vectors the general transfer builds for the same pair."""
+    """Each observation is the one column step the general transfer takes
+    for the built pair, and psi.psi sweeps no column: its stabilized norm
+    is the boundary weights paired with themselves."""
+    d = _boundary_weights(True)
     for n in range(1, 11):
         psi = build_tassel(n)
         for i0 in range(-n + 1 - n % 2, n, 2):
             want = stabilized_inner_product(psi, build_phi(n, i0))
-            # observation_one reads the windows n and n + 2
-            assert blipweb._reroute_overlap(n, i0) == want, (n, i0)
-            if n <= 8:
-                assert observation_one(n, i0) == want, (n, i0)
-        if n <= 8:
-            for i in range(-n, n):
-                want = stabilized_inner_product(psi, swap_signs(psi, i))
-                assert observation_two(n, i) == want, (n, i)
-        assert blipweb._reference_environments(n).norm == \
-            stabilized_inner_product(psi, psi).real
-
-
-def test_observation_two_takes_linearly_many_column_steps(monkeypatch):
-    """All 2N columns of observation_two cost one sweep each way over
-    psi.psi, one step for its norm and two steps a column: 8N - 1 steps."""
-    steps = []
-    for name in ("_forward", "_backward"):
-        step = getattr(blipweb, name)
-        monkeypatch.setattr(blipweb, name, lambda *a, _step=step: steps.append(1) or _step(*a))
-    counts = {}
-    for n in (8, 16, 32):
-        blipweb._reference_environments.cache_clear()
-        steps.clear()
+            assert observation_one(n, i0) == want, (n, i0)
         for i in range(-n, n):
+            want = stabilized_inner_product(psi, swap_signs(psi, i))
+            assert observation_two(n, i) == want, (n, i)
+        assert stabilized_inner_product(psi, psi) == complex(np.dot(d, d))
+
+
+def test_each_observable_value_takes_one_column_step(monkeypatch):
+    """observation_one is one column step, and so is each column of
+    observation_two: its two norms sweep no column."""
+    steps = []
+    step = blipweb._forward
+    monkeypatch.setattr(blipweb, "_forward", lambda *a: steps.append(1) or step(*a))
+    for n in (8, 16, 32):
+        for i in range(-n, n):
+            steps.clear()
             observation_two(n, i)
-        counts[n] = len(steps)
-    assert counts == {8: 63, 16: 127, 32: 255}
-    # a warm cache leaves two steps a column
-    steps.clear()
-    for i in range(-32, 32):
-        observation_two(32, i)
-    assert len(steps) == 128
+            assert len(steps) == 1, (n, i)
+            if i % 2:
+                steps.clear()
+                observation_one(n, i)
+                assert len(steps) == 1, (n, i)
+
+
+def test_one_step_values_match_the_whole_window_and_never_move():
+    """At every window N = 1..64 the one-step observables agree with one
+    forward sweep over all 2N columns to 1e-14, at the first and the last
+    column, and they are the same bits for every N and every column."""
+    ones, twos = set(), set()
+    for n in range(1, 65):
+        alphabet = BlipAlphabet(n)
+        psi = blipweb._psi_words(alphabet)
+        odd = [i for i in alphabet.indices if i % 2]
+        for i0 in (odd[0], odd[-1]):
+            want = reference_transfer_value(alphabet, psi, blipweb._phi_words(alphabet, i0), True)
+            assert abs(observation_one(n, i0) - want) <= 1e-14, (n, i0)
+        for i in (-n, n - 1):
+            swapped = tuple(w.flipped_at(i) for w in psi)
+            want = reference_transfer_value(alphabet, psi, swapped, True)
+            assert abs(observation_two(n, i) - want) <= 1e-14, (n, i)
+        ones.update(observation_one(n, i0) for i0 in odd)
+        twos.update(observation_two(n, i) for i in alphabet.indices)
+    assert len(ones) == len(twos) == 1
+    npt.assert_allclose([ones.pop(), twos.pop()], [frac(1, 64), frac(1, 128)], atol=1e-15)
 
 
 def test_observations_refuse_a_truncation_over_the_limit():
@@ -517,17 +534,6 @@ def test_web_arguments_must_be_integers(call, named):
     rule."""
     with pytest.raises(ValueError, match=named):
         call()
-
-
-def test_environment_cache_is_bounded():
-    """16 KiB per unit of truncation; the bounded cache of the widest windows
-    (observation_one reads N + 2) stays under 17.5 MB."""
-    env = blipweb._reference_environments(3)
-    assert sum(v.nbytes for v in env.forward + env.backward) == 3 * 16 * 1024
-    assert not any(v.flags.writeable for v in env.forward + env.backward)
-    maxsize = blipweb._reference_environments.cache_info().maxsize
-    assert maxsize is not None
-    assert maxsize * (blipweb._MAX_TRUNCATION + 2) * 16 * 1024 < 17.5e6
 
 
 def test_observations_read_only_the_words(monkeypatch):

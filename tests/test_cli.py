@@ -473,6 +473,21 @@ def test_section4_obs1_even_i0(capsys):
     assert "odd" in cap.err
 
 
+def test_section4_obs1_checks_i0_before_sampling_curves(tmp_path, capsys, monkeypatch):
+    """A missing, even or out-of-window --i0 is refused before any curve
+    is sampled."""
+    def no_curves(*args):
+        raise AssertionError("the curves were sampled")
+
+    monkeypatch.setattr(cli, "emit_geometry", no_curves)
+    out = tmp_path / "c.csv"
+    for i0 in ([], ["--i0", "2"], ["--i0", "5"]):
+        code, _, cap = run(capsys, ["section4", "--which", "obs1", "--truncation", "2",
+                                    "--emit-curves", str(out)] + i0)
+        assert code == 2 and "--i0, an odd column index from -2 to 1" in cap.err, i0
+    assert not out.exists()
+
+
 def test_section4_obs2(capsys):
     code, report, _ = run(capsys, ["section4", "--which", "obs2", "--truncation", "1"])
     assert code == 0
