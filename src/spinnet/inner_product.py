@@ -326,9 +326,10 @@ def mc_inner_product(a: SpinNetwork, b: SpinNetwork, n_samples: int, seed: int):
     evaluates each state on its own edges, with one holonomy per distinct
     chord word and one Wigner build per distinct (chord word, spin), shared
     by bra and ket, and averages the sample values; a ket equal to the bra
-    is evaluated once, and a state whose words all reduce to nothing is a
-    constant.  When the drawn chords leave the sample value constant the
-    estimate is exact up to rounding and its standard error may read 0.0.
+    is evaluated once, its real samples give an imaginary part of exactly
+    0.0, and a state whose words all reduce to nothing is a constant.  When
+    the drawn chords leave the sample value constant the estimate is exact
+    up to rounding and its standard error may read 0.0.
     Each pair's forest is found once, and each state is prepared and
     planned once per forest and chord, from bounded caches; a plan over the
     size budget raises ValueError before any sample is drawn, and so do a
@@ -343,14 +344,24 @@ def mc_inner_product(a: SpinNetwork, b: SpinNetwork, n_samples: int, seed: int):
     states = [_prepared_state(n, tree, batch, chord) for n in ((a,) if a == b else (a, b))]
     words = {f.variable for _, fs, _ in states for f in fs}
     if chord is None:
-        combine = lambda values: np.conj(values[0]) * values[-1]
+        pairing = lambda values: np.conj(values[0]) * values[-1]
     else:
         # each state's open legs as (in slot, out slot), as strided views
         swapped = [plan.legs[0][-1] == "out" for plan, _, _ in states]
 
-        def combine(values):
+        def pairing(values):
             opened = [v.swapaxes(0, 1) if s else v for v, s in zip(values, swapped)]
             return _schur_pairing(opened[0], opened[-1])
+
+    def combine(values):
+        samples = pairing(values)
+        if len(states) == 1:
+            # a self pairing's samples, |psi|^2 or sum_rc |A_rc|^2 / d, are
+            # real: the rounding that conj(v) * v leaves in the imaginary
+            # part is set to +0, and the real part keeps its bits
+            samples.imag = 0.0
+        return samples
+
     return _mc_mean(n_samples, seed, chords - {chord}, states,
                     lambda pairs: {w: _word_holonomy(pairs, w) for w in words},
                     combine)

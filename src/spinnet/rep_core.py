@@ -215,7 +215,13 @@ def _pair_wigner(twice_j: int, a, b, out: np.ndarray | None = None) -> np.ndarra
     is written contiguously.  The result is written to ``out``, which is
     zeroed first, when one is given (numpy-style: of exactly that shape), and
     to a fresh array otherwise, with the same bits.  ``twice_j`` is a
-    ``Spin``'s."""
+    ``Spin``'s.
+
+    Only the entries (kp, k) <= (n - kp, n - k) are built from the
+    monomials, n = twice_j; each fills its mirror from the symmetry
+    D[n - kp, n - k] = (-1)^(kp - k) conj(D[kp, k]), so the two agree bit
+    for bit (up to the sign of a zero) and the mirror is within rounding of
+    its own monomial sum."""
     n = twice_j
     pows = []
     for base in (a, b, -b.conjugate(), a.conjugate()):
@@ -229,14 +235,26 @@ def _pair_wigner(twice_j: int, a, b, out: np.ndarray | None = None) -> np.ndarra
         out.fill(0)
     # A factor to the power 0 and a unit coefficient are skipped: multiplying
     # by one can flip only the sign of a zero, and the sum into the +0 of
-    # ``out`` clears that sign, so the entries are those of the full product.
+    # ``out`` clears that sign.  A mirror is added into, or subtracted from,
+    # its +0 for the same reason: a conj or a negation can make a -0, which
+    # the exact ``eval`` text would print.  Every write goes through the
+    # index: a local alias of a 0-d entry is a copy.
     for kp, k, tl in _wigner_terms(n):
+        mirror = (n - kp, n - k)
+        if (kp, k) > mirror:
+            continue
         for coeff, *exps in tl:
             factors = [p[e] for p, e in zip(pows, exps) if e]
             term = reduce(operator.mul, factors) if factors else 1.0
             if coeff != 1.0:
                 term = coeff * term
-            out[kp, k] += term  # in place: a local alias of a 0-d entry is a copy
+            out[kp, k] += term
+        if (kp, k) == mirror:
+            continue
+        if (kp - k) % 2:
+            out[mirror] -= out[kp, k].conjugate()
+        else:
+            out[mirror] += out[kp, k].conjugate()
     return out
 
 

@@ -621,6 +621,12 @@ def _mc_chunks(n_samples: int) -> tuple[int, list[int]]:
     return full - 1, [m for m in (MC_CHUNK - moved, moved + 1) if m]
 
 
+def _mc_stream(seed: int) -> np.random.Generator:
+    """The one stream every Monte Carlo run draws from: SFC64, seeded with
+    ``seed`` through numpy's SeedSequence."""
+    return np.random.Generator(np.random.SFC64(seed))
+
+
 def _mc_mean(n_samples: int, seed: int, variables, states, holonomies,
              combine) -> tuple[complex, float]:
     """The Monte Carlo reduction: (mean, standard error) of a per-sample
@@ -628,7 +634,7 @@ def _mc_mean(n_samples: int, seed: int, variables, states, holonomies,
     gives).
 
     The seed contract: the chunks of ``_mc_chunks(n_samples)`` are drawn
-    in order from a Philox stream seeded by ``seed``, each an (m,
+    in order from the stream ``_mc_stream(seed)``, each an (m,
     len(variables)) draw of Haar-uniform Cayley-Klein pairs
     (``rep_core._haar_pairs``) whose k-th column is the k-th drawn variable
     in ``_sort_key`` order, whatever order ``variables`` has.  Only the
@@ -644,7 +650,7 @@ def _mc_mean(n_samples: int, seed: int, variables, states, holonomies,
     thread's ``_Scratch``; the sample values never live in it.
     """
     variables = sorted(variables, key=_sort_key)
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _mc_stream(seed)
     total = 0.0 + 0.0j
     total_sq = 0.0
     full, tail = _mc_chunks(n_samples)

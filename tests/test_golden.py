@@ -3,6 +3,7 @@ byte for byte on the numpy, BLAS and CPU of its header, else to 1e-12 x
 max(1, |v|), and byte for byte across processes with other hash seeds or
 BLAS thread counts.  ``golden_reports.py --update`` rewrites them."""
 
+import json
 import os
 import subprocess
 import sys
@@ -69,3 +70,16 @@ def test_every_golden_file_and_input_belongs_to_a_case():
     read = {a for argv in cases.values() for a in argv if a.endswith(".json")}
     inputs = {p.name for p in golden_reports.INPUTS.iterdir()}
     assert read == inputs, read ^ inputs
+
+
+def test_monte_carlo_self_pairings_are_real_and_nonnegative():
+    """Every sample of a Monte Carlo self pairing is real, |psi|^2 or a
+    Schur pairing of the open values with themselves, so each golden
+    ``ip a a --mc`` report reads an imaginary part of exactly 0.0 and a
+    nonnegative real part."""
+    selves = [name for name, argv in golden_reports.CASES.items()
+              if argv[0] == "ip" and "--mc" in argv and argv[1] == argv[2]]
+    assert len(selves) == 5
+    for name in selves:
+        report = json.loads((golden_reports.GOLDEN / f"{name}.json").read_text())
+        assert report["im"] == 0.0 and report["re"] >= 0, (name, report)

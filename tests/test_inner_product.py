@@ -848,6 +848,14 @@ def _joint_estimate(a, b, n_samples, seed):
     return mc_expectation(paired_factor_network(a, b, tree, _schur_chord(a, b)), n_samples, seed)
 
 
+def _assert_self_pairing_bits(got, joint):
+    """A self pairing keeps the joint estimate's real part and standard
+    error bit for bit, and reads an imaginary part of exactly 0.0 where the
+    joint estimate keeps the rounding of conj(psi) * psi."""
+    (mean, err), (joint_mean, joint_err) = got, joint
+    assert (mean.real, mean.imag, err) == (joint_mean.real, 0.0, joint_err), (got, joint)
+
+
 def _reversed_edge(rng, net, edge_id):
     """``net`` with one edge reversed (inverse word, ends swapped) and fresh
     random invariant intertwiners on the new slots."""
@@ -885,7 +893,8 @@ def test_mc_inner_product_matches_joint_network_estimate(monkeypatch):
     and standard error.  With no chord integrated, self-pairings of
     single-vertex motifs, whose segments are all loops, so that nothing is
     in the forest and the per-state plans are the joint plan's two halves,
-    give its bits."""
+    give its bits, its imaginary rounding aside
+    (``_assert_self_pairing_bits``)."""
     integrated = 0
     for a, b, exact_bits in _oracle_pairs():
         integrated += _schur_chord(a, b) is not None
@@ -895,18 +904,20 @@ def test_mc_inner_product_matches_joint_network_estimate(monkeypatch):
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), (got, want)
             if exact_bits:
+                assert a == b
                 with monkeypatch.context() as m:
                     m.setattr(ip, "_schur_chord", lambda *args: None)
-                    assert mc_inner_product(a, b, n_samples, seed) == _joint_estimate(
-                        a, b, n_samples, seed)
+                    _assert_self_pairing_bits(mc_inner_product(a, b, n_samples, seed),
+                                              _joint_estimate(a, b, n_samples, seed))
     assert integrated >= 10
 
 
 def test_mc_ungauged_states_match_joint_estimate_bit_for_bit(monkeypatch):
     """With an explicit tensor at every vertex the forest is empty, and
     self-pairings of single-segment edges keep the joint network's bits
-    when no chord is integrated; with the one chord each integrates, they
-    match its Schur-paired estimate to 1e-13."""
+    (``_assert_self_pairing_bits``) when no chord is integrated; with the
+    one chord each integrates, they match its Schur-paired estimate to
+    1e-13."""
     rng = np.random.default_rng(809)
     for motif in ("theta", "twogon", "dumbbell"):
         a = random_network(rng, motif)
@@ -920,8 +931,8 @@ def test_mc_ungauged_states_match_joint_estimate_bit_for_bit(monkeypatch):
                 assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), (got, want)
             with monkeypatch.context() as m:
                 m.setattr(ip, "_schur_chord", lambda *args: None)
-                assert mc_inner_product(a, a, n_samples, seed) == _joint_estimate(
-                    a, a, n_samples, seed)
+                _assert_self_pairing_bits(mc_inner_product(a, a, n_samples, seed),
+                                          _joint_estimate(a, a, n_samples, seed))
 
 
 def test_mc_theta_builds_only_the_small_spins(monkeypatch):
@@ -1020,6 +1031,17 @@ def test_mc_standard_errors_are_calibrated():
             mean, err = mc_inner_product(a, b, 2000, seed)
             z.append(abs(mean - exact) / err)
         assert sum(x > 3 for x in z) <= 3 and max(z) <= 4, (a, sorted(z)[-4:])
+
+
+def test_mc_self_pairings_are_real_and_nonnegative():
+    """The self pairings of the calibration set, theta(6,6,12) and
+    theta(1,1,2), each with an integrated chord, and a loop with none:
+    every sample is real, so every seed reads an imaginary part of exactly
+    0.0 and a nonnegative real part."""
+    for net in (theta_network((6, 6, 12)), theta_network((1, 1, 2)), loop_network(2)):
+        for seed in range(20):
+            mean, _ = mc_inner_product(net, net, 2000, seed)
+            assert mean.imag == 0.0 and mean.real >= 0, (net, seed, mean)
 
 
 def _non_invariant_pairs(rng):

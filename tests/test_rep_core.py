@@ -156,20 +156,30 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-def test_wigner_entries_bit_identical_to_full_products():
-    """Skipping unit factors and coefficients changes no bit, zero signs
-    included, for batches and for a bare quaternion, also where the
-    quaternion's zero components make zero products."""
+def test_wigner_mirror_entries_are_conjugates_of_their_partners():
+    """Each entry but the middle one equals its mirror's partner, D[n-kp,
+    n-k] = (-1)^(kp-k) conj(D[kp, k]), as floats, so bit for bit up to the
+    sign of a zero, and no zero entry has its sign bit set.  Every entry is
+    within 1e-14 of the full monomial products, for batches and for a bare
+    quaternion, also where the quaternion's zero components make zero
+    products."""
     rng = np.random.default_rng(53)
     axes = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
                      [-1, 0, 0, 0], [0, 0, -1, 0], [-0.0, 0, 0, -1], [0.6, -0.8, 0, 0],
                      [0, 0, 0.6, -0.8], [0.5, -0.5, 0.5, -0.5]], dtype=float)
     for tj in range(13):
         batch = reference_haar_quaternions(rng, (6, 3))
+        sign = (-1.0) ** np.subtract.outer(np.arange(tj + 1), np.arange(tj + 1))
         for q in (batch, axes, batch[0, 0], *axes):
             got, want = wigner_entries(tj, q), reference_wigner_entries(tj, q)
             assert got.shape == want.shape
-            assert np.array_equal(_bits(got), _bits(want))
+            mirrored = got[..., ::-1, ::-1] == sign * got.conj()
+            if tj % 2 == 0:  # the middle entry is its own mirror, built once
+                mirrored[..., tj // 2, tj // 2] = True
+            assert mirrored.all()
+            parts = _bits(np.stack([got.real, got.imag]))
+            assert not np.any(parts == np.int64(-2**63))
+            npt.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_haar_pairs_are_the_quaternion_draw_bit_for_bit():

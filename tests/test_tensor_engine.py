@@ -596,11 +596,11 @@ def _oracle_network():
 
 def test_mc_matches_per_sample_oracle():
     """The batched executor agrees with a per-sample einsum on every sample
-    of one chunk, drawn from the same Philox stream."""
+    of one chunk, drawn from the same stream."""
     net, a, b, l = _oracle_network()
     n, seed = min(MC_CHUNK, 300), 23
     mean, err = mc_expectation(net, n, seed)
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = te._mc_stream(seed)
     quats = reference_haar_quaternions(rng, (n, 2))  # variables in sorted order: g, h
     inverse = np.array([1.0, -1.0, -1.0, -1.0])
     values = []
@@ -661,7 +661,7 @@ def _two_kernel_network():
 
 def test_mc_two_kernel_plan_matches_per_sample_oracle():
     """The chunk plan mixes multiply-adds and matmuls; every sample of it
-    agrees with a per-sample einsum over the same Philox draws."""
+    agrees with a per-sample einsum over the same draws."""
     net = _two_kernel_network()
     plan, _, _ = te._prepared(net.factors, te._operands(net.tensors), net.pairings, MC_CHUNK)
     n_in = len(net.factors) + len(net.tensors)
@@ -687,7 +687,7 @@ def test_mc_two_kernel_plan_matches_per_sample_oracle():
 
     n, seed = 300, 29
     mean, err = mc_expectation(net, n, seed)
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = te._mc_stream(seed)
     quats = reference_haar_quaternions(rng, (n, 2))  # variables in sorted order: g, h
     label = {}
     for a, b in net.pairings:
