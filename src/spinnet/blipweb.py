@@ -8,16 +8,16 @@ shared endpoints by the canonical pair couplings (curve 1 with 2, curve 3
 with 4).  The reference state takes curve 1 all plus, curve 2 all minus,
 and curves 3 and 4 alternating in opposite phase; rerouting two curves at
 one odd column, or swapping all four at one column, produces states whose
-inner products with the reference state are computed here by an exact
-column-by-column transfer contraction.
+inner products with the reference state are computed here.
 
 Two flavors of inner product are exposed.  The truncated one is the
-literal inner product of the finite-window states and agrees with the
-generic network engine.  The stabilized one replaces the endpoint weights
-by their component in the joint fixed space of the agreeing-column
-transfer operators, which is exactly what integrating out an infinite
-tail of agreeing columns leaves behind; its value is independent of the
-window size and of where an admissible reroute sits.
+literal inner product of the finite-window states, the generic network
+engine's value on their networks.  The stabilized one is an exact
+column-by-column transfer contraction from the fixed boundary: the
+endpoint weights replaced by their component in the joint fixed space of
+the agreeing-column transfer operators, which is exactly what integrating
+out an infinite tail of agreeing columns leaves behind; its value is
+independent of the window size and of where an admissible reroute sits.
 
 The geometric side realizes each arc as a smooth bump of amplitude
 2^(-4^|i|) over [x_i, x_{i+1}], with the junctions accumulating at 0 and
@@ -33,6 +33,7 @@ import numpy as np
 
 from .rep_core import Spin, Intertwiner, _invariant_basis, _is_integer, epsilon
 from .network_model import SegmentRegistry, Edge, SpinNetwork, network
+from .inner_product import exact_inner_product
 
 __all__ = [
     "ToleranceError",
@@ -77,10 +78,16 @@ def _check_column(i, truncation: int) -> None:
         raise ValueError(f"column {i} outside [-{truncation}, {truncation})")
 
 
-def _check_width(truncation) -> None:
-    """Refuse a ladder half-width that is not an integer of at least 1."""
-    if not _is_integer(truncation) or truncation < 1:
-        raise ValueError(f"truncation must be an integer of at least 1, got {truncation!r}")
+# Largest ladder half-width of any web state: the CLI documents its
+# --truncation range as 1..64.
+_MAX_TRUNCATION = 64
+
+
+def _check_truncation(truncation) -> None:
+    """Refuse a ladder half-width that is not an integer from 1 to 64."""
+    if not _is_integer(truncation) or not 1 <= truncation <= _MAX_TRUNCATION:
+        raise ValueError(
+            f"truncation must be an integer between 1 and {_MAX_TRUNCATION}, got {truncation!r}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +102,7 @@ class BlipAlphabet:
     truncation: int
 
     def __post_init__(self) -> None:
-        _check_width(self.truncation)
+        _check_truncation(self.truncation)
 
     @property
     def indices(self) -> range:
@@ -128,7 +135,7 @@ class CurveWord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "signs", tuple(self.signs))
-        _check_width(self.truncation)
+        _check_truncation(self.truncation)
         if len(self.signs) != 2 * self.truncation:
             raise ValueError(
                 f"expected {2 * self.truncation} signs, got {len(self.signs)}")
@@ -249,8 +256,9 @@ def swap_signs(state: TasselState, i: int) -> TasselState:
 # stacked invariant basis Q, shape (r, 256): the Kronecker product of one
 # invariant basis per arc, each over the strands routed through that arc.
 # The column's transfer operator, the product of the per-arc group-average
-# projectors, is Q^T conj(Q).  The boundary weight vector pairs the eight
-# strand ends against the two caps, bra side conjugated.
+# projectors, is Q^T conj(Q).  The boundary weight vector is the fixed one:
+# the pairing of the eight strand ends against the two caps, bra side
+# conjugated, projected onto the joint fixed space of the agreeing columns.
 
 @lru_cache(maxsize=256)  # the whole key domain: 16 bra by 16 ket sign patterns
 def _column_basis(bra_signs: tuple, ket_signs: tuple) -> np.ndarray:
@@ -271,15 +279,14 @@ def _column_basis(bra_signs: tuple, ket_signs: tuple) -> np.ndarray:
     return q
 
 
-@lru_cache(maxsize=2)
-def _boundary_weights(stabilized: bool) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _boundary_weights() -> np.ndarray:
     cap = _cap_components().reshape(16)
     w = np.multiply.outer(np.conj(cap), cap).reshape(256)
-    if stabilized:
-        # Joint fixed space of the agreeing-column operators: one dimension,
-        # spanned by the product of per-curve bra-ket pairings.
-        d = np.eye(16).reshape(256) / 4
-        w = d * np.vdot(d, w)
+    # Joint fixed space of the agreeing-column operators: one dimension,
+    # spanned by the product of per-curve bra-ket pairings.
+    d = np.eye(16).reshape(256) / 4
+    w = d * np.vdot(d, w)
     w.setflags(write=False)
     return w
 
@@ -293,49 +300,30 @@ def _column_signs(curves, i: int) -> tuple:
     return tuple(w.sign(i) for w in curves)
 
 
-def _sweep(columns, stabilized: bool) -> complex:
+def _sweep(columns) -> complex:
     """The boundary weights swept forward through these (bra signs, ket
     signs) columns and closed against the boundary weights; bra conjugation
     is already inside the factors and weights."""
-    boundary = _boundary_weights(stabilized)
+    boundary = _boundary_weights()
     v = boundary
     for pair in columns:
         v = _forward(v, _column_basis(*pair))
     return complex(np.dot(boundary, v))
 
 
-def _transfer_value(alphabet: BlipAlphabet, bra_curves, ket_curves, stabilized: bool) -> complex:
-    """The transfer contraction of two four-curve words over one alphabet;
-    it reads only the curves' signs, never a network.
-
-    A truncated pairing sweeps every column.  A stabilized one sweeps only
-    from its first to its last differing column: a column whose bra and ket
-    signs agree fixes the stabilized boundary weights, so the columns
-    outside that span leave them as they are.  A pair that differs nowhere
-    sweeps no column.
-    """
-    columns = [(_column_signs(bra_curves, i), _column_signs(ket_curves, i))
-               for i in alphabet.indices]
-    if stabilized:
-        differ = [k for k, (b, c) in enumerate(columns) if b != c]
-        columns = columns[differ[0]:differ[-1] + 1] if differ else []
-    return _sweep(columns, stabilized)
-
-
-def _state_value(bra: TasselState, ket: TasselState, stabilized: bool) -> complex:
+def _check_same_alphabet(bra: TasselState, ket: TasselState) -> None:
     if bra.alphabet != ket.alphabet:
         raise ValueError("states live on different alphabets")
-    return _transfer_value(bra.alphabet, bra.curves, ket.curves, stabilized)
 
 
 def truncated_inner_product(bra: TasselState, ket: TasselState) -> complex:
-    """Inner product of the literal finite-window states.
-
-    Agrees with the generic network engine on ``.network``; drifts
-    geometrically as the window widens because the endpoint caps are not
-    fixed by the column operators.
+    """Inner product of the literal finite-window states: the generic
+    network engine's value on ``.network``.  It drifts geometrically as the
+    window widens because the endpoint caps are not fixed by the column
+    operators.
     """
-    return _state_value(bra, ket, stabilized=False)
+    _check_same_alphabet(bra, ket)
+    return exact_inner_product(bra.network, ket.network)
 
 
 def stabilized_inner_product(bra: TasselState, ket: TasselState) -> complex:
@@ -345,20 +333,14 @@ def stabilized_inner_product(bra: TasselState, ket: TasselState) -> complex:
     The boundary weights are projected onto the joint fixed space of the
     agreeing-column transfer operators, so only the columns from the first
     to the last where bra and ket signs differ are swept, and the value
-    depends neither on the window size nor on where that span sits.
+    depends neither on the window size nor on where that span sits; a pair
+    that differs nowhere sweeps no column.
     """
-    return _state_value(bra, ket, stabilized=True)
-
-
-# Largest truncation the observations accept: the CLI documents its
-# --truncation range as 1..64.
-_MAX_TRUNCATION = 64
-
-
-def _check_truncation(truncation: int) -> None:
-    if not _is_integer(truncation) or not 1 <= truncation <= _MAX_TRUNCATION:
-        raise ValueError(
-            f"truncation must be an integer between 1 and {_MAX_TRUNCATION}, got {truncation!r}")
+    _check_same_alphabet(bra, ket)
+    columns = [(_column_signs(bra.curves, i), _column_signs(ket.curves, i))
+               for i in bra.alphabet.indices]
+    differ = [k for k, (b, c) in enumerate(columns) if b != c]
+    return _sweep(columns[differ[0]:differ[-1] + 1] if differ else [])
 
 
 def observation_one(truncation: int, i0: int) -> complex:
@@ -370,9 +352,8 @@ def observation_one(truncation: int, i0: int) -> complex:
     column step, the same for every window and every odd i0.  Raises
     ToleranceError if the value is degenerate.
     """
-    _check_truncation(truncation)
     phi = _phi_words(BlipAlphabet(truncation), i0)
-    value = _sweep([(_psi_signs(i0), _column_signs(phi, i0))], stabilized=True)
+    value = _sweep([(_psi_signs(i0), _column_signs(phi, i0))])
     if abs(value) <= 1e-6:
         raise ToleranceError(
             f"overlap {value} at truncation {truncation} is numerically degenerate")
@@ -390,8 +371,8 @@ def observation_two(truncation: int, i: int) -> complex:
     _check_truncation(truncation)
     _check_column(i, truncation)
     signs = _psi_signs(i)
-    value = _sweep([(signs, tuple(_FLIPPED[s] for s in signs))], stabilized=True)
-    norm2 = 2.0 * _sweep([], stabilized=True).real - 2.0 * value.real
+    value = _sweep([(signs, tuple(_FLIPPED[s] for s in signs))])
+    norm2 = 2.0 * _sweep([]).real - 2.0 * value.real
     if abs(value) <= 1e-6:
         raise ToleranceError(f"swap overlap at column {i} is numerically degenerate")
     if norm2 <= 1e-6:
@@ -411,7 +392,8 @@ def junction(i: int) -> float:
     if i == 0:
         return 0.5
     s = 1.0 if i > 0 else -1.0
-    return 0.5 * (1.0 + s * (1.0 - 2.0 ** (-abs(i))))
+    # 2^(-1075) already underflows to 0.0, so a larger |i| changes no bit
+    return 0.5 * (1.0 + s * (1.0 - 2.0 ** -min(abs(i), 1075)))
 
 
 def bump(t):
@@ -429,7 +411,8 @@ def blip_amplitude(i: int) -> float:
     """Height 2^(-4^|i|) of the column-i arcs.  Raises ValueError unless i
     is an integer."""
     _check_integer_column(i)
-    return 2.0 ** (-(4 ** abs(i)))
+    # 2^(-4^6) already underflows to 0.0, so a larger |i| changes no bit
+    return 2.0 ** -(4 ** min(abs(i), 6))
 
 
 @dataclass(frozen=True)
@@ -470,7 +453,7 @@ def emit_geometry(truncation: int, resolution: int = 64) -> list[BumpCurve]:
     names any column whose heights reach 0 (underflow) away from its
     junctions.
     """
-    _check_width(truncation)
+    _check_truncation(truncation)
     if not _is_integer(resolution) or resolution < 16:
         raise ValueError(
             f"resolution must be an integer of at least 16 samples per arc, got {resolution!r}")

@@ -47,7 +47,8 @@ from spinnet import (
 import spinnet.tensor_engine as te
 from spinnet.rep_core import _MAX_ELEMENTS, _invariant_basis, _sort_key, _wigner_terms
 from spinnet.blipweb import (
-    BumpCurve, _boundary_weights, _column_basis, blip_amplitude, build_tassel, bump, junction,
+    BumpCurve, _boundary_weights, _cap_components, _column_basis, blip_amplitude, build_tassel,
+    bump, junction,
 )
 from spinnet.tensor_engine import (
     FactorNetwork, GroupFactor, LabeledTensor, Leg, _Plan, _Step, contract, haar_project,
@@ -802,8 +803,14 @@ def quaternion_word_holonomy(quats, word):
 
 def reference_transfer_value(alphabet, bra_curves, ket_curves, stabilized):
     """The web transfer as one forward sweep over every column from the
-    left boundary, closed against the boundary weights on the right."""
-    boundary = _boundary_weights(stabilized)
+    left boundary, closed against the boundary weights on the right.  The
+    stabilized weights are blipweb's fixed boundary; the truncated ones pair
+    the eight strand ends against the two caps, bra side conjugated."""
+    if stabilized:
+        boundary = _boundary_weights()
+    else:
+        cap = _cap_components().reshape(16)
+        boundary = np.multiply.outer(np.conj(cap), cap).reshape(256)
     v = boundary
     for i in alphabet.indices:
         q = _column_basis(tuple(w.sign(i) for w in bra_curves),

@@ -284,7 +284,7 @@ def test_stabilized_boundary_spans_joint_fixed_space():
 
     assert [fixed_dim(op - eye) for op in ops] == [4, 4]
     assert fixed_dim(np.vstack([op - eye for op in ops])) == 1
-    v = _boundary_weights(True)
+    v = _boundary_weights()
     assert np.linalg.norm(v) > 0.1
     # every column whose bra and ket signs agree fixes it, not only these two
     for signs in SIGN_PATTERNS:
@@ -330,29 +330,34 @@ def test_window_widening_extrapolates_to_stabilized_value():
 
 
 def test_transfer_agrees_with_generic_engine():
-    """The exact inner product agrees with the transfer on ψ·ψ and ψ·φ,
-    from cold plan and state caches at each window, up to the large web
-    pair at N = 64."""
+    """The truncated pairing, the generic engine's value, agrees with the
+    transfer sweep between the two caps on ψ·ψ and ψ·φ, from cold plan and
+    state caches at each window, up to the large web pair at N = 64."""
     for n in (1, 2, 16, 32, 64):
         tensor_engine._plan.cache_clear()
         inner_product._prepared_state.cache_clear()
         psi = build_tassel(n)
         phi = build_phi(n, -1)
-        npt.assert_allclose(
-            exact_inner_product(psi.network, psi.network),
-            truncated_inner_product(psi, psi),
-            atol=1e-12,
-        )
-        npt.assert_allclose(
-            exact_inner_product(psi.network, phi.network),
-            truncated_inner_product(psi, phi),
-            atol=1e-12,
-        )
+        for ket in (psi, phi):
+            npt.assert_allclose(
+                truncated_inner_product(psi, ket),
+                reference_transfer_value(psi.alphabet, psi.curves, ket.curves, stabilized=False),
+                atol=1e-12,
+            )
+
+
+def test_truncated_pairing_is_the_generic_engine_bit_for_bit():
+    for n in (1, 2, 3, 4):
+        psi = build_tassel(n)
+        for ket in (psi, build_phi(n, -1), swap_signs(psi, n - 1)):
+            assert truncated_inner_product(psi, ket) == exact_inner_product(
+                psi.network, ket.network), n
 
 
 def test_transfer_rejects_mismatched_windows():
-    with pytest.raises(ValueError):
-        truncated_inner_product(build_tassel(1), build_tassel(2))
+    for pairing in (truncated_inner_product, stabilized_inner_product):
+        with pytest.raises(ValueError, match="different alphabets"):
+            pairing(build_tassel(1), build_tassel(2))
 
 
 def _random_words(rng, n):
@@ -361,9 +366,11 @@ def _random_words(rng, n):
 
 
 def test_transfer_value_matches_the_forward_sweep():
-    """The truncated value is one forward sweep over the whole window, bit
-    for bit.  The stabilized value sweeps only the span of differing
-    columns and agrees with the whole-window sweep to 1e-15."""
+    """Both pairings of random four-curve words agree to 1e-15 with one
+    forward sweep over the whole window: the truncated one, the generic
+    engine's value, with the sweep between the two caps, and the stabilized
+    one, which sweeps only the span of differing columns, with the sweep
+    from the fixed boundary."""
     rng = np.random.default_rng(15)
     nonzero = 0
     for n in (1, 2, 3, 4):
@@ -376,14 +383,13 @@ def test_transfer_value_matches_the_forward_sweep():
             paired = tuple(CurveWord(n, tuple(
                 blipweb._FLIPPED[s] if flips[k][c] else s
                 for k, s in enumerate(w.signs))) for c, w in enumerate(bra))
-            for stabilized in (False, True):
+            for pairing, stabilized in ((truncated_inner_product, False),
+                                        (stabilized_inner_product, True)):
                 for ket in (bra, paired, _random_words(rng, n)):
-                    got = blipweb._transfer_value(alphabet, bra, ket, stabilized)
+                    got = pairing(blipweb._assemble_state(alphabet, bra),
+                                  blipweb._assemble_state(alphabet, ket))
                     want = reference_transfer_value(alphabet, bra, ket, stabilized)
-                    if stabilized:
-                        assert abs(got - want) <= 1e-15, (n, got, want)
-                    else:
-                        assert got == want, (n, got, want)
+                    assert abs(got - want) <= 1e-15, (n, stabilized, got, want)
                     nonzero += abs(want) > 1e-6
     assert nonzero >= 100
 
@@ -443,7 +449,7 @@ def test_observations_equal_the_built_states_bit_for_bit():
     """Each observation is the one column step the general transfer takes
     for the built pair, and psi.psi sweeps no column: its stabilized norm
     is the boundary weights paired with themselves."""
-    d = _boundary_weights(True)
+    d = _boundary_weights()
     for n in range(1, 11):
         psi = build_tassel(n)
         for i0 in range(-n + 1 - n % 2, n, 2):
@@ -503,6 +509,13 @@ def test_observations_refuse_a_truncation_over_the_limit():
             observation_two(bad, 0)
     npt.assert_allclose(observation_one(limit, limit - 1), frac(1, 64), atol=1e-12)
     npt.assert_allclose(observation_two(limit, -limit), frac(1, 128), atol=1e-12)
+    # every web state takes the same window rule, and a huge one is refused
+    # before any column is built
+    for refuse in (lambda: BlipAlphabet(limit + 1), lambda: build_tassel(10**8),
+                   lambda: build_phi(limit + 1, 1), lambda: CurveWord(limit + 1, ()),
+                   lambda: emit_geometry(limit + 1)):
+        with pytest.raises(ValueError, match=f"between 1 and {limit}"):
+            refuse()
 
 
 @pytest.mark.parametrize("call, named", [
@@ -520,8 +533,8 @@ def test_observations_refuse_a_truncation_over_the_limit():
     (lambda: junction(0.5), "got 0.5"),
     (lambda: junction(True), "got True"),
     (lambda: blip_amplitude(1.5), "got 1.5"),
-    (lambda: BlipAlphabet(0), "integer of at least 1, got 0"),
-    (lambda: CurveWord(0, ()), "integer of at least 1, got 0"),
+    (lambda: BlipAlphabet(0), "between 1 and 64, got 0"),
+    (lambda: CurveWord(0, ()), "between 1 and 64, got 0"),
 ], ids=["obs1-truncation", "tassel-truncation", "word-truncation", "obs2-column",
         "obs1-column", "obs1-bool", "segment-column", "with-sign-column", "resolution",
         "geometry-str-truncation", "geometry-none-truncation",
@@ -589,6 +602,21 @@ def test_blip_amplitudes():
     npt.assert_allclose(blip_amplitude(-1), 1.0 / 16.0)
     npt.assert_allclose(blip_amplitude(2), 2.0 ** -16)
     assert blip_amplitude(5) > 0.0
+
+
+def test_far_columns_take_the_underflowed_value():
+    """Past double precision an arc's height is 0.0 and its junction sits at
+    an end of [0, 1]: a huge column returns that at once rather than
+    overflowing, and every column up to |i| = 40 keeps the closed forms'
+    bits."""
+    for i in (6, -6, 600, 10**6, 10**400, -10**400):
+        assert blip_amplitude(i) == 0.0, i
+    assert junction(600) == junction(10**6) == junction(10**400) == 1.0
+    assert junction(-10**400) == 0.0
+    for i in range(-40, 41):
+        assert blip_amplitude(i) == 2.0 ** (-(4 ** abs(i))), i
+        s = 1.0 if i > 0 else -1.0
+        assert junction(i) == 0.5 * (1.0 + s * (1.0 - 2.0 ** (-abs(i)))), i
 
 
 def test_emit_geometry_shapes():
